@@ -14,9 +14,9 @@ from .diophantine import (
     minimal_orthant_points,
     points_below,
     points_in_box,
-    positivity_check,
 )
 from .errors import (
+    CertificationError,
     GenericityError,
     InputError,
     InternalError,
@@ -34,7 +34,7 @@ from .finite import (
     neighbors,
     strict_dominator,
 )
-from .geometry import Box, Orthant, Point, Relation, all_orthants, compare, cuboid, join, meet
+from .geometry import Box, Orthant, Point, all_orthants, cuboid, join, meet
 from .intsolve import minimal_natural_solutions, smith_normal_form
 from .periodic import (
     CompletenessReport,
@@ -45,19 +45,18 @@ from .periodic import (
     certified_quotient,
     certified_star,
     exists_strictly_below,
-    neighbors_of_zero,
     quotient_complex,
     star_at,
-    star_faces,
     validate_periodic_set,
 )
 from .posets import FinitePoset, Layering, dickson_layers, filter_by_downset, minimal_elements
-from .resolution import ChainCheck, Resolution, build_resolution, differentials, verify_chain
+from .resolution import ChainCheck, Resolution, build_resolution, verify_chain
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Box",
+    "CertificationError",
     "ChainCheck",
     "CompletenessReport",
     "CosetSystem",
@@ -78,7 +77,6 @@ __all__ = [
     "PositivityError",
     "QuotientResult",
     "RadiusError",
-    "Relation",
     "Resolution",
     "ScarfError",
     "StarResult",
@@ -87,11 +85,9 @@ __all__ = [
     "build_resolution",
     "certified_quotient",
     "certified_star",
-    "compare",
     "coset_constraints",
     "cuboid",
     "dickson_layers",
-    "differentials",
     "enumerate_complex",
     "exists_strictly_below",
     "face_witness",
@@ -104,14 +100,11 @@ __all__ = [
     "minimal_natural_solutions",
     "minimal_orthant_points",
     "neighbors",
-    "neighbors_of_zero",
     "points_below",
     "points_in_box",
-    "positivity_check",
     "quotient_complex",
     "smith_normal_form",
     "star_at",
-    "star_faces",
     "strict_dominator",
     "validate_periodic_set",
     "verify_chain",

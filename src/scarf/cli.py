@@ -4,7 +4,8 @@ One job per invocation: a subcommand, one JSON input document, flags, and a
 single output document on stdout (JSON with --format structured, a readable
 summary otherwise).  Failures print an error document to stderr and exit
 with a class-specific code: 2 malformed input, 3 positivity violation, 4
-genericity required but absent, 5 internal invariant failure.
+genericity required but absent, 5 internal invariant failure, 6 no
+certificate within the depth limit of --auto-dmax.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ the empty face is always present and carries no multidegree.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
-from .geometry import Point, join, point_key
+from .geometry import Point, join, join2, point_key
 
 
 class Face:
@@ -131,3 +131,28 @@ def build_complex(vertex_sets: Iterable[Iterable[Point]]) -> LabeledComplex:
                 if combo not in table:
                     table[combo] = Face(combo)
     return LabeledComplex.from_closed(table.values())
+
+
+def grow_faces(vertices: Sequence[Point], seeds, accept: Callable[[Point], bool],
+               max_size: Optional[int] = None) -> list[Face]:
+    """The seed faces and every extension of one by later vertices whose join passes accept.
+
+    A seed is (members, last, top): a tuple of points of one common size,
+    the index in vertices after which extensions start, and the join of the
+    members.  A face grows one vertex at a time in index order, and only
+    from an accepted face; that is complete whenever the accepted family is
+    downward closed.  Growth stops once faces have max_size members.
+    """
+    faces = [Face(members) for members, _, _ in seeds]
+    level = list(seeds)
+    while level and len(level[0][0]) != max_size:
+        nxt = []
+        for members, last, top in level:
+            for j in range(last + 1, len(vertices)):
+                cand_top = join2(top, vertices[j])
+                if accept(cand_top):
+                    cand = members + (vertices[j],)
+                    faces.append(Face(cand))
+                    nxt.append((cand, j, cand_top))
+        level = nxt
+    return faces

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .errors import InputError, InternalError, PositivityError
+from .errors import InputError, PositivityError
 from .geometry import Box, Orthant, Point, cuboid, point_key, zero_point
 from .intsolve import (
     fm_enumerate_integer,
@@ -31,18 +31,11 @@ __all__ = [
     "Lattice",
     "CosetSystem",
     "coset_constraints",
-    "positivity_check",
     "points_in_box",
     "points_below",
     "minimal_orthant_points",
     "smith_normal_form",
 ]
-
-
-def _int_point(p: Point) -> tuple[int, ...]:
-    if not p.is_integral():
-        raise InputError(f"integer point required, got {p}")
-    return p.as_int_tuple()
 
 
 class Lattice:
@@ -71,9 +64,6 @@ class Lattice:
         self._u_inverse = None
         self._positive = None
 
-    def matrix_rows(self) -> list[list[int]]:
-        return [list(r) for r in self._rows]
-
     def snf(self):
         """Cached (U, D, V) with U * basis * V = D."""
         if self._snf is None:
@@ -91,12 +81,16 @@ class Lattice:
             self._u_inverse = [[int(x) for x in row] for row in inv]
         return self._u_inverse
 
-    def member(self, p: Point) -> bool:
-        v = _int_point(p)
+    def _transform(self, p: Point) -> list[int]:
+        """U * p for an integer point p, U the left Smith transform."""
+        v = p.as_int_tuple()
         if p.dim != self.dim:
             raise InputError(f"dimension mismatch: point {p} vs lattice of dimension {self.dim}")
         U, _, _ = self.snf()
-        w = matvec(U, list(v))
+        return matvec(U, list(v))
+
+    def member(self, p: Point) -> bool:
+        w = self._transform(p)
         diag = self.diagonal()
         for i, val in enumerate(w):
             if i < self.rank:
@@ -112,11 +106,7 @@ class Lattice:
         Two points get the same representative exactly when their difference
         lies in the lattice.
         """
-        v = _int_point(p)
-        if p.dim != self.dim:
-            raise InputError(f"dimension mismatch: point {p} vs lattice of dimension {self.dim}")
-        U, _, _ = self.snf()
-        w = matvec(U, list(v))
+        w = self._transform(p)
         diag = self.diagonal()
         reduced = [w[i] % diag[i] if i < self.rank else w[i] for i in range(self.dim)]
         back = matvec(self.u_inverse(), reduced)
@@ -158,7 +148,7 @@ class CosetSystem:
     congruences: tuple[tuple[tuple[int, ...], int, int], ...]
 
     def satisfied_by(self, p: Point) -> bool:
-        v = _int_point(p)
+        v = p.as_int_tuple()
         if p.dim != self.dim:
             raise InputError(f"dimension mismatch: point {p} vs system of dimension {self.dim}")
         for coeffs, rhs in self.equalities:
@@ -170,20 +160,10 @@ class CosetSystem:
         return True
 
 
-def positivity_check(lattice: Lattice):
-    """(True, None) when the lattice meets the nonnegative orthant in 0 only,
-    else (False, witness) with a nonzero nonnegative lattice vector."""
-    w = lattice.positivity_witness()
-    return (w is None, w)
-
-
 def coset_constraints(lattice: Lattice, rep: Point) -> CosetSystem:
     """Equalities and congruences cutting out the coset of rep."""
-    c = _int_point(rep)
-    if rep.dim != lattice.dim:
-        raise InputError(f"dimension mismatch: point {rep} vs lattice of dimension {lattice.dim}")
+    uc = lattice._transform(rep)
     U, _, _ = lattice.snf()
-    uc = matvec(U, list(c))
     diag = lattice.diagonal()
     eqs = []
     congs = []
@@ -208,39 +188,38 @@ def _canonical_reps(lattice: Lattice, reps: Iterable[Point]) -> list[tuple[int, 
         key = canon.as_int_tuple()
         if key not in seen:
             seen.add(key)
-            out.append(_int_point(rep))
+            out.append(rep.as_int_tuple())
     if not out:
         raise InputError("at least one coset representative is required")
     return out
 
 
-def _iter_coset_in_ranges(lattice, c, lo, hi) -> Iterator[Point]:
-    """Points c + basis*t with lo_i <= x_i <= hi_i, bounds exact rationals."""
-    rows = []
+def _coset_points(lattice: Lattice, reps: Sequence[Point], lo, hi) -> tuple[Point, ...]:
+    """Sorted points c + basis*t of the given cosets with lo_i <= x_i <= hi_i.
+
+    Bounds are exact rationals; a None bound leaves that side open.
+    """
     m = lattice.rank
-    for i in range(lattice.dim):
-        coeffs = tuple(Fraction(lattice._rows[i][j]) for j in range(m))
-        if hi[i] is not None:
-            rows.append((coeffs, Fraction(hi[i]) - c[i]))
-        if lo[i] is not None:
-            rows.append((tuple(-x for x in coeffs), c[i] - Fraction(lo[i])))
-    for t in fm_enumerate_integer(rows, m):
-        coords = [c[i] + sum(lattice._rows[i][j] * t[j] for j in range(m))
-                  for i in range(lattice.dim)]
-        yield Point(coords)
+    found = set()
+    for c in _canonical_reps(lattice, reps):
+        rows = []
+        for i in range(lattice.dim):
+            coeffs = tuple(Fraction(lattice._rows[i][j]) for j in range(m))
+            if hi[i] is not None:
+                rows.append((coeffs, Fraction(hi[i]) - c[i]))
+            if lo[i] is not None:
+                rows.append((tuple(-x for x in coeffs), c[i] - Fraction(lo[i])))
+        for t in fm_enumerate_integer(rows, m):
+            found.add(Point(c[i] + sum(lattice._rows[i][j] * t[j] for j in range(m))
+                            for i in range(lattice.dim)))
+    return tuple(sorted(found, key=point_key))
 
 
 def points_in_box(lattice: Lattice, reps: Sequence[Point], box: Box) -> tuple[Point, ...]:
     """All points of the given cosets lying in the closed box."""
     if box.lo.dim != lattice.dim:
         raise InputError(f"dimension mismatch: box of dimension {box.lo.dim} vs lattice of dimension {lattice.dim}")
-    found = set()
-    lo = list(box.lo.coords)
-    hi = list(box.hi.coords)
-    for c in _canonical_reps(lattice, reps):
-        for p in _iter_coset_in_ranges(lattice, c, lo, hi):
-            found.add(p)
-    return tuple(sorted(found, key=point_key))
+    return _coset_points(lattice, reps, box.lo.coords, box.hi.coords)
 
 
 def _effective_bound(b: Fraction, strict: bool) -> int:
@@ -261,12 +240,7 @@ def points_below(lattice: Lattice, reps: Sequence[Point], bound: Point,
         raise InputError(f"dimension mismatch: point {bound} vs lattice of dimension {lattice.dim}")
     lattice.check_positive()
     hi = [_effective_bound(b, strict) for b in bound.coords]
-    lo = [None] * lattice.dim
-    found = set()
-    for c in _canonical_reps(lattice, reps):
-        for p in _iter_coset_in_ranges(lattice, c, lo, hi):
-            found.add(p)
-    return tuple(sorted(found, key=point_key))
+    return _coset_points(lattice, reps, [None] * lattice.dim, hi)
 
 
 def _orthant_candidates(lattice: Lattice, c: tuple[int, ...], orthant: Orthant) -> set[Point]:

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
 Exit codes used by the CLI: 2 malformed input, 3 positivity violation,
-4 genericity required but absent, 5 internal invariant failure.
+4 genericity required but absent, 5 internal invariant failure, 6 search
+depth limit reached before a star or quotient certified itself complete.
 """
 
 
@@ -39,6 +40,20 @@ class GenericityError(ScarfError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class CertificationError(ScarfError):
+    """Depth doubling reached its limit before the result certified itself.
+
+    A resource limit, not a bug: report is the CompletenessReport of the
+    last depth tried, or None when no depth was tried.
+    """
+
+    exit_code = 6
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class InternalError(ScarfError):

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .complexes import Face, LabeledComplex
+from .complexes import Face, LabeledComplex, grow_faces
 from .errors import InputError
-from .geometry import Point, join2, leq, point_key, strictly_below
+from .geometry import Point, join, join2, leq, point_key, strictly_below
 
 
 class FinitePointSet:
@@ -80,10 +80,7 @@ def face_witness(A: FinitePointSet, B: Iterable[Point]) -> Optional[Point]:
     for b in vs:
         if b not in A:
             raise InputError(f"face candidate {b!r} is not a member of the set")
-    top = vs[0]
-    for b in vs[1:]:
-        top = join2(top, b)
-    return strict_dominator(A, top)
+    return strict_dominator(A, join(vs))
 
 
 def neighbors(A: FinitePointSet, a: Point) -> frozenset:
@@ -109,24 +106,10 @@ def enumerate_complex(A: FinitePointSet, max_dim: Optional[int] = None) -> Label
     if max_dim < -1:
         raise InputError(f"max_dim must be >= -1, got {max_dim}")
     verts = [a for a in A.points if strict_dominator(A, a) is None]
-    faces = [Face(())]
-    level = []
-    if max_dim >= 0:
-        for i, a in enumerate(verts):
-            faces.append(Face((a,)))
-            level.append(((i,), a))
-    d = 0
-    while level and d < max_dim:
-        nxt = []
-        for idxs, top in level:
-            for j in range(idxs[-1] + 1, len(verts)):
-                cand_top = join2(top, verts[j])
-                if strict_dominator(A, cand_top) is None:
-                    cand = idxs + (j,)
-                    faces.append(Face(verts[i] for i in cand))
-                    nxt.append((cand, cand_top))
-        level = nxt
-        d += 1
+    seeds = [((a,), i, a) for i, a in enumerate(verts)] if max_dim >= 0 else []
+    faces = [Face(())] + grow_faces(
+        verts, seeds, lambda top: strict_dominator(A, top) is None, max_dim + 1
+    )
     return LabeledComplex.from_closed(faces)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -149,27 +148,6 @@ def strictly_below(a: Point, b: Point) -> bool:
     return all(x < y for x, y in zip(a.coords, b.coords))
 
 
-class Relation(Enum):
-    EQUAL = "equal"
-    LEQ = "leq"
-    STRICTLY_BELOW = "strictly_below"
-    GEQ = "geq"
-    STRICTLY_ABOVE = "strictly_above"
-    INCOMPARABLE = "incomparable"
-
-
-def compare(a: Point, b: Point) -> Relation:
-    """Strongest order relation between a and b under the componentwise order."""
-    _same_dim(a, b)
-    if a == b:
-        return Relation.EQUAL
-    if leq(a, b):
-        return Relation.STRICTLY_BELOW if strictly_below(a, b) else Relation.LEQ
-    if leq(b, a):
-        return Relation.STRICTLY_ABOVE if strictly_below(b, a) else Relation.GEQ
-    return Relation.INCOMPARABLE
-
-
 @dataclass(frozen=True)
 class Orthant:
     """A closed orthant of R^n given by a sign pattern (+1 / -1 per axis)."""
@@ -251,7 +229,3 @@ class Box:
 def cuboid(a: Point, b: Point) -> Box:
     """The smallest box containing a and b."""
     return Box(meet([a, b]), join([a, b]))
-
-
-def cuboid_contains(a: Point, b: Point, x: Point) -> bool:
-    return cuboid(a, b).contains(x)

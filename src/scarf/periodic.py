@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import Face, LabeledComplex
+from .complexes import Face, grow_faces
 from .diophantine import Lattice, minimal_orthant_points, points_below, points_in_box
-from .errors import InputError, InternalError
-from .geometry import Orthant, Point, all_orthants, cuboid, join2, point_key, zero_point
+from .errors import CertificationError, InputError
+from .geometry import Point, all_orthants, cuboid, join2, point_key, zero_point
 
 __all__ = [
     "PeriodicSet",
@@ -27,8 +27,6 @@ __all__ = [
     "FaceOrbit",
     "QuotientResult",
     "exists_strictly_below",
-    "neighbors_of_zero",
-    "star_faces",
     "star_at",
     "certified_star",
     "quotient_complex",
@@ -67,9 +65,6 @@ class PeriodicSet:
             return False
         return any(self.lattice.member(p - rep) for rep in self.reps)
 
-    def translated(self, t: Point) -> "PeriodicSet":
-        return PeriodicSet(self.lattice, [rep + t for rep in self.reps])
-
     def __eq__(self, other):
         if not isinstance(other, PeriodicSet):
             return NotImplemented
@@ -97,7 +92,7 @@ class CompletenessReport:
     """What a star computation can promise about itself.
 
     candidate_counts lists, per orthant, how many set points passed the
-    down-box cardinality test (the origin included).  certified means the
+    down-box cardinality test (the center included).  certified means the
     observed star dimension stayed strictly under the search depth, in which
     case the candidate pool provably contained every star vertex.
     """
@@ -150,25 +145,24 @@ def exists_strictly_below(A: PeriodicSet, bound: Point):
     return pts[0] if pts else None
 
 
-def _candidate_vertices(A: PeriodicSet, dmax: int):
-    """Per orthant, the set points whose down-box has at most dmax+1 set points.
+def _candidate_vertices(A: PeriodicSet, center: Point, dmax: int):
+    """Per orthant, the set points whose down-box toward center has at most dmax+1 set points.
 
-    Walks from the origin, stepping from coset l to coset k by the minimal
+    Walks from the center, stepping from coset l to coset k by the minimal
     nonzero points of the single coset (rep_k - rep_l) + L inside the
     orthant.  Every step lands in the set again, and any qualifying point
     is a maximal qualifying predecessor plus one such minimal step, so the
     walk reaches all of them.  The qualifying region itself is finite, which
     bounds the walk.
     """
-    zero = zero_point(A.dim)
     reps = A.reps
-    zero_idx = next(i for i, r in enumerate(reps) if A.lattice.member(r))
+    center_idx = next(i for i, r in enumerate(reps) if A.lattice.member(center - r))
     card_memo: dict = {}
 
     def downbox_card(p: Point) -> int:
         key = p.coords
         if key not in card_memo:
-            card_memo[key] = len(points_in_box(A.lattice, A.reps, cuboid(zero, p)))
+            card_memo[key] = len(points_in_box(A.lattice, A.reps, cuboid(center, p)))
         return card_memo[key]
 
     counts = []
@@ -184,9 +178,9 @@ def _candidate_vertices(A: PeriodicSet, dmax: int):
                 )
             return move_memo[diff.coords]
 
-        accepted = {zero}
+        accepted = {center}
         rejected: set[Point] = set()
-        frontier = [(zero, zero_idx)]
+        frontier = [(center, center_idx)]
         while frontier:
             nxt = []
             for u, l in frontier:
@@ -203,16 +197,16 @@ def _candidate_vertices(A: PeriodicSet, dmax: int):
             frontier = nxt
         counts.append((str(orth), len(accepted)))
         candidates |= accepted
-    candidates.discard(zero)
+    candidates.discard(center)
     return sorted(candidates, key=point_key), tuple(counts)
 
 
-def _star_at_zero(A: PeriodicSet, dmax: int) -> StarResult:
+def star_at(A: PeriodicSet, vertex: Point, dmax: int) -> StarResult:
+    """All faces containing the given set point, up to the search depth."""
+    if not A.contains(vertex):
+        raise InputError(f"point {vertex} is not in the set")
     if dmax < 1:
         raise InputError(f"search depth must be at least 1, got {dmax}")
-    zero = zero_point(A.dim)
-    if not A.contains(zero):
-        raise InputError("the point set does not contain the origin")
     witness_memo: dict = {}
 
     def is_face_join(jn: Point) -> bool:
@@ -221,59 +215,32 @@ def _star_at_zero(A: PeriodicSet, dmax: int) -> StarResult:
             witness_memo[key] = exists_strictly_below(A, jn)
         return witness_memo[key] is None
 
-    if not is_face_join(zero):
+    if not is_face_join(vertex):
         raise InputError(
-            f"the origin is strictly dominated by {witness_memo[zero.coords]} "
+            f"{vertex} is strictly dominated by {witness_memo[vertex.coords]} "
             "and is not a vertex"
         )
-    candidates, counts = _candidate_vertices(A, dmax)
-
-    neighbors = tuple(v for v in candidates if is_face_join(join2(zero, v)))
-    faces = [Face([zero])]
-    level = [((), zero)]
-    while level:
-        nxt = []
-        for idxs, jn in level:
-            start = idxs[-1] + 1 if idxs else 0
-            for j in range(start, len(neighbors)):
-                njn = join2(jn, neighbors[j])
-                if is_face_join(njn):
-                    nidxs = idxs + (j,)
-                    nxt.append((nidxs, njn))
-                    faces.append(Face([zero] + [neighbors[i] for i in nidxs]))
-        level = nxt
+    candidates, counts = _candidate_vertices(A, vertex, dmax)
+    neighbors = tuple(v for v in candidates if is_face_join(join2(vertex, v)))
+    faces = grow_faces(neighbors, [((vertex,), -1, vertex)], is_face_join)
     observed = max(f.dim for f in faces)
     report = CompletenessReport(dmax, observed, observed < dmax, counts)
-    return StarResult(zero, neighbors, tuple(sorted(faces, key=Face.key)), report)
+    return StarResult(vertex, neighbors, tuple(sorted(faces, key=Face.key)), report)
 
 
-def star_at(A: PeriodicSet, vertex: Point, dmax: int) -> StarResult:
-    """All faces containing the given set point, up to the search depth."""
-    if not A.contains(vertex):
-        raise InputError(f"point {vertex} is not in the set")
-    base = _star_at_zero(A.translated(-vertex), dmax)
-    return StarResult(
-        center=vertex,
-        neighbors=tuple(v + vertex for v in base.neighbors),
-        faces=tuple(f.translated(vertex) for f in base.faces),
-        report=base.report,
+def _double_until_certified(compute, dmax_start: int, dmax_limit: int, what: str):
+    """compute(dmax) at dmax_start, 2*dmax_start, ... until its report is certified."""
+    dmax = dmax_start
+    result = None
+    while dmax <= dmax_limit:
+        result = compute(dmax)
+        if result.report.certified:
+            return result
+        dmax *= 2
+    raise CertificationError(
+        f"{what} did not certify up to depth {dmax_limit}",
+        report=None if result is None else result.report,
     )
-
-
-def neighbors_of_zero(A: PeriodicSet, dmax: int):
-    """Set points joined to the origin by a 1-face, plus the report."""
-    star = star_at(A, zero_point(A.dim), dmax)
-    return star.neighbors, star.report
-
-
-def star_faces(A: PeriodicSet, dmax: int):
-    """All faces containing the origin, as a complex, plus the report.
-
-    The star is not downward closed; the returned object is the plain face
-    container with only the mandatory empty face added.
-    """
-    star = star_at(A, zero_point(A.dim), dmax)
-    return LabeledComplex(star.faces), star.report
 
 
 def certified_star(A: PeriodicSet, vertex=None, dmax_start: int = 2,
@@ -281,13 +248,9 @@ def certified_star(A: PeriodicSet, vertex=None, dmax_start: int = 2,
     """Double the search depth until the star certifies itself complete."""
     if vertex is None:
         vertex = zero_point(A.dim)
-    dmax = dmax_start
-    while dmax <= dmax_limit:
-        star = star_at(A, vertex, dmax)
-        if star.report.certified:
-            return star
-        dmax *= 2
-    raise InternalError(f"star at {vertex} did not certify up to depth {dmax_limit}")
+    return _double_until_certified(
+        lambda dmax: star_at(A, vertex, dmax), dmax_start, dmax_limit, f"star at {vertex}"
+    )
 
 
 def _canonical_face(lattice: Lattice, face: Face) -> Face:
@@ -331,10 +294,7 @@ def quotient_complex(A: PeriodicSet, dmax: int) -> QuotientResult:
 
 def certified_quotient(A: PeriodicSet, dmax_start: int = 2,
                        dmax_limit: int = 256) -> QuotientResult:
-    dmax = dmax_start
-    while dmax <= dmax_limit:
-        result = quotient_complex(A, dmax)
-        if result.report.certified:
-            return result
-        dmax *= 2
-    raise InternalError(f"quotient did not certify up to depth {dmax_limit}")
+    """Double the search depth until every coset's star certifies itself complete."""
+    return _double_until_certified(
+        lambda dmax: quotient_complex(A, dmax), dmax_start, dmax_limit, "quotient"
+    )

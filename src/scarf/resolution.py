@@ -17,7 +17,7 @@ from .errors import GenericityError, InputError
 from .finite import FinitePointSet, enumerate_complex, is_generic
 from .geometry import Point, strictly_below
 
-__all__ = ["Resolution", "ChainCheck", "build_resolution", "differentials", "verify_chain"]
+__all__ = ["Resolution", "ChainCheck", "build_resolution", "verify_chain"]
 
 
 @dataclass
@@ -119,11 +119,6 @@ def build_resolution(A: FinitePointSet) -> Resolution:
         augmentation=augmentation,
         differentials=tuple(diffs),
     )
-
-
-def differentials(res: Resolution) -> tuple[dict, ...]:
-    """The stored sparse boundary maps, one per homological step."""
-    return res.differentials
 
 
 def _compose(lower: dict, upper: dict, step: int, failures: list) -> None:

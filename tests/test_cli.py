@@ -186,6 +186,23 @@ def test_lattice_neighbors_positivity_exit_3(docfile, capsys):
     assert "witness" in doc
 
 
+def test_lattice_star_depth_limit_exit_6(docfile, capsys, monkeypatch):
+    from scarf import cli, periodic
+
+    def capped(A, vertex):
+        return periodic.certified_star(A, vertex, dmax_limit=3)
+
+    monkeypatch.setattr(cli, "certified_star", capped)
+    code, out, err = run_cli(
+        ["lattice-star", docfile(KER111), "--auto-dmax", "--format", "structured"], capsys
+    )
+    assert code == 6
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "CertificationError"
+    assert doc["exit_code"] == 6
+
+
 def test_lattice_neighbors_fixture(docfile, capsys):
     code, out, _ = run_cli(
         ["lattice-neighbors", docfile(KER111), "--dmax", "6", "--format", "structured"],

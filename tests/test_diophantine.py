@@ -13,7 +13,6 @@ from scarf.diophantine import (
     minimal_orthant_points,
     points_below,
     points_in_box,
-    positivity_check,
 )
 from scarf.errors import InputError, PositivityError
 from scarf.geometry import Box, Orthant, Point, cuboid, leq_in, point_key, zero_point
@@ -89,14 +88,12 @@ def test_canonical_rep():
 
 
 def test_positivity_fixtures():
-    assert positivity_check(KER111) == (True, None)
-    assert positivity_check(Lattice([(1, -1)])) == (True, None)
-    ok, witness = positivity_check(Lattice([(1, 0)]))
-    assert not ok
+    assert KER111.positivity_witness() is None
+    assert Lattice([(1, -1)]).positivity_witness() is None
+    witness = Lattice([(1, 0)]).positivity_witness()
     assert witness is not None
     assert witness.coords[1] == 0 and witness.coords[0] > 0
-    ok, witness = positivity_check(Lattice([(2, 0), (0, 3)]))
-    assert not ok
+    assert Lattice([(2, 0), (0, 3)]).positivity_witness() is not None
 
 
 def test_check_positive_raises():
@@ -114,8 +111,8 @@ def test_positivity_random():
     rng = random.Random(411)
     for _ in range(80):
         L = random_lattice(rng, rng.randint(2, 3), rng.randint(1, 2))
-        ok, witness = positivity_check(L)
-        if ok:
+        witness = L.positivity_witness()
+        if witness is None:
             # a violating vector would show up inside a small box
             for vals in itertools.product(range(-2, 3), repeat=L.rank):
                 if any(vals):

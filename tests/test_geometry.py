@@ -11,12 +11,9 @@ from scarf.geometry import (
     Box,
     Orthant,
     Point,
-    Relation,
     all_orthants,
     as_fraction,
-    compare,
     cuboid,
-    cuboid_contains,
     join,
     join2,
     leq,
@@ -119,12 +116,17 @@ class TestOrders:
         assert strictly_below(Point((0, 1)), Point((1, 2)))
 
     def test_compare_all_cases(self):
-        assert compare(Point((1, 1)), Point((1, 1))) is Relation.EQUAL
-        assert compare(Point((1, 1)), Point((1, 2))) is Relation.LEQ
-        assert compare(Point((0, 0)), Point((1, 2))) is Relation.STRICTLY_BELOW
-        assert compare(Point((1, 2)), Point((1, 1))) is Relation.GEQ
-        assert compare(Point((3, 3)), Point((1, 2))) is Relation.STRICTLY_ABOVE
-        assert compare(Point((0, 2)), Point((2, 0))) is Relation.INCOMPARABLE
+        # equal, weakly below, strictly below, and incomparable pairs
+        a = Point((1, 1))
+        assert leq(a, Point((1, 1))) and leq(Point((1, 1)), a)
+        assert not strictly_below(a, Point((1, 1)))
+        assert leq(a, Point((1, 2))) and not leq(Point((1, 2)), a)
+        assert not strictly_below(a, Point((1, 2)))
+        assert strictly_below(Point((0, 0)), Point((1, 2)))
+        assert strictly_below(Point((1, 2)), Point((3, 3)))
+        assert not leq(Point((3, 3)), Point((1, 2)))
+        assert not leq(Point((0, 2)), Point((2, 0)))
+        assert not leq(Point((2, 0)), Point((0, 2)))
 
     @given(pts(3), pts(3))
     def test_join_is_least_upper_bound(self, a, b):
@@ -198,7 +200,8 @@ class TestBoxes:
 
     @given(pts(2), pts(2), pts(2))
     def test_cuboid_contains_matches_box(self, a, b, x):
-        assert cuboid_contains(a, b, x) == cuboid(a, b).contains(x)
+        expected = leq(meet([a, b]), x) and leq(x, join([a, b]))
+        assert cuboid(a, b).contains(x) == expected
 
     @given(pts(3), pts(3))
     def test_cuboid_contains_endpoints(self, a, b):

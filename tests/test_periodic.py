@@ -1,23 +1,22 @@
 """Stars, neighbors, and translation quotients of periodic point sets."""
 
 import itertools
+import re
 
 import pytest
 
-from scarf.complexes import Face
+from scarf.complexes import Face, LabeledComplex
 from scarf.diophantine import Lattice
-from scarf.errors import InputError, PositivityError
-from scarf.geometry import Point, all_orthants, zero_point
+from scarf.errors import CertificationError, InputError, PositivityError
+from scarf.geometry import Point, all_orthants, strictly_below, zero_point
 from scarf.oracles import oracle_lattice_neighbors, oracle_star_orbit_counts
 from scarf.periodic import (
     PeriodicSet,
     certified_quotient,
     certified_star,
     exists_strictly_below,
-    neighbors_of_zero,
     quotient_complex,
     star_at,
-    star_faces,
     validate_periodic_set,
 )
 
@@ -30,6 +29,14 @@ def ker111():
 
 def ker123():
     return validate_periodic_set([(2, -1, 0), (3, 0, -1)])
+
+
+def ker111_e1():
+    return validate_periodic_set([(1, -1, 0), (0, 1, -1)], cosets=[(0, 0, 0), (1, 0, 0)])
+
+
+def ker123_e1():
+    return validate_periodic_set([(2, -1, 0), (3, 0, -1)], cosets=[(0, 0, 0), (1, 0, 0)])
 
 
 def perm_set(*vectors):
@@ -78,7 +85,7 @@ def test_contains_and_translate():
     assert A.contains(ZERO3)
     assert A.contains(Point((4, -1, -3)))
     assert not A.contains(Point((1, 0, 0)))
-    B = A.translated(Point((1, 0, 0)))
+    B = PeriodicSet(A.lattice, [Point((1, 0, 0))])
     assert B.contains(Point((1, 0, 0)))
     assert not B.contains(ZERO3)
     assert A == ker111() and hash(A) == hash(ker111())
@@ -102,7 +109,8 @@ def test_exists_strictly_below():
 
 
 def test_neighbors_fixture():
-    nbs, report = neighbors_of_zero(ker111(), 6)
+    star = star_at(ker111(), ZERO3, 6)
+    nbs, report = star.neighbors, star.report
     got = {p.as_int_tuple() for p in nbs}
     assert len(nbs) == 18
     assert got == perm_set((1, -1, 0), (2, -1, -1), (-2, 1, 1), (2, -2, 0))
@@ -112,7 +120,8 @@ def test_neighbors_fixture():
 
 
 def test_star_fixture():
-    cx, report = star_faces(ker111(), 6)
+    star = star_at(ker111(), ZERO3, 6)
+    cx, report = LabeledComplex(star.faces), star.report
     assert cx.f_vector() == (1, 18, 54, 60, 30, 6)
     assert cx.dimension == 5
     five = Face([Point(p) for p in
@@ -122,7 +131,7 @@ def test_star_fixture():
 
 
 def test_candidate_counts_cover_all_orthants():
-    _, report = neighbors_of_zero(ker111(), 6)
+    report = star_at(ker111(), ZERO3, 6).report
     names = [name for name, _ in report.candidate_counts]
     assert sorted(names) == sorted(str(o) for o in all_orthants(3))
     assert all(count >= 1 for _, count in report.candidate_counts)
@@ -139,19 +148,37 @@ def test_every_face_made_of_set_points():
 
 
 def test_star_translation_invariance():
-    A = ker111()
-    base = star_at(A, ZERO3, 6)
-    t = Point((1, -1, 0))
-    moved = star_at(A, t, 6)
-    assert moved.center == t
-    assert set(moved.neighbors) == {v + t for v in base.neighbors}
-    assert set(moved.faces) == {f.translated(t) for f in base.faces}
-    assert moved.report == base.report
+    # the star at rep + t is the star at rep moved by t, down to the order of
+    # every field, for lattice vectors t.  Neighbor and face counts at each
+    # rep were computed by translating the set so that rep sits at the origin.
+    expected = {
+        ker111: {(0, 0, 0): (18, 169)},
+        ker123: {(0, 0, 0): (12, 65)},
+        ker111_e1: {(0, 0, 0): (21, 529), (0, 0, 1): (15, 368)},
+        ker123_e1: {(0, 0, 0): (19, 713), (1, 0, 0): (19, 668)},
+    }
+    for make, counts in expected.items():
+        A = make()
+        cols = A.lattice.columns
+        translates = [Point(sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(3))
+                      for coeffs in ((1, 0), (0, -1), (-2, 3))]
+        for rep in A.reps:
+            base = star_at(A, rep, 4)
+            where = f"{make.__name__} at {rep!r}"
+            assert (len(base.neighbors), len(base.faces)) == counts[rep.as_int_tuple()], where
+            assert all(A.contains(v) for v in base.neighbors), where
+            for t in translates:
+                moved = star_at(A, rep + t, 4)
+                where = f"{make.__name__} at {rep!r} + {t!r}"
+                assert moved.center == rep + t, where
+                assert moved.neighbors == tuple(v + t for v in base.neighbors), where
+                assert moved.faces == tuple(f.translated(t) for f in base.faces), where
+                assert moved.report == base.report, where
 
 
 def test_certification_flag_semantics():
     for dmax in (1, 2, 4, 6, 8):
-        _, report = neighbors_of_zero(ker111(), dmax)
+        report = star_at(ker111(), ZERO3, dmax).report
         assert report.certified == (report.observed_star_dimension < report.dmax_used)
         assert report.dmax_used == dmax
 
@@ -178,13 +205,39 @@ def test_star_error_paths():
 
     shifted = PeriodicSet(A.lattice, [Point((1, 0, 0))])
     with pytest.raises(InputError):
-        neighbors_of_zero(shifted, 4)
+        star_at(shifted, ZERO3, 4)
 
     # the origin is a set point but (-1,-1,-1) lies strictly below it
     dominated = PeriodicSet(A.lattice, [ZERO3, Point((-1, -1, -1))])
     with pytest.raises(InputError) as info:
-        neighbors_of_zero(dominated, 4)
+        star_at(dominated, ZERO3, 4)
     assert "strictly dominated" in str(info.value)
+
+
+def test_dominated_vertex_error_names_vertex_and_witness():
+    A = PeriodicSet(ker111().lattice, [ZERO3, Point((-1, -1, -1))])
+    v = Point((5, -5, 0))
+    with pytest.raises(InputError) as info:
+        star_at(A, v, 4)
+    message = str(info.value)
+    assert message.startswith(f"{v!r} is strictly dominated by")
+    found = re.search(r"dominated by Point\(([^)]*)\)", message)
+    witness = Point(int(x) for x in found.group(1).split(", "))
+    assert A.contains(witness)
+    assert strictly_below(witness, v)
+
+
+def test_depth_limit_raises_certification_error():
+    with pytest.raises(CertificationError) as info:
+        certified_star(ker111(), dmax_limit=3)
+    report = info.value.report
+    assert info.value.exit_code == 6
+    assert report.dmax_used == 2 and not report.certified
+    assert report == star_at(ker111(), ZERO3, 2).report
+
+    with pytest.raises(CertificationError) as info:
+        certified_quotient(ker111(), dmax_limit=3)
+    assert info.value.report == quotient_complex(ker111(), 2).report
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +246,8 @@ def test_star_error_paths():
 
 def test_neighbors_match_oracle():
     for A in (ker111(), ker123()):
-        nbs, report = neighbors_of_zero(A, 6)
+        star = star_at(A, ZERO3, 6)
+        nbs, report = star.neighbors, star.report
         assert report.certified
         oracle = oracle_lattice_neighbors(A, 3, 8)
         got = {p for p in nbs if max(abs(x) for x in p.as_int_tuple()) <= 3}

@@ -7,7 +7,7 @@ import pytest
 from scarf.errors import GenericityError, InputError
 from scarf.finite import FinitePointSet, is_generic
 from scarf.geometry import Point, leq
-from scarf.resolution import build_resolution, differentials, verify_chain
+from scarf.resolution import build_resolution, verify_chain
 
 STAIRCASE = [(2, 0), (1, 1), (0, 2)]
 
@@ -35,7 +35,7 @@ def test_staircase_multigraded_betti():
 def test_staircase_differential_entries():
     res = build_resolution(STAIRCASE)
     assert res.augmentation == (Point((0, 2)), Point((1, 1)), Point((2, 0)))
-    (d1,) = differentials(res)
+    (d1,) = res.differentials
     # vertices are rows 0..2 in lex order; dropping a vertex keeps its complement
     assert d1 == {
         (1, 0): (1, Point((0, 1))),
