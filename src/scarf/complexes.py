@@ -54,7 +54,7 @@ class Face:
 
     def without(self, v: Point) -> "Face":
         if v not in self.vertices:
-            raise InputError(f"{v!r} is not a vertex of {self!r}")
+            raise InputError(f"{v} is not a vertex of {self!r}")
         return Face(u for u in self.vertices if u != v)
 
 
@@ -110,7 +110,7 @@ class LabeledComplex:
     def star(self, v: Point) -> tuple[Face, ...]:
         """All faces containing the vertex v."""
         if (v,) not in self._faces:
-            raise InputError(f"{v!r} is not a vertex of the complex")
+            raise InputError(f"{v} is not a vertex of the complex")
         return tuple(sorted((f for f in self._faces.values() if v in f.vertices), key=Face.key))
 
 

@@ -5,20 +5,22 @@ the lattice are described through the Smith normal form of the basis: a
 point lies in a coset exactly when a fixed family of integer equalities and
 congruences holds.  On top of that sit three enumerators used throughout
 the package: all coset points inside a box, all coset points weakly or
-strictly below a bound, and the minimal coset points of an orthant.
+strictly below a bound, and the minimal coset points of an orthant.  The
+first two share one Fourier-Motzkin elimination plan per lattice and bound
+pattern, so a query only supplies integer right-hand sides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import ceil, floor
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, PositivityError
 from .geometry import Box, Orthant, Point, cuboid, point_key, zero_point
 from .intsolve import (
-    fm_enumerate_integer,
+    EliminationPlan,
     invert_rational,
     matvec,
     minimal_natural_solutions,
@@ -41,7 +43,7 @@ __all__ = [
 class Lattice:
     """Integer lattice spanned by basis columns of full column rank."""
 
-    __slots__ = ("columns", "dim", "rank", "_rows", "_snf", "_u_inverse", "_positive")
+    __slots__ = ("columns", "dim", "rank", "_rows", "_snf", "_u_inverse", "_positive", "_plans")
 
     def __init__(self, columns: Sequence[Sequence[int]]):
         cols = tuple(tuple(int(x) for x in col) for col in columns)
@@ -63,6 +65,7 @@ class Lattice:
         self._snf = None
         self._u_inverse = None
         self._positive = None
+        self._plans = {}
 
     def snf(self):
         """Cached (U, D, V) with U * basis * V = D."""
@@ -81,24 +84,21 @@ class Lattice:
             self._u_inverse = [[int(x) for x in row] for row in inv]
         return self._u_inverse
 
-    def _transform(self, p: Point) -> list[int]:
-        """U * p for an integer point p, U the left Smith transform."""
+    def _int_coords(self, p: Point) -> tuple[int, ...]:
         v = p.as_int_tuple()
         if p.dim != self.dim:
             raise InputError(f"dimension mismatch: point {p} vs lattice of dimension {self.dim}")
+        return v
+
+    def _coset_key(self, v: Sequence[int]) -> tuple[int, ...]:
+        """Reduced Smith coordinates of an integer vector: equal exactly on one coset."""
         U, _, _ = self.snf()
-        return matvec(U, list(v))
+        diag = self.diagonal()
+        w = matvec(U, v)
+        return tuple(w[i] % diag[i] if i < self.rank else w[i] for i in range(self.dim))
 
     def member(self, p: Point) -> bool:
-        w = self._transform(p)
-        diag = self.diagonal()
-        for i, val in enumerate(w):
-            if i < self.rank:
-                if val % diag[i] != 0:
-                    return False
-            elif val != 0:
-                return False
-        return True
+        return not any(self._coset_key(self._int_coords(p)))
 
     def canonical_rep(self, p: Point) -> Point:
         """The unique coset representative with reduced transform coordinates.
@@ -106,11 +106,24 @@ class Lattice:
         Two points get the same representative exactly when their difference
         lies in the lattice.
         """
-        w = self._transform(p)
-        diag = self.diagonal()
-        reduced = [w[i] % diag[i] if i < self.rank else w[i] for i in range(self.dim)]
-        back = matvec(self.u_inverse(), reduced)
-        return Point(back)
+        return Point(matvec(self.u_inverse(), self._coset_key(self._int_coords(p))))
+
+    def _plan(self, pattern: tuple[tuple[bool, bool], ...]) -> EliminationPlan:
+        """The elimination plan for x = basis * t under the bounds pattern names.
+
+        pattern[i] says whether x_i has a lower and an upper bound; the rows
+        are x_i <= hi_i then -x_i <= -lo_i for each i, in that order.
+        """
+        plan = self._plans.get(pattern)
+        if plan is None:
+            rows = []
+            for row, (has_lo, has_hi) in zip(self._rows, pattern):
+                if has_hi:
+                    rows.append(row)
+                if has_lo:
+                    rows.append([-x for x in row])
+            plan = self._plans[pattern] = EliminationPlan(rows, self.rank)
+        return plan
 
     def positivity_witness(self) -> Optional[Point]:
         """A nonzero nonnegative lattice vector if one exists, else None."""
@@ -162,8 +175,8 @@ class CosetSystem:
 
 def coset_constraints(lattice: Lattice, rep: Point) -> CosetSystem:
     """Equalities and congruences cutting out the coset of rep."""
-    uc = lattice._transform(rep)
     U, _, _ = lattice.snf()
+    uc = matvec(U, lattice._int_coords(rep))
     diag = lattice.diagonal()
     eqs = []
     congs = []
@@ -181,45 +194,47 @@ def coset_constraints(lattice: Lattice, rep: Point) -> CosetSystem:
 
 
 def _canonical_reps(lattice: Lattice, reps: Iterable[Point]) -> list[tuple[int, ...]]:
-    out = []
-    seen = set()
+    """One representative of each distinct coset among reps, as int tuples."""
+    out: dict = {}
     for rep in reps:
-        canon = lattice.canonical_rep(rep)
-        key = canon.as_int_tuple()
-        if key not in seen:
-            seen.add(key)
-            out.append(rep.as_int_tuple())
+        v = lattice._int_coords(rep)
+        out.setdefault(lattice._coset_key(v), v)
     if not out:
         raise InputError("at least one coset representative is required")
-    return out
+    return list(out.values())
 
 
-def _coset_points(lattice: Lattice, reps: Sequence[Point], lo, hi) -> tuple[Point, ...]:
-    """Sorted points c + basis*t of the given cosets with lo_i <= x_i <= hi_i.
+def _coset_points(lattice: Lattice, creps: list[tuple[int, ...]], lo, hi) -> tuple[Point, ...]:
+    """Sorted points c + basis*t of distinct cosets c with lo_i <= x_i <= hi_i.
 
-    Bounds are exact rationals; a None bound leaves that side open.
+    Bounds are integers; a None bound leaves that side open.
     """
-    m = lattice.rank
-    found = set()
-    for c in _canonical_reps(lattice, reps):
-        rows = []
-        for i in range(lattice.dim):
-            coeffs = tuple(Fraction(lattice._rows[i][j]) for j in range(m))
-            if hi[i] is not None:
-                rows.append((coeffs, Fraction(hi[i]) - c[i]))
-            if lo[i] is not None:
-                rows.append((tuple(-x for x in coeffs), c[i] - Fraction(lo[i])))
-        for t in fm_enumerate_integer(rows, m):
-            found.add(Point(c[i] + sum(lattice._rows[i][j] * t[j] for j in range(m))
-                            for i in range(lattice.dim)))
-    return tuple(sorted(found, key=point_key))
+    plan = lattice._plan(tuple((l is not None, h is not None) for l, h in zip(lo, hi)))
+    rows = lattice._rows
+    found = []
+    for c in creps:
+        rhs = []
+        for ci, l, h in zip(c, lo, hi):
+            if h is not None:
+                rhs.append(h - ci)
+            if l is not None:
+                rhs.append(ci - l)
+        for t in plan.points(rhs):
+            found.append(tuple(ci + sum(a * tj for a, tj in zip(row, t)) for ci, row in zip(c, rows)))
+    found.sort()
+    return tuple(Point(v) for v in found)
 
 
 def points_in_box(lattice: Lattice, reps: Sequence[Point], box: Box) -> tuple[Point, ...]:
     """All points of the given cosets lying in the closed box."""
     if box.lo.dim != lattice.dim:
         raise InputError(f"dimension mismatch: box of dimension {box.lo.dim} vs lattice of dimension {lattice.dim}")
-    return _coset_points(lattice, reps, box.lo.coords, box.hi.coords)
+    creps = _canonical_reps(lattice, reps)
+    lo = [ceil(x) for x in box.lo.coords]
+    hi = [floor(x) for x in box.hi.coords]
+    if any(l > h for l, h in zip(lo, hi)):
+        return ()
+    return _coset_points(lattice, creps, lo, hi)
 
 
 def _effective_bound(b: Fraction, strict: bool) -> int:
@@ -240,7 +255,7 @@ def points_below(lattice: Lattice, reps: Sequence[Point], bound: Point,
         raise InputError(f"dimension mismatch: point {bound} vs lattice of dimension {lattice.dim}")
     lattice.check_positive()
     hi = [_effective_bound(b, strict) for b in bound.coords]
-    return _coset_points(lattice, reps, [None] * lattice.dim, hi)
+    return _coset_points(lattice, _canonical_reps(lattice, reps), [None] * lattice.dim, hi)
 
 
 def _orthant_candidates(lattice: Lattice, c: tuple[int, ...], orthant: Orthant) -> set[Point]:

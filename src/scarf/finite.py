@@ -79,14 +79,14 @@ def face_witness(A: FinitePointSet, B: Iterable[Point]) -> Optional[Point]:
         return None
     for b in vs:
         if b not in A:
-            raise InputError(f"face candidate {b!r} is not a member of the set")
+            raise InputError(f"face candidate {b} is not a member of the set")
     return strict_dominator(A, join(vs))
 
 
 def neighbors(A: FinitePointSet, a: Point) -> frozenset:
     """Points a' != a such that {a, a'} is a face."""
     if a not in A:
-        raise InputError(f"{a!r} is not a member of the set")
+        raise InputError(f"{a} is not a member of the set")
     out = []
     for b in A.points:
         if b != a and strict_dominator(A, join2(a, b)) is None:

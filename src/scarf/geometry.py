@@ -62,6 +62,11 @@ class Point:
     def __repr__(self) -> str:
         return "Point(%s)" % ", ".join(str(c) for c in self.coords)
 
+    def __str__(self) -> str:
+        """The point as JSON output writes it, on one line: [1, -2, "1/2"]."""
+        return "[%s]" % ", ".join(
+            str(c) if c.denominator == 1 else f'"{c}"' for c in self.coords)
+
     def __add__(self, other):
         if not isinstance(other, Point):
             return NotImplemented
@@ -82,7 +87,7 @@ class Point:
 
     def as_int_tuple(self) -> tuple[int, ...]:
         if not self.is_integral():
-            raise InputError(f"integer point required, got {self!r}")
+            raise InputError(f"integer point required, got {self}")
         return tuple(c.numerator for c in self.coords)
 
     def as_strings(self) -> tuple[str, ...]:
@@ -216,7 +221,7 @@ class Box:
     def __post_init__(self):
         _same_dim(self.lo, self.hi)
         if not leq(self.lo, self.hi):
-            raise InputError(f"box corners out of order: {self.lo!r} !<= {self.hi!r}")
+            raise InputError(f"box corners out of order: {self.lo} !<= {self.hi}")
 
     @property
     def dim(self) -> int:

@@ -2,7 +2,8 @@
 
 Everything here is plain Python ints and Fractions: Smith normal form with
 unimodular transforms, Bareiss determinants, rational rank and inversion,
-Fourier-Motzkin projection with integer point enumeration, and a
+Fourier-Motzkin projection, integer point enumeration through elimination
+plans that are built once per coefficient matrix, and a
 breadth-first minimal-solutions search for linear Diophantine systems over
 the naturals (Contejean-Devie branching rule with domination pruning).
 No floats anywhere.
@@ -11,8 +12,8 @@ No floats anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, ceil, floor
-from typing import Iterator, Optional
+from math import gcd, lcm
+from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, InternalError
 
@@ -342,34 +343,110 @@ def _bounds_at(system, k, prefix):
     return lo, hi
 
 
+class EliminationPlan:
+    """Fourier-Motzkin projection of {z : A z <= b}, built once for A and reused for any b.
+
+    A has integer rows.  Variables are eliminated back to front when the
+    plan is built.  Each derived row keeps its nonnegative integer
+    multipliers over the rows of A and is scaled by the gcd of its
+    coefficients and multipliers, so for a given integer b its right-hand
+    side is one dot product.  Pruning looks at A alone: exact duplicates go,
+    and so does every row drawn from more than t+1 rows of A after t
+    eliminations, which is redundant by Kohler's criterion.  A derived row
+    with no coefficient left is a check b must pass for the region to be
+    nonempty.
+    """
+
+    __slots__ = ("nvars", "levels", "checks")
+
+    def __init__(self, rows: Sequence[Sequence[int]], nvars: int):
+        nrows = len(rows)
+        checks: dict = {}
+
+        def add(coeffs, mults, into, max_support):
+            g = 0
+            for x in coeffs + mults:
+                g = gcd(g, x)
+            if g > 1:
+                coeffs = tuple(x // g for x in coeffs)
+                mults = tuple(x // g for x in mults)
+            support = tuple((i, m) for i, m in enumerate(mults) if m)
+            if len(support) > max_support:
+                return
+            if any(coeffs):
+                into.setdefault((coeffs, mults), support)
+            else:
+                checks.setdefault(support, None)
+
+        system: dict = {}
+        for i, coeffs in enumerate(rows):
+            add(tuple(coeffs), tuple(int(j == i) for j in range(nrows)), system, 1)
+        # levels[k]: (upper, lower) rows (coeffs[:k], |coeffs[k]|, support) of the
+        # projection onto z_0..z_k, split by the sign of the coefficient of z_k
+        self.levels = [None] * nvars
+        for k in range(nvars - 1, -1, -1):
+            pos = [(c, m) for c, m in system if c[k] > 0]
+            neg = [(c, m) for c, m in system if c[k] < 0]
+            self.levels[k] = (
+                tuple((c[:k], c[k], system[c, m]) for c, m in pos),
+                tuple((c[:k], -c[k], system[c, m]) for c, m in neg),
+            )
+            nxt = {key: sup for key, sup in system.items() if key[0][k] == 0}
+            for pc, pm in pos:
+                for nc, nm in neg:
+                    a, b = pc[k], -nc[k]
+                    add(tuple(b * x + a * y for x, y in zip(pc, nc)),
+                        tuple(b * x + a * y for x, y in zip(pm, nm)),
+                        nxt, nvars - k + 1)
+            system = nxt
+        self.nvars = nvars
+        self.checks = tuple(checks)
+
+    def points(self, rhs: Sequence[int]) -> list[tuple[int, ...]]:
+        """All integer z with A z <= rhs, in lexicographic order.  Requires boundedness."""
+        for support in self.checks:
+            if sum(m * rhs[i] for i, m in support) < 0:
+                return []
+        bounds = [
+            tuple(tuple((cs, c, sum(m * rhs[i] for i, m in support)) for cs, c, support in side)
+                  for side in level)
+            for level in self.levels
+        ]
+        last = self.nvars - 1
+        out = []
+
+        def walk(k, prefix):
+            upper, lower = bounds[k]
+            if not upper or not lower:
+                raise InternalError("unbounded direction in an enumeration region")
+            hi = min((r - sum(a * z for a, z in zip(cs, prefix))) // c for cs, c, r in upper)
+            lo = -min((r - sum(a * z for a, z in zip(cs, prefix))) // c for cs, c, r in lower)
+            for v in range(lo, hi + 1):
+                if k == last:
+                    out.append(prefix + (v,))
+                else:
+                    walk(k + 1, prefix + (v,))
+
+        if self.nvars:
+            walk(0, ())
+        return out
+
+
 def fm_enumerate_integer(rows, nvars: int) -> Iterator[tuple[int, ...]]:
     """All integer points of the polytope {z : rows}.  Requires boundedness.
 
-    Eliminates variables back to front, then walks integer values level by
-    level inside the exact conditional intervals.  An unbounded interval
-    means the region was not a polytope, which callers must rule out.
+    The one-shot form of EliminationPlan: each rational row is scaled to
+    integers exactly, and an unbounded interval in the walk means the region
+    was not a polytope, which callers must rule out.
     """
-    if nvars == 0:
-        return
-    systems = fm_systems(rows, nvars)
-    for coeffs, rhs in systems[0]:
-        if all(c == 0 for c in coeffs) and rhs < 0:
-            return
-
-    def walk(k, prefix):
-        lo, hi = _bounds_at(systems[k], k, prefix)
-        if lo is None or hi is None:
-            raise InternalError("unbounded direction in an enumeration region")
-        if lo > hi:
-            return
-        for v in range(ceil(lo), floor(hi) + 1):
-            nxt = prefix + (v,)
-            if k + 1 == nvars:
-                yield nxt
-            else:
-                yield from walk(k + 1, nxt)
-
-    yield from walk(0, ())
+    coeff_rows, rhs = [], []
+    for coeffs, bound in rows:
+        vals = [Fraction(x) for x in coeffs] + [Fraction(bound)]
+        scale = lcm(*(x.denominator for x in vals))
+        ints = [x.numerator * (scale // x.denominator) for x in vals]
+        coeff_rows.append(ints[:-1])
+        rhs.append(ints[-1])
+    yield from EliminationPlan(coeff_rows, nvars).points(rhs)
 
 
 def nonzero_cone_direction(B) -> Optional[list[int]]:

@@ -165,13 +165,15 @@ def _candidate_vertices(A: PeriodicSet, center: Point, dmax: int):
             card_memo[key] = len(points_in_box(A.lattice, A.reps, cuboid(center, p)))
         return card_memo[key]
 
+    # the single coset a step from coset l to coset k lands in, per (l, k)
+    diffs = [[A.lattice.canonical_rep(rk - rl) for rk in reps] for rl in reps]
     counts = []
     candidates: set[Point] = set()
     for orth in all_orthants(A.dim):
         move_memo: dict = {}
 
         def moves(l: int, k: int):
-            diff = A.lattice.canonical_rep(reps[k] - reps[l])
+            diff = diffs[l][k]
             if diff.coords not in move_memo:
                 move_memo[diff.coords] = minimal_orthant_points(
                     A.lattice, [diff], orth, exclude_zero=True
@@ -253,13 +255,6 @@ def certified_star(A: PeriodicSet, vertex=None, dmax_start: int = 2,
     )
 
 
-def _canonical_face(lattice: Lattice, face: Face) -> Face:
-    # translating by a lattice vector preserves the vertex order, so pinning
-    # the least vertex to its canonical representative is well defined
-    v0 = face.vertices[0]
-    return face.translated(lattice.canonical_rep(v0) - v0)
-
-
 def quotient_complex(A: PeriodicSet, dmax: int) -> QuotientResult:
     """Faces of the whole complex up to lattice translation.
 
@@ -279,13 +274,18 @@ def quotient_complex(A: PeriodicSet, dmax: int) -> QuotientResult:
         for name, cnt in star.report.candidate_counts:
             combined[name] = combined.get(name, 0) + cnt
         for f in star.faces:
-            canon = _canonical_face(A.lattice, f)
-            entry = orbit_map.setdefault(canon.key(), [canon, 0])
+            # translating by a lattice vector preserves the vertex order, so
+            # pinning the least vertex to its canonical representative gives
+            # a well-defined key: the Face.key of the translated face
+            v0 = f.vertices[0]
+            shift = [a - b for a, b in zip(A.lattice.canonical_rep(v0).coords, v0.coords)]
+            key = (len(f.vertices),
+                   tuple(tuple(a + b for a, b in zip(v.coords, shift)) for v in f.vertices))
+            entry = orbit_map.get(key)
+            if entry is None:
+                entry = orbit_map[key] = [f.translated(Point(shift)), 0]
             entry[1] += 1
-    orbits = tuple(
-        FaceOrbit(face=f, incidences=c)
-        for f, c in sorted(orbit_map.values(), key=lambda e: e[0].key())
-    )
+    orbits = tuple(FaceOrbit(face=f, incidences=c) for _, (f, c) in sorted(orbit_map.items()))
     top = max((o.dim for o in orbits), default=-1)
     fvec = tuple(sum(1 for o in orbits if o.dim == d) for d in range(top + 1))
     report = CompletenessReport(dmax, observed, certified, tuple(sorted(combined.items())))

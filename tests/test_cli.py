@@ -244,6 +244,17 @@ def test_lattice_flag_validation(docfile, capsys):
     assert code == 2  # wrong dimension
 
 
+def test_lattice_vertex_error_renders_points_as_json(docfile, capsys):
+    code, out, err = run_cli(
+        ["lattice-star", docfile(KER111), "--vertex", "1,0,0", "--format", "structured"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    message = json.loads(err)["message"]
+    assert "[1, 0, 0]" in message
+    assert "Point(" not in message
+
+
 def test_lattice_neighbors_vertex_translation(docfile, capsys):
     code, out, _ = run_cli(
         ["lattice-neighbors", docfile(KER111), "--dmax", "6",

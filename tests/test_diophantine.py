@@ -1,6 +1,7 @@
 """Lattice cosets: constraint systems, box scans, minimal orthant points."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -216,6 +217,15 @@ def test_points_in_box_dim_mismatch():
         points_in_box(KER111, [ZERO3], Box(Point((0, 0)), Point((1, 1))))
 
 
+def scan_box(L, reps, lo, hi):
+    ranges = [range(math.ceil(l), math.floor(h) + 1) for l, h in zip(lo, hi)]
+    return sorted(
+        (Point(v) for v in itertools.product(*ranges)
+         if any(L.member(Point(v) - r) for r in reps)),
+        key=point_key,
+    )
+
+
 def test_points_in_box_random():
     rng = random.Random(413)
     for _ in range(50):
@@ -226,12 +236,32 @@ def test_points_in_box_random():
         lo = tuple(rng.randint(-4, 0) for _ in range(dim))
         hi = tuple(l + rng.randint(0, 4) for l in lo)
         got = points_in_box(L, reps, Box(Point(lo), Point(hi)))
-        want = sorted(
-            (Point(v) for v in itertools.product(*[range(l, h + 1) for l, h in zip(lo, hi)])
-             if any(L.member(Point(v) - r) for r in reps)),
-            key=point_key,
-        )
-        assert list(got) == want
+        assert list(got) == scan_box(L, reps, lo, hi)
+    # one Lattice object answers several boxes, some with rational corners,
+    # so its elimination plan is reused with different right-hand sides;
+    # rank 4 runs three elimination levels
+    for _ in range(30):
+        dim = rng.randint(2, 4)
+        L = random_lattice(rng, dim, rng.randint(max(1, dim - 1), dim))
+        reps = [Point(tuple(rng.randint(-3, 3) for _ in range(dim)))
+                for _ in range(rng.randint(1, 2))]
+        for _ in range(4):
+            lo = tuple(Fraction(rng.randint(-8, 0), rng.randint(1, 2)) for _ in range(dim))
+            hi = tuple(l + Fraction(rng.randint(0, 8), rng.randint(1, 2)) for l in lo)
+            got = points_in_box(L, reps, Box(Point(lo), Point(hi)))
+            assert list(got) == scan_box(L, reps, lo, hi), (L, reps, lo, hi)
+
+
+def test_points_in_box_high_rank():
+    # rank 5 in Z^6: five elimination levels; the per-query projection
+    # without pruning took half a minute here
+    L = Lattice([(3, 3, -3, -3, -3, -1), (3, -2, 2, 3, 2, 3), (-1, -1, 1, -2, 1, -3),
+                 (1, 2, -2, 0, 2, 0), (3, 2, 3, 1, -1, 1)])
+    zero = zero_point(6)
+    lo, hi = (-2,) * 6, (2,) * 6
+    want = scan_box(L, [zero], lo, hi)
+    assert len(want) == 3
+    assert list(points_in_box(L, [zero], Box(Point(lo), Point(hi)))) == want
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +300,13 @@ def scan_below(weights, L, reps, bound, strict):
         ranges = []
         for i, w in enumerate(weights):
             other = sum(weights[j] * bound.coords[j] for j in range(len(weights)) if j != i)
-            lo = int(-(-(s - other) // w))  # ceil
-            ranges.append(range(lo, int(bound.coords[i]) + 1))
-        for vals in itertools.product(*ranges):
+            ranges.append(range(math.ceil((s - other) / w), math.floor(bound.coords[i]) + 1))
+        # the weighted sum fixes the last coordinate
+        for head in itertools.product(*ranges[:-1]):
+            last, rest = divmod(s - sum(w * x for w, x in zip(weights, head)), weights[-1])
+            if rest or last not in ranges[-1]:
+                continue
+            vals = head + (last,)
             p = Point(vals)
             if not L.member(p - rep):
                 continue
@@ -297,6 +331,19 @@ def test_points_below_random():
         assert list(got) == scan_below(weights, L, reps, bound, strict)
         if strict:
             assert set(got) <= set(points_below(L, reps, bound))
+    # rational bounds and rank-3 lattices in Z^4 against the same Lattice
+    # objects, so each elimination plan is reused with new right-hand sides
+    cases += [((1, 1, 1, 1), Lattice([(1, -1, 0, 0), (1, 0, -1, 0), (1, 0, 0, -1)])),
+              ((1, 2, 3, 4), Lattice([(2, -1, 0, 0), (3, 0, -1, 0), (4, 0, 0, -1)]))]
+    for _ in range(60):
+        weights, L = cases[rng.randrange(4)]
+        dim = len(weights)
+        reps = [Point(tuple(rng.randint(-2, 2) for _ in range(dim)))
+                for _ in range(rng.randint(1, 2))]
+        bound = Point(tuple(Fraction(rng.randint(-3, 7), rng.randint(1, 2)) for _ in range(dim)))
+        strict = rng.random() < 0.5
+        got = points_below(L, reps, bound, strict=strict)
+        assert list(got) == scan_below(weights, L, reps, bound, strict), (weights, reps, bound)
 
 
 # ---------------------------------------------------------------------------

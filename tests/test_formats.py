@@ -85,6 +85,9 @@ def test_parse_cli_point():
 def test_point_json():
     assert point_json(Point((2, 0, -1))) == [2, 0, -1]
     assert point_json(Point(("1/2", "3"))) == ["1/2", 3]
+    # error messages print points the same way
+    for p in (Point((2, 0, -1)), Point(("1/2", "3")), Point(("-7/3",))):
+        assert str(p) == json.dumps(point_json(p))
     A = parse_points_doc(points_doc(FinitePointSet([("1/3", 2), (5, 0)])))
     assert A.points == FinitePointSet([("1/3", 2), (5, 0)]).points
 

@@ -148,6 +148,23 @@ def test_snf_random_reverify():
             assert (a == 0 and b == 0) or (a != 0 and b % a == 0)
 
 
+def test_snf_diagonal_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(407)
+    for _ in range(120):
+        nr = rng.randint(1, 5)
+        nc = rng.randint(1, 5)
+        M = random_matrix(rng, nr, nc)
+        if rng.random() < 0.3:
+            # rank-deficient: repeat a scaled row
+            M[-1] = [rng.randint(-2, 2) * x for x in M[0]]
+        theirs = sympy_snf(sympy.Matrix(M), domain=sympy.ZZ)
+        want = tuple(abs(int(theirs[i, i])) for i in range(min(nr, nc)))
+        assert snf_diag(M) == want, M
+
+
 def test_verify_snf_rejects_tampering():
     M = [[2, 4], [6, 8]]
     U, D, V = smith_normal_form(M)
@@ -209,6 +226,17 @@ def test_fm_enumerate_matches_scan():
         for vals in itertools.product(range(-3, 4), repeat=n):
             if all(sum(c * v for c, v in zip(coeffs, vals)) <= rhs for coeffs, rhs in rows):
                 want.add(vals)
+        assert got == want, rows
+    # rational coefficients and right-hand sides, up to four variables
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        rows = box_rows(n, -2, 2)
+        for _ in range(rng.randint(1, 4)):
+            coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+            rows.append(halfplane(coeffs, Fraction(rng.randint(-6, 8), rng.randint(1, 3))))
+        got = sorted(fm_enumerate_integer(rows, n))
+        want = [vals for vals in itertools.product(range(-2, 3), repeat=n)
+                if all(sum(c * v for c, v in zip(coeffs, vals)) <= rhs for coeffs, rhs in rows)]
         assert got == want, rows
 
 
