@@ -21,11 +21,9 @@ from .errors import InputError, PositivityError
 from .geometry import Box, Orthant, Point, cuboid, point_key, zero_point
 from .intsolve import (
     EliminationPlan,
-    invert_rational,
     matvec,
     minimal_natural_solutions,
     nonzero_cone_direction,
-    rational_rank,
     smith_normal_form,
 )
 
@@ -43,46 +41,37 @@ __all__ = [
 class Lattice:
     """Integer lattice spanned by basis columns of full column rank."""
 
-    __slots__ = ("columns", "dim", "rank", "_rows", "_snf", "_u_inverse", "_positive", "_plans")
+    __slots__ = ("columns", "dim", "rank", "_rows", "_snf", "_positive", "_plans")
 
     def __init__(self, columns: Sequence[Sequence[int]]):
-        cols = tuple(tuple(int(x) for x in col) for col in columns)
+        cols = []
+        for col in columns:
+            if not isinstance(col, (list, tuple)):
+                raise InputError(f"basis columns must be integer arrays, got {col!r}")
+            for x in col:
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise InputError(f"basis entries must be integers, got {x!r}")
+            cols.append(tuple(col))
         if not cols:
             raise InputError("a lattice needs at least one basis column")
         n = len(cols[0])
         if n == 0 or any(len(c) != n for c in cols):
             raise InputError("basis columns must share a positive length")
-        for col in columns:
-            for x in col:
-                if isinstance(x, bool) or not isinstance(x, int):
-                    raise InputError(f"basis entries must be integers, got {x!r}")
-        self.columns = cols
+        self.columns = tuple(cols)
         self.dim = n
         self.rank = len(cols)
         self._rows = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-        if self.rank > n or rational_rank(self._rows) != self.rank:
+        # U * basis * V = D; the rank is the number of nonzero diagonal entries
+        self._snf = smith_normal_form(self._rows, check=True)
+        D = self._snf[1]
+        if sum(1 for i in range(min(n, self.rank)) if D[i][i]) != self.rank:
             raise InputError("basis columns must be linearly independent")
-        self._snf = None
-        self._u_inverse = None
         self._positive = None
         self._plans = {}
 
-    def snf(self):
-        """Cached (U, D, V) with U * basis * V = D."""
-        if self._snf is None:
-            self._snf = smith_normal_form(self._rows, check=True)
-        return self._snf
-
     def diagonal(self) -> tuple[int, ...]:
-        _, D, _ = self.snf()
+        _, D, _ = self._snf
         return tuple(D[i][i] for i in range(self.rank))
-
-    def u_inverse(self) -> list[list[int]]:
-        if self._u_inverse is None:
-            U, _, _ = self.snf()
-            inv = invert_rational(U)
-            self._u_inverse = [[int(x) for x in row] for row in inv]
-        return self._u_inverse
 
     def _int_coords(self, p: Point) -> tuple[int, ...]:
         v = p.as_int_tuple()
@@ -92,7 +81,7 @@ class Lattice:
 
     def _coset_key(self, v: Sequence[int]) -> tuple[int, ...]:
         """Reduced Smith coordinates of an integer vector: equal exactly on one coset."""
-        U, _, _ = self.snf()
+        U, _, _ = self._snf
         diag = self.diagonal()
         w = matvec(U, v)
         return tuple(w[i] % diag[i] if i < self.rank else w[i] for i in range(self.dim))
@@ -101,12 +90,18 @@ class Lattice:
         return not any(self._coset_key(self._int_coords(p)))
 
     def canonical_rep(self, p: Point) -> Point:
-        """The unique coset representative with reduced transform coordinates.
+        """The unique coset representative with reduced Smith coordinates.
 
         Two points get the same representative exactly when their difference
-        lies in the lattice.
+        lies in the lattice.  With U * basis * V = D and w = U v, the
+        representative is v - basis * V q for q_i = floor(w_i / d_i), whose
+        Smith coordinates are w_i mod d_i.
         """
-        return Point(matvec(self.u_inverse(), self._coset_key(self._int_coords(p))))
+        v = self._int_coords(p)
+        U, D, V = self._snf
+        w = matvec(U, v)
+        shift = matvec(self._rows, matvec(V, [w[i] // D[i][i] for i in range(self.rank)]))
+        return Point([x - y for x, y in zip(v, shift)])
 
     def _plan(self, pattern: tuple[tuple[bool, bool], ...]) -> EliminationPlan:
         """The elimination plan for x = basis * t under the bounds pattern names.
@@ -175,7 +170,7 @@ class CosetSystem:
 
 def coset_constraints(lattice: Lattice, rep: Point) -> CosetSystem:
     """Equalities and congruences cutting out the coset of rep."""
-    U, _, _ = lattice.snf()
+    U, _, _ = lattice._snf
     uc = matvec(U, lattice._int_coords(rep))
     diag = lattice.diagonal()
     eqs = []

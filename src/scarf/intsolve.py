@@ -1,12 +1,13 @@
-"""Exact integer and rational linear algebra primitives.
+"""Exact integer linear algebra primitives.
 
-Everything here is plain Python ints and Fractions: Smith normal form with
-unimodular transforms, Bareiss determinants, rational rank and inversion,
-Fourier-Motzkin projection, integer point enumeration through elimination
-plans that are built once per coefficient matrix, and a
-breadth-first minimal-solutions search for linear Diophantine systems over
-the naturals (Contejean-Devie branching rule with domination pruning).
-No floats anywhere.
+Everything here is plain Python ints: Smith normal form with unimodular
+transforms, Bareiss determinants, a breadth-first minimal-solutions search
+for linear Diophantine systems over the naturals (Contejean-Devie branching
+rule with domination pruning), and one Fourier-Motzkin projection,
+`fm_systems`.  The projection serves integer point enumeration, through
+elimination plans built once per coefficient matrix, and the search for a
+nonzero direction in a cone.  Rational rows given to `fm_enumerate_integer`
+are scaled to integers exactly.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ def matvec(A, v) -> list:
     return [sum(row[j] * v[j] for j in range(len(v))) for row in A]
 
 
-def transpose(M) -> list[list]:
-    return [list(col) for col in zip(*M)]
-
-
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """g, x, y with a*x + b*y = g = gcd(a, b) >= 0."""
     old_r, r = a, b
@@ -92,51 +89,6 @@ def det(M) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[-1][-1]
-
-
-def rational_rank(M) -> int:
-    """Rank over Q by exact Gaussian elimination."""
-    nr, nc = _check_matrix(M)
-    a = [[Fraction(x) for x in row] for row in M]
-    rank = 0
-    row = 0
-    for col in range(nc):
-        piv = next((i for i in range(row, nr) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for i in range(nr):
-            if i != row and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
-        rank += 1
-        row += 1
-        if row == nr:
-            break
-    return rank
-
-
-def invert_rational(M) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix over Q."""
-    nr, nc = _check_matrix(M)
-    if nr != nc:
-        raise InputError("inverse of a non-square matrix")
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(nr)]
-         for i, row in enumerate(M)]
-    for col in range(nr):
-        piv = next((i for i in range(col, nr) if a[i][col]), None)
-        if piv is None:
-            raise InputError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(nr):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[nr:] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -259,148 +211,73 @@ def verify_snf(M, U, D, V) -> None:
 
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin projection and integer enumeration
-#
-# A row (coeffs, rhs) encodes sum_j coeffs[j] * z_j <= rhs with integer
-# coefficients (primitive) and a Fraction right-hand side.
 
 
-def _normalize_row(coeffs, rhs):
-    dens = [Fraction(c).denominator for c in coeffs] + [Fraction(rhs).denominator]
-    scale = 1
-    for d in dens:
-        scale = lcm(scale, d)
-    ics = tuple(int(Fraction(c) * scale) for c in coeffs)
-    irhs = Fraction(rhs) * scale
-    g = 0
-    for c in ics:
-        g = gcd(g, abs(c))
-    if g > 1:
-        ics = tuple(c // g for c in ics)
-        irhs = irhs / g
-    return ics, irhs
+def fm_systems(rows: Sequence[Sequence[int]], nvars: int):
+    """Fourier-Motzkin projection of {z : A z <= b} for integer rows A, valid for every b.
 
+    Variables are eliminated back to front.  Each derived row keeps its
+    nonnegative integer multipliers over the rows of A and is scaled by the
+    gcd of its coefficients and multipliers, so for a given integer b its
+    right-hand side is one dot product.  Pruning looks at A alone: exact
+    duplicates go, and so does every row drawn from more than t+1 rows of A
+    after t eliminations, which is redundant by Kohler's criterion.
 
-def _normalize_rows(rows):
-    seen = {}
-    for coeffs, rhs in rows:
-        key, val = _normalize_row(coeffs, rhs)
-        if all(c == 0 for c in key):
-            if val < 0:
-                # keep one witness of infeasibility
-                seen[(key, -1)] = (key, val)
-            continue
-        prev = seen.get(key)
-        if prev is None or val < prev[1]:
-            seen[key] = (key, val)
-    return list(seen.values())
+    Returns (levels, checks).  levels[k] is the pair (upper, lower) of the
+    rows (coeffs[:k], |coeffs[k]|, support) of the projection onto z_0..z_k
+    whose coefficient of z_k is positive, respectively negative; a support
+    lists (row of A, multiplier) pairs.  checks holds the supports of derived
+    rows with no coefficient left: b must give each a nonnegative sum for
+    the region to be nonempty.
+    """
+    nrows = len(rows)
+    checks: dict = {}
 
-
-def fm_eliminate(rows, var: int):
-    """Project the system onto the variables other than var (coefficient zeroed)."""
-    keep, pos, neg = [], [], []
-    for coeffs, rhs in rows:
-        c = coeffs[var]
-        if c == 0:
-            keep.append((coeffs, rhs))
-        elif c > 0:
-            pos.append((coeffs, rhs))
+    def add(coeffs, mults, into, max_support):
+        g = 0
+        for x in coeffs + mults:
+            g = gcd(g, x)
+        if g > 1:
+            coeffs = tuple(x // g for x in coeffs)
+            mults = tuple(x // g for x in mults)
+        support = tuple((i, m) for i, m in enumerate(mults) if m)
+        if len(support) > max_support:
+            return
+        if any(coeffs):
+            into.setdefault((coeffs, mults), support)
         else:
-            neg.append((coeffs, rhs))
-    out = list(keep)
-    for pc, pr in pos:
-        for mc, mr in neg:
-            a = pc[var]
-            b = -mc[var]
-            combo = tuple(b * x + a * y for x, y in zip(pc, mc))
-            out.append((combo, b * pr + a * mr))
-    return _normalize_rows(out)
+            checks.setdefault(support, None)
 
-
-def fm_systems(rows, nvars: int):
-    """systems[k]: the projection constraining variables 0..k only."""
-    systems = [None] * nvars
-    systems[nvars - 1] = _normalize_rows(rows)
-    for k in range(nvars - 1, 0, -1):
-        systems[k - 1] = fm_eliminate(systems[k], k)
-    return systems
-
-
-def _bounds_at(system, k, prefix):
-    """Exact rational interval for variable k given the assigned prefix."""
-    lo = hi = None
-    for coeffs, rhs in system:
-        c = coeffs[k]
-        if c == 0:
-            continue
-        val = rhs - sum(coeffs[i] * prefix[i] for i in range(k))
-        bound = Fraction(val, c)
-        if c > 0:
-            if hi is None or bound < hi:
-                hi = bound
-        else:
-            if lo is None or bound > lo:
-                lo = bound
-    return lo, hi
+    system: dict = {}
+    for i, coeffs in enumerate(rows):
+        add(tuple(coeffs), tuple(int(j == i) for j in range(nrows)), system, 1)
+    levels = [None] * nvars
+    for k in range(nvars - 1, -1, -1):
+        pos = [(c, m) for c, m in system if c[k] > 0]
+        neg = [(c, m) for c, m in system if c[k] < 0]
+        levels[k] = (
+            tuple((c[:k], c[k], system[c, m]) for c, m in pos),
+            tuple((c[:k], -c[k], system[c, m]) for c, m in neg),
+        )
+        nxt = {key: sup for key, sup in system.items() if key[0][k] == 0}
+        for pc, pm in pos:
+            for nc, nm in neg:
+                a, b = pc[k], -nc[k]
+                add(tuple(b * x + a * y for x, y in zip(pc, nc)),
+                    tuple(b * x + a * y for x, y in zip(pm, nm)),
+                    nxt, nvars - k + 1)
+        system = nxt
+    return levels, tuple(checks)
 
 
 class EliminationPlan:
-    """Fourier-Motzkin projection of {z : A z <= b}, built once for A and reused for any b.
-
-    A has integer rows.  Variables are eliminated back to front when the
-    plan is built.  Each derived row keeps its nonnegative integer
-    multipliers over the rows of A and is scaled by the gcd of its
-    coefficients and multipliers, so for a given integer b its right-hand
-    side is one dot product.  Pruning looks at A alone: exact duplicates go,
-    and so does every row drawn from more than t+1 rows of A after t
-    eliminations, which is redundant by Kohler's criterion.  A derived row
-    with no coefficient left is a check b must pass for the region to be
-    nonempty.
-    """
+    """The projection fm_systems builds for one integer matrix A, answered for any integer b."""
 
     __slots__ = ("nvars", "levels", "checks")
 
     def __init__(self, rows: Sequence[Sequence[int]], nvars: int):
-        nrows = len(rows)
-        checks: dict = {}
-
-        def add(coeffs, mults, into, max_support):
-            g = 0
-            for x in coeffs + mults:
-                g = gcd(g, x)
-            if g > 1:
-                coeffs = tuple(x // g for x in coeffs)
-                mults = tuple(x // g for x in mults)
-            support = tuple((i, m) for i, m in enumerate(mults) if m)
-            if len(support) > max_support:
-                return
-            if any(coeffs):
-                into.setdefault((coeffs, mults), support)
-            else:
-                checks.setdefault(support, None)
-
-        system: dict = {}
-        for i, coeffs in enumerate(rows):
-            add(tuple(coeffs), tuple(int(j == i) for j in range(nrows)), system, 1)
-        # levels[k]: (upper, lower) rows (coeffs[:k], |coeffs[k]|, support) of the
-        # projection onto z_0..z_k, split by the sign of the coefficient of z_k
-        self.levels = [None] * nvars
-        for k in range(nvars - 1, -1, -1):
-            pos = [(c, m) for c, m in system if c[k] > 0]
-            neg = [(c, m) for c, m in system if c[k] < 0]
-            self.levels[k] = (
-                tuple((c[:k], c[k], system[c, m]) for c, m in pos),
-                tuple((c[:k], -c[k], system[c, m]) for c, m in neg),
-            )
-            nxt = {key: sup for key, sup in system.items() if key[0][k] == 0}
-            for pc, pm in pos:
-                for nc, nm in neg:
-                    a, b = pc[k], -nc[k]
-                    add(tuple(b * x + a * y for x, y in zip(pc, nc)),
-                        tuple(b * x + a * y for x, y in zip(pm, nm)),
-                        nxt, nvars - k + 1)
-            system = nxt
         self.nvars = nvars
-        self.checks = tuple(checks)
+        self.levels, self.checks = fm_systems(rows, nvars)
 
     def points(self, rhs: Sequence[int]) -> list[tuple[int, ...]]:
         """All integer z with A z <= rhs, in lexicographic order.  Requires boundedness."""
@@ -450,49 +327,39 @@ def fm_enumerate_integer(rows, nvars: int) -> Iterator[tuple[int, ...]]:
 
 
 def nonzero_cone_direction(B) -> Optional[list[int]]:
-    """A nonzero integer z with B z >= 0 componentwise, or None if only z = 0.
+    """A primitive integer z != 0 with B z >= 0 componentwise, or None if only z = 0.
 
-    Projects the cone {z : B z >= 0} onto each coordinate by exact
-    elimination; the cone is {0} exactly when every projection is {0}.  A
-    found direction is lifted back through the eliminated variables and
-    scaled to integers.
+    For each coordinate j in turn, projects the cone {z : -B z <= 0} with
+    fm_systems, z_j ordered first; the cone is {0} exactly when every
+    projection onto z_j is {0}.  Otherwise z_j = -1 or 1 is lifted through
+    the other variables, each taking the lower end of its interval when
+    there is one, else the upper end, else 0.  The cone is homogeneous, so
+    the lift stays integral by rescaling the prefix by the denominator of
+    each end instead of dividing.
     """
     nr, nc = _check_matrix(B)
-    base = [(tuple(Fraction(-x) for x in row), Fraction(0)) for row in B]
     for j in range(nc):
         perm = [j] + [i for i in range(nc) if i != j]
-        prows = [(tuple(coeffs[p] for p in perm), rhs) for coeffs, rhs in base]
-        systems = fm_systems(prows, nc)
-        has_pos = any(coeffs[0] > 0 for coeffs, _ in systems[0])
-        has_neg = any(coeffs[0] < 0 for coeffs, _ in systems[0])
-        if has_pos and has_neg:
+        levels, _ = fm_systems([[-row[p] for p in perm] for row in B], nc)
+        upper, lower = levels[0]
+        if upper and lower:
             continue  # z_j forced to 0
-        t = Fraction(-1) if has_pos else Fraction(1)
-        vals = [t]
-        feasible = True
-        for k in range(1, nc):
-            lo, hi = _bounds_at(systems[k], k, tuple(vals))
-            if lo is not None and hi is not None and lo > hi:
-                feasible = False
-                break
-            if lo is not None:
-                vals.append(lo)
-            elif hi is not None:
-                vals.append(hi)
-            else:
-                vals.append(Fraction(0))
-        if not feasible:
-            continue
-        z = [Fraction(0)] * nc
+        z = [-1 if upper else 1]
+        for upper, lower in levels[1:]:
+            # a lower row bounds z_k below by cs.z / c, an upper row above by -cs.z / c
+            side, sign = (lower, 1) if lower else (upper, -1)
+            num, den = 0, 1
+            for n, (cs, c, _) in enumerate(side):
+                v = sign * sum(a * x for a, x in zip(cs, z))
+                if n == 0 or sign * (v * den - num * c) > 0:
+                    num, den = v, c
+            g = gcd(num, den)
+            z = [x * (den // g) for x in z] + [num // g]
+        out = [0] * nc
         for pos, var in enumerate(perm):
-            z[var] = vals[pos]
-        scale = 1
-        for c in z:
-            scale = lcm(scale, c.denominator)
-        zi = [int(c * scale) for c in z]
-        image = matvec(B, zi)
-        if any(zi) and all(x >= 0 for x in image):
-            return zi
+            out[var] = z[pos]
+        if all(x >= 0 for x in matvec(B, out)):
+            return out
         raise InternalError("cone direction reconstruction failed")
     return None
 

@@ -1,7 +1,9 @@
-"""The public import surface: star imports and the package's exported names."""
+"""The public import surface: star imports, the package's exported names, traced names."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +25,19 @@ def test_package_all_resolves():
     missing = [name for name in scarf.__all__ if not hasattr(scarf, name)]
     assert missing == []
     assert len(set(scarf.__all__)) == len(scarf.__all__)
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer looks these functions up by name
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for layer, qualname, _, _ in spans.TRACED:
+        owner = importlib.import_module(f"scarf.{layer}")
+        for part in qualname.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{layer}.{qualname}")
+    assert missing == []

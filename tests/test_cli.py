@@ -183,7 +183,7 @@ def test_lattice_neighbors_positivity_exit_3(docfile, capsys):
     assert code == 3
     doc = json.loads(err)
     assert doc["error"] == "PositivityError"
-    assert "witness" in doc
+    assert doc["witness"] == [1, 0]
 
 
 def test_lattice_star_depth_limit_exit_6(docfile, capsys, monkeypatch):

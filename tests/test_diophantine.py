@@ -47,6 +47,12 @@ def test_lattice_validation():
         Lattice([(1, 0), (0, 1), (1, 1)])  # rank cannot exceed dimension
     with pytest.raises(InputError):
         Lattice([(True, False)])
+    with pytest.raises(InputError):
+        Lattice([("a", 1)])
+    with pytest.raises(InputError):
+        Lattice([(None, 1)])
+    with pytest.raises(InputError):
+        Lattice([(1, 0), 5])
 
 
 def test_membership_fixtures():
@@ -82,6 +88,10 @@ def test_canonical_rep():
             assert L.canonical_rep(p + shift) == c
             q = Point(tuple(rng.randint(-6, 6) for _ in range(L.dim)))
             assert (L.canonical_rep(q) == c) == L.member(p - q)
+    # exact representatives: output documents print them
+    assert KER123.canonical_rep(Point((5, -3, 2))) == Point((5, 0, 0))
+    assert Lattice([(2, 0), (0, 3)]).canonical_rep(Point((-7, 8))) == Point((-5, 5))
+    assert Lattice([(2, 4)]).canonical_rep(Point((3, -5))) == Point((1, -9))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +104,8 @@ def test_positivity_fixtures():
     witness = Lattice([(1, 0)]).positivity_witness()
     assert witness is not None
     assert witness.coords[1] == 0 and witness.coords[0] > 0
-    assert Lattice([(2, 0), (0, 3)]).positivity_witness() is not None
+    assert Lattice([(2, 0), (0, 3)]).positivity_witness() == Point((2, 0))
+    assert Lattice([(1, -2, 3), (2, 1, -1)]).positivity_witness() == Point((5, 0, 1))
 
 
 def test_check_positive_raises():
