@@ -6,7 +6,7 @@ truncation-free periodic enumeration, and monomial resolutions.  A thin CLI
 (`scarf`) exposes the same operations on JSON documents.
 """
 
-from .complexes import Face, LabeledComplex, build_complex
+from .complexes import Face, LabeledComplex
 from .diophantine import (
     CosetSystem,
     Lattice,
@@ -29,7 +29,6 @@ from .finite import (
     GenericityReport,
     enumerate_complex,
     face_witness,
-    is_face,
     is_generic,
     neighbors,
     strict_dominator,
@@ -49,7 +48,7 @@ from .periodic import (
     star_at,
     validate_periodic_set,
 )
-from .posets import FinitePoset, Layering, dickson_layers, filter_by_downset, minimal_elements
+from .posets import FinitePoset, Layering, dickson_layers, filter_by_downset
 from .resolution import ChainCheck, Resolution, build_resolution, verify_chain
 
 __version__ = "0.1.0"
@@ -81,7 +80,6 @@ __all__ = [
     "ScarfError",
     "StarResult",
     "all_orthants",
-    "build_complex",
     "build_resolution",
     "certified_quotient",
     "certified_star",
@@ -92,11 +90,9 @@ __all__ = [
     "exists_strictly_below",
     "face_witness",
     "filter_by_downset",
-    "is_face",
     "is_generic",
     "join",
     "meet",
-    "minimal_elements",
     "minimal_natural_solutions",
     "minimal_orthant_points",
     "neighbors",

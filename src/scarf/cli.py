@@ -13,8 +13,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import formats
@@ -26,7 +24,7 @@ from .periodic import certified_quotient, certified_star, quotient_complex, star
 from .posets import FinitePoset, dickson_layers, filter_by_downset
 from .resolution import build_resolution, verify_chain
 
-__all__ = ["JobSpec", "run", "main"]
+__all__ = ["run", "main"]
 
 SUBCOMMANDS = (
     "finite-nb",
@@ -38,26 +36,6 @@ SUBCOMMANDS = (
     "quotient",
     "oracle",
 )
-
-
-@dataclass
-class JobSpec:
-    """A fully validated unit of CLI work."""
-
-    subcommand: str
-    input: Optional[str] = None
-    fmt: str = "text"
-    max_dim: Optional[int] = None
-    generic_mode: Optional[str] = None
-    k: int = 1
-    orthant: Optional[str] = None
-    dmax: Optional[int] = None
-    auto_dmax: bool = False
-    vertex: Optional[str] = None
-    r_candidate: Optional[int] = None
-    r_witness: Optional[int] = None
-    selftest: Optional[int] = None
-    seed: int = 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,15 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _job_from_args(ns: argparse.Namespace) -> JobSpec:
-    job = JobSpec(subcommand=ns.subcommand)
-    for field in vars(job):
-        if hasattr(ns, field):
-            setattr(job, field, getattr(ns, field))
-    return job
-
-
-def _resolve_dmax(job: JobSpec) -> Optional[int]:
+def _resolve_dmax(job: argparse.Namespace) -> Optional[int]:
     if job.dmax is not None and job.auto_dmax:
         raise InputError("--dmax and --auto-dmax are mutually exclusive")
     if job.dmax is not None and job.dmax < 1:
@@ -148,7 +118,7 @@ def _resolve_dmax(job: JobSpec) -> Optional[int]:
     return job.dmax
 
 
-def _parse_vertex(job: JobSpec, dim: int) -> Point:
+def _parse_vertex(job: argparse.Namespace, dim: int) -> Point:
     if job.vertex is None:
         return zero_point(dim)
     v = formats.parse_cli_point(job.vertex)
@@ -157,7 +127,7 @@ def _parse_vertex(job: JobSpec, dim: int) -> Point:
     return v
 
 
-def _run_oracle(job: JobSpec) -> dict:
+def _run_oracle(job: argparse.Namespace) -> dict:
     if job.selftest is not None:
         return _selftest(job.selftest, job.seed)
     if job.input is None:
@@ -191,17 +161,18 @@ def _selftest(trials: int, seed: int) -> dict:
         m = rng.randint(1, 7)
         pts = set()
         while len(pts) < m:
-            pts.add(tuple(Fraction(rng.randint(0, 9)) for _ in range(n)))
+            pts.add(tuple(rng.randint(0, 9) for _ in range(n)))
         A = FinitePointSet(pts)
         if enumerate_complex(A) != oracle_finite_nb(A):
             raise InternalError(
-                f"selftest trial {t} (seed {seed}): enumerator and oracle disagree on {sorted(pts)}"
+                f"selftest trial {t} (seed {seed}): enumerator and oracle disagree on "
+                f"{[list(p) for p in sorted(pts)]}"
             )
     return {"kind": "selftest", "trials": trials, "seed": seed, "agreed": True}
 
 
-def run(job: JobSpec) -> dict:
-    """Execute one job and return its output document."""
+def run(job: argparse.Namespace) -> dict:
+    """Execute one job, given as the parsed command line, and return its output document."""
     if job.subcommand == "finite-nb":
         A = formats.parse_points_doc(formats.load_document(job.input))
         if job.max_dim is not None and job.max_dim < 0:
@@ -395,8 +366,7 @@ def _monomial_json(coords: list) -> str:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
-    job = _job_from_args(ns)
+    job = parser.parse_args(argv)
     try:
         doc = run(job)
     except ScarfError as exc:

@@ -6,7 +6,6 @@ the empty face is always present and carries no multidegree.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
@@ -54,7 +53,8 @@ class Face:
 
     def without(self, v: Point) -> "Face":
         if v not in self.vertices:
-            raise InputError(f"{v} is not a vertex of {self!r}")
+            vs = ", ".join(str(u) for u in self.vertices)
+            raise InputError(f"{v} is not a vertex of the face [{vs}]")
         return Face(u for u in self.vertices if u != v)
 
 
@@ -93,9 +93,6 @@ class LabeledComplex:
     def __hash__(self):
         return hash(frozenset(self._faces))
 
-    def vertices(self) -> tuple[Point, ...]:
-        return tuple(f.vertices[0] for f in self._faces.values() if len(f) == 1)
-
     def f_vector(self) -> tuple[int, ...]:
         """Face counts by dimension 0..dim; the empty face is not counted."""
         d = self.dimension
@@ -106,31 +103,6 @@ class LabeledComplex:
             if vs:
                 counts[len(vs) - 1] += 1
         return tuple(counts)
-
-    def star(self, v: Point) -> tuple[Face, ...]:
-        """All faces containing the vertex v."""
-        if (v,) not in self._faces:
-            raise InputError(f"{v} is not a vertex of the complex")
-        return tuple(sorted((f for f in self._faces.values() if v in f.vertices), key=Face.key))
-
-
-def build_complex(vertex_sets: Iterable[Iterable[Point]]) -> LabeledComplex:
-    """Downward closure of the given vertex sets, with joins computed per face."""
-    table = {(): Face(())}
-    dim_seen = None
-    for vs in vertex_sets:
-        face = Face(vs)
-        if face.vertices:
-            n = len(face.vertices[0])
-            if dim_seen is None:
-                dim_seen = n
-            elif n != dim_seen:
-                raise InputError("mixed vertex dimensions across faces")
-        for r in range(1, len(face.vertices) + 1):
-            for combo in itertools.combinations(face.vertices, r):
-                if combo not in table:
-                    table[combo] = Face(combo)
-    return LabeledComplex.from_closed(table.values())
 
 
 def grow_faces(vertices: Sequence[Point], seeds, accept: Callable[[Point], bool],

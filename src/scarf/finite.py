@@ -67,11 +67,6 @@ def strict_dominator(A: FinitePointSet, v: Point) -> Optional[Point]:
     return None
 
 
-def is_face(A: FinitePointSet, B: Iterable[Point]) -> bool:
-    """Face test for B against A.  The empty set is always a face."""
-    return face_witness(A, B) is None
-
-
 def face_witness(A: FinitePointSet, B: Iterable[Point]) -> Optional[Point]:
     """A point of A strictly below the join of B, or None when B is a face."""
     vs = list(B)

@@ -33,8 +33,6 @@ __all__ = [
     "parse_lattice_doc",
     "parse_cli_point",
     "point_json",
-    "points_doc",
-    "lattice_doc",
     "complex_doc",
     "genericity_doc",
     "layering_doc",
@@ -132,17 +130,6 @@ def point_json(p: Point) -> list:
         int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
         for c in p.coords
     ]
-
-
-def points_doc(A: FinitePointSet) -> dict:
-    return {"points": [point_json(p) for p in A.points]}
-
-
-def lattice_doc(A: PeriodicSet) -> dict:
-    return {
-        "basis": [list(col) for col in A.lattice.columns],
-        "cosets": [point_json(r) for r in A.reps],
-    }
 
 
 def _face_json(f: Face) -> dict:

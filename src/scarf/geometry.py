@@ -79,9 +79,6 @@ class Point:
         _same_dim(self, other)
         return Point(a - b for a, b in zip(self.coords, other.coords))
 
-    def __neg__(self):
-        return Point(-c for c in self.coords)
-
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coords)
 
@@ -89,9 +86,6 @@ class Point:
         if not self.is_integral():
             raise InputError(f"integer point required, got {self}")
         return tuple(c.numerator for c in self.coords)
-
-    def as_strings(self) -> tuple[str, ...]:
-        return tuple(str(c) for c in self.coords)
 
 
 def zero_point(n: int) -> Point:
@@ -172,10 +166,6 @@ class Orthant:
         except KeyError as exc:
             raise InputError(f"bad orthant string {text!r}; use '+' and '-' only") from exc
 
-    @classmethod
-    def positive(cls, n: int) -> "Orthant":
-        return cls((1,) * n)
-
     @property
     def dim(self) -> int:
         return len(self.signs)
@@ -194,23 +184,6 @@ def all_orthants(n: int) -> Iterator[Orthant]:
         yield Orthant(signs)
 
 
-def reflect(orthant: Orthant, p: Point) -> Point:
-    """Flip the coordinates with negative orthant sign.
-
-    This is an involution carrying the orthant order onto the componentwise
-    order on the positive orthant: a <=_P b iff reflect(P, a) <= reflect(P, b).
-    """
-    if len(p) != orthant.dim:
-        raise InputError(f"dimension mismatch: {len(p)} vs {orthant.dim}")
-    return Point(s * c for s, c in zip(orthant.signs, p.coords))
-
-
-def leq_in(orthant: Orthant, a: Point, b: Point) -> bool:
-    """a <=_P b, i.e. b - a lies in the orthant."""
-    _same_dim(a, b)
-    return orthant.contains(b - a)
-
-
 @dataclass(frozen=True)
 class Box:
     """An axis-parallel box [lo, hi], possibly degenerate, never empty."""
@@ -222,13 +195,6 @@ class Box:
         _same_dim(self.lo, self.hi)
         if not leq(self.lo, self.hi):
             raise InputError(f"box corners out of order: {self.lo} !<= {self.hi}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
-
-    def contains(self, x: Point) -> bool:
-        return leq(self.lo, x) and leq(x, self.hi)
 
 
 def cuboid(a: Point, b: Point) -> Box:

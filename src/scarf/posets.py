@@ -1,4 +1,4 @@
-"""Minimal elements, staged layering, downsets and downset-size filters.
+"""Staged minimal-element layering and downset-size filters.
 
 The layering peels minimal elements repeatedly: layer 0 is the set of minimal
 elements, layer k+1 is the set of minimal elements of what is left after
@@ -46,9 +46,6 @@ class FinitePoset:
     def __iter__(self):
         return iter(self.points)
 
-    def __contains__(self, p):
-        return p in set(self.points)
-
     def _keys(self):
         if self._key_cache is None:
             self._key_cache = _integer_keys(self.points, self.orthant)
@@ -60,11 +57,11 @@ class FinitePoset:
         return self._card_cache
 
 
-def _integer_keys(points, orthant, extra=None):
+def _integer_keys(points, orthant):
     """Orthant-reflected, integer-rescaled coordinate tuples (order-isomorphic)."""
     signs = orthant.signs if orthant is not None else None
     raw = []
-    for p in points if extra is None else list(points) + [extra]:
+    for p in points:
         cs = p.coords if signs is None else tuple(s * c for s, c in zip(signs, p.coords))
         raw.append(cs)
     scale = 1
@@ -105,12 +102,6 @@ class Layering:
     residual: frozenset
 
 
-def minimal_elements(poset: FinitePoset) -> frozenset:
-    keys = poset._keys()
-    idx = _minimal_indices(keys, range(len(keys)))
-    return frozenset(poset.points[i] for i in idx)
-
-
 def dickson_layers(poset: FinitePoset, k: int) -> Layering:
     """Layers 0..k of the staged minimal-element decomposition."""
     if k < 0:
@@ -126,15 +117,6 @@ def dickson_layers(poset: FinitePoset, k: int) -> Layering:
         remaining -= layer
     residual = frozenset(poset.points[i] for i in remaining)
     return Layering(tuple(layers), residual)
-
-
-def downset(s: Point, poset: FinitePoset) -> frozenset:
-    """All elements of the poset lying at or below s."""
-    if len(poset) and len(s) != len(poset.points[0]):
-        raise InputError(f"dimension mismatch: {len(s)} vs {len(poset.points[0])}")
-    keys = _integer_keys(poset.points, poset.orthant, extra=s)
-    ks = keys[-1]
-    return frozenset(p for p, key in zip(poset.points, keys) if _dominates(key, ks))
 
 
 def _downset_cards(keys):

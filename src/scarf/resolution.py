@@ -94,8 +94,9 @@ def build_resolution(A: FinitePointSet) -> Resolution:
     _check_minimal_generators(A)
     report = is_generic(A, mode="definition")
     if not report.generic:
+        a, b, k = report.witness
         raise GenericityError(
-            f"input is not generic: witness {report.witness}", witness=report.witness
+            f"input is not generic: witness [{a}, {b}, {k}]", witness=report.witness
         )
     complex_ = enumerate_complex(A)
     top = complex_.dimension

@@ -1,5 +1,6 @@
-"""The public import surface: star imports, the package's exported names, traced names."""
+"""The public import surface: star imports, exported names, traced names, the README session."""
 
+import doctest
 import importlib
 import importlib.util
 import pkgutil
@@ -41,3 +42,11 @@ def test_traced_names_resolve():
         if not callable(owner):
             missing.append(f"{layer}.{qualname}")
     assert missing == []
+
+
+def test_readme_session():
+    # the Library section of the README is a doctest of the API that exists
+    path = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(path), module_relative=False)
+    assert result.attempted > 0
+    assert result.failed == 0

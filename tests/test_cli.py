@@ -170,6 +170,8 @@ def test_resolve_non_generic_exits_4(docfile, capsys):
     assert doc["error"] == "GenericityError"
     assert doc["witness"] == [[2, 1], [2, 2], 1]
     assert doc["exit_code"] == 4
+    assert "Point(" not in doc["message"]
+    assert doc["message"] == "input is not generic: witness [[2, 1], [2, 2], 1]"
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 import pytest
 
-from scarf.complexes import Face, LabeledComplex, build_complex
+from scarf.complexes import Face, LabeledComplex
 from scarf.errors import InputError
+from scarf.finite import FinitePointSet, enumerate_complex
 from scarf.geometry import Point
 
 
@@ -38,8 +39,9 @@ class TestFace:
     def test_without(self):
         f = F((0, 0), (1, 2))
         assert f.without(Point((0, 0))) == F((1, 2))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError) as exc:
             f.without(Point((9, 9)))
+        assert str(exc.value) == "[9, 9] is not a vertex of the face [[0, 0], [1, 2]]"
 
 
 class TestLabeledComplex:
@@ -51,46 +53,36 @@ class TestLabeledComplex:
         assert cx.f_vector() == ()
 
     def test_faces_sorted_by_size_then_lex(self):
-        cx = build_complex([[Point((0, 1)), Point((1, 0))]])
+        cx = LabeledComplex([F((0, 1), (1, 0)), F((1, 0)), F((0, 1))])
         sizes = [len(f) for f in cx.faces()]
         assert sizes == sorted(sizes)
+        assert cx.faces()[1:3] == (F((0, 1)), F((1, 0)))
 
     def test_f_vector_excludes_empty_face(self):
-        cx = build_complex([[Point((0, 1)), Point((1, 0))]])
+        cx = LabeledComplex([F((0, 1)), F((1, 0)), F((0, 1), (1, 0))])
         assert cx.f_vector() == (2, 1)
         assert cx.dimension == 1
 
-    def test_vertices(self):
-        cx = build_complex([[Point((0, 1)), Point((1, 0))]])
-        assert set(cx.vertices()) == {Point((0, 1)), Point((1, 0))}
-
-    def test_star_of_vertex(self):
-        cx = build_complex([[Point((0, 1)), Point((1, 0))], [Point((0, 1)), Point((2, 2))]])
-        star = cx.star(Point((0, 1)))
-        assert all(Point((0, 1)) in f.vertices for f in star)
-        assert len(star) == 3
-
-    def test_star_of_non_vertex_rejected(self):
-        cx = build_complex([[Point((0, 1))]])
-        with pytest.raises(InputError):
-            cx.star(Point((5, 5)))
-
     def test_membership_by_vertex_set(self):
-        cx = build_complex([[Point((0, 1)), Point((1, 0))]])
+        cx = LabeledComplex([F((0, 1)), F((1, 0)), F((0, 1), (1, 0))])
         assert F((1, 0), (0, 1)) in cx
         assert F((1, 0), (2, 2)) not in cx
 
 
 class TestBuildComplex:
+    """Downward closure, dimension checks and face merging where complexes are built."""
+
     def test_downward_closure(self):
-        cx = build_complex([[Point((0, 0, 1)), Point((1, 1, 0)), Point((2, 0, 0))]])
+        # three pairwise incomparable points: the neighbor complex is the full triangle
+        cx = enumerate_complex(FinitePointSet([(0, 0, 1), (1, 1, 0), (2, 0, 0)]))
         assert cx.f_vector() == (3, 3, 1)
         assert F((0, 0, 1), (2, 0, 0)) in cx
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(InputError):
-            build_complex([[Point((1, 2))], [Point((1, 2, 3))]])
+            FinitePointSet([(1, 2), (1, 2, 3)])
 
     def test_duplicate_faces_merge(self):
-        cx = build_complex([[Point((0, 1))], [Point((0, 1))]])
+        cx = LabeledComplex([F((0, 1)), F((0, 1))])
         assert cx.f_vector() == (1,)
+        assert len(cx) == 2

@@ -16,7 +16,7 @@ from scarf.diophantine import (
     points_in_box,
 )
 from scarf.errors import InputError, PositivityError
-from scarf.geometry import Box, Orthant, Point, cuboid, leq_in, point_key, zero_point
+from scarf.geometry import Box, Orthant, Point, cuboid, point_key, zero_point
 
 KER111 = Lattice([(1, -1, 0), (0, 1, -1)])  # kernel of x1 + x2 + x3
 KER123 = Lattice([(2, -1, 0), (3, 0, -1)])  # kernel of x1 + 2 x2 + 3 x3
@@ -390,7 +390,7 @@ def brute_orthant_minimal(L, reps, orthant, radius, exclude_zero):
         if any(L.member(p - r) for r in reps):
             pts.append(p)
     return sorted((p for p in pts
-                   if not any(q != p and leq_in(orthant, q, p) for q in pts)),
+                   if not any(q != p and orthant.contains(p - q) for q in pts)),
                   key=point_key)
 
 
@@ -409,13 +409,13 @@ def test_minimal_orthant_random():
         for i, a in enumerate(got):
             for j, b in enumerate(got):
                 if i != j:
-                    assert not leq_in(orthant, a, b)
+                    assert not orthant.contains(b - a)
 
         brute = brute_orthant_minimal(L, reps, orthant, radius, exclude)
         got_slice = [p for p in got if all(abs(x) <= radius for x in p.coords)]
         assert got_slice == brute
         for p in brute:
-            assert any(leq_in(orthant, m, p) for m in got)
+            assert any(orthant.contains(p - m) for m in got)
 
 
 def test_minimal_orthant_downset_inside_box():
@@ -424,4 +424,4 @@ def test_minimal_orthant_downset_inside_box():
     for p in pts:
         box = cuboid(zero_point(3), p)
         assert box.lo.dim == 3
-        assert leq_in(Orthant.from_string("++-"), zero_point(3), p)
+        assert Orthant.from_string("++-").contains(p - zero_point(3))

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scarf.complexes import Face
 from scarf.errors import InputError
@@ -11,7 +13,6 @@ from scarf.finite import (
     FinitePointSet,
     enumerate_complex,
     face_witness,
-    is_face,
     is_generic,
     neighbors,
     strict_dominator,
@@ -34,29 +35,26 @@ def rational_fan(m):
 class TestIsFace:
     def test_fan_triple_is_face(self):
         A, a = rational_fan(4)
-        assert is_face(A, [a[0], a[1], a[2]])
+        assert face_witness(A, [a[0], a[1], a[2]]) is None
 
     def test_fan_triple_killed_by_own_member(self):
         A, a = rational_fan(4)
-        assert not is_face(A, [a[1], a[2], a[3]])
         w = face_witness(A, [a[1], a[2], a[3]])
         assert w == a[2]
         assert join([a[1], a[2], a[3]]) == Point((3, 1, "2/3"))
 
     def test_dominated_point_is_not_vertex(self):
         A = FinitePointSet([(0, 0), (1, 1)])
-        assert not is_face(A, [Point((1, 1))])
         assert face_witness(A, [Point((1, 1))]) == Point((0, 0))
 
     def test_empty_set_is_face(self):
         A = FinitePointSet([(0, 0), (1, 1)])
-        assert is_face(A, [])
         assert face_witness(A, []) is None
 
     def test_non_member_rejected(self):
         A = FinitePointSet([(0, 0)])
         with pytest.raises(InputError):
-            is_face(A, [Point((5, 5))])
+            face_witness(A, [Point((5, 5))])
 
 
 class TestNeighbors:
@@ -99,7 +97,7 @@ class TestEnumerate:
     def test_dominated_point_only_origin_vertex(self):
         cx = enumerate_complex(FinitePointSet([(0, 0), (1, 1)]))
         assert cx.f_vector() == (1,)
-        assert cx.vertices() == (Point((0, 0)),)
+        assert [f.vertices for f in cx.faces() if f.dim == 0] == [(Point((0, 0)),)]
 
     def test_max_dim_truncation(self):
         cx = enumerate_complex(collinear(4), max_dim=2)
@@ -153,6 +151,64 @@ class TestEnumerate:
                 continue
             below = [a for a in A.points if all(x <= y for x, y in zip(a, f.multidegree))]
             assert len(below) <= d + 1
+
+
+@st.composite
+def relabelled_sets(draw):
+    """Points on a small grid, and a strictly increasing map of each axis.
+
+    Each axis maps to ints or to rationals, written as "p/q" strings when
+    they are not integral.
+    """
+    n = draw(st.integers(2, 3))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 5)] * n), min_size=1, max_size=8,
+                         unique=True))
+    maps = []
+    for k in range(n):
+        values = sorted({r[k] for r in rows})
+        if draw(st.booleans()):
+            step = st.fractions(min_value=Fraction(1, 9), max_value=3, max_denominator=9)
+        else:
+            step = st.integers(1, 4)
+        t = Fraction(draw(st.integers(-5, 5)))
+        image = {}
+        for v in values:
+            t += draw(step)
+            image[v] = t.numerator if t.denominator == 1 else f"{t.numerator}/{t.denominator}"
+        maps.append(image)
+    return rows, maps
+
+
+class TestOrderInvariance:
+    """The complex depends only on the order of values along each axis."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(relabelled_sets())
+    def test_increasing_axis_maps_carry_faces(self, case):
+        rows, maps = case
+
+        def phi(p):
+            return Point(maps[k][c] for k, c in enumerate(p))
+
+        A = FinitePointSet(rows)
+        B = FinitePointSet([phi(p) for p in A.points])
+        cx, cxb = enumerate_complex(A), enumerate_complex(B)
+        # the maps keep the lexicographic order, so faces correspond in order
+        assert [Face(phi(v) for v in f.vertices) for f in cx.faces()] == list(cxb.faces())
+        for f, g in zip(cx.faces(), cxb.faces()):
+            if f.vertices:
+                assert g.multidegree == phi(f.multidegree)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 14).flatmap(lambda m: st.tuples(*[st.permutations(range(m))] * 3)))
+    def test_planar_edge_bound_in_three_variables(self, axes):
+        # distinct values on every axis make the set generic, and the
+        # neighbor complex of a generic set in three variables is planar
+        cx = enumerate_complex(FinitePointSet(zip(*axes)))
+        fv = cx.f_vector() + (0, 0)
+        assert cx.dimension < 3
+        if fv[0] >= 3:
+            assert fv[1] <= 3 * fv[0] - 6
 
 
 class TestGenericity:

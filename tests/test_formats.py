@@ -10,14 +10,12 @@ from scarf.formats import (
     complex_doc,
     error_doc,
     genericity_doc,
-    lattice_doc,
     monomial,
     parse_cli_point,
     parse_document,
     parse_lattice_doc,
     parse_points_doc,
     point_json,
-    points_doc,
     render_document,
     resolution_doc,
 )
@@ -88,13 +86,15 @@ def test_point_json():
     # error messages print points the same way
     for p in (Point((2, 0, -1)), Point(("1/2", "3")), Point(("-7/3",))):
         assert str(p) == json.dumps(point_json(p))
-    A = parse_points_doc(points_doc(FinitePointSet([("1/3", 2), (5, 0)])))
-    assert A.points == FinitePointSet([("1/3", 2), (5, 0)]).points
+    B = FinitePointSet([("1/3", 2), (5, 0)])
+    A = parse_points_doc({"points": [point_json(p) for p in B]})
+    assert A.points == B.points
 
 
 def test_lattice_doc_round_trip():
     A = parse_lattice_doc({"basis": [[1, -1, 0], [0, 1, -1]], "cosets": [[1, 0, 0]]})
-    doc = lattice_doc(A)
+    doc = {"basis": [list(col) for col in A.lattice.columns],
+           "cosets": [point_json(r) for r in A.reps]}
     assert parse_lattice_doc(doc) == A
 
 

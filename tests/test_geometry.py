@@ -17,10 +17,8 @@ from scarf.geometry import (
     join,
     join2,
     leq,
-    leq_in,
     meet,
     point_key,
-    reflect,
     strictly_below,
     zero_point,
 )
@@ -72,7 +70,7 @@ class TestPoint:
         a, b = Point((1, 2)), Point((3, "1/2"))
         assert a + b == Point((4, "5/2"))
         assert b - a == Point((2, "-3/2"))
-        assert -a == Point((-1, -2))
+        assert a - a == Point((0, 0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
@@ -87,7 +85,7 @@ class TestPoint:
 
     def test_as_strings_round_trip(self):
         p = Point(("1/2", -3, "7/4"))
-        assert Point(p.as_strings()) == p
+        assert Point(str(c) for c in p) == p
 
     def test_zero_point(self):
         assert zero_point(3) == Point((0, 0, 0))
@@ -152,7 +150,7 @@ class TestOrthants:
         o = Orthant.from_string("+-+")
         assert o.signs == (1, -1, 1)
         assert str(o) == "+-+"
-        assert Orthant.positive(2).signs == (1, 1)
+        assert Orthant.from_string("++").signs == (1, 1)
 
     def test_bad_inputs(self):
         with pytest.raises(InputError):
@@ -175,22 +173,24 @@ class TestOrthants:
 
     @given(pts(3), pts(3), st.sampled_from([(1, 1, 1), (1, -1, 1), (-1, -1, -1), (-1, 1, -1)]))
     def test_reflect_carries_order(self, a, b, signs):
+        # flipping the negative axes carries the orthant order onto the componentwise one
         o = Orthant(signs)
-        assert leq_in(o, a, b) == leq(reflect(o, a), reflect(o, b))
 
-    @given(pts(3), st.sampled_from([(1, 1, 1), (1, -1, 1), (-1, -1, -1)]))
-    def test_reflect_involution(self, p, signs):
-        o = Orthant(signs)
-        assert reflect(o, reflect(o, p)) == p
+        def reflect(p):
+            return Point(s * c for s, c in zip(signs, p))
+
+        assert o.contains(b - a) == leq(reflect(a), reflect(b))
 
 
 class TestBoxes:
     def test_box_validation(self):
         with pytest.raises(InputError):
             Box(Point((1, 0)), Point((0, 1)))
+        with pytest.raises(InputError):
+            Box(Point((0, 0)), Point((1, 1, 1)))
         b = Box(Point((0, 0)), Point((2, 2)))
-        assert b.contains(Point((1, "3/2")))
-        assert not b.contains(Point((3, 0)))
+        assert (b.lo, b.hi) == (Point((0, 0)), Point((2, 2)))
+        assert Box(b.hi, b.hi).lo == b.hi
 
     def test_cuboid_symmetry(self):
         a, b = Point((1, -2)), Point((-1, 4))
@@ -200,13 +200,13 @@ class TestBoxes:
 
     @given(pts(2), pts(2), pts(2))
     def test_cuboid_contains_matches_box(self, a, b, x):
-        expected = leq(meet([a, b]), x) and leq(x, join([a, b]))
-        assert cuboid(a, b).contains(x) == expected
+        box = cuboid(a, b)
+        assert (box.lo, box.hi) == (meet([a, b]), join([a, b]))
 
     @given(pts(3), pts(3))
     def test_cuboid_contains_endpoints(self, a, b):
         box = cuboid(a, b)
-        assert box.contains(a) and box.contains(b)
+        assert all(leq(box.lo, p) and leq(p, box.hi) for p in (a, b))
 
     def test_point_key_is_lex(self):
         ps = [Point((1, 0)), Point((0, 5)), Point((0, 2))]

@@ -176,6 +176,34 @@ def test_star_translation_invariance():
                 assert moved.report == base.report, where
 
 
+def test_star_and_quotient_permutation_invariance():
+    # permuting coordinates of the basis, the cosets and the center permutes
+    # the star and leaves every count of the star and the quotient alone
+    cases = ((ker111, (1, 2, 0)), (ker123, (1, 0, 2)), (ker111_e1, (2, 0, 1)),
+             (ker123_e1, (1, 2, 0)))
+    for make, perm in cases:
+        def move(p):
+            return Point(p[i] for i in perm)
+
+        A = make()
+        B = validate_periodic_set([tuple(col[i] for i in perm) for col in A.lattice.columns],
+                                  cosets=[move(r).as_int_tuple() for r in A.reps])
+        center = A.reps[-1]
+        base, star = star_at(A, center, 4), star_at(B, move(center), 4)
+        where = f"{make.__name__} under {perm}"
+        assert set(star.neighbors) == {move(v) for v in base.neighbors}, where
+        assert set(star.faces) == {Face(move(v) for v in f) for f in base.faces}, where
+        assert star.dimension == base.dimension, where
+        assert star.report.certified == base.report.certified, where
+        assert dict(star.report.candidate_counts) == {
+            "".join(orth[i] for i in perm): n for orth, n in base.report.candidate_counts
+        }, where
+        quot, moved = quotient_complex(A, 4), quotient_complex(B, 4)
+        assert moved.f_vector == quot.f_vector, where
+        assert (sorted(o.incidences for o in moved.orbits)
+                == sorted(o.incidences for o in quot.orbits)), where
+
+
 def test_certification_flag_semantics():
     for dmax in (1, 2, 4, 6, 8):
         report = star_at(ker111(), ZERO3, dmax).report

@@ -9,9 +9,7 @@ from scarf.geometry import Orthant, Point
 from scarf.posets import (
     FinitePoset,
     dickson_layers,
-    downset,
     filter_by_downset,
-    minimal_elements,
 )
 
 
@@ -24,17 +22,18 @@ S4 = ((0, 1), (1, 0), (1, 1), (2, 0))
 
 class TestMinimalElements:
     def test_fixture(self):
-        assert minimal_elements(P(*S4)) == {Point((0, 1)), Point((1, 0))}
+        assert dickson_layers(P(*S4), 0).layers[0] == {Point((0, 1)), Point((1, 0))}
 
     def test_empty(self):
-        assert minimal_elements(FinitePoset([])) == frozenset()
+        lay = dickson_layers(FinitePoset([]), 0)
+        assert lay.layers == () and lay.residual == frozenset()
 
     def test_singleton(self):
-        assert minimal_elements(P((3, 3))) == {Point((3, 3))}
+        assert dickson_layers(P((3, 3)), 0).layers[0] == {Point((3, 3))}
 
     def test_negative_orthant(self):
         po = FinitePoset([Point((0, 1)), Point((1, 0)), Point((1, 1))], Orthant((-1, -1)))
-        assert minimal_elements(po) == {Point((1, 1))}
+        assert dickson_layers(po, 0).layers[0] == {Point((1, 1))}
 
 
 class TestDicksonLayers:
@@ -50,7 +49,7 @@ class TestDicksonLayers:
         po = P(*S4)
         lay = dickson_layers(po, 0)
         assert len(lay.layers) == 1
-        assert set(lay.layers[0]) == minimal_elements(po)
+        assert set(lay.layers[0]) == {Point((0, 1)), Point((1, 0))}
         assert lay.residual == {Point((1, 1)), Point((2, 0))}
 
     def test_chain(self):
@@ -76,29 +75,28 @@ class TestDicksonLayers:
         for layer in lay.layers:
             assert layer, "no empty layers"
             assert not (set(layer) & seen)
-            assert set(layer) == minimal_elements(FinitePoset(remaining))
+            assert set(layer) == dickson_layers(FinitePoset(remaining), 0).layers[0]
             seen |= set(layer)
             remaining -= set(layer)
         assert lay.residual == frozenset(remaining)
 
 
 class TestDownset:
+    """Downset sizes, as the downset filter sees them."""
+
     def test_fixture(self):
-        assert downset(Point((1, 1)), P(*S4)) == {
-            Point((0, 1)),
-            Point((1, 0)),
-            Point((1, 1)),
-        }
+        # the downset of (1, 1) is {(0, 1), (1, 0), (1, 1)}, so it enters at k = 2
+        po = P(*S4)
+        assert Point((1, 1)) not in filter_by_downset(po, 1)
+        assert Point((1, 1)) in filter_by_downset(po, 2)
 
     def test_minimal_is_self(self):
-        assert downset(Point((0, 1)), P(*S4)) == {Point((0, 1))}
-
-    def test_external_point(self):
-        assert downset(Point((0, 0)), P((1, 1))) == frozenset()
+        po = FinitePoset([Point((0, 1)), Point((1, 0)), Point((1, 1))], Orthant((-1, -1)))
+        assert filter_by_downset(po, 0) == {Point((1, 1))}
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            downset(Point((1, 1, 1)), P(*S4))
+            FinitePoset([Point(r) for r in S4], Orthant((1, 1, 1)))
 
 
 class TestFilterByDownset:
@@ -113,7 +111,7 @@ class TestFilterByDownset:
         for _ in range(20):
             pts = {tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(25)}
             po = P(*pts)
-            assert filter_by_downset(po, 0) == minimal_elements(po)
+            assert filter_by_downset(po, 0) == dickson_layers(po, 0).layers[0]
 
     def test_contained_in_layers_strictly(self):
         # The filtration sits inside the layer union, and can be smaller.
