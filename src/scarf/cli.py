@@ -6,6 +6,10 @@ summary otherwise).  Failures print an error document to stderr and exit
 with a class-specific code: 2 malformed input, 3 positivity violation, 4
 genericity required but absent, 5 internal invariant failure, 6 no
 certificate within the depth limit of --auto-dmax.
+
+Flags that would be ignored are refused instead (exit 2): finite-nb takes
+--max-dim or --vertex, not both, and the periodic subcommands take --dmax or
+--auto-dmax, not both.
 """
 
 from __future__ import annotations
@@ -175,6 +179,8 @@ def run(job: argparse.Namespace) -> dict:
     """Execute one job, given as the parsed command line, and return its output document."""
     if job.subcommand == "finite-nb":
         A = formats.parse_points_doc(formats.load_document(job.input))
+        if job.max_dim is not None and job.vertex is not None:
+            raise InputError("--max-dim and --vertex are mutually exclusive")
         if job.max_dim is not None and job.max_dim < 0:
             raise InputError(f"--max-dim must be nonnegative, got {job.max_dim}")
         if job.vertex is not None:

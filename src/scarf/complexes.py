@@ -1,7 +1,11 @@
 """Finite abstract simplicial complexes whose faces carry join labels.
 
 Every face stores its multidegree, the coordinatewise join of its vertices;
-the empty face is always present and carries no multidegree.
+the empty face is always present and carries no multidegree.  grow_faces is
+the one face-growing loop, shared by finite complexes and periodic stars.
+It works on plain coordinate tuples (rank tuples for a finite set, exact
+coordinates for a star) and returns (member indices, join) records, so
+callers build each Face once, from vertices they already hold in order.
 """
 
 from __future__ import annotations
@@ -9,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
-from .geometry import Point, join, join2, point_key
+from .geometry import Point, join, point_key
 
 
 class Face:
@@ -25,6 +29,14 @@ class Face:
                 raise InputError("mixed vertex dimensions in one face")
         self.vertices = tuple(vs)
         self.multidegree = join(vs) if vs else None
+
+    @classmethod
+    def sorted_with_join(cls, vertices: tuple, multidegree: Point) -> "Face":
+        """A face from distinct vertices already in canonical order and their known join."""
+        face = cls.__new__(cls)
+        face.vertices = vertices
+        face.multidegree = multidegree
+        return face
 
     @property
     def dim(self) -> int:
@@ -105,26 +117,42 @@ class LabeledComplex:
         return tuple(counts)
 
 
-def grow_faces(vertices: Sequence[Point], seeds, accept: Callable[[Point], bool],
-               max_size: Optional[int] = None) -> list[Face]:
-    """The seed faces and every extension of one by later vertices whose join passes accept.
+def grow_faces(coords: Sequence[tuple], seeds, accept: Callable[[tuple], bool],
+               max_size: Optional[int] = None) -> list[tuple[tuple[int, ...], tuple]]:
+    """The seed faces and every extension of one by later candidates whose join passes accept.
 
-    A seed is (members, last, top): a tuple of points of one common size,
-    the index in vertices after which extensions start, and the join of the
-    members.  A face grows one vertex at a time in index order, and only
-    from an accepted face; that is complete whenever the accepted family is
-    downward closed.  Growth stops once faces have max_size members.
+    coords lists the candidate vertices as coordinate tuples, and joins are
+    coordinatewise maxima of them.  A seed is (members, top): increasing
+    indices into coords and the join of the face it stands for, which may
+    hold vertices that are not candidates (the center of a star).  The
+    result holds the seeds and the accepted extensions as records of the
+    same form; callers build their own faces from them.
+
+    A seed extends by every candidate after its last member.  After that, a
+    face extends only by the last member of a later sibling (a face with the
+    same members bar the last), tested against the joined top.  That is
+    complete whenever the accepted family is downward closed: if F + k is a
+    face, so is F - max(F) + k.  Growth stops once faces have max_size members.
     """
-    faces = [Face(members) for members, _, _ in seeds]
-    level = list(seeds)
-    while level and len(level[0][0]) != max_size:
-        nxt = []
-        for members, last, top in level:
-            for j in range(last + 1, len(vertices)):
-                cand_top = join2(top, vertices[j])
-                if accept(cand_top):
-                    cand = members + (vertices[j],)
-                    faces.append(Face(cand))
-                    nxt.append((cand, j, cand_top))
-        level = nxt
-    return faces
+    seeds = list(seeds)
+    records = list(seeds)
+    if not seeds or len(seeds[0][0]) == max_size:
+        return records
+
+    def extend(members, top, candidates):
+        kids = []
+        for j in candidates:
+            cand_top = tuple(map(max, top, coords[j]))
+            if accept(cand_top):
+                kids.append((members + (j,), cand_top))
+        records.extend(kids)
+        return kids
+
+    groups = [extend(members, top, range(members[-1] + 1 if members else 0, len(coords)))
+              for members, top in seeds]
+    size = len(seeds[0][0]) + 1
+    while groups and size != max_size:
+        groups = [extend(members, top, [sibling[-1] for sibling, _ in kids[pos + 1:]])
+                  for kids in groups for pos, (members, top) in enumerate(kids)]
+        size += 1
+    return records

@@ -5,6 +5,13 @@ lies strictly below the coordinatewise join of B in every coordinate.  The
 empty face is always a face.  Strictly dominated points of A are not
 vertices, but they stay in A and can kill faces as witnesses.
 
+The complex depends only on the order of values along each coordinate, so
+every query runs in rank space: a set builds one RankIndex, on first use,
+with its points indexed in canonical order.  A join is the max of rank
+tuples, "is some point strictly below it?" is an AND of one prefix bitset
+per axis, and the lowest set bit is the first witness in canonical order.
+Points are looked up again only for labels and output.
+
 Genericity comes in two equivalent readings: no two neighbors share any
 coordinate (pairwise form), or no join of a face is attained in some
 coordinate by two distinct points below it (facet form).  Generic sets have
@@ -18,13 +25,13 @@ from typing import Iterable, Optional
 
 from .complexes import Face, LabeledComplex, grow_faces
 from .errors import InputError
-from .geometry import Point, join, join2, leq, point_key, strictly_below
+from .geometry import Point, RankIndex, iter_bits, lowest_bit, point_key
 
 
 class FinitePointSet:
     """A finite set of pairwise distinct points of one common dimension."""
 
-    __slots__ = ("points", "_index")
+    __slots__ = ("points", "_position", "_rank_index")
 
     def __init__(self, points: Iterable):
         pts = sorted({p if isinstance(p, Point) else Point(p) for p in points}, key=point_key)
@@ -34,11 +41,19 @@ class FinitePointSet:
         if any(len(p) != n for p in pts):
             raise InputError("mixed point dimensions in one set")
         self.points = tuple(pts)
-        self._index = frozenset(pts)
+        self._position = {p: i for i, p in enumerate(pts)}
+        self._rank_index = None
 
     @property
     def dim(self) -> int:
         return len(self.points[0])
+
+    @property
+    def rank_index(self) -> RankIndex:
+        """The rank encoding of the points, in canonical order, built once."""
+        if self._rank_index is None:
+            self._rank_index = RankIndex([p.coords for p in self.points])
+        return self._rank_index
 
     def __len__(self):
         return len(self.points)
@@ -47,7 +62,7 @@ class FinitePointSet:
         return iter(self.points)
 
     def __contains__(self, p):
-        return p in self._index
+        return p in self._position
 
     def __eq__(self, other):
         return isinstance(other, FinitePointSet) and self.points == other.points
@@ -59,52 +74,70 @@ class FinitePointSet:
         return "FinitePointSet(%d points in Q^%d)" % (len(self.points), self.dim)
 
 
+def _first_point(A: FinitePointSet, bits: int) -> Optional[Point]:
+    i = lowest_bit(bits)
+    return None if i is None else A.points[i]
+
+
+def _member_ranks(A: FinitePointSet, p: Point, what: str) -> tuple[int, ...]:
+    i = A._position.get(p)
+    if i is None:
+        raise InputError(f"{what}{p} is not a member of the set")
+    return A.rank_index.ranks[i]
+
+
 def strict_dominator(A: FinitePointSet, v: Point) -> Optional[Point]:
     """First point of A strictly below v in every coordinate, else None."""
-    for a in A.points:
-        if strictly_below(a, v):
-            return a
-    return None
+    if len(v) != A.dim:
+        raise InputError(f"dimension mismatch: {A.dim} vs {len(v)}")
+    index = A.rank_index
+    return _first_point(A, index.strictly_under(index.strict_ranks(v)))
 
 
 def face_witness(A: FinitePointSet, B: Iterable[Point]) -> Optional[Point]:
     """A point of A strictly below the join of B, or None when B is a face."""
-    vs = list(B)
-    if not vs:
+    tops = [_member_ranks(A, b, "face candidate ") for b in B]
+    if not tops:
         return None
-    for b in vs:
-        if b not in A:
-            raise InputError(f"face candidate {b} is not a member of the set")
-    return strict_dominator(A, join(vs))
+    return _first_point(A, A.rank_index.strictly_under(tuple(map(max, zip(*tops)))))
 
 
 def neighbors(A: FinitePointSet, a: Point) -> frozenset:
     """Points a' != a such that {a, a'} is a face."""
-    if a not in A:
-        raise InputError(f"{a} is not a member of the set")
-    out = []
-    for b in A.points:
-        if b != a and strict_dominator(A, join2(a, b)) is None:
-            out.append(b)
-    return frozenset(out)
+    top = _member_ranks(A, a, "")
+    index = A.rank_index
+    return frozenset(
+        b for b, r in zip(A.points, index.ranks)
+        if r != top and not index.strictly_under(tuple(map(max, top, r)))
+    )
 
 
-def enumerate_complex(A: FinitePointSet, max_dim: Optional[int] = None) -> LabeledComplex:
-    """Enumerate the neighbor complex of A up to max_dim.
+def _face_records(A: FinitePointSet, max_size: Optional[int]) -> list:
+    """(point indices, rank join) of every nonempty face with at most max_size vertices.
 
     Faces grow by appending vertices in canonical order; a candidate is
     tested only once its prefix is known to be a face, which is complete
     because the complex is downward closed.
     """
+    if max_size == 0:
+        return []
+    index = A.rank_index
+    under = index.strictly_under
+    seeds = [((i,), r) for i, r in enumerate(index.ranks) if not under(r)]
+    return grow_faces(index.ranks, seeds, lambda top: not under(top), max_size)
+
+
+def enumerate_complex(A: FinitePointSet, max_dim: Optional[int] = None) -> LabeledComplex:
+    """Enumerate the neighbor complex of A up to max_dim."""
     if max_dim is None:
         max_dim = len(A) - 1
     if max_dim < -1:
         raise InputError(f"max_dim must be >= -1, got {max_dim}")
-    verts = [a for a in A.points if strict_dominator(A, a) is None]
-    seeds = [((a,), i, a) for i, a in enumerate(verts)] if max_dim >= 0 else []
-    faces = [Face(())] + grow_faces(
-        verts, seeds, lambda top: strict_dominator(A, top) is None, max_dim + 1
-    )
+    pts, values = A.points, A.rank_index.values
+    faces = [Face(())]
+    for members, top in _face_records(A, max_dim + 1):
+        multidegree = Point(vals[t] for vals, t in zip(values, top))
+        faces.append(Face.sorted_with_join(tuple(pts[i] for i in members), multidegree))
     return LabeledComplex.from_closed(faces)
 
 
@@ -131,35 +164,34 @@ class GenericityReport:
 
 
 def _generic_pairwise(A: FinitePointSet):
-    # Coordinates scan first and are reported 1-based in witnesses.
-    pts = A.points
-    neighbor_memo: dict = {}
-
-    def are_neighbors(i: int, j: int) -> bool:
-        if (i, j) not in neighbor_memo:
-            neighbor_memo[(i, j)] = strict_dominator(A, join2(pts[i], pts[j])) is None
-        return neighbor_memo[(i, j)]
-
-    for k in range(A.dim):
-        for i, a in enumerate(pts):
-            for j in range(i + 1, len(pts)):
-                b = pts[j]
-                if a[k] == b[k] and are_neighbors(i, j):
-                    return False, (a, b, k + 1)
+    # Coordinates scan first and are reported 1-based in witnesses; only
+    # pairs sharing a rank on the axis are tested.
+    index = A.rank_index
+    ranks, under = index.ranks, index.strictly_under
+    for k, below in enumerate(index.below):
+        for i, ri in enumerate(ranks):
+            r = ri[k]
+            later_ties = (below[r + 1] ^ below[r]) >> (i + 1) << (i + 1)
+            for j in iter_bits(later_ties):
+                if not under(tuple(map(max, ri, ranks[j]))):
+                    return False, (A.points[i], A.points[j], k + 1)
     return True, None
 
 
 def _generic_facet(A: FinitePointSet):
-    # Same 1-based coordinate convention as the pairwise form.
-    cx = enumerate_complex(A)
-    for k in range(A.dim):
-        for face in cx.faces():
-            if not face.vertices:
-                continue
-            top = face.multidegree
-            hits = [a for a in A.points if leq(a, top) and a[k] == top[k]]
-            if len(hits) >= 2:
-                return False, (hits[0], hits[1], k + 1)
+    # Same 1-based coordinate convention as the pairwise form; faces scan
+    # in canonical order, and the witnesses are the first two points below
+    # the join that attain it on the axis.
+    index = A.rank_index
+    records = sorted(_face_records(A, None), key=lambda rec: (len(rec[0]), rec[0]))
+    tops = [top for _, top in records]
+    weakly = [index.weakly_under(top) for top in tops]
+    for k, below in enumerate(index.below):
+        for top, le in zip(tops, weakly):
+            hits = le & (below[top[k] + 1] ^ below[top[k]])
+            if hits & (hits - 1):
+                i = lowest_bit(hits)
+                return False, (A.points[i], A.points[lowest_bit(hits ^ (1 << i))], k + 1)
     return True, None
 
 

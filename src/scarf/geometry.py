@@ -2,15 +2,18 @@
 
 Points carry arbitrary-precision rationals.  Floats are rejected at
 construction, so no rounding can creep in anywhere downstream.  All
-operations are pure functions on immutable values.
+operations are pure functions on immutable values.  A finite set's order
+structure compresses to a RankIndex: integer ranks per axis and prefix
+bitsets, which answer "which points lie below this bound" with a few ANDs.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
 
@@ -200,3 +203,69 @@ class Box:
 def cuboid(a: Point, b: Point) -> Box:
     """The smallest box containing a and b."""
     return Box(meet([a, b]), join([a, b]))
+
+
+class RankIndex:
+    """The coordinatewise order type of a finite list of points, in rank space.
+
+    Along axis k the distinct values, ascending, are values[k], and point i
+    (its position in the list) has rank ranks[i][k] there, so a join of
+    points is the coordinatewise max of their ranks.  below[k][r] is a
+    bitset, a Python int with bit i set for point i, of the points whose
+    rank on axis k is less than r, for r = 0 .. len(values[k]).  Both order
+    queries are then an AND of one bitset per axis.
+    """
+
+    __slots__ = ("values", "ranks", "below")
+
+    def __init__(self, rows: Sequence[tuple]):
+        self.values, self.below, columns = [], [], []
+        for k in range(len(rows[0]) if rows else 0):
+            values = sorted({row[k] for row in rows})
+            rank_of = {v: r for r, v in enumerate(values)}
+            column = [rank_of[row[k]] for row in rows]
+            at = [0] * len(values)
+            for i, r in enumerate(column):
+                at[r] |= 1 << i
+            below = [0]
+            for bits in at:
+                below.append(below[-1] | bits)
+            self.values.append(values)
+            self.below.append(below)
+            columns.append(column)
+        self.ranks = list(zip(*columns))
+
+    def strictly_under(self, top: tuple) -> int:
+        """The points whose rank is below top's on every axis."""
+        bits = -1
+        for below, t in zip(self.below, top):
+            bits &= below[t]
+        return bits
+
+    def weakly_under(self, top: tuple) -> int:
+        """The points whose rank is at most top's on every axis."""
+        bits = -1
+        for below, t in zip(self.below, top):
+            bits &= below[t + 1]
+        return bits
+
+    def strict_ranks(self, p: Point) -> tuple[int, ...]:
+        """Per axis, how many values lie below p's: strictly_under's top for any point p.
+
+        For a member this is its rank tuple; for any other point it still
+        selects exactly the points strictly below p.
+        """
+        return tuple(bisect_left(values, c) for values, c in zip(self.values, p.coords))
+
+
+def lowest_bit(bits: int) -> Optional[int]:
+    """Index of the lowest set bit, or None for the empty bitset."""
+    return (bits & -bits).bit_length() - 1 if bits else None
+
+
+def iter_bits(bits: int) -> Iterator[int]:
+    """Indices of the set bits, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low

@@ -211,20 +211,20 @@ def star_at(A: PeriodicSet, vertex: Point, dmax: int) -> StarResult:
         raise InputError(f"search depth must be at least 1, got {dmax}")
     witness_memo: dict = {}
 
-    def is_face_join(jn: Point) -> bool:
-        key = jn.coords
-        if key not in witness_memo:
-            witness_memo[key] = exists_strictly_below(A, jn)
-        return witness_memo[key] is None
+    def is_face_join(top: tuple) -> bool:
+        if top not in witness_memo:
+            witness_memo[top] = exists_strictly_below(A, Point(top))
+        return witness_memo[top] is None
 
-    if not is_face_join(vertex):
+    if not is_face_join(vertex.coords):
         raise InputError(
             f"{vertex} is strictly dominated by {witness_memo[vertex.coords]} "
             "and is not a vertex"
         )
     candidates, counts = _candidate_vertices(A, vertex, dmax)
-    neighbors = tuple(v for v in candidates if is_face_join(join2(vertex, v)))
-    faces = grow_faces(neighbors, [((vertex,), -1, vertex)], is_face_join)
+    neighbors = tuple(v for v in candidates if is_face_join(join2(vertex, v).coords))
+    records = grow_faces([v.coords for v in neighbors], [((), vertex.coords)], is_face_join)
+    faces = [Face((vertex,) + tuple(neighbors[j] for j in members)) for members, _ in records]
     observed = max(f.dim for f in faces)
     report = CompletenessReport(dmax, observed, observed < dmax, counts)
     return StarResult(vertex, neighbors, tuple(sorted(faces, key=Face.key)), report)

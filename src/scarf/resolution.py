@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .complexes import Face
 from .errors import GenericityError, InputError
 from .finite import FinitePointSet, enumerate_complex, is_generic
-from .geometry import Point, strictly_below
+from .geometry import Point, lowest_bit
 
 __all__ = ["Resolution", "ChainCheck", "build_resolution", "verify_chain"]
 
@@ -75,10 +75,12 @@ def _validate_exponent_points(A: FinitePointSet) -> None:
 def _check_minimal_generators(A: FinitePointSet) -> None:
     # Weak divisibility with a coordinate tie is left to the genericity
     # check, which reports the shared coordinate.
-    for b in A.points:
-        for a in A.points:
-            if a is not b and strictly_below(a, b):
-                raise InputError(f"non-minimal generator: {b} is strictly dominated by {a}")
+    index = A.rank_index
+    for b, r in zip(A.points, index.ranks):
+        a = lowest_bit(index.strictly_under(r))
+        if a is not None:
+            raise InputError(
+                f"non-minimal generator: {b} is strictly dominated by {A.points[a]}")
 
 
 def build_resolution(A: FinitePointSet) -> Resolution:

@@ -74,6 +74,20 @@ def test_finite_nb_vertex_query(docfile, capsys):
     assert doc["neighbors"] == [[1, 0], [2, 0]]
 
 
+def test_finite_nb_vertex_refuses_max_dim(docfile, capsys):
+    # a neighbor query has no dimension to truncate, so the flag is refused, not ignored
+    code, out, err = run_cli(
+        ["finite-nb", docfile(COLLINEAR), "--vertex", "0,0", "--max-dim", "1",
+         "--format", "structured"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "InputError"
+    assert doc["message"] == "--max-dim and --vertex are mutually exclusive"
+
+
 def test_finite_nb_attaches_genericity(docfile, capsys):
     code, out, _ = run_cli(
         ["finite-nb", docfile(STAIRCASE), "--generic-mode", "both", "--format", "structured"],

@@ -1,5 +1,6 @@
 """Face tests, neighbor sets, full enumeration, genericity for finite sets."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -259,3 +260,106 @@ class TestStrictDominator:
         A = FinitePointSet([(0, 0), (1, 1), (5, 5)])
         assert strict_dominator(A, Point((2, 2))) == Point((0, 0))
         assert strict_dominator(A, Point((0, 0))) is None
+
+
+def tied_rational_set(rng):
+    """Points with many ties per axis, "p/q" values and usually some dominated points."""
+    n = rng.randint(2, 4)
+    pools = [sorted({Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(4)})
+             for _ in range(n)]
+    rows = {tuple(rng.choice(pool) for pool in pools) for _ in range(rng.randint(1, 9))}
+    return FinitePointSet([[str(c) for c in row] for row in rows])
+
+
+def brute_below(A, top):
+    return [a for a in A.points if all(x < y for x, y in zip(a, top))]
+
+
+def brute_witness(A, members):
+    top = [max(col) for col in zip(*members)]
+    below = brute_below(A, top)
+    return below[0] if below else None
+
+
+def brute_faces(A):
+    """Nonempty faces in canonical order: by size, then lexicographically."""
+    return [c for size in range(1, len(A) + 1) for c in itertools.combinations(A.points, size)
+            if brute_witness(A, c) is None]
+
+
+def query_point(rng, A):
+    """A point whose coordinates fall below, on, between or above the set's values."""
+    coords = []
+    for k in range(A.dim):
+        values = sorted({a[k] for a in A.points})
+        lo = rng.randrange(len(values))
+        hi = min(lo + 1, len(values) - 1)
+        coords.append(rng.choice((values[0] - 1, values[lo], (values[lo] + values[hi]) / 2,
+                                  values[-1] + Fraction(1, 3))))
+    return Point(coords)
+
+
+class TestRankQueriesAgainstBruteForce:
+    """Every rank-space query against a direct scan of its definition."""
+
+    def test_strict_dominator_at_any_point(self):
+        rng = random.Random(101)
+        outside = 0
+        for _ in range(150):
+            A = tied_rational_set(rng)
+            for _ in range(6):
+                v = query_point(rng, A)
+                outside += v not in A
+                below = brute_below(A, v)
+                assert strict_dominator(A, v) == (below[0] if below else None), (A.points, v)
+            for a in A.points:
+                below = brute_below(A, a)
+                assert strict_dominator(A, a) == (below[0] if below else None)
+        assert outside > 500
+
+    def test_neighbors_of_every_point(self):
+        rng = random.Random(102)
+        for _ in range(150):
+            A = tied_rational_set(rng)
+            for a in A.points:
+                expect = {b for b in A.points if b != a and brute_witness(A, (a, b)) is None}
+                assert neighbors(A, a) == expect
+
+    def test_face_witness_on_random_subsets(self):
+        rng = random.Random(103)
+        for _ in range(150):
+            A = tied_rational_set(rng)
+            for _ in range(5):
+                members = rng.sample(A.points, rng.randint(1, len(A)))
+                assert face_witness(A, members) == brute_witness(A, members)
+
+    def test_complex_matches_brute_faces(self):
+        rng = random.Random(104)
+        for _ in range(100):
+            A = tied_rational_set(rng)
+            got = [f.vertices for f in enumerate_complex(A).faces() if f.vertices]
+            assert got == brute_faces(A)
+
+    def test_genericity_modes_against_definitions(self):
+        rng = random.Random(105)
+        seen = set()
+        for _ in range(200):
+            A = tied_rational_set(rng)
+            pairs = [(a, b, k + 1) for k in range(A.dim)
+                     for a, b in itertools.combinations(A.points, 2)
+                     if a[k] == b[k] and brute_witness(A, (a, b)) is None]
+            facets = []
+            faces = brute_faces(A)
+            for k in range(A.dim):
+                for f in faces:
+                    top = [max(col) for col in zip(*f)]
+                    hits = [a for a in A.points
+                            if all(x <= y for x, y in zip(a, top)) and a[k] == top[k]]
+                    if len(hits) >= 2:
+                        facets.append((hits[0], hits[1], k + 1))
+            pair = is_generic(A, mode="definition")
+            assert (pair.generic, pair.witness) == (not pairs, pairs[0] if pairs else None)
+            facet = is_generic(A, mode="remark")
+            assert (facet.generic, facet.witness) == (not facets, facets[0] if facets else None)
+            seen.add(pair.generic)
+        assert seen == {True, False}

@@ -1,6 +1,7 @@
 """Minimal elements, iterated layers, downset filtration."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -133,11 +134,19 @@ class TestFilterByDownset:
             prev = cur
 
     def test_matches_brute_force_with_orthants(self):
+        # integer, tied and "p/q" coordinates, against a direct count and peel
         rng = random.Random(31)
-        for _ in range(15):
-            pts = [Point((rng.randint(-5, 5), rng.randint(-5, 5))) for _ in range(30)]
+        for trial in range(45):
+            n = rng.choice((2, 3))
+            if trial % 3 == 0:
+                pool = range(-5, 6)
+            elif trial % 3 == 1:
+                pool = (-1, 0, 2)
+            else:
+                pool = [Fraction(p, q) for p in range(-4, 5) for q in (2, 3)]
+            pts = [Point(tuple(str(rng.choice(pool)) for _ in range(n))) for _ in range(30)]
             pts = list(dict.fromkeys(pts))
-            orth = Orthant((rng.choice([1, -1]), rng.choice([1, -1])))
+            orth = Orthant(tuple(rng.choice([1, -1]) for _ in range(n)))
             po = FinitePoset(pts, orth)
             k = rng.randint(0, 3)
             expect = {
@@ -145,6 +154,15 @@ class TestFilterByDownset:
                 if sum(1 for u in pts if orth.contains(s - u)) <= k + 1
             }
             assert filter_by_downset(po, k) == expect
+            remaining, layers = set(pts), []
+            while remaining and len(layers) <= k:
+                layer = {s for s in remaining
+                         if not any(u != s and orth.contains(s - u) for u in remaining)}
+                layers.append(layer)
+                remaining -= layer
+            lay = dickson_layers(po, k)
+            assert [set(layer) for layer in lay.layers] == layers
+            assert lay.residual == remaining
 
 
 class TestPosetValidation:

@@ -135,3 +135,32 @@ def test_random_generic_resolutions():
                 assert all(x >= 0 for x in exp.coords)
                 assert leq(rows[r].multidegree, cols[c].multidegree)
                 assert cols[c].multidegree - rows[r].multidegree == exp
+
+
+def generic_antichain(rng, m):
+    """m points of the plane x + y + z = 20m in N^3, distinct on every axis.
+
+    The x values are sampled without repeats, and each y is drawn until
+    both y and x + y are new, which keeps the z values distinct too.
+    """
+    span = 10 * m
+    ys, sums, pts = set(), set(), []
+    for x in rng.sample(range(1, span), m):
+        y = rng.randrange(1, span)
+        while y in ys or x + y in sums:
+            y = rng.randrange(1, span)
+        ys.add(y)
+        sums.add(x + y)
+        pts.append((x, y, 2 * span - x - y))
+    return pts
+
+
+def test_generic_antichain_resolution_at_scale():
+    m = 400
+    res = build_resolution(generic_antichain(random.Random(400), m))
+    assert verify_chain(res).ok
+    assert res.betti[0] == m
+    # generic in three variables: a planar complex, so no 3-faces and at most 3m - 6 edges
+    assert len(res.betti) <= 3
+    assert res.betti[1] <= 3 * m - 6
+    assert res.euler_characteristic() == 1
