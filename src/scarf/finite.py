@@ -135,8 +135,11 @@ def enumerate_complex(A: FinitePointSet, max_dim: Optional[int] = None) -> Label
         raise InputError(f"max_dim must be >= -1, got {max_dim}")
     pts, values = A.points, A.rank_index.values
     faces = [Face(())]
+    labels: dict = {}  # one multidegree Point per distinct rank join
     for members, top in _face_records(A, max_dim + 1):
-        multidegree = Point(vals[t] for vals, t in zip(values, top))
+        multidegree = labels.get(top)
+        if multidegree is None:
+            multidegree = labels[top] = Point(vals[t] for vals, t in zip(values, top))
         faces.append(Face.sorted_with_join(tuple(pts[i] for i in members), multidegree))
     return LabeledComplex.from_closed(faces)
 

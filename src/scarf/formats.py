@@ -3,12 +3,19 @@
 Input documents hold either "points" (rows of integers or "p/q" strings)
 or "basis" plus optional "cosets" (integer columns and integer vectors).
 Rendered documents are plain JSON with sorted keys, so parse(render(x))
-round-trips at the document level and diffs are stable.
+round-trips at the document level and diffs are stable.  The exact byte
+contract: render_document(doc) equals
+json.dumps(doc, sort_keys=True, indent=2) + "\n".
+
+Document builders give each point object one shared coordinate list, and
+the renderer writes each such list once per call and depth, so a complex
+whose faces repeat a few vertices renders each vertex once, not per face.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .complexes import Face, LabeledComplex
@@ -56,8 +63,61 @@ def parse_document(text: str) -> dict:
     return doc
 
 
+# how a flat list renders each item: ints as digits, strings as ASCII JSON
+_FLAT = {int: int.__repr__, str: encode_basestring_ascii}
+_STR = {str}  # the key types of a dict the writer renders itself
+
+
 def render_document(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """json.dumps(doc, sort_keys=True, indent=2) + "\n", byte for byte.
+
+    Flat lists (ints and strings only) are rendered once per (object,
+    depth) within the call; the memo lives only as long as the call, since
+    ids are reused after garbage collection.  Values other than str, int,
+    bool, None, lists, tuples and str-keyed dicts (subclasses included) are
+    left to json.dumps.
+    """
+    memo: dict = {}
+
+    def write(x, depth: int) -> str:
+        kind = type(x)
+        if kind is list or kind is tuple:
+            if not x:
+                return "[]"
+            # look up before testing flatness: a repeated point list is the common case
+            key = (id(x), depth)
+            text = memo.get(key)
+            if text is not None:
+                return text
+            inner = "\n" + "  " * (depth + 1)
+            if set(map(type, x)) <= _FLAT.keys():
+                body = ("," + inner).join([_FLAT[type(v)](v) for v in x])
+                text = memo[key] = f"[{inner}{body}\n{'  ' * depth}]"
+                return text
+            body = ("," + inner).join([write(v, depth + 1) for v in x])
+            return f"[{inner}{body}\n{'  ' * depth}]"
+        if kind is str:
+            return encode_basestring_ascii(x)
+        if kind is int:
+            return int.__repr__(x)
+        if kind is dict and set(map(type, x)) <= _STR:
+            if not x:
+                return "{}"
+            inner = "\n" + "  " * (depth + 1)
+            body = ("," + inner).join([
+                f"{encode_basestring_ascii(k)}: {write(v, depth + 1)}"
+                for k, v in sorted(x.items())])
+            return f"{{{inner}{body}\n{'  ' * depth}}}"
+        if x is None:
+            return "null"
+        if x is True:
+            return "true"
+        if x is False:
+            return "false"
+        # JSON strings hold no raw newline, so re-indenting is exact
+        return json.dumps(x, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+
+    return write(doc, 0) + "\n"
 
 
 def load_document(path: str) -> dict:
@@ -132,21 +192,40 @@ def point_json(p: Point) -> list:
     ]
 
 
-def _face_json(f: Face) -> dict:
-    doc = {"vertices": [point_json(v) for v in f.vertices], "dim": f.dim}
+def _shared_point_json():
+    """point_json that returns one list per point object, however often it is asked.
+
+    Faces repeat a few vertex objects many times; sharing their lists lets
+    render_document write each one once.  Keys are ids, which is sound
+    because the result a document is built from holds all its points.
+    """
+    rows: dict = {}
+
+    def row(p: Point) -> list:
+        found = rows.get(id(p))
+        if found is None:
+            found = rows[id(p)] = point_json(p)
+        return found
+
+    return row
+
+
+def _face_json(f: Face, row) -> dict:
+    doc = {"vertices": [row(v) for v in f.vertices], "dim": f.dim}
     if f.multidegree is not None:
-        doc["multidegree"] = point_json(f.multidegree)
+        doc["multidegree"] = row(f.multidegree)
     return doc
 
 
 def complex_doc(cx: LabeledComplex) -> dict:
     """Faces, f-vector and dimension; the empty face is reported as a flag."""
+    row = _shared_point_json()
     return {
         "kind": "complex",
         "dimension": cx.dimension,
         "f_vector": list(cx.f_vector()),
         "empty_face": True,
-        "faces": [_face_json(f) for f in cx.faces() if f.vertices],
+        "faces": [_face_json(f, row) for f in cx.faces() if f.vertices],
     }
 
 
@@ -197,11 +276,12 @@ def report_doc(report: CompletenessReport) -> dict:
 
 
 def star_doc(star: StarResult) -> dict:
+    row = _shared_point_json()
     return {
         "kind": "star",
-        "center": point_json(star.center),
-        "neighbors": [point_json(p) for p in star.neighbors],
-        "faces": [_face_json(f) for f in star.faces],
+        "center": row(star.center),
+        "neighbors": [row(p) for p in star.neighbors],
+        "faces": [_face_json(f, row) for f in star.faces],
         "report": report_doc(star.report),
     }
 
@@ -216,12 +296,13 @@ def neighbors_doc(star: StarResult) -> dict:
 
 
 def quotient_doc(q: QuotientResult) -> dict:
+    row = _shared_point_json()
     return {
         "kind": "quotient",
         "f_vector": list(q.f_vector),
         "orbits": [
             {
-                "face": [point_json(v) for v in orb.face.vertices],
+                "face": [row(v) for v in orb.face.vertices],
                 "dim": orb.dim,
                 "incidences": orb.incidences,
             }
@@ -232,11 +313,12 @@ def quotient_doc(q: QuotientResult) -> dict:
 
 
 def resolution_doc(res: Resolution) -> dict:
+    row = _shared_point_json()
     diffs = []
     for step in res.differentials:
         diffs.append(
             [
-                {"row": r, "col": c, "sign": s, "exponent": point_json(e)}
+                {"row": r, "col": c, "sign": s, "exponent": row(e)}
                 for (r, c), (s, e) in sorted(step.items())
             ]
         )
@@ -244,14 +326,14 @@ def resolution_doc(res: Resolution) -> dict:
         "kind": "resolution",
         "betti": list(res.betti),
         "multigraded_betti": [
-            {"dim": d, "multidegree": point_json(md), "count": c}
+            {"dim": d, "multidegree": row(md), "count": c}
             for (d, md), c in sorted(
                 res.multigraded_betti.items(), key=lambda it: (it[0][0], it[0][1].coords)
             )
         ],
-        "augmentation": [point_json(p) for p in res.augmentation],
+        "augmentation": [row(p) for p in res.augmentation],
         "faces_by_dim": [
-            [[point_json(v) for v in f.vertices] for f in fs] for fs in res.faces_by_dim
+            [[row(v) for v in f.vertices] for f in fs] for fs in res.faces_by_dim
         ],
         "differentials": diffs,
         "euler_characteristic": res.euler_characteristic(),

@@ -33,15 +33,20 @@ def as_fraction(value) -> Fraction:
 
 
 class Point:
-    """An immutable vector of exact rationals with structural equality."""
+    """An immutable vector of exact rationals with structural equality.
 
-    __slots__ = ("coords",)
+    The hash is that of the coordinate tuple, computed on first use and
+    kept, so tuples of points (face keys) hash without rehashing Fractions.
+    """
+
+    __slots__ = ("coords", "_hash")
 
     def __init__(self, coords: Iterable) -> None:
         cs = tuple(as_fraction(c) for c in coords)
         if not cs:
             raise InputError("a point needs at least one coordinate")
         self.coords = cs
+        self._hash = None
 
     @property
     def dim(self) -> int:
@@ -60,7 +65,9 @@ class Point:
         return isinstance(other, Point) and self.coords == other.coords
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        if self._hash is None:
+            self._hash = hash(self.coords)
+        return self._hash
 
     def __repr__(self) -> str:
         return "Point(%s)" % ", ".join(str(c) for c in self.coords)
@@ -142,12 +149,6 @@ def leq(a: Point, b: Point) -> bool:
     """Componentwise a <= b."""
     _same_dim(a, b)
     return all(x <= y for x, y in zip(a.coords, b.coords))
-
-
-def strictly_below(a: Point, b: Point) -> bool:
-    """Componentwise a < b in every coordinate."""
-    _same_dim(a, b)
-    return all(x < y for x, y in zip(a.coords, b.coords))
 
 
 @dataclass(frozen=True)

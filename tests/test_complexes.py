@@ -86,3 +86,17 @@ class TestBuildComplex:
         cx = LabeledComplex([F((0, 1)), F((0, 1))])
         assert cx.f_vector() == (1,)
         assert len(cx) == 2
+
+
+def test_complex_equality_and_membership_on_fixtures():
+    # equal faces built from distinct point objects and spellings are the same face
+    rows = [(0, 0, 1), (1, 1, 0), (2, 0, 0)]
+    cx = enumerate_complex(FinitePointSet(rows))
+    again = enumerate_complex(FinitePointSet([tuple(str(c) for c in r) for r in rows]))
+    assert cx == again and hash(cx) == hash(again)
+    assert LabeledComplex(F(*r) for r in [rows[:1], rows[1:2], rows[2:], rows[:2]]) != cx
+    for f in cx.faces():
+        assert f in again and Face(Point(v.coords) for v in f) in cx
+    assert F(("2/2", 1, 0), (0, 0, "3/3")) in cx
+    assert F((1, 1, 0), (9, 9, 9)) not in cx
+    assert len(cx) == 8

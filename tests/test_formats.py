@@ -3,24 +3,37 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from scarf.errors import InputError
+from scarf.errors import GenericityError, InputError
 from scarf.finite import FinitePointSet, enumerate_complex, is_generic
 from scarf.formats import (
     complex_doc,
     error_doc,
     genericity_doc,
+    layering_doc,
     monomial,
+    neighbors_doc,
     parse_cli_point,
     parse_document,
     parse_lattice_doc,
     parse_points_doc,
     point_json,
+    quotient_doc,
     render_document,
     resolution_doc,
+    star_doc,
 )
-from scarf.geometry import Point
+from scarf.geometry import Orthant, Point
+from scarf.periodic import quotient_complex, star_at, validate_periodic_set
+from scarf.posets import FinitePoset, dickson_layers, filter_by_downset
 from scarf.resolution import build_resolution
+
+
+def dumped(doc) -> str:
+    """The byte contract of render_document."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_parse_document():
@@ -149,3 +162,82 @@ def test_monomial():
         monomial(Point((-1, 2)))
     with pytest.raises(InputError):
         monomial(Point(("1/2", 0)))
+
+
+def fixture_docs():
+    """One document of every kind the CLI writes, built from small fixtures."""
+    dense = FinitePointSet([(i, 0) for i in range(5)] + [("1/2", "7/3")])
+    cx = complex_doc(enumerate_complex(dense))
+    cx["genericity"] = genericity_doc(is_generic(dense, mode="both"))
+    ker111_e1 = validate_periodic_set([(1, -1, 0), (0, 1, -1)], cosets=[(0, 0, 0), (1, 0, 0)])
+    star = star_at(ker111_e1, Point((0, 0, 0)), 2)
+    poset = FinitePoset(FinitePointSet([(a, b) for a in range(4) for b in range(3)]).points,
+                        Orthant((1, -1)))
+    witness = (Point((2, 1)), Point((2, 2)), 1)
+    return {
+        "complex": cx,
+        "star": star_doc(star),
+        "neighbors": neighbors_doc(star),
+        "quotient": quotient_doc(quotient_complex(ker111_e1, 2)),
+        "resolution": resolution_doc(build_resolution([(3, 0, 1), (1, 2, 0), (0, 1, 3)])),
+        "layering": layering_doc(dickson_layers(poset, 2), filter_by_downset(poset, 2), 2),
+        "genericity": genericity_doc(is_generic(FinitePointSet([(2, 1), (1, 2), (2, 2)]))),
+        "error": error_doc(GenericityError("not generic: \"x\"\n", witness=witness), 4),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(fixture_docs()))
+def test_render_matches_json_dumps_on_every_document_kind(kind):
+    doc = fixture_docs()[kind]
+    assert render_document(doc) == dumped(doc)
+
+
+json_scalars = (st.none() | st.booleans() | st.integers(min_value=-2**80, max_value=2**80)
+                | st.text(st.characters(max_codepoint=0x2FFF)))
+json_data = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(st.characters(max_codepoint=0x2FFF), max_size=4), inner,
+                      max_size=4),
+    max_leaves=24,
+)
+
+
+@given(st.dictionaries(st.text(max_size=3), json_data, max_size=4))
+def test_render_matches_json_dumps_on_generated_data(doc):
+    assert render_document(doc) == dumped(doc)
+
+
+def test_render_escapes_and_mixed_scalars():
+    doc = {
+        'q"uote': ['a"b', "back\\slash", "ctl\x00\x1f\t\n", "caf\u00e9 \u2603 \U0001d11e"],
+        "ints": [2**64 + 1, -2**70, 0, True, 1, False, None, "1/2"],
+        "empty": [[], {}, [[]], {"": {}}],
+        "float": 0.5,
+    }
+    assert render_document(doc) == dumped(doc)
+
+
+def test_render_shared_list_at_two_depths():
+    shared = [1, "1/2", -3]
+    doc = {"top": shared, "nested": {"deeper": [shared, [shared]]}, "again": shared}
+    assert render_document(doc) == dumped(doc)
+
+
+def test_render_sees_a_list_mutated_between_calls():
+    shared = [1, 2]
+    doc = {"a": shared, "b": [shared]}
+    assert render_document(doc) == dumped(doc)
+    shared.append("3/4")
+    shared[0] = [5]
+    assert render_document(doc) == dumped(doc)
+    assert '"3/4"' in render_document(doc)
+
+
+def test_point_lists_are_shared_between_faces():
+    doc = complex_doc(enumerate_complex(FinitePointSet([(0, 0), (1, 0), (2, 0)])))
+    by_vertex = {}
+    for face in doc["faces"]:
+        for row in face["vertices"]:
+            assert by_vertex.setdefault(tuple(row), row) is row
+    assert len(by_vertex) == 3

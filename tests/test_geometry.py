@@ -19,7 +19,6 @@ from scarf.geometry import (
     leq,
     meet,
     point_key,
-    strictly_below,
     zero_point,
 )
 
@@ -61,6 +60,16 @@ class TestPoint:
         assert p == Point([Fraction(1, 2), 3, -2])
         assert hash(p) == hash(Point(("1/2", "3", "-2")))
         assert p.dim == 3 and len(p) == 3
+
+    def test_hash_is_the_coordinate_hash_and_cached(self):
+        half = [Point(("1/2", 3)), Point(("2/4", 3)), Point((Fraction(1, 2), 3))]
+        for p in half:
+            assert hash(p) == hash(p.coords)  # before first use
+        assert len({hash(p) for p in half}) == 1
+        assert len(set(half)) == 1
+        for p in half:
+            assert hash(p) == hash(p.coords) == hash(Point(p.coords))  # after first use
+        assert hash(Point((1, 2))) != hash(Point((2, 1)))
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
@@ -110,18 +119,14 @@ class TestOrders:
 
     def test_leq_strict(self):
         assert leq(Point((1, 1)), Point((1, 2)))
-        assert not strictly_below(Point((1, 1)), Point((1, 2)))
-        assert strictly_below(Point((0, 1)), Point((1, 2)))
 
     def test_compare_all_cases(self):
         # equal, weakly below, strictly below, and incomparable pairs
         a = Point((1, 1))
         assert leq(a, Point((1, 1))) and leq(Point((1, 1)), a)
-        assert not strictly_below(a, Point((1, 1)))
         assert leq(a, Point((1, 2))) and not leq(Point((1, 2)), a)
-        assert not strictly_below(a, Point((1, 2)))
-        assert strictly_below(Point((0, 0)), Point((1, 2)))
-        assert strictly_below(Point((1, 2)), Point((3, 3)))
+        assert leq(Point((0, 0)), Point((1, 2)))
+        assert leq(Point((1, 2)), Point((3, 3)))
         assert not leq(Point((3, 3)), Point((1, 2)))
         assert not leq(Point((0, 2)), Point((2, 0)))
         assert not leq(Point((2, 0)), Point((0, 2)))
