@@ -7,14 +7,7 @@ truncation-free periodic enumeration, and monomial resolutions.  A thin CLI
 """
 
 from .complexes import Face, LabeledComplex
-from .diophantine import (
-    CosetSystem,
-    Lattice,
-    coset_constraints,
-    minimal_orthant_points,
-    points_below,
-    points_in_box,
-)
+from .diophantine import Lattice, minimal_orthant_points, points_below, points_in_box
 from .errors import (
     CertificationError,
     GenericityError,
@@ -33,7 +26,7 @@ from .finite import (
     neighbors,
     strict_dominator,
 )
-from .geometry import Box, Orthant, Point, all_orthants, cuboid, join, meet
+from .geometry import Orthant, Point, all_orthants, join
 from .intsolve import minimal_natural_solutions, smith_normal_form
 from .periodic import (
     CompletenessReport,
@@ -54,11 +47,9 @@ from .resolution import ChainCheck, Resolution, build_resolution, verify_chain
 __version__ = "0.1.0"
 
 __all__ = [
-    "Box",
     "CertificationError",
     "ChainCheck",
     "CompletenessReport",
-    "CosetSystem",
     "Face",
     "FaceOrbit",
     "FinitePointSet",
@@ -83,8 +74,6 @@ __all__ = [
     "build_resolution",
     "certified_quotient",
     "certified_star",
-    "coset_constraints",
-    "cuboid",
     "dickson_layers",
     "enumerate_complex",
     "exists_strictly_below",
@@ -92,7 +81,6 @@ __all__ = [
     "filter_by_downset",
     "is_generic",
     "join",
-    "meet",
     "minimal_natural_solutions",
     "minimal_orthant_points",
     "neighbors",

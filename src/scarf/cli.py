@@ -252,6 +252,17 @@ def _point_str(coords: list) -> str:
     return "(" + ", ".join(str(c) for c in coords) + ")"
 
 
+def monomial(exponents: list) -> str:
+    """Monomial string for a JSON exponent row, 1-based variables: "x1^2*x3"."""
+    parts = []
+    for i, c in enumerate(exponents, start=1):
+        if isinstance(c, bool) or not isinstance(c, int) or c < 0:
+            raise InputError(f"monomial exponents must be natural numbers, got {c}")
+        if c:
+            parts.append(f"x{i}" if c == 1 else f"x{i}^{c}")
+    return "*".join(parts) if parts else "1"
+
+
 def _report_lines(rep: dict) -> list:
     status = "certified complete" if rep["certified"] else "NOT certified"
     lines = [
@@ -340,14 +351,14 @@ def render_text(doc: dict) -> str:
         )
         lines.append(
             "augmentation: "
-            + "  ".join(_monomial_json(p) for p in doc["augmentation"])
+            + "  ".join(monomial(p) for p in doc["augmentation"])
         )
         for i, step in enumerate(doc["differentials"], start=1):
             lines.append(f"differential {i}:")
             for e in step:
                 sign = "+" if e["sign"] > 0 else "-"
                 lines.append(
-                    f"  [{e['row']},{e['col']}] {sign}{_monomial_json(e['exponent'])}"
+                    f"  [{e['row']},{e['col']}] {sign}{monomial(e['exponent'])}"
                 )
         lines.append(f"euler characteristic: {doc['euler_characteristic']}")
     elif kind == "selftest":
@@ -364,10 +375,6 @@ def render_text(doc: dict) -> str:
     if "genericity" in doc:
         lines.append(render_text(doc["genericity"]).rstrip("\n"))
     return "\n".join(lines) + "\n"
-
-
-def _monomial_json(coords: list) -> str:
-    return formats.monomial(Point(coords))
 
 
 def main(argv=None) -> int:

@@ -63,12 +63,6 @@ class Face:
     def translated(self, t: Point) -> "Face":
         return Face(v + t for v in self.vertices)
 
-    def without(self, v: Point) -> "Face":
-        if v not in self.vertices:
-            vs = ", ".join(str(u) for u in self.vertices)
-            raise InputError(f"{v} is not a vertex of the face [{vs}]")
-        return Face(u for u in self.vertices if u != v)
-
 
 class LabeledComplex:
     """A downward closed set of faces.  The empty face is always a member."""

@@ -1,24 +1,24 @@
-"""Lattices, coset constraints, and exact point enumeration.
+"""Lattices, cosets, and exact point enumeration.
 
 A lattice is given by integer basis columns of full column rank.  Cosets of
 the lattice are described through the Smith normal form of the basis: a
 point lies in a coset exactly when a fixed family of integer equalities and
 congruences holds.  On top of that sit three enumerators used throughout
-the package: all coset points inside a box, all coset points weakly or
-strictly below a bound, and the minimal coset points of an orthant.  The
-first two share one Fourier-Motzkin elimination plan per lattice and bound
-pattern, so a query only supplies integer right-hand sides.
+the package: all coset points inside a box given by two opposite corners,
+all coset points weakly or strictly below a bound, and the minimal coset
+points of an orthant.  The first two share one Fourier-Motzkin elimination
+plan per lattice and bound pattern, so a query only supplies integer
+right-hand sides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, PositivityError
-from .geometry import Box, Orthant, Point, cuboid, point_key, zero_point
+from .geometry import Orthant, Point, point_key, zero_point
 from .intsolve import (
     EliminationPlan,
     matvec,
@@ -29,12 +29,9 @@ from .intsolve import (
 
 __all__ = [
     "Lattice",
-    "CosetSystem",
-    "coset_constraints",
     "points_in_box",
     "points_below",
     "minimal_orthant_points",
-    "smith_normal_form",
 ]
 
 
@@ -62,7 +59,7 @@ class Lattice:
         self.rank = len(cols)
         self._rows = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
         # U * basis * V = D; the rank is the number of nonzero diagonal entries
-        self._snf = smith_normal_form(self._rows, check=True)
+        self._snf = smith_normal_form(self._rows)
         D = self._snf[1]
         if sum(1 for i in range(min(n, self.rank)) if D[i][i]) != self.rank:
             raise InputError("basis columns must be linearly independent")
@@ -142,48 +139,6 @@ class Lattice:
         return f"Lattice(columns={self.columns!r})"
 
 
-@dataclass(frozen=True)
-class CosetSystem:
-    """Equality and congruence description of one lattice coset.
-
-    equalities: rows (coeffs, rhs) with coeffs . x == rhs.
-    congruences: rows (coeffs, modulus, residue) with coeffs . x == residue
-    (mod modulus), modulus >= 2.
-    """
-
-    dim: int
-    equalities: tuple[tuple[tuple[int, ...], int], ...]
-    congruences: tuple[tuple[tuple[int, ...], int, int], ...]
-
-    def satisfied_by(self, p: Point) -> bool:
-        v = p.as_int_tuple()
-        if p.dim != self.dim:
-            raise InputError(f"dimension mismatch: point {p} vs system of dimension {self.dim}")
-        for coeffs, rhs in self.equalities:
-            if sum(c * x for c, x in zip(coeffs, v)) != rhs:
-                return False
-        for coeffs, mod, res in self.congruences:
-            if (sum(c * x for c, x in zip(coeffs, v)) - res) % mod != 0:
-                return False
-        return True
-
-
-def coset_constraints(lattice: Lattice, rep: Point) -> CosetSystem:
-    """Equalities and congruences cutting out the coset of rep."""
-    U, _, _ = lattice._snf
-    uc = matvec(U, lattice._int_coords(rep))
-    diag = lattice.diagonal()
-    eqs = []
-    congs = []
-    for i in range(lattice.dim):
-        coeffs = tuple(U[i])
-        if i >= lattice.rank:
-            eqs.append((coeffs, uc[i]))
-        elif diag[i] >= 2:
-            congs.append((coeffs, diag[i], uc[i] % diag[i]))
-    return CosetSystem(dim=lattice.dim, equalities=tuple(eqs), congruences=tuple(congs))
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 
@@ -220,13 +175,14 @@ def _coset_points(lattice: Lattice, creps: list[tuple[int, ...]], lo, hi) -> tup
     return tuple(Point(v) for v in found)
 
 
-def points_in_box(lattice: Lattice, reps: Sequence[Point], box: Box) -> tuple[Point, ...]:
-    """All points of the given cosets lying in the closed box."""
-    if box.lo.dim != lattice.dim:
-        raise InputError(f"dimension mismatch: box of dimension {box.lo.dim} vs lattice of dimension {lattice.dim}")
+def points_in_box(lattice: Lattice, reps: Sequence[Point], a: Point, b: Point) -> tuple[Point, ...]:
+    """All points of the given cosets in the closed box with opposite corners a and b."""
+    for corner in (a, b):
+        if corner.dim != lattice.dim:
+            raise InputError(f"dimension mismatch: corner {corner} vs lattice of dimension {lattice.dim}")
     creps = _canonical_reps(lattice, reps)
-    lo = [ceil(x) for x in box.lo.coords]
-    hi = [floor(x) for x in box.hi.coords]
+    lo = [ceil(min(x, y)) for x, y in zip(a.coords, b.coords)]
+    hi = [floor(max(x, y)) for x, y in zip(a.coords, b.coords)]
     if any(l > h for l, h in zip(lo, hi)):
         return ()
     return _coset_points(lattice, creps, lo, hi)
@@ -256,28 +212,29 @@ def points_below(lattice: Lattice, reps: Sequence[Point], bound: Point,
 def _orthant_candidates(lattice: Lattice, c: tuple[int, ...], orthant: Orthant) -> set[Point]:
     """Superset of the coset's minimal orthant points, via reflected systems.
 
-    In reflected coordinates the coset becomes an equality-and-congruence
-    system over the naturals; each congruence gains a slack pair so the
-    whole thing feeds a minimal-solutions search.  Projections of minimal
-    extended solutions cover every minimal point, with possible extras that
-    the caller filters exactly.
+    With U * basis * V = D, x lies in the coset of c exactly when
+    (U x)_i = (U c)_i for each i past the rank and (U x)_i = (U c)_i
+    (mod d_i) for each d_i >= 2 below it.  In reflected coordinates that is
+    a system over the naturals once each congruence gains a slack pair, so
+    it feeds a minimal-solutions search.  Projections of minimal extended
+    solutions cover every minimal point, with possible extras that the
+    caller filters exactly.
     """
-    system = coset_constraints(lattice, Point(c))
+    U, _, _ = lattice._snf
+    uc = matvec(U, c)
+    diag = lattice.diagonal()
     signs = orthant.signs
     n = lattice.dim
-    naux = len(system.congruences)
-    nvars = n + 2 * naux
-    rows = []
-    for coeffs, rhs in system.equalities:
-        row = [coeffs[j] * signs[j] for j in range(n)] + [0] * (2 * naux)
-        rows.append((tuple(row), rhs))
-    for a, (coeffs, mod, res) in enumerate(system.congruences):
-        row = [coeffs[j] * signs[j] for j in range(n)] + [0] * (2 * naux)
-        row[n + 2 * a] = -mod
-        row[n + 2 * a + 1] = mod
-        rows.append((tuple(row), res))
+    moduli = [i for i in range(lattice.rank) if diag[i] >= 2]
+    slack = [0] * (2 * len(moduli))
+    reflected = [[u * s for u, s in zip(row, signs)] + slack for row in U]
+    rows = [(tuple(reflected[i]), uc[i]) for i in range(lattice.rank, n)]
+    for a, i in enumerate(moduli):
+        row = reflected[i]
+        row[n + 2 * a], row[n + 2 * a + 1] = -diag[i], diag[i]
+        rows.append((tuple(row), uc[i] % diag[i]))
     out = set()
-    for sol in minimal_natural_solutions(rows, nvars):
+    for sol in minimal_natural_solutions(rows, n + len(slack)):
         y = sol[:n]
         if not any(y):
             continue
@@ -305,7 +262,7 @@ def minimal_orthant_points(lattice: Lattice, reps: Sequence[Point], orthant: Ort
     skip = {zero} if exclude_zero else set()
     result = []
     for a in sorted(candidates, key=point_key):
-        inside = set(points_in_box(lattice, [Point(c) for c in creps], cuboid(zero, a)))
+        inside = set(points_in_box(lattice, reps, zero, a))
         inside -= skip
         inside.discard(a)
         if not inside:

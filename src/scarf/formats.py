@@ -49,7 +49,6 @@ __all__ = [
     "quotient_doc",
     "resolution_doc",
     "error_doc",
-    "monomial",
 ]
 
 
@@ -356,14 +355,3 @@ def error_doc(exc: Exception, exit_code: int) -> dict:
         ]
     return doc
 
-
-def monomial(exponent: Point) -> str:
-    """Monomial string for an exponent vector, 1-based variables: "x1^2*x3"."""
-    parts = []
-    for i, c in enumerate(exponent.coords, start=1):
-        if c == 0:
-            continue
-        if c < 0 or c != int(c):
-            raise InputError(f"monomial exponents must be natural numbers, got {c}")
-        parts.append(f"x{i}" if c == 1 else f"x{i}^{int(c)}")
-    return "*".join(parts) if parts else "1"

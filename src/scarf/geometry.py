@@ -126,31 +126,6 @@ def join(points: Iterable[Point]) -> Point:
     return Point(acc)
 
 
-def join2(a: Point, b: Point) -> Point:
-    _same_dim(a, b)
-    return Point(x if x >= y else y for x, y in zip(a.coords, b.coords))
-
-
-def meet(points: Iterable[Point]) -> Point:
-    """Coordinatewise minimum of a nonempty collection."""
-    pts = list(points)
-    if not pts:
-        raise InputError("meet of an empty collection")
-    acc = list(pts[0].coords)
-    for p in pts[1:]:
-        _same_dim(pts[0], p)
-        for i, c in enumerate(p.coords):
-            if c < acc[i]:
-                acc[i] = c
-    return Point(acc)
-
-
-def leq(a: Point, b: Point) -> bool:
-    """Componentwise a <= b."""
-    _same_dim(a, b)
-    return all(x <= y for x, y in zip(a.coords, b.coords))
-
-
 @dataclass(frozen=True)
 class Orthant:
     """A closed orthant of R^n given by a sign pattern (+1 / -1 per axis)."""
@@ -186,24 +161,6 @@ class Orthant:
 def all_orthants(n: int) -> Iterator[Orthant]:
     for signs in itertools.product((1, -1), repeat=n):
         yield Orthant(signs)
-
-
-@dataclass(frozen=True)
-class Box:
-    """An axis-parallel box [lo, hi], possibly degenerate, never empty."""
-
-    lo: Point
-    hi: Point
-
-    def __post_init__(self):
-        _same_dim(self.lo, self.hi)
-        if not leq(self.lo, self.hi):
-            raise InputError(f"box corners out of order: {self.lo} !<= {self.hi}")
-
-
-def cuboid(a: Point, b: Point) -> Box:
-    """The smallest box containing a and b."""
-    return Box(meet([a, b]), join([a, b]))
 
 
 class RankIndex:

@@ -95,13 +95,14 @@ def det(M) -> int:
 # Smith normal form
 
 
-def smith_normal_form(M, check: bool = False):
+def smith_normal_form(M):
     """U, D, V with U*M*V = D diagonal, d1 | d2 | ..., U and V unimodular.
 
     Classic elimination: pull the absolutely smallest entry into the pivot,
     clear its row and column with Euclidean row/column combinations, and when
     some trailing entry is not divisible by the pivot fold its row into the
     pivot row and repeat (the pivot shrinks each time, so this stops).
+    The result passes verify_snf before it is returned.
     """
     nr, nc = _check_matrix(M)
     D = [[_as_int(x) for x in row] for row in M]
@@ -183,8 +184,7 @@ def smith_normal_form(M, check: bool = False):
                 D[t][j] = -D[t][j]
             for j in range(nr):
                 U[t][j] = -U[t][j]
-    if check:
-        verify_snf(M, U, D, V)
+    verify_snf(M, U, D, V)
     return U, D, V
 
 

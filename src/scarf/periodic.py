@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .complexes import Face, grow_faces
 from .diophantine import Lattice, minimal_orthant_points, points_below, points_in_box
 from .errors import CertificationError, InputError
-from .geometry import Point, all_orthants, cuboid, join2, point_key, zero_point
+from .geometry import Point, all_orthants, point_key, zero_point
 
 __all__ = [
     "PeriodicSet",
@@ -162,7 +162,7 @@ def _candidate_vertices(A: PeriodicSet, center: Point, dmax: int):
     def downbox_card(p: Point) -> int:
         key = p.coords
         if key not in card_memo:
-            card_memo[key] = len(points_in_box(A.lattice, A.reps, cuboid(center, p)))
+            card_memo[key] = len(points_in_box(A.lattice, A.reps, center, p))
         return card_memo[key]
 
     # the single coset a step from coset l to coset k lands in, per (l, k)
@@ -222,7 +222,8 @@ def star_at(A: PeriodicSet, vertex: Point, dmax: int) -> StarResult:
             "and is not a vertex"
         )
     candidates, counts = _candidate_vertices(A, vertex, dmax)
-    neighbors = tuple(v for v in candidates if is_face_join(join2(vertex, v).coords))
+    neighbors = tuple(v for v in candidates
+                      if is_face_join(tuple(map(max, vertex.coords, v.coords))))
     records = grow_faces([v.coords for v in neighbors], [((), vertex.coords)], is_face_join)
     faces = [Face((vertex,) + tuple(neighbors[j] for j in members)) for members, _ in records]
     observed = max(f.dim for f in faces)

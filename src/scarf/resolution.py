@@ -101,24 +101,26 @@ def build_resolution(A: FinitePointSet) -> Resolution:
             f"input is not generic: witness [{a}, {b}, {k}]", witness=report.witness
         )
     complex_ = enumerate_complex(A)
-    top = complex_.dimension
-    faces_by_dim = tuple(
-        tuple(f for f in complex_.faces() if f.dim == d) for d in range(top + 1)
-    )
-    index = [{f.key(): i for i, f in enumerate(fs)} for fs in faces_by_dim]
+    faces_by_dim: list = [[] for _ in range(complex_.dimension + 1)]
+    index = {}
+    for f in complex_.faces():
+        if f.vertices:
+            fs = faces_by_dim[f.dim]
+            index[f.vertices] = len(fs)
+            fs.append(f)
     augmentation = tuple(f.vertices[0] for f in faces_by_dim[0])
     diffs = []
-    for d in range(1, top + 1):
+    for lower, upper in zip(faces_by_dim, faces_by_dim[1:]):
         entries: dict = {}
-        for col, face in enumerate(faces_by_dim[d]):
-            for j, v in enumerate(face.vertices):
-                sub = face.without(v)
-                row = index[d - 1][sub.key()]
-                entries[(row, col)] = ((-1) ** j, face.multidegree - sub.multidegree)
+        for col, face in enumerate(upper):
+            vs = face.vertices
+            for j in range(len(vs)):
+                row = index[vs[:j] + vs[j + 1:]]
+                entries[(row, col)] = ((-1) ** j, face.multidegree - lower[row].multidegree)
         diffs.append(entries)
     return Resolution(
         points=A,
-        faces_by_dim=faces_by_dim,
+        faces_by_dim=tuple(map(tuple, faces_by_dim)),
         augmentation=augmentation,
         differentials=tuple(diffs),
     )

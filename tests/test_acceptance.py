@@ -19,7 +19,7 @@ from scarf.finite import (
     is_generic,
     neighbors,
 )
-from scarf.geometry import Orthant, Point, cuboid, point_key, zero_point
+from scarf.geometry import Orthant, Point, point_key, zero_point
 from scarf.intsolve import smith_normal_form
 from scarf.oracles import oracle_finite_nb, oracle_lattice_neighbors
 from scarf.periodic import PeriodicSet, certified_star
@@ -145,13 +145,13 @@ def test_criterion_5_lattice_neighbors_vs_oracle():
 
 
 def test_criterion_6_neighbors_live_in_small_downboxes():
-    """Each neighbor's cuboid back to 0 holds at most d+1 set points; a 5-face exists."""
+    """Each neighbor's box back to 0 holds at most d+1 set points; a 5-face exists."""
     ok = True
     for name, A, star in _certified_stars():
         d = star.report.observed_star_dimension
         zero = zero_point(A.dim)
         for b in star.neighbors:
-            card = len(points_in_box(A.lattice, A.reps, cuboid(zero, b)))
+            card = len(points_in_box(A.lattice, A.reps, zero, b))
             ok = ok and card <= d + 1
     K = PeriodicSet(Lattice([(1, -1, 0), (0, 1, -1)]), [(0, 0, 0)])
     star = certified_star(K)
@@ -215,7 +215,7 @@ def test_criterion_9_diophantine_core():
         nr = rng.randint(1, 4)
         nc = rng.randint(1, 4)
         M = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-        smith_normal_form(M, check=True)  # raises InternalError on any failure
+        smith_normal_form(M)  # raises InternalError on any failure
 
     radius = 5
     done = 0

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from scarf.cli import main
+from scarf.cli import main, monomial
+from scarf.errors import InputError
 
 COLLINEAR = {"points": [[0, 0], [1, 0], [2, 0]]}
 STAIRCASE = {"points": [[2, 0], [1, 1], [0, 2]]}
@@ -172,6 +173,41 @@ def test_resolve_text_monomials(docfile, capsys):
     assert code == 0
     assert "betti numbers: (3, 2)" in out
     assert "+x2" in out and "-x1" in out
+
+
+def test_resolve_text_output_pinned(docfile, capsys):
+    doc = {"points": [[3, 0, 1], [1, 2, 0], [0, 1, 2]]}
+    code, out, _ = run_cli(["scarf-resolve", docfile(doc), "--format", "text"], capsys)
+    assert code == 0
+    assert out == (
+        "betti numbers: (3, 3, 1)\n"
+        "multigraded: dim 0 at (0, 1, 2) x1; dim 0 at (1, 2, 0) x1; dim 0 at (3, 0, 1) x1; "
+        "dim 1 at (1, 2, 2) x1; dim 1 at (3, 1, 2) x1; dim 1 at (3, 2, 1) x1; "
+        "dim 2 at (3, 2, 2) x1\n"
+        "augmentation: x2*x3^2  x1*x2^2  x1^3*x3\n"
+        "differential 1:\n"
+        "  [0,0] -x1*x2\n"
+        "  [0,1] -x1^3\n"
+        "  [1,0] +x3^2\n"
+        "  [1,2] -x1^2*x3\n"
+        "  [2,1] +x2*x3\n"
+        "  [2,2] +x2^2\n"
+        "differential 2:\n"
+        "  [0,0] +x1^2\n"
+        "  [1,0] -x2\n"
+        "  [2,0] +x3\n"
+        "euler characteristic: 1\n"
+    )
+
+
+def test_monomial():
+    assert monomial([0, 0]) == "1"
+    assert monomial([2, 0, 1]) == "x1^2*x3"
+    assert monomial([1, 1]) == "x1*x2"
+    with pytest.raises(InputError):
+        monomial([-1, 2])
+    with pytest.raises(InputError):
+        monomial(["1/2", 0])
 
 
 def test_resolve_non_generic_exits_4(docfile, capsys):

@@ -36,13 +36,6 @@ class TestFace:
         assert f == F((1, 1), (2, 3))
         assert f.multidegree == Point((2, 3))
 
-    def test_without(self):
-        f = F((0, 0), (1, 2))
-        assert f.without(Point((0, 0))) == F((1, 2))
-        with pytest.raises(InputError) as exc:
-            f.without(Point((9, 9)))
-        assert str(exc.value) == "[9, 9] is not a vertex of the face [[0, 0], [1, 2]]"
-
 
 class TestLabeledComplex:
     def test_empty_face_always_present(self):

@@ -1,4 +1,4 @@
-"""Lattice cosets: constraint systems, box scans, minimal orthant points."""
+"""Lattice cosets: membership, box scans, points below, minimal orthant points."""
 
 import itertools
 import math
@@ -7,16 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from scarf.diophantine import (
-    CosetSystem,
-    Lattice,
-    coset_constraints,
-    minimal_orthant_points,
-    points_below,
-    points_in_box,
-)
+from scarf.diophantine import Lattice, minimal_orthant_points, points_below, points_in_box
 from scarf.errors import InputError, PositivityError
-from scarf.geometry import Box, Orthant, Point, cuboid, point_key, zero_point
+from scarf.geometry import Orthant, Point, all_orthants, point_key, zero_point
 
 KER111 = Lattice([(1, -1, 0), (0, 1, -1)])  # kernel of x1 + x2 + x3
 KER123 = Lattice([(2, -1, 0), (3, 0, -1)])  # kernel of x1 + 2 x2 + 3 x3
@@ -137,95 +130,49 @@ def test_positivity_random():
 
 
 # ---------------------------------------------------------------------------
-# coset constraint systems
-
-
-def test_coset_constraints_full_lattice():
-    system = coset_constraints(Lattice([(1, 0), (0, 1)]), Point((3, -2)))
-    assert system.equalities == ()
-    assert system.congruences == ()
-    assert system.satisfied_by(Point((0, 0)))
-
-
-def test_coset_constraints_hyperplane():
-    system = coset_constraints(KER111, ZERO3)
-    assert len(system.equalities) == 1
-    assert system.congruences == ()
-    for vals in itertools.product(range(-2, 3), repeat=3):
-        assert system.satisfied_by(Point(vals)) == (sum(vals) == 0)
-
-
-def test_coset_constraints_congruence():
-    L = Lattice([(2, 0)])
-    system = coset_constraints(L, Point((1, 5)))
-    assert len(system.equalities) == 1
-    assert len(system.congruences) == 1
-    assert system.congruences[0][1] == 2
-    assert system.satisfied_by(Point((3, 5)))
-    assert system.satisfied_by(Point((1, 5)))
-    assert system.satisfied_by(Point((-1, 5)))
-    assert not system.satisfied_by(Point((2, 5)))
-    assert not system.satisfied_by(Point((1, 4)))
-
-
-def test_coset_constraints_random():
-    rng = random.Random(412)
-    for _ in range(60):
-        dim = rng.randint(2, 3)
-        L = random_lattice(rng, dim, rng.randint(1, dim))
-        rep = Point(tuple(rng.randint(-4, 4) for _ in range(dim)))
-        system = coset_constraints(L, rep)
-        for _ in range(20):
-            q = Point(tuple(rng.randint(-5, 5) for _ in range(dim)))
-            assert system.satisfied_by(q) == L.member(q - rep)
-
-
-def test_coset_constraints_dim_mismatch():
-    with pytest.raises(InputError):
-        coset_constraints(KER111, Point((1, 0)))
-    system = coset_constraints(KER111, ZERO3)
-    with pytest.raises(InputError):
-        system.satisfied_by(Point((0, 0)))
-
-
-# ---------------------------------------------------------------------------
 # box scans
 
 
 def test_points_in_box_fixtures():
-    box = Box(Point((-1, -1, -1)), Point((1, 1, 1)))
-    pts = points_in_box(KER111, [ZERO3], box)
+    lo, hi = Point((-1, -1, -1)), Point((1, 1, 1))
+    pts = points_in_box(KER111, [ZERO3], lo, hi)
     assert len(pts) == 7
     assert ZERO3 in pts
     assert Point((1, -1, 0)) in pts and Point((-1, 0, 1)) in pts
+    assert points_in_box(KER111, [ZERO3], hi, lo) == pts
 
-    unit = points_in_box(KER111, [Point((1, 0, 0))], Box(ZERO3, Point((1, 1, 1))))
+    unit = points_in_box(KER111, [Point((1, 0, 0))], ZERO3, Point((1, 1, 1)))
     assert unit == (Point((0, 0, 1)), Point((0, 1, 0)), Point((1, 0, 0)))
+    # corners in mixed order span the same box
+    assert points_in_box(KER111, [Point((1, 0, 0))], Point((1, 0, 1)), Point((0, 1, 0))) == unit
 
 
 def test_points_in_box_degenerate():
     v = Point((1, -1, 0))
-    assert points_in_box(KER111, [ZERO3], Box(v, v)) == (v,)
+    assert points_in_box(KER111, [ZERO3], v, v) == (v,)
     w = Point((1, 0, 0))
-    assert points_in_box(KER111, [ZERO3], Box(w, w)) == ()
+    assert points_in_box(KER111, [ZERO3], w, w) == ()
 
 
 def test_points_in_box_rep_dedup():
-    box = Box(Point((-1, -1, -1)), Point((1, 1, 1)))
-    pts = points_in_box(KER111, [ZERO3, Point((1, -1, 0)), Point((2, -2, 0))], box)
+    reps = [ZERO3, Point((1, -1, 0)), Point((2, -2, 0))]
+    pts = points_in_box(KER111, reps, Point((-1, -1, -1)), Point((1, 1, 1)))
     assert len(pts) == 7
 
 
 def test_points_in_box_rational_bounds():
     half = Fraction(1, 2)
-    box = Box(Point((-half, -half, -half)), Point((Fraction(3, 2),) * 3))
-    pts = points_in_box(KER111, [Point((1, 0, 0))], box)
+    lo, hi = Point((-half, -half, -half)), Point((Fraction(3, 2),) * 3)
+    pts = points_in_box(KER111, [Point((1, 0, 0))], lo, hi)
     assert pts == (Point((0, 0, 1)), Point((0, 1, 0)), Point((1, 0, 0)))
+    assert points_in_box(KER111, [Point((1, 0, 0))], hi, lo) == pts
 
 
 def test_points_in_box_dim_mismatch():
     with pytest.raises(InputError):
-        points_in_box(KER111, [ZERO3], Box(Point((0, 0)), Point((1, 1))))
+        points_in_box(KER111, [ZERO3], Point((0, 0)), Point((1, 1)))
+    with pytest.raises(InputError):
+        points_in_box(KER111, [ZERO3], ZERO3, Point((1, 1)))
 
 
 def scan_box(L, reps, lo, hi):
@@ -246,7 +193,7 @@ def test_points_in_box_random():
                 for _ in range(rng.randint(1, 2))]
         lo = tuple(rng.randint(-4, 0) for _ in range(dim))
         hi = tuple(l + rng.randint(0, 4) for l in lo)
-        got = points_in_box(L, reps, Box(Point(lo), Point(hi)))
+        got = points_in_box(L, reps, Point(lo), Point(hi))
         assert list(got) == scan_box(L, reps, lo, hi)
     # one Lattice object answers several boxes, some with rational corners,
     # so its elimination plan is reused with different right-hand sides;
@@ -259,7 +206,7 @@ def test_points_in_box_random():
         for _ in range(4):
             lo = tuple(Fraction(rng.randint(-8, 0), rng.randint(1, 2)) for _ in range(dim))
             hi = tuple(l + Fraction(rng.randint(0, 8), rng.randint(1, 2)) for l in lo)
-            got = points_in_box(L, reps, Box(Point(lo), Point(hi)))
+            got = points_in_box(L, reps, Point(lo), Point(hi))
             assert list(got) == scan_box(L, reps, lo, hi), (L, reps, lo, hi)
 
 
@@ -272,7 +219,7 @@ def test_points_in_box_high_rank():
     lo, hi = (-2,) * 6, (2,) * 6
     want = scan_box(L, [zero], lo, hi)
     assert len(want) == 3
-    assert list(points_in_box(L, [zero], Box(Point(lo), Point(hi)))) == want
+    assert list(points_in_box(L, [zero], Point(lo), Point(hi))) == want
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +341,23 @@ def brute_orthant_minimal(L, reps, orthant, radius, exclude_zero):
                   key=point_key)
 
 
+def check_minimal_orthant(L, reps, orthant, exclude, radius=5):
+    got = minimal_orthant_points(L, reps, orthant, exclude_zero=exclude)
+
+    for i, a in enumerate(got):
+        for j, b in enumerate(got):
+            if i != j:
+                assert not orthant.contains(b - a)
+
+    brute = brute_orthant_minimal(L, reps, orthant, radius, exclude)
+    got_slice = [p for p in got if all(abs(x) <= radius for x in p.coords)]
+    assert got_slice == brute
+    for p in brute:
+        assert any(orthant.contains(p - m) for m in got)
+
+
 def test_minimal_orthant_random():
     rng = random.Random(415)
-    radius = 5
     for _ in range(40):
         dim = rng.randint(2, 3)
         L = random_lattice(rng, dim, rng.randint(1, 2), -2, 2)
@@ -404,24 +365,22 @@ def test_minimal_orthant_random():
                 for _ in range(rng.randint(1, 2))]
         orthant = Orthant(tuple(rng.choice((1, -1)) for _ in range(dim)))
         exclude = rng.random() < 0.5
-        got = minimal_orthant_points(L, reps, orthant, exclude_zero=exclude)
-
-        for i, a in enumerate(got):
-            for j, b in enumerate(got):
-                if i != j:
-                    assert not orthant.contains(b - a)
-
-        brute = brute_orthant_minimal(L, reps, orthant, radius, exclude)
-        got_slice = [p for p in got if all(abs(x) <= radius for x in p.coords)]
-        assert got_slice == brute
-        for p in brute:
-            assert any(orthant.contains(p - m) for m in got)
+        check_minimal_orthant(L, reps, orthant, exclude)
+    # the coset systems behind the search: no rows (the full lattice), one
+    # equality, and an equality plus a congruence mod 2, over every orthant
+    for L, rep in ((Lattice([(1, 0), (0, 1)]), Point((3, -2))), (KER111, ZERO3),
+                   (Lattice([(2, 0)]), Point((1, 5)))):
+        for orthant in all_orthants(L.dim):
+            for exclude in (False, True):
+                check_minimal_orthant(L, [rep], orthant, exclude)
 
 
 def test_minimal_orthant_downset_inside_box():
-    # every point of the orthant downset of a result sits in its cuboid
-    pts = minimal_orthant_points(KER123, [Point((1, 1, 1))], Orthant.from_string("++-"))
+    # a result's box back to 0 holds no other set point: corners in either order
+    reps = [Point((1, 1, 1))]
+    pts = minimal_orthant_points(KER123, reps, Orthant.from_string("++-"))
+    assert pts
     for p in pts:
-        box = cuboid(zero_point(3), p)
-        assert box.lo.dim == 3
-        assert Orthant.from_string("++-").contains(p - zero_point(3))
+        assert Orthant.from_string("++-").contains(p)
+        assert points_in_box(KER123, reps, ZERO3, p) == (p,)
+        assert points_in_box(KER123, reps, p, ZERO3) == (p,)

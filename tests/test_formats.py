@@ -13,7 +13,6 @@ from scarf.formats import (
     error_doc,
     genericity_doc,
     layering_doc,
-    monomial,
     neighbors_doc,
     parse_cli_point,
     parse_document,
@@ -152,16 +151,6 @@ def test_error_doc():
     exc = GenericityError("w", witness=(Point((2, 1)), Point((2, 2)), 1))
     doc = error_doc(exc, 4)
     assert doc["witness"] == [[2, 1], [2, 2], 1]
-
-
-def test_monomial():
-    assert monomial(Point((0, 0))) == "1"
-    assert monomial(Point((2, 0, 1))) == "x1^2*x3"
-    assert monomial(Point((1, 1))) == "x1*x2"
-    with pytest.raises(InputError):
-        monomial(Point((-1, 2)))
-    with pytest.raises(InputError):
-        monomial(Point(("1/2", 0)))
 
 
 def fixture_docs():

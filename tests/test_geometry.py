@@ -1,4 +1,4 @@
-"""Exact rational points, orders, orthants, boxes."""
+"""Exact rational points, joins, orthants."""
 
 from fractions import Fraction
 
@@ -8,16 +8,11 @@ from hypothesis import strategies as st
 
 from scarf.errors import InputError
 from scarf.geometry import (
-    Box,
     Orthant,
     Point,
     all_orthants,
     as_fraction,
-    cuboid,
     join,
-    join2,
-    leq,
-    meet,
     point_key,
     zero_point,
 )
@@ -104,8 +99,6 @@ class TestOrders:
     def test_join_meet_fixtures(self):
         a, b = Point((1, 4)), Point((3, 2))
         assert join([a, b]) == Point((3, 4))
-        assert meet([a, b]) == Point((1, 2))
-        assert join2(a, b) == join([a, b])
 
     def test_join_of_rational_triple(self):
         pts_ = [Point(("0", "0", "1")), Point((1, 1, 0)), Point((2, "1/2", "1/2"))]
@@ -114,40 +107,17 @@ class TestOrders:
     def test_empty_join_meet_rejected(self):
         with pytest.raises(InputError):
             join([])
-        with pytest.raises(InputError):
-            meet([])
-
-    def test_leq_strict(self):
-        assert leq(Point((1, 1)), Point((1, 2)))
-
-    def test_compare_all_cases(self):
-        # equal, weakly below, strictly below, and incomparable pairs
-        a = Point((1, 1))
-        assert leq(a, Point((1, 1))) and leq(Point((1, 1)), a)
-        assert leq(a, Point((1, 2))) and not leq(Point((1, 2)), a)
-        assert leq(Point((0, 0)), Point((1, 2)))
-        assert leq(Point((1, 2)), Point((3, 3)))
-        assert not leq(Point((3, 3)), Point((1, 2)))
-        assert not leq(Point((0, 2)), Point((2, 0)))
-        assert not leq(Point((2, 0)), Point((0, 2)))
 
     @given(pts(3), pts(3))
     def test_join_is_least_upper_bound(self, a, b):
-        j = join2(a, b)
-        assert leq(a, j) and leq(b, j)
-        m = meet([a, b])
-        assert leq(m, a) and leq(m, b)
-        assert leq(m, j)
+        j = join([a, b])
+        assert all(x <= y for p in (a, b) for x, y in zip(p, j))
+        assert all(y in (x, z) for x, z, y in zip(a, b, j))
 
     @given(pts(2), pts(2), pts(2))
     def test_join_associative_commutative(self, a, b, c):
         assert join([a, b]) == join([b, a])
-        assert join([join2(a, b), c]) == join([a, join2(b, c)])
-
-    @given(pts(3), pts(3))
-    def test_compare_antisymmetry(self, a, b):
-        if leq(a, b) and leq(b, a):
-            assert a == b
+        assert join([join([a, b]), c]) == join([a, join([b, c])])
 
 
 class TestOrthants:
@@ -184,35 +154,10 @@ class TestOrthants:
         def reflect(p):
             return Point(s * c for s, c in zip(signs, p))
 
-        assert o.contains(b - a) == leq(reflect(a), reflect(b))
+        assert o.contains(b - a) == all(x <= y for x, y in zip(reflect(a), reflect(b)))
 
 
 class TestBoxes:
-    def test_box_validation(self):
-        with pytest.raises(InputError):
-            Box(Point((1, 0)), Point((0, 1)))
-        with pytest.raises(InputError):
-            Box(Point((0, 0)), Point((1, 1, 1)))
-        b = Box(Point((0, 0)), Point((2, 2)))
-        assert (b.lo, b.hi) == (Point((0, 0)), Point((2, 2)))
-        assert Box(b.hi, b.hi).lo == b.hi
-
-    def test_cuboid_symmetry(self):
-        a, b = Point((1, -2)), Point((-1, 4))
-        assert cuboid(a, b) == cuboid(b, a)
-        assert cuboid(a, b).lo == Point((-1, -2))
-        assert cuboid(a, b).hi == Point((1, 4))
-
-    @given(pts(2), pts(2), pts(2))
-    def test_cuboid_contains_matches_box(self, a, b, x):
-        box = cuboid(a, b)
-        assert (box.lo, box.hi) == (meet([a, b]), join([a, b]))
-
-    @given(pts(3), pts(3))
-    def test_cuboid_contains_endpoints(self, a, b):
-        box = cuboid(a, b)
-        assert all(leq(box.lo, p) and leq(p, box.hi) for p in (a, b))
-
     def test_point_key_is_lex(self):
         ps = [Point((1, 0)), Point((0, 5)), Point((0, 2))]
         assert sorted(ps, key=point_key) == [Point((0, 2)), Point((0, 5)), Point((1, 0))]

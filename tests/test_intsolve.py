@@ -76,7 +76,7 @@ def test_det_multiplicative():
 
 
 def snf_diag(M):
-    _, D, _ = smith_normal_form(M, check=True)
+    _, D, _ = smith_normal_form(M)
     return tuple(D[i][i] for i in range(min(len(D), len(D[0]))))
 
 
@@ -90,21 +90,21 @@ def test_snf_fixtures():
 
 
 def test_snf_shapes():
-    U, D, V = smith_normal_form([[2, 4, 6]], check=True)
+    U, D, V = smith_normal_form([[2, 4, 6]])
     assert D == [[2, 0, 0]]
     assert len(U) == 1 and len(V) == 3
-    U, D, V = smith_normal_form([[3], [6], [9]], check=True)
+    U, D, V = smith_normal_form([[3], [6], [9]])
     assert [row[0] for row in D] == [3, 0, 0]
 
 
 def test_snf_random_reverify():
-    # check=True re-verifies U*M*V = D, divisibility, unimodularity
+    # every call re-verifies U*M*V = D, divisibility, unimodularity
     rng = random.Random(404)
     for _ in range(300):
         nr = rng.randint(1, 4)
         nc = rng.randint(1, 4)
         M = random_matrix(rng, nr, nc)
-        U, D, V = smith_normal_form(M, check=True)
+        U, D, V = smith_normal_form(M)
         diag = [D[i][i] for i in range(min(nr, nc))]
         assert all(d >= 0 for d in diag)
         for a, b in zip(diag, diag[1:]):
