@@ -3,22 +3,24 @@
 A lattice is given by integer basis columns of full column rank.  Cosets of
 the lattice are described through the Smith normal form of the basis: a
 point lies in a coset exactly when a fixed family of integer equalities and
-congruences holds.  On top of that sit three enumerators used throughout
-the package: all coset points inside a box given by two opposite corners,
-all coset points weakly or strictly below a bound, and the minimal coset
-points of an orthant.  The first two share one Fourier-Motzkin elimination
-plan per lattice and bound pattern, so a query only supplies integer
-right-hand sides.
+congruences holds.  On top of that sits one enumerator of coset points
+between integer bounds, as int tuples, which can stop after a given number
+of points.  It runs one Fourier-Motzkin elimination plan per lattice and
+bound pattern, so a query only supplies integer right-hand sides.  Three
+point queries wrap it: all coset points inside a box given by two opposite
+corners, all coset points weakly or strictly below a bound, and the minimal
+coset points of an orthant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, floor
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, PositivityError
-from .geometry import Orthant, Point, point_key, zero_point
+from .geometry import Orthant, Point, zero_point
 from .intsolve import (
     EliminationPlan,
     matvec,
@@ -29,6 +31,7 @@ from .intsolve import (
 
 __all__ = [
     "Lattice",
+    "coset_points",
     "points_in_box",
     "points_below",
     "minimal_orthant_points",
@@ -38,7 +41,7 @@ __all__ = [
 class Lattice:
     """Integer lattice spanned by basis columns of full column rank."""
 
-    __slots__ = ("columns", "dim", "rank", "_rows", "_snf", "_positive", "_plans")
+    __slots__ = ("columns", "dim", "rank", "_rows", "_snf", "_diag", "_positive", "_plans")
 
     def __init__(self, columns: Sequence[Sequence[int]]):
         cols = []
@@ -63,12 +66,12 @@ class Lattice:
         D = self._snf[1]
         if sum(1 for i in range(min(n, self.rank)) if D[i][i]) != self.rank:
             raise InputError("basis columns must be linearly independent")
+        self._diag = tuple(D[i][i] for i in range(self.rank))
         self._positive = None
         self._plans = {}
 
     def diagonal(self) -> tuple[int, ...]:
-        _, D, _ = self._snf
-        return tuple(D[i][i] for i in range(self.rank))
+        return self._diag
 
     def _int_coords(self, p: Point) -> tuple[int, ...]:
         v = p.as_int_tuple()
@@ -79,7 +82,7 @@ class Lattice:
     def _coset_key(self, v: Sequence[int]) -> tuple[int, ...]:
         """Reduced Smith coordinates of an integer vector: equal exactly on one coset."""
         U, _, _ = self._snf
-        diag = self.diagonal()
+        diag = self._diag
         w = matvec(U, v)
         return tuple(w[i] % diag[i] if i < self.rank else w[i] for i in range(self.dim))
 
@@ -94,11 +97,14 @@ class Lattice:
         representative is v - basis * V q for q_i = floor(w_i / d_i), whose
         Smith coordinates are w_i mod d_i.
         """
-        v = self._int_coords(p)
-        U, D, V = self._snf
+        return Point(self._canonical(self._int_coords(p)))
+
+    def _canonical(self, v: Sequence[int]) -> tuple[int, ...]:
+        """canonical_rep on an integer vector of the right dimension."""
+        U, _, V = self._snf
         w = matvec(U, v)
-        shift = matvec(self._rows, matvec(V, [w[i] // D[i][i] for i in range(self.rank)]))
-        return Point([x - y for x, y in zip(v, shift)])
+        shift = matvec(self._rows, matvec(V, [w[i] // d for i, d in enumerate(self._diag)]))
+        return tuple(x - y for x, y in zip(v, shift))
 
     def _plan(self, pattern: tuple[tuple[bool, bool], ...]) -> EliminationPlan:
         """The elimination plan for x = basis * t under the bounds pattern names.
@@ -154,25 +160,31 @@ def _canonical_reps(lattice: Lattice, reps: Iterable[Point]) -> list[tuple[int, 
     return list(out.values())
 
 
-def _coset_points(lattice: Lattice, creps: list[tuple[int, ...]], lo, hi) -> tuple[Point, ...]:
-    """Sorted points c + basis*t of distinct cosets c with lo_i <= x_i <= hi_i.
+def coset_points(lattice: Lattice, creps: Sequence[tuple[int, ...]], lo, hi,
+                 limit: Optional[int] = None) -> list[tuple[int, ...]]:
+    """Points c + basis*t of the cosets c in creps with lo_i <= x_i <= hi_i, as int tuples.
 
-    Bounds are integers; a None bound leaves that side open.
+    creps holds one integer representative per distinct coset.  Bounds are
+    integers; a None bound leaves that side open, and the region must be
+    bounded.  Points come coset by coset, unsorted.  With a limit the walk
+    stops once it holds that many points, which is all an emptiness or a
+    cardinality test needs.
     """
     plan = lattice._plan(tuple((l is not None, h is not None) for l, h in zip(lo, hi)))
     rows = lattice._rows
-    found = []
+    found: list[tuple[int, ...]] = []
     for c in creps:
+        if len(found) == limit:
+            break
         rhs = []
         for ci, l, h in zip(c, lo, hi):
             if h is not None:
                 rhs.append(h - ci)
             if l is not None:
                 rhs.append(ci - l)
-        for t in plan.points(rhs):
-            found.append(tuple(ci + sum(a * tj for a, tj in zip(row, t)) for ci, row in zip(c, rows)))
-    found.sort()
-    return tuple(Point(v) for v in found)
+        ts = plan.points(rhs, None if limit is None else limit - len(found))
+        found.extend(tuple(ci + sum(map(mul, row, t)) for ci, row in zip(c, rows)) for t in ts)
+    return found
 
 
 def points_in_box(lattice: Lattice, reps: Sequence[Point], a: Point, b: Point) -> tuple[Point, ...]:
@@ -185,7 +197,7 @@ def points_in_box(lattice: Lattice, reps: Sequence[Point], a: Point, b: Point) -
     hi = [floor(max(x, y)) for x, y in zip(a.coords, b.coords)]
     if any(l > h for l, h in zip(lo, hi)):
         return ()
-    return _coset_points(lattice, creps, lo, hi)
+    return tuple(Point(v) for v in sorted(coset_points(lattice, creps, lo, hi)))
 
 
 def _effective_bound(b: Fraction, strict: bool) -> int:
@@ -206,10 +218,12 @@ def points_below(lattice: Lattice, reps: Sequence[Point], bound: Point,
         raise InputError(f"dimension mismatch: point {bound} vs lattice of dimension {lattice.dim}")
     lattice.check_positive()
     hi = [_effective_bound(b, strict) for b in bound.coords]
-    return _coset_points(lattice, _canonical_reps(lattice, reps), [None] * lattice.dim, hi)
+    found = coset_points(lattice, _canonical_reps(lattice, reps), [None] * lattice.dim, hi)
+    return tuple(Point(v) for v in sorted(found))
 
 
-def _orthant_candidates(lattice: Lattice, c: tuple[int, ...], orthant: Orthant) -> set[Point]:
+def _orthant_candidates(lattice: Lattice, c: tuple[int, ...],
+                        orthant: Orthant) -> set[tuple[int, ...]]:
     """Superset of the coset's minimal orthant points, via reflected systems.
 
     With U * basis * V = D, x lies in the coset of c exactly when
@@ -222,7 +236,7 @@ def _orthant_candidates(lattice: Lattice, c: tuple[int, ...], orthant: Orthant) 
     """
     U, _, _ = lattice._snf
     uc = matvec(U, c)
-    diag = lattice.diagonal()
+    diag = lattice._diag
     signs = orthant.signs
     n = lattice.dim
     moduli = [i for i in range(lattice.rank) if diag[i] >= 2]
@@ -238,7 +252,7 @@ def _orthant_candidates(lattice: Lattice, c: tuple[int, ...], orthant: Orthant) 
         y = sol[:n]
         if not any(y):
             continue
-        out.add(Point([signs[j] * y[j] for j in range(n)]))
+        out.add(tuple(signs[j] * y[j] for j in range(n)))
     return out
 
 
@@ -252,19 +266,23 @@ def minimal_orthant_points(lattice: Lattice, reps: Sequence[Point], orthant: Ort
     if len(orthant.signs) != lattice.dim:
         raise InputError(f"dimension mismatch: orthant {orthant} vs lattice of dimension {lattice.dim}")
     creps = _canonical_reps(lattice, reps)
-    zero = zero_point(lattice.dim)
-    has_zero = any(lattice.member(zero - Point(c)) for c in creps)
+    zero = (0,) * lattice.dim
+    # the origin lies in the coset of c exactly when c reduces to the zero key
+    has_zero = any(not any(lattice._coset_key(c)) for c in creps)
     if has_zero and not exclude_zero:
-        return (zero,)
+        return (zero_point(lattice.dim),)
     candidates = set()
     for c in creps:
         candidates |= _orthant_candidates(lattice, c, orthant)
-    skip = {zero} if exclude_zero else set()
     result = []
-    for a in sorted(candidates, key=point_key):
-        inside = set(points_in_box(lattice, reps, zero, a))
-        inside -= skip
+    for a in sorted(candidates):
+        # a is minimal when its box back to the origin holds nothing else, bar
+        # the origin itself under exclude_zero: three points always decide
+        lo, hi = list(map(min, zero, a)), list(map(max, zero, a))
+        inside = set(coset_points(lattice, creps, lo, hi, limit=3))
         inside.discard(a)
+        if exclude_zero:
+            inside.discard(zero)
         if not inside:
-            result.append(a)
+            result.append(Point(a))
     return tuple(result)

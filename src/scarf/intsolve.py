@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, InternalError
@@ -279,8 +280,14 @@ class EliminationPlan:
         self.nvars = nvars
         self.levels, self.checks = fm_systems(rows, nvars)
 
-    def points(self, rhs: Sequence[int]) -> list[tuple[int, ...]]:
-        """All integer z with A z <= rhs, in lexicographic order.  Requires boundedness."""
+    def points(self, rhs: Sequence[int], limit: Optional[int] = None) -> list[tuple[int, ...]]:
+        """All integer z with A z <= rhs, in lexicographic order.  Requires boundedness.
+
+        With a limit, the walk stops once it holds that many points: the
+        result is the first min(limit, total) points of the full list.
+        """
+        if limit is not None and limit <= 0:
+            return []
         for support in self.checks:
             if sum(m * rhs[i] for i, m in support) < 0:
                 return []
@@ -296,13 +303,17 @@ class EliminationPlan:
             upper, lower = bounds[k]
             if not upper or not lower:
                 raise InternalError("unbounded direction in an enumeration region")
-            hi = min((r - sum(a * z for a, z in zip(cs, prefix))) // c for cs, c, r in upper)
-            lo = -min((r - sum(a * z for a, z in zip(cs, prefix))) // c for cs, c, r in lower)
+            hi = min((r - sum(map(mul, cs, prefix))) // c for cs, c, r in upper)
+            lo = -min((r - sum(map(mul, cs, prefix))) // c for cs, c, r in lower)
+            if k == last:
+                if limit is not None:
+                    hi = min(hi, lo + limit - len(out) - 1)
+                out.extend(prefix + (v,) for v in range(lo, hi + 1))
+                return len(out) == limit
             for v in range(lo, hi + 1):
-                if k == last:
-                    out.append(prefix + (v,))
-                else:
-                    walk(k + 1, prefix + (v,))
+                if walk(k + 1, prefix + (v,)):
+                    return True
+            return False
 
         if self.nvars:
             walk(0, ())

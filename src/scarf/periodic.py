@@ -7,15 +7,18 @@ dmax+1 set points; these are the only possible star vertices once dmax
 reaches the star dimension.  Second, faces among the candidates are tested
 exactly against the full periodic set, so reported faces are always
 correct and the report says whether the vertex list is known to be
-complete.
+complete.  Both stages run on int tuples; points and faces are built only
+for the result.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import add
 
 from .complexes import Face, grow_faces
-from .diophantine import Lattice, minimal_orthant_points, points_below, points_in_box
+from .diophantine import Lattice, coset_points, minimal_orthant_points, points_below
 from .errors import CertificationError, InputError
 from .geometry import Point, all_orthants, point_key, zero_point
 
@@ -63,7 +66,8 @@ class PeriodicSet:
     def contains(self, p: Point) -> bool:
         if not p.is_integral():
             return False
-        return any(self.lattice.member(p - rep) for rep in self.reps)
+        key = self.lattice._coset_key(self.lattice._int_coords(p))
+        return any(self.lattice._coset_key(rep.as_int_tuple()) == key for rep in self.reps)
 
     def __eq__(self, other):
         if not isinstance(other, PeriodicSet):
@@ -145,7 +149,7 @@ def exists_strictly_below(A: PeriodicSet, bound: Point):
     return pts[0] if pts else None
 
 
-def _candidate_vertices(A: PeriodicSet, center: Point, dmax: int):
+def _candidate_vertices(A: PeriodicSet, creps: list, center: tuple, dmax: int):
     """Per orthant, the set points whose down-box toward center has at most dmax+1 set points.
 
     Walks from the center, stepping from coset l to coset k by the minimal
@@ -153,45 +157,43 @@ def _candidate_vertices(A: PeriodicSet, center: Point, dmax: int):
     orthant.  Every step lands in the set again, and any qualifying point
     is a maximal qualifying predecessor plus one such minimal step, so the
     walk reaches all of them.  The qualifying region itself is finite, which
-    bounds the walk.
+    bounds the walk.  creps are the set's representatives and center a set
+    point, all int tuples; the candidates come back as sorted int tuples.
     """
-    reps = A.reps
-    center_idx = next(i for i, r in enumerate(reps) if A.lattice.member(center - r))
-    card_memo: dict = {}
+    lattice = A.lattice
+    keys = [lattice._coset_key(c) for c in creps]
+    center_idx = keys.index(lattice._coset_key(center))
+    small: dict = {}
 
-    def downbox_card(p: Point) -> int:
-        key = p.coords
-        if key not in card_memo:
-            card_memo[key] = len(points_in_box(A.lattice, A.reps, center, p))
-        return card_memo[key]
+    def in_small_downbox(p: tuple) -> bool:
+        # dmax+2 points in the box decide the test
+        if p not in small:
+            lo, hi = list(map(min, center, p)), list(map(max, center, p))
+            small[p] = len(coset_points(lattice, creps, lo, hi, limit=dmax + 2)) <= dmax + 1
+        return small[p]
 
     # the single coset a step from coset l to coset k lands in, per (l, k)
-    diffs = [[A.lattice.canonical_rep(rk - rl) for rk in reps] for rl in reps]
+    diffs = [[lattice._canonical([a - b for a, b in zip(ck, cl)]) for ck in creps]
+             for cl in creps]
     counts = []
-    candidates: set[Point] = set()
+    candidates: set = set()
     for orth in all_orthants(A.dim):
-        move_memo: dict = {}
-
-        def moves(l: int, k: int):
-            diff = diffs[l][k]
-            if diff.coords not in move_memo:
-                move_memo[diff.coords] = minimal_orthant_points(
-                    A.lattice, [diff], orth, exclude_zero=True
-                )
-            return move_memo[diff.coords]
-
+        steps: dict = {}
         accepted = {center}
-        rejected: set[Point] = set()
+        rejected: set = set()
         frontier = [(center, center_idx)]
         while frontier:
             nxt = []
             for u, l in frontier:
-                for k in range(len(reps)):
-                    for h in moves(l, k):
-                        s = u + h
+                for k, diff in enumerate(diffs[l]):
+                    if diff not in steps:
+                        steps[diff] = [h.as_int_tuple() for h in minimal_orthant_points(
+                            lattice, [Point(diff)], orth, exclude_zero=True)]
+                    for h in steps[diff]:
+                        s = tuple(map(add, u, h))
                         if s in accepted or s in rejected:
                             continue
-                        if downbox_card(s) <= dmax + 1:
+                        if in_small_downbox(s):
                             accepted.add(s)
                             nxt.append((s, k))
                         else:
@@ -200,7 +202,7 @@ def _candidate_vertices(A: PeriodicSet, center: Point, dmax: int):
         counts.append((str(orth), len(accepted)))
         candidates |= accepted
     candidates.discard(center)
-    return sorted(candidates, key=point_key), tuple(counts)
+    return sorted(candidates), tuple(counts)
 
 
 def star_at(A: PeriodicSet, vertex: Point, dmax: int) -> StarResult:
@@ -209,26 +211,45 @@ def star_at(A: PeriodicSet, vertex: Point, dmax: int) -> StarResult:
         raise InputError(f"point {vertex} is not in the set")
     if dmax < 1:
         raise InputError(f"search depth must be at least 1, got {dmax}")
-    witness_memo: dict = {}
+    lattice = A.lattice
+    creps = [rep.as_int_tuple() for rep in A.reps]
+    center = vertex.as_int_tuple()
+    open_below = [None] * A.dim
+    empty_below: dict = {}
 
     def is_face_join(top: tuple) -> bool:
-        if top not in witness_memo:
-            witness_memo[top] = exists_strictly_below(A, Point(top))
-        return witness_memo[top] is None
+        # no set point strictly below top; one point found decides
+        if top not in empty_below:
+            empty_below[top] = not coset_points(
+                lattice, creps, open_below, [t - 1 for t in top], limit=1)
+        return empty_below[top]
 
-    if not is_face_join(vertex.coords):
+    if not is_face_join(center):
         raise InputError(
-            f"{vertex} is strictly dominated by {witness_memo[vertex.coords]} "
+            f"{vertex} is strictly dominated by {exists_strictly_below(A, vertex)} "
             "and is not a vertex"
         )
-    candidates, counts = _candidate_vertices(A, vertex, dmax)
-    neighbors = tuple(v for v in candidates
-                      if is_face_join(tuple(map(max, vertex.coords, v.coords))))
-    records = grow_faces([v.coords for v in neighbors], [((), vertex.coords)], is_face_join)
-    faces = [Face((vertex,) + tuple(neighbors[j] for j in members)) for members, _ in records]
-    observed = max(f.dim for f in faces)
+    candidates, counts = _candidate_vertices(A, creps, center, dmax)
+    neighbors = [v for v in candidates if is_face_join(tuple(map(max, center, v)))]
+    records = grow_faces(neighbors, [((), center)], is_face_join)
+    # index each face into the star's vertices in point order, the center at
+    # pos; distinct sorted vertices make (size, indices) order Face.key order
+    pos = bisect_left(neighbors, center)
+    keyed = []
+    for members, top in records:
+        cut = bisect_left(members, pos)
+        idx = members[:cut] + (pos,) + tuple(j + 1 for j in members[cut:])
+        keyed.append((len(idx), idx, top))
+    keyed.sort()
+    points = [Point(v) for v in neighbors]
+    vertices = points[:pos] + [vertex] + points[pos:]
+    # faces share few distinct joins: one Point each
+    joins = {top: Point(top) for top in {top for _, _, top in keyed}}
+    faces = tuple(Face.sorted_with_join(tuple(vertices[i] for i in idx), joins[top])
+                  for _, idx, top in keyed)
+    observed = keyed[-1][0] - 1
     report = CompletenessReport(dmax, observed, observed < dmax, counts)
-    return StarResult(vertex, neighbors, tuple(sorted(faces, key=Face.key)), report)
+    return StarResult(vertex, tuple(points), faces, report)
 
 
 def _double_until_certified(compute, dmax_start: int, dmax_limit: int, what: str):
@@ -264,6 +285,7 @@ def quotient_complex(A: PeriodicSet, dmax: int) -> QuotientResult:
     met once per vertex, so its incidence count should equal k; the count
     is reported rather than assumed.
     """
+    lattice = A.lattice
     orbit_map: dict = {}
     observed = -1
     certified = True
@@ -274,19 +296,33 @@ def quotient_complex(A: PeriodicSet, dmax: int) -> QuotientResult:
         certified = certified and star.report.certified
         for name, cnt in star.report.candidate_counts:
             combined[name] = combined.get(name, 0) + cnt
+        ints = {p: p.as_int_tuple() for p in (star.center,) + star.neighbors}
+        shifts: dict = {}
         for f in star.faces:
             # translating by a lattice vector preserves the vertex order, so
             # pinning the least vertex to its canonical representative gives
             # a well-defined key: the Face.key of the translated face
-            v0 = f.vertices[0]
-            shift = [a - b for a, b in zip(A.lattice.canonical_rep(v0).coords, v0.coords)]
-            key = (len(f.vertices),
-                   tuple(tuple(a + b for a, b in zip(v.coords, shift)) for v in f.vertices))
-            entry = orbit_map.get(key)
-            if entry is None:
-                entry = orbit_map[key] = [f.translated(Point(shift)), 0]
-            entry[1] += 1
-    orbits = tuple(FaceOrbit(face=f, incidences=c) for _, (f, c) in sorted(orbit_map.items()))
+            vs = [ints[v] for v in f.vertices]
+            v0 = vs[0]
+            if v0 not in shifts:
+                shifts[v0] = tuple(a - b for a, b in zip(lattice._canonical(v0), v0))
+            shift = shifts[v0]
+            key = (len(vs), tuple(tuple(map(add, v, shift)) for v in vs))
+            orbit_map[key] = orbit_map.get(key, 0) + 1
+    made: dict = {}
+
+    def point(v: tuple) -> Point:
+        # orbit faces share vertices and joins: one Point each
+        if v not in made:
+            made[v] = Point(v)
+        return made[v]
+
+    # one Face per orbit; map(max, vs[0], *vs) is the join, also of a single vertex
+    orbits = tuple(
+        FaceOrbit(face=Face.sorted_with_join(tuple(map(point, vs)),
+                                             point(tuple(map(max, vs[0], *vs)))),
+                  incidences=c)
+        for (_, vs), c in sorted(orbit_map.items()))
     top = max((o.dim for o in orbits), default=-1)
     fvec = tuple(sum(1 for o in orbits if o.dim == d) for d in range(top + 1))
     report = CompletenessReport(dmax, observed, certified, tuple(sorted(combined.items())))

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: documents in, documents out, exit codes."""
 
+import hashlib
 import io
 import json
 
@@ -12,6 +13,9 @@ COLLINEAR = {"points": [[0, 0], [1, 0], [2, 0]]}
 STAIRCASE = {"points": [[2, 0], [1, 1], [0, 2]]}
 NONGENERIC = {"points": [[2, 1], [1, 2], [2, 2]]}
 KER111 = {"basis": [[1, -1, 0], [0, 1, -1]]}
+KER111_E1 = {"basis": [[1, -1, 0], [0, 1, -1]], "cosets": [[0, 0, 0], [1, 0, 0]]}
+KER123 = {"basis": [[2, -1, 0], [3, 0, -1]]}
+KER123_E1 = {"basis": [[2, -1, 0], [3, 0, -1]], "cosets": [[0, 0, 0], [1, 0, 0]]}
 BAD_LATTICE = {"basis": [[1, 0]]}
 
 
@@ -277,6 +281,34 @@ def test_lattice_neighbors_auto_dmax(docfile, capsys):
     doc = json.loads(out)
     assert len(doc["neighbors"]) == 18
     assert doc["report"]["dmax_used"] == 8
+
+
+LATTICE_OUTPUT_SHA256 = (
+    ("lattice-star", KER111, ["--auto-dmax"],
+     "e111a523a2e055af2133060b8d4f4716d307d9f27cd49f499baa2c489d128dbc"),
+    ("lattice-star", KER111_E1, ["--auto-dmax"],
+     "0cb12ab3abef61bdbce15f14fef3cc98734429a1acc2055bfdd53322a3c00199"),
+    ("lattice-star", KER123, ["--auto-dmax"],
+     "9c4e8b067cb69378d0ac3f8de4555964ada536ff4e9e91d39c92bfdf9a878d65"),
+    ("lattice-star", KER123_E1, ["--auto-dmax"],
+     "423b1fb62562b5d7d14be5cfe6d1df3bebd24a7657fd1b9c6dab3b69efcaee82"),
+    ("quotient", KER111_E1, ["--auto-dmax"],
+     "fd39df59fcd13ae3ab0d1cf0034588d9d5c44d0ba2af8f4700996799304e3443"),
+    ("quotient", KER123_E1, ["--auto-dmax"],
+     "1bc386452cab2a6133a82c8a3859719911e628d29b33dcb0b995c19be8507e7e"),
+    ("lattice-neighbors", KER111_E1, ["--dmax", "2", "--vertex", "3,-2,0"],
+     "2ba086021d61e907a790f7a9969551a2f61ca23f8f860b972dc58cb8571b5c9f"),
+    ("lattice-neighbors", KER123_E1, ["--dmax", "2", "--vertex", "2,1,-1"],
+     "f326cfe56360e17f5db65d635157ca468da251c50b5ca4b4eea16e814691853e"),
+)
+
+
+@pytest.mark.parametrize("subcommand, doc, flags, digest", LATTICE_OUTPUT_SHA256,
+                         ids=[f"{c}-{i}" for i, (c, *_) in enumerate(LATTICE_OUTPUT_SHA256)])
+def test_lattice_structured_output_pinned(docfile, capsys, subcommand, doc, flags, digest):
+    code, out, _ = run_cli([subcommand, docfile(doc), *flags, "--format", "structured"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_lattice_flag_validation(docfile, capsys):

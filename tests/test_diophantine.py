@@ -6,8 +6,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from scarf.diophantine import Lattice, minimal_orthant_points, points_below, points_in_box
+from scarf.diophantine import (
+    Lattice,
+    coset_points,
+    minimal_orthant_points,
+    points_below,
+    points_in_box,
+)
 from scarf.errors import InputError, PositivityError
 from scarf.geometry import Orthant, Point, all_orthants, point_key, zero_point
 
@@ -222,6 +230,35 @@ def test_points_in_box_high_rank():
     assert list(points_in_box(L, [zero], Point(lo), Point(hi))) == want
 
 
+@st.composite
+def box_queries(draw):
+    """A lattice in Z^2 or Z^3, one int representative per distinct coset, and a box."""
+    dim = draw(st.integers(2, 3))
+    vector = st.tuples(*[st.integers(-3, 3)] * dim)
+    columns = draw(st.lists(vector, min_size=1, max_size=dim))
+    try:
+        L = Lattice(columns)
+    except InputError:
+        assume(False)
+    reps = draw(st.lists(vector, min_size=1, max_size=3))
+    creps = list({L._coset_key(r): r for r in reps}.values())
+    lo = draw(st.tuples(*[st.integers(-4, 0)] * dim))
+    hi = tuple(l + draw(st.integers(0, 4)) for l in lo)
+    return L, creps, lo, hi
+
+
+@given(box_queries(), st.integers(0, 30))
+def test_coset_points_limit(query, limit):
+    L, creps, lo, hi = query
+    full = coset_points(L, creps, lo, hi)
+    assert len(set(full)) == len(full)
+    assert sorted(full) == [p.as_int_tuple() for p in
+                            points_in_box(L, [Point(c) for c in creps], Point(lo), Point(hi))]
+    got = coset_points(L, creps, lo, hi, limit=limit)
+    assert len(got) == min(limit, len(full))
+    assert set(got) <= set(full)
+
+
 # ---------------------------------------------------------------------------
 # points below a bound
 
@@ -319,6 +356,13 @@ def test_minimal_orthant_fixtures():
     mixed = minimal_orthant_points(KER111, [ZERO3], Orthant.from_string("+-+"),
                                    exclude_zero=True)
     assert mixed == (Point((0, -1, 1)), Point((1, -1, 0)))
+
+    # (1, 2) is not minimal: its box holds (0, 1) as well, but the origin and
+    # (1, 2) itself come out of the box query first, so two points do not decide
+    L = Lattice([(1, 2), (-2, 1)])
+    got = minimal_orthant_points(L, [Point((1, 2)), Point((-1, -1))], Orthant.from_string("++"),
+                                 exclude_zero=True)
+    assert got == (Point((0, 1)), Point((2, 0)))
 
 
 def test_minimal_orthant_dim_mismatch():

@@ -6,9 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scarf.errors import InputError, InternalError
 from scarf.intsolve import (
+    EliminationPlan,
     det,
     fm_enumerate_integer,
     identity_matrix,
@@ -201,6 +204,33 @@ def test_fm_enumerate_matches_scan():
         want = [vals for vals in itertools.product(range(-2, 3), repeat=n)
                 if all(sum(c * v for c, v in zip(coeffs, vals)) <= rhs for coeffs, rhs in rows)]
         assert got == want, rows
+
+
+@st.composite
+def bounded_systems(draw):
+    """Integer rows and right-hand sides: a box in Z^n, n <= 3, cut by up to two halfplanes."""
+    n = draw(st.integers(1, 3))
+    rows, rhs = [], []
+    for i in range(n):
+        unit = [int(j == i) for j in range(n)]
+        rows += [unit, [-x for x in unit]]
+        rhs += [draw(st.integers(-1, 3)), draw(st.integers(-1, 3))]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.append(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        rhs.append(draw(st.integers(-3, 5)))
+    return rows, rhs
+
+
+@given(bounded_systems(), st.integers(1, 40))
+def test_plan_points_limit_is_a_prefix(system, limit):
+    rows, rhs = system
+    plan = EliminationPlan(rows, len(rows[0]))
+    full = plan.points(rhs)
+    assert full == sorted(set(full))
+    assert plan.points(rhs, limit=limit) == full[:limit]
+    assert plan.points(rhs, limit=0) == []
+    assert plan.points(rhs, limit=len(full)) == full
+    assert plan.points(rhs, limit=len(full) + 1) == full
 
 
 def test_fm_unbounded_raises():

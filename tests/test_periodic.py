@@ -8,7 +8,7 @@ import pytest
 from scarf.complexes import Face, LabeledComplex
 from scarf.diophantine import Lattice
 from scarf.errors import CertificationError, InputError, PositivityError
-from scarf.geometry import Point, all_orthants, zero_point
+from scarf.geometry import Point, all_orthants, join, point_key, zero_point
 from scarf.oracles import oracle_lattice_neighbors, oracle_star_orbit_counts
 from scarf.periodic import (
     PeriodicSet,
@@ -147,6 +147,23 @@ def test_every_face_made_of_set_points():
             assert A.contains(v)
 
 
+def test_star_faces_are_canonical():
+    # star_at and quotient_complex build faces with Face.sorted_with_join,
+    # which checks nothing; check here what Face() enforces
+    for make in (ker111, ker123, ker111_e1, ker123_e1):
+        A = make()
+        star = certified_star(A)
+        assert list(star.faces) == sorted(star.faces, key=Face.key)
+        for f in star.faces:
+            keys = [point_key(v) for v in f.vertices]
+            assert keys == sorted(set(keys)), f
+            assert star.center in f.vertices
+            assert f.multidegree == join(f.vertices)
+        for orbit in certified_quotient(A).orbits:
+            assert orbit.face == Face(orbit.face.vertices)
+            assert orbit.face.multidegree == join(orbit.face.vertices)
+
+
 def test_star_translation_invariance():
     # the star at rep + t is the star at rep moved by t, down to the order of
     # every field, for lattice vectors t.  Neighbor and face counts at each
@@ -254,6 +271,7 @@ def test_dominated_vertex_error_names_vertex_and_witness():
     witness = Point(int(x) for x in found.group(1).split(", "))
     assert A.contains(witness)
     assert all(w < c for w, c in zip(witness, v))
+    assert witness == exists_strictly_below(A, v)  # the lex-least one
 
 
 def test_depth_limit_raises_certification_error():
