@@ -291,15 +291,16 @@ class EliminationPlan:
         for support in self.checks:
             if sum(m * rhs[i] for i, m in support) < 0:
                 return []
-        bounds = [
-            tuple(tuple((cs, c, sum(m * rhs[i] for i, m in support)) for cs, c, support in side)
-                  for side in level)
-            for level in self.levels
-        ]
+        # a level's right-hand sides, computed when the walk first reaches it
+        bounds = [None] * self.nvars
         last = self.nvars - 1
         out = []
 
         def walk(k, prefix):
+            if bounds[k] is None:
+                bounds[k] = tuple(
+                    tuple((cs, c, sum(m * rhs[i] for i, m in support)) for cs, c, support in side)
+                    for side in self.levels[k])
             upper, lower = bounds[k]
             if not upper or not lower:
                 raise InternalError("unbounded direction in an enumeration region")

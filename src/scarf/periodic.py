@@ -1,10 +1,15 @@
 """Neighbor structure of periodic point sets.
 
 A periodic set is a finite union of cosets of one lattice.  Faces at a
-point are computed in two stages.  First, per orthant, a breadth-first walk
-over minimal coset steps collects every point whose down-box holds at most
-dmax+1 set points; these are the only possible star vertices once dmax
-reaches the star dimension.  Second, faces among the candidates are tested
+point are computed in two stages.  First, per orthant, a walk over minimal
+coset steps collects every point whose down-box toward the center holds at
+most dmax+1 set points; these are the only possible star vertices once
+dmax reaches the star dimension.  Each set point of such a box is reached
+by steps that stay inside the box, and points pop in order of their
+weight, so the box's other set points have all been decided when a point
+pops: its count is a scan of the points already accepted.  The steps of
+coset -d in the opposite orthant are the negated steps of coset d, so
+each pair is searched once.  Second, faces among the candidates are tested
 exactly against the full periodic set, so reported faces are always
 correct and the report says whether the vertex list is known to be
 complete.  Both stages run on int tuples; points and faces are built only
@@ -15,7 +20,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import add
+from heapq import heappop, heappush
+from operator import add, le, mul
 
 from .complexes import Face, grow_faces
 from .diophantine import Lattice, coset_points, minimal_orthant_points, points_below
@@ -152,55 +158,74 @@ def exists_strictly_below(A: PeriodicSet, bound: Point):
 def _candidate_vertices(A: PeriodicSet, creps: list, center: tuple, dmax: int):
     """Per orthant, the set points whose down-box toward center has at most dmax+1 set points.
 
-    Walks from the center, stepping from coset l to coset k by the minimal
-    nonzero points of the single coset (rep_k - rep_l) + L inside the
-    orthant.  Every step lands in the set again, and any qualifying point
-    is a maximal qualifying predecessor plus one such minimal step, so the
-    walk reaches all of them.  The qualifying region itself is finite, which
-    bounds the walk.  creps are the set's representatives and center a set
-    point, all int tuples; the candidates come back as sorted int tuples.
+    The walk runs in reflected offsets r(s) = (sigma_i (s_i - c_i)) from the
+    center c, so each orthant sigma becomes the nonnegative one.  A step from
+    coset l to coset k is a minimal nonzero point of the single coset
+    (rep_k - rep_l) + L in the orthant, so every step has positive weight
+    w(r) = sum(r).  Any set point x of box(c, s) is reached from c by such
+    steps along a chain inside box(c, x): the difference to x dominates some
+    minimal step, and the weight drops.
+
+    Points pop from a heap by (w, r, coset), in an order that does not
+    depend on the order of the steps, and x <= s with x != s gives
+    w(x) < w(s).  So when s pops, every point of its box that was pushed
+    has popped.  If some rejected offset lies below r(s), s is rejected.
+    Otherwise the chain to each other set point of the box was accepted
+    throughout: its first point not accepted would lie in box(s), would
+    have been pushed and popped, and would have been rejected or skipped
+    below a rejected offset, which then lies below r(s).  The accepted offsets
+    below r(s), the center's zero included, are exactly the box's other set
+    points, and s is accepted when they number at most dmax.  (A rejected
+    offset has more than dmax accepted offsets below it, so the count alone
+    would decide too; the short rejected list decides faster.)  Only
+    accepted points step on, and the accepted region is finite, which
+    bounds the walk.
+
+    The minimal points of coset -d in orthant -sigma are the negated ones of
+    coset d in sigma: the same reflected steps, computed once per pair.
+    creps are the set's representatives and center a set point, all int
+    tuples; the candidates come back as sorted int tuples.
     """
     lattice = A.lattice
     keys = [lattice._coset_key(c) for c in creps]
     center_idx = keys.index(lattice._coset_key(center))
-    small: dict = {}
-
-    def in_small_downbox(p: tuple) -> bool:
-        # dmax+2 points in the box decide the test
-        if p not in small:
-            lo, hi = list(map(min, center, p)), list(map(max, center, p))
-            small[p] = len(coset_points(lattice, creps, lo, hi, limit=dmax + 2)) <= dmax + 1
-        return small[p]
-
     # the single coset a step from coset l to coset k lands in, per (l, k)
     diffs = [[lattice._canonical([a - b for a, b in zip(ck, cl)]) for ck in creps]
              for cl in creps]
+    steps: dict = {}
+    zero = (0,) * A.dim
     counts = []
     candidates: set = set()
     for orth in all_orthants(A.dim):
-        steps: dict = {}
-        accepted = {center}
-        rejected: set = set()
-        frontier = [(center, center_idx)]
-        while frontier:
-            nxt = []
-            for u, l in frontier:
-                for k, diff in enumerate(diffs[l]):
-                    if diff not in steps:
-                        steps[diff] = [h.as_int_tuple() for h in minimal_orthant_points(
-                            lattice, [Point(diff)], orth, exclude_zero=True)]
-                    for h in steps[diff]:
-                        s = tuple(map(add, u, h))
-                        if s in accepted or s in rejected:
-                            continue
-                        if in_small_downbox(s):
-                            accepted.add(s)
-                            nxt.append((s, k))
-                        else:
-                            rejected.add(s)
-            frontier = nxt
+        signs = orth.signs
+        accepted = [zero]
+        rejected: list = []
+        seen = {zero}
+        heap = [(0, zero, center_idx)]
+        while heap:
+            w, r, l = heappop(heap)
+            if w:
+                if any(all(map(le, x, r)) for x in rejected):
+                    continue
+                if sum(all(map(le, x, r)) for x in accepted) > dmax:
+                    rejected.append(r)
+                    continue
+                accepted.append(r)
+            for k, diff in enumerate(diffs[l]):
+                moves = steps.get((signs, diff))
+                if moves is None:
+                    found = minimal_orthant_points(lattice, [Point(diff)], orth, exclude_zero=True)
+                    reflected = [tuple(map(mul, signs, h.as_int_tuple())) for h in found]
+                    moves = [(sum(h), h) for h in reflected]
+                    opposite = (tuple(-x for x in signs), lattice._canonical([-x for x in diff]))
+                    steps[signs, diff] = steps[opposite] = moves
+                for wh, h in moves:
+                    t = tuple(map(add, r, h))
+                    if t not in seen:
+                        seen.add(t)
+                        heappush(heap, (w + wh, t, k))
         counts.append((str(orth), len(accepted)))
-        candidates |= accepted
+        candidates.update(tuple(map(add, center, map(mul, signs, r))) for r in accepted)
     candidates.discard(center)
     return sorted(candidates), tuple(counts)
 

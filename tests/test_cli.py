@@ -16,6 +16,8 @@ KER111 = {"basis": [[1, -1, 0], [0, 1, -1]]}
 KER111_E1 = {"basis": [[1, -1, 0], [0, 1, -1]], "cosets": [[0, 0, 0], [1, 0, 0]]}
 KER123 = {"basis": [[2, -1, 0], [3, 0, -1]]}
 KER123_E1 = {"basis": [[2, -1, 0], [3, 0, -1]], "cosets": [[0, 0, 0], [1, 0, 0]]}
+KER125_E1 = {"basis": [[2, -1, 0], [5, 0, -1]], "cosets": [[0, 0, 0], [1, 0, 0]]}
+KER123_3COSETS = {"basis": [[2, -1, 0], [3, 0, -1]], "cosets": [[0, 0, 0], [1, 0, 0], [1, 1, 0]]}
 BAD_LATTICE = {"basis": [[1, 0]]}
 
 
@@ -300,6 +302,10 @@ LATTICE_OUTPUT_SHA256 = (
      "2ba086021d61e907a790f7a9969551a2f61ca23f8f860b972dc58cb8571b5c9f"),
     ("lattice-neighbors", KER123_E1, ["--dmax", "2", "--vertex", "2,1,-1"],
      "f326cfe56360e17f5db65d635157ca468da251c50b5ca4b4eea16e814691853e"),
+    ("quotient", KER125_E1, ["--auto-dmax"],
+     "e1b9129e3efd7dbcdee41f3e857bdac3f82740ac554c50c80bec402f84699d10"),
+    ("lattice-star", KER123_3COSETS, ["--dmax", "6", "--vertex", "1,1,0"],
+     "1016966acb745ae524ae588df4f903027992041a3c47ff3cbc9dfcdec97b35b4"),
 )
 
 

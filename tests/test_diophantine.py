@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scarf.diophantine import (
@@ -417,6 +417,33 @@ def test_minimal_orthant_random():
         for orthant in all_orthants(L.dim):
             for exclude in (False, True):
                 check_minimal_orthant(L, [rep], orthant, exclude)
+
+
+@st.composite
+def orthant_queries(draw):
+    """A lattice in Z^2 or Z^3, one integer coset representative, and an orthant."""
+    dim = draw(st.integers(2, 3))
+    vector = st.tuples(*[st.integers(-2, 2)] * dim)
+    columns = draw(st.lists(vector, min_size=1, max_size=dim))
+    try:
+        L = Lattice(columns)
+    except InputError:
+        assume(False)
+    signs = draw(st.tuples(*[st.sampled_from((1, -1))] * dim))
+    return L, draw(vector), Orthant(signs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orthant_queries())
+def test_minimal_orthant_opposite_symmetry(query):
+    # x is in c + L and in sigma exactly when -x is in -c + L and in -sigma
+    L, c, orthant = query
+    got = minimal_orthant_points(L, [Point(c)], orthant, exclude_zero=True)
+    opposite = minimal_orthant_points(L, [Point([-x for x in c])],
+                                      Orthant(tuple(-s for s in orthant.signs)),
+                                      exclude_zero=True)
+    assert sorted(p.as_int_tuple() for p in got) == \
+        sorted(tuple(-x for x in p.as_int_tuple()) for p in opposite)
 
 
 def test_minimal_orthant_downset_inside_box():

@@ -2,16 +2,22 @@
 
 import itertools
 import re
+from collections import Counter
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scarf.periodic
 from scarf.complexes import Face, LabeledComplex
-from scarf.diophantine import Lattice
+from scarf.diophantine import Lattice, coset_points, minimal_orthant_points, points_in_box
 from scarf.errors import CertificationError, InputError, PositivityError
 from scarf.geometry import Point, all_orthants, join, point_key, zero_point
 from scarf.oracles import oracle_lattice_neighbors, oracle_star_orbit_counts
 from scarf.periodic import (
     PeriodicSet,
+    _candidate_vertices,
     certified_quotient,
     certified_star,
     exists_strictly_below,
@@ -285,6 +291,96 @@ def test_depth_limit_raises_certification_error():
     with pytest.raises(CertificationError) as info:
         certified_quotient(ker111(), dmax_limit=3)
     assert info.value.report == quotient_complex(ker111(), 2).report
+
+
+# ---------------------------------------------------------------------------
+# the candidate walk
+
+
+def reference_candidates(A, creps, center, dmax):
+    """Breadth-first walk over minimal coset steps, one down-box query per point.
+
+    An independent statement of what _candidate_vertices computes: a point
+    is accepted when box(center, point) holds at most dmax+1 set points, and
+    only accepted points step on.
+    """
+    lattice = A.lattice
+    keys = [lattice._coset_key(c) for c in creps]
+    center_idx = keys.index(lattice._coset_key(center))
+
+    def in_small_downbox(p):
+        lo, hi = list(map(min, center, p)), list(map(max, center, p))
+        return len(coset_points(lattice, creps, lo, hi, limit=dmax + 2)) <= dmax + 1
+
+    counts = []
+    candidates = set()
+    for orth in all_orthants(A.dim):
+        accepted, rejected = {center}, set()
+        frontier = [(center, center_idx)]
+        while frontier:
+            nxt = []
+            for u, l in frontier:
+                for k, ck in enumerate(creps):
+                    diff = Point([a - b for a, b in zip(ck, creps[l])])
+                    for h in minimal_orthant_points(lattice, [diff], orth, exclude_zero=True):
+                        s = tuple(map(add, u, h.as_int_tuple()))
+                        if s in accepted or s in rejected:
+                            continue
+                        if in_small_downbox(s):
+                            accepted.add(s)
+                            nxt.append((s, k))
+                        else:
+                            rejected.add(s)
+            frontier = nxt
+        counts.append((str(orth), len(accepted)))
+        candidates |= accepted
+    candidates.discard(center)
+    return sorted(candidates), tuple(counts)
+
+
+@st.composite
+def small_periodic_sets(draw):
+    """ker(x) in Z^3 for x a permutation of (1, b, c), with one to three cosets."""
+    b, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    x = draw(st.permutations((1, b, c)))
+    one = x.index(1)
+    columns = []
+    for j in range(3):
+        if j != one:
+            col = [0, 0, 0]
+            col[one], col[j] = -x[j], 1
+            columns.append(tuple(col))
+    reps = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=3))
+    return PeriodicSet(Lattice(columns), reps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_periodic_sets(), st.integers(1, 6))
+def test_candidate_walk_matches_reference(A, dmax):
+    creps = [rep.as_int_tuple() for rep in A.reps]
+    for center in creps:
+        got = _candidate_vertices(A, creps, center, dmax)
+        assert got == reference_candidates(A, creps, center, dmax)
+        for v in got[0]:
+            assert len(points_in_box(A.lattice, A.reps, Point(center), Point(v))) <= dmax + 1
+
+
+def test_step_search_shared_across_opposite_orthants(monkeypatch):
+    A = ker123_e1()
+    calls = []
+
+    def counting(lattice, reps, orthant, exclude_zero=False):
+        calls.append((orthant.signs, lattice.canonical_rep(reps[0]).as_int_tuple()))
+        return minimal_orthant_points(lattice, reps, orthant, exclude_zero=exclude_zero)
+
+    monkeypatch.setattr(scarf.periodic, "minimal_orthant_points", counting)
+    star_at(A, ZERO3, 4)
+    assert calls
+    pairs = Counter(
+        frozenset([(signs, diff), (tuple(-s for s in signs),
+                                   A.lattice.canonical_rep(Point([-x for x in diff])).as_int_tuple())])
+        for signs, diff in calls)
+    assert max(pairs.values()) == 1
 
 
 # ---------------------------------------------------------------------------
