@@ -41,7 +41,7 @@ from .periodic import (
     star_at,
     validate_periodic_set,
 )
-from .posets import FinitePoset, Layering, dickson_layers, filter_by_downset
+from .posets import Layering, dickson_layers, filter_by_downset
 from .resolution import ChainCheck, Resolution, build_resolution, verify_chain
 
 __version__ = "0.1.0"
@@ -53,7 +53,6 @@ __all__ = [
     "Face",
     "FaceOrbit",
     "FinitePointSet",
-    "FinitePoset",
     "GenericityError",
     "GenericityReport",
     "InputError",

@@ -25,7 +25,7 @@ from .finite import FinitePointSet, enumerate_complex, is_generic, neighbors
 from .geometry import Orthant, Point, point_key, zero_point
 from .oracles import oracle_finite_nb, oracle_lattice_neighbors
 from .periodic import certified_quotient, certified_star, quotient_complex, star_at
-from .posets import FinitePoset, dickson_layers, filter_by_downset
+from .posets import dickson_layers, filter_by_downset
 from .resolution import build_resolution, verify_chain
 
 __all__ = ["run", "main"]
@@ -207,13 +207,8 @@ def run(job: argparse.Namespace) -> dict:
         if job.k < 0:
             raise InputError(f"--k must be a natural number, got {job.k}")
         orthant = Orthant.from_string(job.orthant) if job.orthant else None
-        if orthant is not None and len(orthant.signs) != A.dim:
-            raise InputError(
-                f"--orthant has dimension {len(orthant.signs)}, the set has dimension {A.dim}"
-            )
-        poset = FinitePoset(A.points, orthant)
-        layering = dickson_layers(poset, job.k)
-        filtered = filter_by_downset(poset, job.k)
+        layering = dickson_layers(A, job.k, orthant)
+        filtered = filter_by_downset(A, job.k, orthant)
         return formats.layering_doc(layering, filtered, job.k)
 
     if job.subcommand == "scarf-resolve":

@@ -3,24 +3,24 @@
 A lattice is given by integer basis columns of full column rank.  Cosets of
 the lattice are described through the Smith normal form of the basis: a
 point lies in a coset exactly when a fixed family of integer equalities and
-congruences holds.  On top of that sits one enumerator of coset points
-between integer bounds, as int tuples, which can stop after a given number
-of points.  It runs one Fourier-Motzkin elimination plan per lattice and
-bound pattern, so a query only supplies integer right-hand sides.  Three
+congruences holds.  On top of that sits one lazy enumerator of coset
+points between integer bounds, as int tuples, so an emptiness test stops at
+the first point.  It runs one Fourier-Motzkin elimination plan per lattice
+and bound pattern, so a query only supplies integer right-hand sides.  Two
 point queries wrap it: all coset points inside a box given by two opposite
-corners, all coset points weakly or strictly below a bound, and the minimal
-coset points of an orthant.
+corners, and all coset points strictly below a bound.  The minimal nonzero
+coset points of an orthant come from a minimal-solutions search instead,
+decided among its own candidates.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import ceil, floor
-from operator import mul
-from typing import Iterable, Optional, Sequence
+from operator import le, mul
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError, PositivityError
-from .geometry import Orthant, Point, zero_point
+from .geometry import Orthant, Point
 from .intsolve import (
     EliminationPlan,
     matvec,
@@ -160,31 +160,26 @@ def _canonical_reps(lattice: Lattice, reps: Iterable[Point]) -> list[tuple[int, 
     return list(out.values())
 
 
-def coset_points(lattice: Lattice, creps: Sequence[tuple[int, ...]], lo, hi,
-                 limit: Optional[int] = None) -> list[tuple[int, ...]]:
+def coset_points(lattice: Lattice, creps: Sequence[tuple[int, ...]],
+                 lo, hi) -> Iterator[tuple[int, ...]]:
     """Points c + basis*t of the cosets c in creps with lo_i <= x_i <= hi_i, as int tuples.
 
     creps holds one integer representative per distinct coset.  Bounds are
     integers; a None bound leaves that side open, and the region must be
-    bounded.  Points come coset by coset, unsorted.  With a limit the walk
-    stops once it holds that many points, which is all an emptiness or a
-    cardinality test needs.
+    bounded.  Points are generated coset by coset, unsorted, so a caller
+    that needs only the first point stops the walk there.
     """
     plan = lattice._plan(tuple((l is not None, h is not None) for l, h in zip(lo, hi)))
     rows = lattice._rows
-    found: list[tuple[int, ...]] = []
     for c in creps:
-        if len(found) == limit:
-            break
         rhs = []
         for ci, l, h in zip(c, lo, hi):
             if h is not None:
                 rhs.append(h - ci)
             if l is not None:
                 rhs.append(ci - l)
-        ts = plan.points(rhs, None if limit is None else limit - len(found))
-        found.extend(tuple(ci + sum(map(mul, row, t)) for ci, row in zip(c, rows)) for t in ts)
-    return found
+        for t in plan.points(rhs):
+            yield tuple(ci + sum(map(mul, row, t)) for ci, row in zip(c, rows))
 
 
 def points_in_box(lattice: Lattice, reps: Sequence[Point], a: Point, b: Point) -> tuple[Point, ...]:
@@ -200,16 +195,8 @@ def points_in_box(lattice: Lattice, reps: Sequence[Point], a: Point, b: Point) -
     return tuple(Point(v) for v in sorted(coset_points(lattice, creps, lo, hi)))
 
 
-def _effective_bound(b: Fraction, strict: bool) -> int:
-    # integer x satisfies x < b iff x <= b - 1 (b integral) or x <= floor(b)
-    if strict and b.denominator == 1:
-        return b.numerator - 1
-    return floor(b)
-
-
-def points_below(lattice: Lattice, reps: Sequence[Point], bound: Point,
-                 strict: bool = False) -> tuple[Point, ...]:
-    """All coset points weakly (or strictly) below the bound in every coordinate.
+def points_below(lattice: Lattice, reps: Sequence[Point], bound: Point) -> tuple[Point, ...]:
+    """All coset points strictly below the bound in every coordinate.
 
     Finite only when the lattice meets the nonnegative orthant in 0 alone;
     otherwise a PositivityError carries the violating lattice vector.
@@ -217,22 +204,24 @@ def points_below(lattice: Lattice, reps: Sequence[Point], bound: Point,
     if bound.dim != lattice.dim:
         raise InputError(f"dimension mismatch: point {bound} vs lattice of dimension {lattice.dim}")
     lattice.check_positive()
-    hi = [_effective_bound(b, strict) for b in bound.coords]
+    # an integer x satisfies x < b exactly when x <= ceil(b) - 1
+    hi = [ceil(b) - 1 for b in bound.coords]
     found = coset_points(lattice, _canonical_reps(lattice, reps), [None] * lattice.dim, hi)
     return tuple(Point(v) for v in sorted(found))
 
 
 def _orthant_candidates(lattice: Lattice, c: tuple[int, ...],
                         orthant: Orthant) -> set[tuple[int, ...]]:
-    """Superset of the coset's minimal orthant points, via reflected systems.
+    """Superset of the coset's minimal nonzero orthant points, via reflected systems.
 
     With U * basis * V = D, x lies in the coset of c exactly when
     (U x)_i = (U c)_i for each i past the rank and (U x)_i = (U c)_i
     (mod d_i) for each d_i >= 2 below it.  In reflected coordinates that is
     a system over the naturals once each congruence gains a slack pair, so
     it feeds a minimal-solutions search.  Projections of minimal extended
-    solutions cover every minimal point, with possible extras that the
-    caller filters exactly.
+    solutions cover every minimal nonzero point, with possible extras that
+    the caller filters exactly; every candidate is a nonzero coset point of
+    the orthant.
     """
     U, _, _ = lattice._snf
     uc = matvec(U, c)
@@ -256,33 +245,20 @@ def _orthant_candidates(lattice: Lattice, c: tuple[int, ...],
     return out
 
 
-def minimal_orthant_points(lattice: Lattice, reps: Sequence[Point], orthant: Orthant,
-                           exclude_zero: bool = False) -> tuple[Point, ...]:
-    """Minimal points of the coset union inside the orthant's reflected order.
+def minimal_orthant_points(lattice: Lattice, reps: Sequence[Point],
+                           orthant: Orthant) -> tuple[Point, ...]:
+    """Minimal nonzero points of the coset union inside the orthant's reflected order.
 
-    With exclude_zero the origin is removed from the set before taking
-    minimal elements, which is how neighbor candidates are produced.
+    These are the steps from which neighbor candidates are produced.  Every
+    minimal point is a candidate and every candidate a nonzero set point,
+    so a candidate is minimal exactly when no other candidate lies below it.
     """
     if len(orthant.signs) != lattice.dim:
         raise InputError(f"dimension mismatch: orthant {orthant} vs lattice of dimension {lattice.dim}")
-    creps = _canonical_reps(lattice, reps)
-    zero = (0,) * lattice.dim
-    # the origin lies in the coset of c exactly when c reduces to the zero key
-    has_zero = any(not any(lattice._coset_key(c)) for c in creps)
-    if has_zero and not exclude_zero:
-        return (zero_point(lattice.dim),)
     candidates = set()
-    for c in creps:
+    for c in _canonical_reps(lattice, reps):
         candidates |= _orthant_candidates(lattice, c, orthant)
-    result = []
-    for a in sorted(candidates):
-        # a is minimal when its box back to the origin holds nothing else, bar
-        # the origin itself under exclude_zero: three points always decide
-        lo, hi = list(map(min, zero, a)), list(map(max, zero, a))
-        inside = set(coset_points(lattice, creps, lo, hi, limit=3))
-        inside.discard(a)
-        if exclude_zero:
-            inside.discard(zero)
-        if not inside:
-            result.append(Point(a))
-    return tuple(result)
+    reflected = {a: tuple(map(mul, orthant.signs, a)) for a in candidates}
+    return tuple(
+        Point(a) for a in sorted(candidates)
+        if not any(b != a and all(map(le, rb, reflected[a])) for b, rb in reflected.items()))

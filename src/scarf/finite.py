@@ -183,11 +183,11 @@ def _generic_pairwise(A: FinitePointSet):
 
 def _generic_facet(A: FinitePointSet):
     # Same 1-based coordinate convention as the pairwise form; faces scan
-    # in canonical order, and the witnesses are the first two points below
-    # the join that attain it on the axis.
+    # in the order grow_faces emits them, by size and then member indices,
+    # and the witnesses are the first two points below the join that attain
+    # it on the axis.
     index = A.rank_index
-    records = sorted(_face_records(A, None), key=lambda rec: (len(rec[0]), rec[0]))
-    tops = [top for _, top in records]
+    tops = [top for _, top in _face_records(A, None)]
     weakly = [index.weakly_under(top) for top in tops]
     for k, below in enumerate(index.below):
         for top, le in zip(tops, weakly):

@@ -280,21 +280,18 @@ class EliminationPlan:
         self.nvars = nvars
         self.levels, self.checks = fm_systems(rows, nvars)
 
-    def points(self, rhs: Sequence[int], limit: Optional[int] = None) -> list[tuple[int, ...]]:
-        """All integer z with A z <= rhs, in lexicographic order.  Requires boundedness.
+    def points(self, rhs: Sequence[int]) -> Iterator[tuple[int, ...]]:
+        """Generate all integer z with A z <= rhs, in lexicographic order.
 
-        With a limit, the walk stops once it holds that many points: the
-        result is the first min(limit, total) points of the full list.
+        Requires boundedness.  The walk is lazy, so a caller that stops
+        early stops the enumeration there.
         """
-        if limit is not None and limit <= 0:
-            return []
         for support in self.checks:
             if sum(m * rhs[i] for i, m in support) < 0:
-                return []
+                return
         # a level's right-hand sides, computed when the walk first reaches it
         bounds = [None] * self.nvars
         last = self.nvars - 1
-        out = []
 
         def walk(k, prefix):
             if bounds[k] is None:
@@ -307,18 +304,14 @@ class EliminationPlan:
             hi = min((r - sum(map(mul, cs, prefix))) // c for cs, c, r in upper)
             lo = -min((r - sum(map(mul, cs, prefix))) // c for cs, c, r in lower)
             if k == last:
-                if limit is not None:
-                    hi = min(hi, lo + limit - len(out) - 1)
-                out.extend(prefix + (v,) for v in range(lo, hi + 1))
-                return len(out) == limit
-            for v in range(lo, hi + 1):
-                if walk(k + 1, prefix + (v,)):
-                    return True
-            return False
+                for v in range(lo, hi + 1):
+                    yield prefix + (v,)
+            else:
+                for v in range(lo, hi + 1):
+                    yield from walk(k + 1, prefix + (v,))
 
         if self.nvars:
-            walk(0, ())
-        return out
+            yield from walk(0, ())
 
 
 def fm_enumerate_integer(rows, nvars: int) -> Iterator[tuple[int, ...]]:
@@ -387,13 +380,13 @@ def _dominates_any(x, minimals):
     return False
 
 
-def _cd_search(columns, caps=None):
+def _cd_search(columns, capped=False):
     """Componentwise-minimal nonzero solutions of sum_i x_i * columns[i] = 0, x in N^k.
 
     Breadth-first from the unit vectors; a node x grows in direction i only
     when <Ax, Ae_i> < 0, which preserves completeness; nodes dominating a
-    known solution are pruned.  caps bounds individual coordinates (used for
-    the homogenization variable), which only discards solutions above a cap.
+    known solution are pruned.  capped keeps the last coordinate (the
+    homogenization counter) at most 1, which only discards solutions above it.
     """
     k = len(columns)
     nrows = len(columns[0]) if k else 0
@@ -401,8 +394,6 @@ def _cd_search(columns, caps=None):
     minimals = []
     frontier = {}
     for i in range(k):
-        if caps is not None and caps.get(i, None) is not None and caps[i] < 1:
-            continue
         unit = tuple(1 if j == i else 0 for j in range(k))
         frontier[unit] = tuple(columns[i])
     while frontier:
@@ -415,10 +406,8 @@ def _cd_search(columns, caps=None):
             if _dominates_any(x, minimals):
                 continue
             for i in range(k):
-                if caps is not None:
-                    cap = caps.get(i, None)
-                    if cap is not None and x[i] >= cap:
-                        continue
+                if capped and i == k - 1 and x[i]:
+                    continue
                 col = columns[i]
                 if sum(a * b for a, b in zip(v, col)) >= 0:
                     continue
@@ -445,10 +434,9 @@ def minimal_natural_solutions(rows, nvars: int) -> list[tuple[int, ...]]:
         checked.append((tuple(_as_int(c) for c in coeffs), _as_int(rhs)))
         if len(checked[-1][0]) != nvars:
             raise InputError("row width does not match the variable count")
-    if all(rhs == 0 for _, rhs in checked):
-        columns = [tuple(coeffs[i] for coeffs, _ in checked) for i in range(nvars)]
-        return _cd_search(columns)
     columns = [tuple(coeffs[i] for coeffs, _ in checked) for i in range(nvars)]
+    if all(rhs == 0 for _, rhs in checked):
+        return _cd_search(columns)
     columns.append(tuple(-rhs for _, rhs in checked))
-    sols = _cd_search(columns, caps={nvars: 1})
+    sols = _cd_search(columns, capped=True)
     return sorted(s[:-1] for s in sols if s[-1] == 1)

@@ -163,7 +163,7 @@ def oracle_lattice_neighbors(A: PeriodicSet, r_candidate: int, r_witness: int):
     for b in candidates:
         top = tuple(max(x, 0) for x in b)
         if top not in checked:
-            exact = points_below(A.lattice, A.reps, Point(top), strict=True)
+            exact = points_below(A.lattice, A.reps, Point(top))
             for p in exact:
                 if any(abs(c) > r_witness for c in p.as_int_tuple()):
                     raise RadiusError(
@@ -183,8 +183,8 @@ def oracle_lattice_neighbors(A: PeriodicSet, r_candidate: int, r_witness: int):
     return tuple(sorted(neighbors, key=point_key))
 
 
-def oracle_minimal_orthant(A: PeriodicSet, signs, radius: int, exclude_zero: bool):
-    """Minimal points of the set in an orthant, brute-forced inside a box.
+def oracle_minimal_orthant(A: PeriodicSet, signs, radius: int):
+    """Minimal nonzero points of the set in an orthant, brute-forced inside a box.
 
     For a point of sup-norm <= radius the whole orthant downset sits inside
     the box, so box-minimality and true minimality agree on the output.
@@ -193,10 +193,8 @@ def oracle_minimal_orthant(A: PeriodicSet, signs, radius: int, exclude_zero: boo
     solver = _CosetSolver(A.lattice.columns)
     pool = [
         x for x in _scan_box(solver, _int_reps(A), (-radius,) * n, (radius,) * n)
-        if all(s * c >= 0 for s, c in zip(signs, x))
+        if any(x) and all(s * c >= 0 for s, c in zip(signs, x))
     ]
-    if exclude_zero:
-        pool = [x for x in pool if any(x)]
     out = []
     for x in pool:
         reflected = tuple(s * c for s, c in zip(signs, x))
@@ -215,7 +213,7 @@ def _oracle_star_zero(solver, reps, n, r_candidate, r_witness, lattice, rep_poin
 
     def face_ok(top) -> bool:
         if top not in witness_memo:
-            exact = points_below(lattice, rep_points, Point(top), strict=True)
+            exact = points_below(lattice, rep_points, Point(top))
             for p in exact:
                 if any(abs(c) > r_witness for c in p.as_int_tuple()):
                     raise RadiusError(

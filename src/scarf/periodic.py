@@ -151,7 +151,7 @@ def exists_strictly_below(A: PeriodicSet, bound: Point):
 
     Deterministic: the lexicographically least such point is returned.
     """
-    pts = points_below(A.lattice, A.reps, bound, strict=True)
+    pts = points_below(A.lattice, A.reps, bound)
     return pts[0] if pts else None
 
 
@@ -214,7 +214,7 @@ def _candidate_vertices(A: PeriodicSet, creps: list, center: tuple, dmax: int):
             for k, diff in enumerate(diffs[l]):
                 moves = steps.get((signs, diff))
                 if moves is None:
-                    found = minimal_orthant_points(lattice, [Point(diff)], orth, exclude_zero=True)
+                    found = minimal_orthant_points(lattice, [Point(diff)], orth)
                     reflected = [tuple(map(mul, signs, h.as_int_tuple())) for h in found]
                     moves = [(sum(h), h) for h in reflected]
                     opposite = (tuple(-x for x in signs), lattice._canonical([-x for x in diff]))
@@ -245,8 +245,8 @@ def star_at(A: PeriodicSet, vertex: Point, dmax: int) -> StarResult:
     def is_face_join(top: tuple) -> bool:
         # no set point strictly below top; one point found decides
         if top not in empty_below:
-            empty_below[top] = not coset_points(
-                lattice, creps, open_below, [t - 1 for t in top], limit=1)
+            empty_below[top] = next(coset_points(
+                lattice, creps, open_below, [t - 1 for t in top]), None) is None
         return empty_below[top]
 
     if not is_face_join(center):
@@ -256,25 +256,22 @@ def star_at(A: PeriodicSet, vertex: Point, dmax: int) -> StarResult:
         )
     candidates, counts = _candidate_vertices(A, creps, center, dmax)
     neighbors = [v for v in candidates if is_face_join(tuple(map(max, center, v)))]
+    # records come by size, then by member indices; inserting the center
+    # keeps that order, which distinct sorted vertices make Face.key order
     records = grow_faces(neighbors, [((), center)], is_face_join)
-    # index each face into the star's vertices in point order, the center at
-    # pos; distinct sorted vertices make (size, indices) order Face.key order
     pos = bisect_left(neighbors, center)
-    keyed = []
-    for members, top in records:
-        cut = bisect_left(members, pos)
-        idx = members[:cut] + (pos,) + tuple(j + 1 for j in members[cut:])
-        keyed.append((len(idx), idx, top))
-    keyed.sort()
     points = [Point(v) for v in neighbors]
     vertices = points[:pos] + [vertex] + points[pos:]
     # faces share few distinct joins: one Point each
-    joins = {top: Point(top) for top in {top for _, _, top in keyed}}
-    faces = tuple(Face.sorted_with_join(tuple(vertices[i] for i in idx), joins[top])
-                  for _, idx, top in keyed)
-    observed = keyed[-1][0] - 1
+    joins = {top: Point(top) for top in {top for _, top in records}}
+    faces = []
+    for members, top in records:
+        cut = bisect_left(members, pos)
+        idx = members[:cut] + (pos,) + tuple(j + 1 for j in members[cut:])
+        faces.append(Face.sorted_with_join(tuple(vertices[i] for i in idx), joins[top]))
+    observed = len(records[-1][0])
     report = CompletenessReport(dmax, observed, observed < dmax, counts)
-    return StarResult(vertex, tuple(points), faces, report)
+    return StarResult(vertex, tuple(points), tuple(faces), report)
 
 
 def _double_until_certified(compute, dmax_start: int, dmax_limit: int, what: str):

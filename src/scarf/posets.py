@@ -7,55 +7,37 @@ stage index of an element bounds the length of chains below it, so elements
 with small downsets live in the early layers.
 
 Supplying an orthant reinterprets "<=" as the orthant order (b - a lies in
-the orthant), which reuses one implementation for all 2^n sign patterns by
-reversing the axes where the orthant is negative.  Comparisons run in rank
-space: the poset builds one RankIndex of the reflected points, each
-downset is an AND of one "rank at most r" bitset per axis, and its size is
-a bit count.
+the orthant), which reverses the axes where the orthant is negative.
+Comparisons run in rank space on the set's own RankIndex: each downset is an
+AND of one bitset per axis, "rank at most r" on a positive axis and "rank at
+least r" on a reversed one, and its size is a bit count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import InputError
-from .geometry import Orthant, Point, RankIndex, point_key
+from .finite import FinitePointSet
+from .geometry import Orthant
 
 
-class FinitePoset:
-    """A finite point set under the componentwise or an orthant order."""
-
-    __slots__ = ("points", "orthant", "_down_cache")
-
-    def __init__(self, points: Iterable[Point], orthant: Optional[Orthant] = None):
-        pts = sorted(set(points), key=point_key)
-        if pts:
-            n = len(pts[0])
-            if any(len(p) != n for p in pts):
-                raise InputError("mixed point dimensions in one poset")
-            if orthant is not None and orthant.dim != n:
-                raise InputError(f"dimension mismatch: orthant {orthant.dim} vs points {n}")
-        self.points = tuple(pts)
-        self.orthant = orthant
-        self._down_cache = None
-
-    def __len__(self):
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def _downsets(self) -> list[int]:
-        """Bitset of each point's downset, itself included, in point order."""
-        if self._down_cache is None:
-            rows = [p.coords for p in self.points]
-            if self.orthant is not None:
-                signs = self.orthant.signs
-                rows = [tuple(c if s > 0 else -c for s, c in zip(signs, cs)) for cs in rows]
-            index = RankIndex(rows)
-            self._down_cache = [index.weakly_under(r) for r in index.ranks]
-        return self._down_cache
+def _downsets(A: FinitePointSet, orthant: Optional[Orthant]) -> list[int]:
+    """Bitset of each point's downset under the orthant order, itself included."""
+    signs = (1,) * A.dim if orthant is None else orthant.signs
+    if len(signs) != A.dim:
+        raise InputError(
+            f"orthant {orthant} has dimension {orthant.dim}, the set has dimension {A.dim}")
+    index = A.rank_index
+    full = (1 << len(A)) - 1
+    out = []
+    for ranks in index.ranks:
+        bits = full
+        for s, below, r in zip(signs, index.below, ranks):
+            bits &= below[r + 1] if s > 0 else full ^ below[r]
+        out.append(bits)
+    return out
 
 
 @dataclass(frozen=True)
@@ -66,11 +48,11 @@ class Layering:
     residual: frozenset
 
 
-def dickson_layers(poset: FinitePoset, k: int) -> Layering:
+def dickson_layers(A: FinitePointSet, k: int, orthant: Optional[Orthant] = None) -> Layering:
     """Layers 0..k of the staged minimal-element decomposition."""
     if k < 0:
         raise InputError(f"layer depth must be nonnegative, got {k}")
-    down = poset._downsets()
+    down = _downsets(A, orthant)
     remaining = list(range(len(down)))
     mask = (1 << len(down)) - 1
     layers = []
@@ -79,15 +61,15 @@ def dickson_layers(poset: FinitePoset, k: int) -> Layering:
             break
         # i is minimal among what is left when its downset meets it alone
         layer = [i for i in remaining if down[i] & mask == 1 << i]
-        layers.append(frozenset(poset.points[i] for i in layer))
+        layers.append(frozenset(A.points[i] for i in layer))
         for i in layer:
             mask ^= 1 << i
         remaining = [i for i in remaining if mask >> i & 1]
-    residual = frozenset(poset.points[i] for i in remaining)
+    residual = frozenset(A.points[i] for i in remaining)
     return Layering(tuple(layers), residual)
 
 
-def filter_by_downset(poset: FinitePoset, k: int) -> frozenset:
+def filter_by_downset(A: FinitePointSet, k: int, orthant: Optional[Orthant] = None) -> frozenset:
     """Elements whose downset has at most k+1 elements.
 
     Always a subset of the union of layers 0..k, and equal to the minimal
@@ -95,5 +77,5 @@ def filter_by_downset(poset: FinitePoset, k: int) -> frozenset:
     """
     if k < 0:
         raise InputError(f"downset bound must be nonnegative, got {k}")
-    down = poset._downsets()
-    return frozenset(p for p, d in zip(poset.points, down) if d.bit_count() <= k + 1)
+    down = _downsets(A, orthant)
+    return frozenset(p for p, d in zip(A.points, down) if d.bit_count() <= k + 1)

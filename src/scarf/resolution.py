@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from .complexes import Face
 from .errors import GenericityError, InputError
-from .finite import FinitePointSet, enumerate_complex, is_generic
-from .geometry import Point, lowest_bit
+from .finite import FinitePointSet, enumerate_complex, face_witness, is_generic
+from .geometry import Point
 
 __all__ = ["Resolution", "ChainCheck", "build_resolution", "verify_chain"]
 
@@ -75,12 +75,10 @@ def _validate_exponent_points(A: FinitePointSet) -> None:
 def _check_minimal_generators(A: FinitePointSet) -> None:
     # Weak divisibility with a coordinate tie is left to the genericity
     # check, which reports the shared coordinate.
-    index = A.rank_index
-    for b, r in zip(A.points, index.ranks):
-        a = lowest_bit(index.strictly_under(r))
+    for b in A.points:
+        a = face_witness(A, [b])
         if a is not None:
-            raise InputError(
-                f"non-minimal generator: {b} is strictly dominated by {A.points[a]}")
+            raise InputError(f"non-minimal generator: {b} is strictly dominated by {a}")
 
 
 def build_resolution(A: FinitePointSet) -> Resolution:

@@ -23,7 +23,7 @@ from scarf.geometry import Orthant, Point, point_key, zero_point
 from scarf.intsolve import smith_normal_form
 from scarf.oracles import oracle_finite_nb, oracle_lattice_neighbors
 from scarf.periodic import PeriodicSet, certified_star
-from scarf.posets import FinitePoset, dickson_layers, filter_by_downset
+from scarf.posets import dickson_layers, filter_by_downset
 from scarf.resolution import build_resolution, verify_chain
 
 
@@ -96,7 +96,7 @@ def test_criterion_4_layer_properties():
     ok = True
     for _ in range(trials):
         pts = {tuple(rng.randint(0, 20) for _ in range(4)) for _ in range(300)}
-        poset = FinitePoset([Point(p) for p in pts], None)
+        poset = FinitePointSet(pts)
         layering = dickson_layers(poset, 5)
         seen: set = set()
         for layer in layering.layers:
@@ -230,10 +230,10 @@ def test_criterion_9_diophantine_core():
         done += 1
         rep = Point(tuple(rng.randint(-2, 2) for _ in range(3)))
         orthant = Orthant(tuple(rng.choice((1, -1)) for _ in range(3)))
-        got = minimal_orthant_points(L, [rep], orthant, exclude_zero=False)
+        got = minimal_orthant_points(L, [rep], orthant)
         pool = [
             Point(v) for v in itertools.product(range(-radius, radius + 1), repeat=3)
-            if orthant.contains(Point(v)) and L.member(Point(v) - rep)
+            if any(v) and orthant.contains(Point(v)) and L.member(Point(v) - rep)
         ]
         brute = sorted(
             (p for p in pool if not any(q != p and orthant.contains(p - q) for q in pool)),

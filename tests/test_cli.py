@@ -134,15 +134,15 @@ def test_generic_check_text(docfile, capsys):
 
 def test_layers_matches_library(docfile, capsys):
     from scarf.formats import layering_doc, parse_points_doc
-    from scarf.posets import FinitePoset, dickson_layers, filter_by_downset
+    from scarf.posets import dickson_layers, filter_by_downset
 
     doc_in = {"points": [[0, 1], [1, 0], [1, 1], [2, 0]]}
     code, out, _ = run_cli(
         ["layers", docfile(doc_in), "--k", "1", "--format", "structured"], capsys
     )
     assert code == 0
-    poset = FinitePoset(parse_points_doc(doc_in).points, None)
-    expected = layering_doc(dickson_layers(poset, 1), filter_by_downset(poset, 1), 1)
+    A = parse_points_doc(doc_in)
+    expected = layering_doc(dickson_layers(A, 1), filter_by_downset(A, 1), 1)
     assert json.loads(out) == json.loads(json.dumps(expected))
 
 

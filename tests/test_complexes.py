@@ -1,8 +1,10 @@
 """Faces with join labels and the labeled complex container."""
 
+import random
+
 import pytest
 
-from scarf.complexes import Face, LabeledComplex
+from scarf.complexes import Face, LabeledComplex, grow_faces
 from scarf.errors import InputError
 from scarf.finite import FinitePointSet, enumerate_complex
 from scarf.geometry import Point
@@ -79,6 +81,30 @@ class TestBuildComplex:
         cx = LabeledComplex([F((0, 1)), F((0, 1))])
         assert cx.f_vector() == (1,)
         assert len(cx) == 2
+
+
+def in_grow_order(records):
+    """Whether records come by size, then by member indices, each face once."""
+    keys = [(len(members), members) for members, _ in records]
+    return keys == sorted(set(keys))
+
+
+def test_grow_faces_records_by_size_then_members():
+    # star_at and the facet genericity scan read the records in this order
+    # without sorting them: seeded by vertices, as a finite complex grows,
+    # and from the empty face at a center that is not a candidate, as a star
+    rng = random.Random(61)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        A = FinitePointSet({tuple(rng.randint(0, 4) for _ in range(n))
+                            for _ in range(rng.randint(1, 14))})
+        ranks, under = A.rank_index.ranks, A.rank_index.strictly_under
+        seeds = [((i,), r) for i, r in enumerate(ranks) if not under(r)]
+        assert in_grow_order(grow_faces(ranks, seeds, lambda top: not under(top)))
+        center = rng.choice([r for _, r in seeds])
+        others = [r for r in ranks if r != center]
+        records = grow_faces(others, [((), center)], lambda top: not under(top))
+        assert records[0] == ((), center) and in_grow_order(records)
 
 
 def test_complex_equality_and_membership_on_fixtures():

@@ -249,14 +249,14 @@ def box_queries(draw):
 
 @given(box_queries(), st.integers(0, 30))
 def test_coset_points_limit(query, limit):
+    # the points are generated lazily: a caller that stops early sees a prefix
     L, creps, lo, hi = query
-    full = coset_points(L, creps, lo, hi)
+    full = list(coset_points(L, creps, lo, hi))
     assert len(set(full)) == len(full)
     assert sorted(full) == [p.as_int_tuple() for p in
                             points_in_box(L, [Point(c) for c in creps], Point(lo), Point(hi))]
-    got = coset_points(L, creps, lo, hi, limit=limit)
-    assert len(got) == min(limit, len(full))
-    assert set(got) <= set(full)
+    got = list(itertools.islice(coset_points(L, creps, lo, hi), limit))
+    assert got == full[:limit]
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +264,20 @@ def test_coset_points_limit(query, limit):
 
 
 def test_points_below_fixtures():
-    weak = points_below(KER111, [ZERO3], Point((1, 1, 1)))
-    assert len(weak) == 10
-    assert ZERO3 in weak and Point((1, 1, -2)) in weak
+    # strictly below (2, 2, 2) is weakly below (1, 1, 1)
+    below = points_below(KER111, [ZERO3], Point((2, 2, 2)))
+    assert len(below) == 10
+    assert ZERO3 in below and Point((1, 1, -2)) in below
 
-    strict = points_below(KER111, [ZERO3], Point((1, 1, 1)), strict=True)
-    assert strict == (ZERO3,)
-
-    assert points_below(KER111, [ZERO3], ZERO3, strict=True) == ()
-    assert points_below(KER111, [ZERO3], ZERO3) == (ZERO3,)
+    assert points_below(KER111, [ZERO3], Point((1, 1, 1))) == (ZERO3,)
+    assert points_below(KER111, [ZERO3], ZERO3) == ()
 
 
 def test_points_below_rational_bound():
-    # for integer points, x < 3/2 and x <= 1 coincide
+    # for integer points, x < 3/2 and x < 2 coincide
     b = Point((Fraction(3, 2),) * 3)
-    assert points_below(KER111, [ZERO3], b, strict=True) == \
-        points_below(KER111, [ZERO3], Point((1, 1, 1)))
+    assert points_below(KER111, [ZERO3], b) == points_below(KER111, [ZERO3], Point((2, 2, 2)))
+    assert len(points_below(KER111, [ZERO3], b)) == 10
 
 
 def test_points_below_requires_positivity():
@@ -287,7 +285,7 @@ def test_points_below_requires_positivity():
         points_below(Lattice([(1, 0)]), [Point((0, 0))], Point((5, 5)))
 
 
-def scan_below(weights, L, reps, bound, strict):
+def scan_below(weights, L, reps, bound):
     # kernel-of-weights cosets have fixed weighted sum, so the region is a box
     pts = set()
     for rep in reps:
@@ -305,9 +303,7 @@ def scan_below(weights, L, reps, bound, strict):
             p = Point(vals)
             if not L.member(p - rep):
                 continue
-            if strict and not all(x < b for x, b in zip(vals, bound.coords)):
-                continue
-            if not strict and not all(x <= b for x, b in zip(vals, bound.coords)):
+            if not all(x < b for x, b in zip(vals, bound.coords)):
                 continue
             pts.add(p)
     return sorted(pts, key=point_key)
@@ -321,11 +317,13 @@ def test_points_below_random():
         reps = [Point(tuple(rng.randint(-2, 2) for _ in range(3)))
                 for _ in range(rng.randint(1, 2))]
         bound = Point(tuple(rng.randint(-1, 3) for _ in range(3)))
-        strict = rng.random() < 0.5
-        got = points_below(L, reps, bound, strict=strict)
-        assert list(got) == scan_below(weights, L, reps, bound, strict)
-        if strict:
-            assert set(got) <= set(points_below(L, reps, bound))
+        raised = bound + Point((1, 1, 1))
+        if rng.random() >= 0.5:
+            # once a weak query at the bound: strictly below the bound plus one
+            bound = raised
+        got = points_below(L, reps, bound)
+        assert list(got) == scan_below(weights, L, reps, bound)
+        assert set(got) <= set(points_below(L, reps, raised))
     # rational bounds and rank-3 lattices in Z^4 against the same Lattice
     # objects, so each elimination plan is reused with new right-hand sides
     cases += [((1, 1, 1, 1), Lattice([(1, -1, 0, 0), (1, 0, -1, 0), (1, 0, 0, -1)])),
@@ -336,9 +334,10 @@ def test_points_below_random():
         reps = [Point(tuple(rng.randint(-2, 2) for _ in range(dim)))
                 for _ in range(rng.randint(1, 2))]
         bound = Point(tuple(Fraction(rng.randint(-3, 7), rng.randint(1, 2)) for _ in range(dim)))
-        strict = rng.random() < 0.5
-        got = points_below(L, reps, bound, strict=strict)
-        assert list(got) == scan_below(weights, L, reps, bound, strict), (weights, reps, bound)
+        if rng.random() >= 0.5:
+            bound = bound + Point((1,) * dim)
+        got = points_below(L, reps, bound)
+        assert list(got) == scan_below(weights, L, reps, bound), (weights, reps, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -347,21 +346,18 @@ def test_points_below_random():
 
 def test_minimal_orthant_fixtures():
     plus = Orthant.from_string("+++")
-    assert minimal_orthant_points(KER111, [ZERO3], plus, exclude_zero=True) == ()
-    assert minimal_orthant_points(KER111, [ZERO3], plus) == (ZERO3,)
+    assert minimal_orthant_points(KER111, [ZERO3], plus) == ()
 
     units = minimal_orthant_points(KER111, [Point((1, 0, 0))], plus)
     assert units == (Point((0, 0, 1)), Point((0, 1, 0)), Point((1, 0, 0)))
 
-    mixed = minimal_orthant_points(KER111, [ZERO3], Orthant.from_string("+-+"),
-                                   exclude_zero=True)
+    mixed = minimal_orthant_points(KER111, [ZERO3], Orthant.from_string("+-+"))
     assert mixed == (Point((0, -1, 1)), Point((1, -1, 0)))
 
-    # (1, 2) is not minimal: its box holds (0, 1) as well, but the origin and
-    # (1, 2) itself come out of the box query first, so two points do not decide
+    # (1, 2) is not minimal: (0, 1) of the other coset lies below it, and so
+    # does the origin, which the nonzero points leave out
     L = Lattice([(1, 2), (-2, 1)])
-    got = minimal_orthant_points(L, [Point((1, 2)), Point((-1, -1))], Orthant.from_string("++"),
-                                 exclude_zero=True)
+    got = minimal_orthant_points(L, [Point((1, 2)), Point((-1, -1))], Orthant.from_string("++"))
     assert got == (Point((0, 1)), Point((2, 0)))
 
 
@@ -370,13 +366,11 @@ def test_minimal_orthant_dim_mismatch():
         minimal_orthant_points(KER111, [ZERO3], Orthant.from_string("++"))
 
 
-def brute_orthant_minimal(L, reps, orthant, radius, exclude_zero):
+def brute_orthant_minimal(L, reps, orthant, radius):
     pts = []
     for vals in itertools.product(range(-radius, radius + 1), repeat=L.dim):
         p = Point(vals)
-        if not orthant.contains(p):
-            continue
-        if exclude_zero and not any(vals):
+        if not orthant.contains(p) or not any(vals):
             continue
         if any(L.member(p - r) for r in reps):
             pts.append(p)
@@ -385,15 +379,15 @@ def brute_orthant_minimal(L, reps, orthant, radius, exclude_zero):
                   key=point_key)
 
 
-def check_minimal_orthant(L, reps, orthant, exclude, radius=5):
-    got = minimal_orthant_points(L, reps, orthant, exclude_zero=exclude)
+def check_minimal_orthant(L, reps, orthant, radius=5):
+    got = minimal_orthant_points(L, reps, orthant)
 
     for i, a in enumerate(got):
         for j, b in enumerate(got):
             if i != j:
                 assert not orthant.contains(b - a)
 
-    brute = brute_orthant_minimal(L, reps, orthant, radius, exclude)
+    brute = brute_orthant_minimal(L, reps, orthant, radius)
     got_slice = [p for p in got if all(abs(x) <= radius for x in p.coords)]
     assert got_slice == brute
     for p in brute:
@@ -408,15 +402,14 @@ def test_minimal_orthant_random():
         reps = [Point(tuple(rng.randint(-2, 2) for _ in range(dim)))
                 for _ in range(rng.randint(1, 2))]
         orthant = Orthant(tuple(rng.choice((1, -1)) for _ in range(dim)))
-        exclude = rng.random() < 0.5
-        check_minimal_orthant(L, reps, orthant, exclude)
+        rng.random()  # once chose whether to keep the origin; drawn to keep the cases
+        check_minimal_orthant(L, reps, orthant)
     # the coset systems behind the search: no rows (the full lattice), one
     # equality, and an equality plus a congruence mod 2, over every orthant
     for L, rep in ((Lattice([(1, 0), (0, 1)]), Point((3, -2))), (KER111, ZERO3),
                    (Lattice([(2, 0)]), Point((1, 5)))):
         for orthant in all_orthants(L.dim):
-            for exclude in (False, True):
-                check_minimal_orthant(L, [rep], orthant, exclude)
+            check_minimal_orthant(L, [rep], orthant)
 
 
 @st.composite
@@ -438,10 +431,9 @@ def orthant_queries(draw):
 def test_minimal_orthant_opposite_symmetry(query):
     # x is in c + L and in sigma exactly when -x is in -c + L and in -sigma
     L, c, orthant = query
-    got = minimal_orthant_points(L, [Point(c)], orthant, exclude_zero=True)
+    got = minimal_orthant_points(L, [Point(c)], orthant)
     opposite = minimal_orthant_points(L, [Point([-x for x in c])],
-                                      Orthant(tuple(-s for s in orthant.signs)),
-                                      exclude_zero=True)
+                                      Orthant(tuple(-s for s in orthant.signs)))
     assert sorted(p.as_int_tuple() for p in got) == \
         sorted(tuple(-x for x in p.as_int_tuple()) for p in opposite)
 

@@ -26,7 +26,7 @@ from scarf.formats import (
 )
 from scarf.geometry import Orthant, Point
 from scarf.periodic import quotient_complex, star_at, validate_periodic_set
-from scarf.posets import FinitePoset, dickson_layers, filter_by_downset
+from scarf.posets import dickson_layers, filter_by_downset
 from scarf.resolution import build_resolution
 
 
@@ -160,8 +160,8 @@ def fixture_docs():
     cx["genericity"] = genericity_doc(is_generic(dense, mode="both"))
     ker111_e1 = validate_periodic_set([(1, -1, 0), (0, 1, -1)], cosets=[(0, 0, 0), (1, 0, 0)])
     star = star_at(ker111_e1, Point((0, 0, 0)), 2)
-    poset = FinitePoset(FinitePointSet([(a, b) for a in range(4) for b in range(3)]).points,
-                        Orthant((1, -1)))
+    grid = FinitePointSet([(a, b) for a in range(4) for b in range(3)])
+    orthant = Orthant((1, -1))
     witness = (Point((2, 1)), Point((2, 2)), 1)
     return {
         "complex": cx,
@@ -169,7 +169,8 @@ def fixture_docs():
         "neighbors": neighbors_doc(star),
         "quotient": quotient_doc(quotient_complex(ker111_e1, 2)),
         "resolution": resolution_doc(build_resolution([(3, 0, 1), (1, 2, 0), (0, 1, 3)])),
-        "layering": layering_doc(dickson_layers(poset, 2), filter_by_downset(poset, 2), 2),
+        "layering": layering_doc(dickson_layers(grid, 2, orthant),
+                                 filter_by_downset(grid, 2, orthant), 2),
         "genericity": genericity_doc(is_generic(FinitePointSet([(2, 1), (1, 2), (2, 2)]))),
         "error": error_doc(GenericityError("not generic: \"x\"\n", witness=witness), 4),
     }

@@ -134,10 +134,10 @@ def test_oracle_neighbors_refuse_truncation():
 
 
 def test_oracle_minimal_orthant_fixtures():
-    assert oracle_minimal_orthant(ker111_set(), (1, 1, 1), 5, True) == []
-    units = oracle_minimal_orthant(PeriodicSet(KER111, [(1, 0, 0)]), (1, 1, 1), 5, False)
+    assert oracle_minimal_orthant(ker111_set(), (1, 1, 1), 5) == []
+    units = oracle_minimal_orthant(PeriodicSet(KER111, [(1, 0, 0)]), (1, 1, 1), 5)
     assert units == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
-    mixed = oracle_minimal_orthant(ker111_set(), (1, -1, 1), 5, True)
+    mixed = oracle_minimal_orthant(ker111_set(), (1, -1, 1), 5)
     assert mixed == [(0, -1, 1), (1, -1, 0)]
 
 
@@ -158,9 +158,9 @@ def test_oracle_minimal_orthant_matches_main_path():
         reps = [tuple(rng.randint(-2, 2) for _ in range(dim))]
         A = PeriodicSet(L, reps)
         signs = tuple(rng.choice((1, -1)) for _ in range(dim))
-        exclude = rng.random() < 0.5
-        got = oracle_minimal_orthant(A, signs, radius, exclude)
-        main = minimal_orthant_points(L, A.reps, Orthant(signs), exclude_zero=exclude)
+        rng.random()  # once chose whether to keep the origin; drawn to keep the cases
+        got = oracle_minimal_orthant(A, signs, radius)
+        main = minimal_orthant_points(L, A.reps, Orthant(signs))
         main_slice = [p.as_int_tuple() for p in main
                       if max(abs(x) for x in p.as_int_tuple()) <= radius]
         assert got == sorted(main_slice)

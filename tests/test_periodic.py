@@ -310,7 +310,8 @@ def reference_candidates(A, creps, center, dmax):
 
     def in_small_downbox(p):
         lo, hi = list(map(min, center, p)), list(map(max, center, p))
-        return len(coset_points(lattice, creps, lo, hi, limit=dmax + 2)) <= dmax + 1
+        inside = itertools.islice(coset_points(lattice, creps, lo, hi), dmax + 2)
+        return len(list(inside)) <= dmax + 1
 
     counts = []
     candidates = set()
@@ -322,7 +323,7 @@ def reference_candidates(A, creps, center, dmax):
             for u, l in frontier:
                 for k, ck in enumerate(creps):
                     diff = Point([a - b for a, b in zip(ck, creps[l])])
-                    for h in minimal_orthant_points(lattice, [diff], orth, exclude_zero=True):
+                    for h in minimal_orthant_points(lattice, [diff], orth):
                         s = tuple(map(add, u, h.as_int_tuple()))
                         if s in accepted or s in rejected:
                             continue
@@ -369,9 +370,9 @@ def test_step_search_shared_across_opposite_orthants(monkeypatch):
     A = ker123_e1()
     calls = []
 
-    def counting(lattice, reps, orthant, exclude_zero=False):
+    def counting(lattice, reps, orthant):
         calls.append((orthant.signs, lattice.canonical_rep(reps[0]).as_int_tuple()))
-        return minimal_orthant_points(lattice, reps, orthant, exclude_zero=exclude_zero)
+        return minimal_orthant_points(lattice, reps, orthant)
 
     monkeypatch.setattr(scarf.periodic, "minimal_orthant_points", counting)
     star_at(A, ZERO3, 4)

@@ -6,16 +6,13 @@ from fractions import Fraction
 import pytest
 
 from scarf.errors import InputError
+from scarf.finite import FinitePointSet
 from scarf.geometry import Orthant, Point
-from scarf.posets import (
-    FinitePoset,
-    dickson_layers,
-    filter_by_downset,
-)
+from scarf.posets import dickson_layers, filter_by_downset
 
 
 def P(*rows):
-    return FinitePoset([Point(r) for r in rows])
+    return FinitePointSet([Point(r) for r in rows])
 
 
 S4 = ((0, 1), (1, 0), (1, 1), (2, 0))
@@ -25,16 +22,12 @@ class TestMinimalElements:
     def test_fixture(self):
         assert dickson_layers(P(*S4), 0).layers[0] == {Point((0, 1)), Point((1, 0))}
 
-    def test_empty(self):
-        lay = dickson_layers(FinitePoset([]), 0)
-        assert lay.layers == () and lay.residual == frozenset()
-
     def test_singleton(self):
         assert dickson_layers(P((3, 3)), 0).layers[0] == {Point((3, 3))}
 
     def test_negative_orthant(self):
-        po = FinitePoset([Point((0, 1)), Point((1, 0)), Point((1, 1))], Orthant((-1, -1)))
-        assert dickson_layers(po, 0).layers[0] == {Point((1, 1))}
+        po = P((0, 1), (1, 0), (1, 1))
+        assert dickson_layers(po, 0, Orthant((-1, -1))).layers[0] == {Point((1, 1))}
 
 
 class TestDicksonLayers:
@@ -76,7 +69,7 @@ class TestDicksonLayers:
         for layer in lay.layers:
             assert layer, "no empty layers"
             assert not (set(layer) & seen)
-            assert set(layer) == dickson_layers(FinitePoset(remaining), 0).layers[0]
+            assert set(layer) == dickson_layers(FinitePointSet(remaining), 0).layers[0]
             seen |= set(layer)
             remaining -= set(layer)
         assert lay.residual == frozenset(remaining)
@@ -92,12 +85,14 @@ class TestDownset:
         assert Point((1, 1)) in filter_by_downset(po, 2)
 
     def test_minimal_is_self(self):
-        po = FinitePoset([Point((0, 1)), Point((1, 0)), Point((1, 1))], Orthant((-1, -1)))
-        assert filter_by_downset(po, 0) == {Point((1, 1))}
+        po = P((0, 1), (1, 0), (1, 1))
+        assert filter_by_downset(po, 0, Orthant((-1, -1))) == {Point((1, 1))}
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            FinitePoset([Point(r) for r in S4], Orthant((1, 1, 1)))
+        # the orthant is checked against the set where layering starts
+        for query in (dickson_layers, filter_by_downset):
+            with pytest.raises(InputError, match="dimension"):
+                query(P(*S4), 0, Orthant((1, 1, 1)))
 
 
 class TestFilterByDownset:
@@ -147,20 +142,20 @@ class TestFilterByDownset:
             pts = [Point(tuple(str(rng.choice(pool)) for _ in range(n))) for _ in range(30)]
             pts = list(dict.fromkeys(pts))
             orth = Orthant(tuple(rng.choice([1, -1]) for _ in range(n)))
-            po = FinitePoset(pts, orth)
+            po = FinitePointSet(pts)
             k = rng.randint(0, 3)
             expect = {
                 s for s in pts
                 if sum(1 for u in pts if orth.contains(s - u)) <= k + 1
             }
-            assert filter_by_downset(po, k) == expect
+            assert filter_by_downset(po, k, orth) == expect
             remaining, layers = set(pts), []
             while remaining and len(layers) <= k:
                 layer = {s for s in remaining
                          if not any(u != s and orth.contains(s - u) for u in remaining)}
                 layers.append(layer)
                 remaining -= layer
-            lay = dickson_layers(po, k)
+            lay = dickson_layers(po, k, orth)
             assert [set(layer) for layer in lay.layers] == layers
             assert lay.residual == remaining
 
@@ -168,7 +163,7 @@ class TestFilterByDownset:
 class TestPosetValidation:
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(InputError):
-            FinitePoset([Point((1, 2)), Point((1, 2, 3))])
+            FinitePointSet([Point((1, 2)), Point((1, 2, 3))])
 
     def test_order_is_partial_order_on_samples(self):
         rng = random.Random(9)
