@@ -106,6 +106,41 @@ def test_finite_nb_attaches_genericity(docfile, capsys):
     assert doc["genericity"]["modes_agree"] is True
 
 
+RATIONAL_COLLINEAR = {"points": [["-3/2", 2], [0, 2], ["1/2", 2], [1, 2], ["7/3", 2]]}
+PLANE_3D = {"points": [[3, 0, 0], [0, 3, 0], [0, 0, 3], [2, 1, 0], [0, 2, 1], [1, 0, 2]]}
+GENERIC_ANTICHAIN = {"points": [[0, 5, 9], [1, 7, 3], [4, 0, 8], [6, 2, 1], [8, 6, 0], [9, 1, 4]]}
+MIXED = {"points": [["1/2", -1, 3], [2, "-5/3", 0], [-4, 2, "2/7"], [1, 1, 1], [0, -2, 5]]}
+
+FINITE_OUTPUT_SHA256 = (
+    ("finite-nb", RATIONAL_COLLINEAR, ["--format", "structured"],
+     "3591c96b8f8528855a2c1793c18b5746ffed4e1e2f7df19a270b359ffab6d3e7"),
+    ("finite-nb", PLANE_3D, ["--format", "structured"],
+     "8eaab9679f893a5acd494db2e71262010f905d9d65b905ee4f7e4e85fd355dcd"),
+    ("finite-nb", PLANE_3D, ["--max-dim", "1", "--format", "structured"],
+     "35bc746b1bb3f0b4e01a45c8b0cd3d1a7a56cb9033aaf048d23b86d2f78c1362"),
+    ("finite-nb", GENERIC_ANTICHAIN, ["--generic-mode", "both", "--format", "structured"],
+     "d4716cc2d60247d42a7008977cb3019a8ca69c8298503cce4bc70774d5536532"),
+    ("finite-nb", MIXED, ["--generic-mode", "remark", "--format", "structured"],
+     "44cf38743b0e28299ed730a3f77acfd82ee1dc4f4e40615413ff8050e51c5671"),
+    ("finite-nb", RATIONAL_COLLINEAR, ["--format", "text"],
+     "7b14cef7eae7269d194f983f84e5c8edc2575aea3032658629e87a8b7c091ede"),
+    ("finite-nb", GENERIC_ANTICHAIN, ["--generic-mode", "both", "--format", "text"],
+     "20e6f270a51fac00c8d901fbb0465f5809af21eaaeac64ffed44f4a33217f62d"),
+    ("oracle", MIXED, ["--format", "structured"],
+     "6412a7cfc5c0e830770803aefc4e037c09901565966dbb7b78eb4691cd7eb44f"),
+    ("oracle", PLANE_3D, ["--format", "text"],
+     "f997f8b286979f621acc11575417a6e3a6c7d0f174136f41d3f53f9c3f85d931"),
+)
+
+
+@pytest.mark.parametrize("subcommand, doc, flags, digest", FINITE_OUTPUT_SHA256,
+                         ids=[f"{c}-{i}" for i, (c, *_) in enumerate(FINITE_OUTPUT_SHA256)])
+def test_finite_output_pinned(docfile, capsys, subcommand, doc, flags, digest):
+    code, out, _ = run_cli([subcommand, docfile(doc), *flags], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # generic-check
 
