@@ -15,13 +15,14 @@ Flags that would be ignored are refused instead (exit 2): finite-nb takes
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 from typing import Optional
 
 from . import formats
 from .errors import InputError, InternalError, ScarfError
-from .finite import FinitePointSet, enumerate_complex, is_generic, neighbors
+from .finite import FinitePointSet, _face_records, enumerate_complex, is_generic, neighbors
 from .geometry import Orthant, Point, point_key, zero_point
 from .oracles import oracle_finite_nb, oracle_lattice_neighbors
 from .periodic import certified_quotient, certified_star, quotient_complex, star_at
@@ -131,17 +132,24 @@ def _parse_vertex(job: argparse.Namespace, dim: int) -> Point:
     return v
 
 
-def _run_oracle(job: argparse.Namespace) -> dict:
+def _run_oracle(job: argparse.Namespace) -> dict | str:
     if job.selftest is not None:
         return _selftest(job.selftest, job.seed)
     if job.input is None:
         raise InputError("the oracle needs an input document (or --selftest)")
     doc = formats.load_document(job.input)
     if "points" in doc:
-        cx = oracle_finite_nb(formats.parse_points_doc(doc))
-        out = formats.complex_doc(cx)
-        out["source"] = "oracle"
-        return out
+        A = formats.parse_points_doc(doc)
+        position = {p: i for i, p in enumerate(A.points)}
+        ranks = A.rank_index.ranks
+        # faces() lists faces by size, then in canonical vertex order, and A
+        # indexes its points canonically: that is (size, members) order
+        records = []
+        for f in oracle_finite_nb(A).faces():
+            if f.vertices:
+                members = tuple(position[v] for v in f.vertices)
+                records.append((members, tuple(map(max, zip(*(ranks[i] for i in members))))))
+        return formats.complex_doc(A, records, {"source": "oracle"})
     A = formats.parse_lattice_doc(doc)
     if job.r_candidate is None or job.r_witness is None:
         raise InputError("lattice oracle needs --r-candidate and --r-witness")
@@ -175,28 +183,33 @@ def _selftest(trials: int, seed: int) -> dict:
     return {"kind": "selftest", "trials": trials, "seed": seed, "agreed": True}
 
 
-def run(job: argparse.Namespace) -> dict:
-    """Execute one job, given as the parsed command line, and return its output document."""
+def run(job: argparse.Namespace) -> dict | str:
+    """Execute one job, given as the parsed command line, and return its output.
+
+    The output is a document, except for complexes of finite sets: those
+    come back as the structured text itself, written from the face records.
+    """
     if job.subcommand == "finite-nb":
         A = formats.parse_points_doc(formats.load_document(job.input))
         if job.max_dim is not None and job.vertex is not None:
             raise InputError("--max-dim and --vertex are mutually exclusive")
         if job.max_dim is not None and job.max_dim < 0:
             raise InputError(f"--max-dim must be nonnegative, got {job.max_dim}")
-        if job.vertex is not None:
-            v = _parse_vertex(job, A.dim)
-            doc = {
-                "kind": "neighbors",
-                "center": formats.point_json(v),
-                "neighbors": [
-                    formats.point_json(p) for p in sorted(neighbors(A, v), key=point_key)
-                ],
-            }
-        else:
-            doc = formats.complex_doc(enumerate_complex(A, max_dim=job.max_dim))
+        v = None if job.vertex is None else _parse_vertex(job, A.dim)
+        extra = {}
         if job.generic_mode is not None:
-            doc["genericity"] = formats.genericity_doc(is_generic(A, mode=job.generic_mode))
-        return doc
+            extra["genericity"] = formats.genericity_doc(is_generic(A, mode=job.generic_mode))
+        if v is None:
+            max_size = None if job.max_dim is None else job.max_dim + 1
+            return formats.complex_doc(A, _face_records(A, max_size), extra)
+        return {
+            "kind": "neighbors",
+            "center": formats.point_json(v),
+            "neighbors": [
+                formats.point_json(p) for p in sorted(neighbors(A, v), key=point_key)
+            ],
+            **extra,
+        }
 
     if job.subcommand == "generic-check":
         A = formats.parse_points_doc(formats.load_document(job.input))
@@ -383,7 +396,10 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - surface as an internal failure
         _emit_error(exc, 5, job.fmt)
         return 5
-    out = formats.render_document(doc) if job.fmt == "structured" else render_text(doc)
+    if job.fmt == "structured":
+        out = doc if isinstance(doc, str) else formats.render_document(doc)
+    else:
+        out = render_text(json.loads(doc) if isinstance(doc, str) else doc)
     sys.stdout.write(out)
     return 0
 

@@ -7,8 +7,11 @@ round-trips at the document level and diffs are stable.  The exact byte
 contract: render_document(doc) equals
 json.dumps(doc, sort_keys=True, indent=2) + "\n".
 
-Document builders give each point object one shared coordinate list, and
-the renderer writes each such list once per call and depth, so a complex
+Complexes of finite sets are the one exception to building a document
+first: complex_doc writes their text straight from the face records, and
+that text equals render_document of the document it stands for.  The other
+document builders give each point object one shared coordinate list, and
+the renderer writes each such list once per call and depth, so a star
 whose faces repeat a few vertices renders each vertex once, not per face.
 """
 
@@ -18,7 +21,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
-from .complexes import Face, LabeledComplex
+from .complexes import Face
 from .errors import InputError
 from .finite import FinitePointSet, GenericityReport
 from .geometry import Point
@@ -76,6 +79,11 @@ def render_document(doc: dict) -> str:
     bool, None, lists, tuples and str-keyed dicts (subclasses included) are
     left to json.dumps.
     """
+    return _render(doc, 0) + "\n"
+
+
+def _render(value, depth: int) -> str:
+    """render_document's text of value as it stands at this depth, without the newline."""
     memo: dict = {}
 
     def write(x, depth: int) -> str:
@@ -116,7 +124,7 @@ def render_document(doc: dict) -> str:
         # JSON strings hold no raw newline, so re-indenting is exact
         return json.dumps(x, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
 
-    return write(doc, 0) + "\n"
+    return write(value, depth)
 
 
 def load_document(path: str) -> dict:
@@ -216,16 +224,54 @@ def _face_json(f: Face, row) -> dict:
     return doc
 
 
-def complex_doc(cx: LabeledComplex) -> dict:
-    """Faces, f-vector and dimension; the empty face is reported as a flag."""
-    row = _shared_point_json()
-    return {
+def _coord_text(c) -> str:
+    # point_json's entry as render_document writes it: digits, or a "p/q" string
+    return str(c.numerator) if c.denominator == 1 else f'"{c.numerator}/{c.denominator}"'
+
+
+def complex_doc(A: FinitePointSet, records: list, extra: Optional[dict] = None) -> str:
+    """The text of the complex document of A's faces, given as (member indices, rank join).
+
+    Returns render_document of {"kind": "complex", "dimension", "f_vector",
+    "empty_face": true, "faces", **extra}, byte for byte, where each face is
+    {"dim", "multidegree", "vertices"} and the empty face is only flagged.
+    records are what finite's face growth returns: nonempty faces by size,
+    then by member indices.  A indexes its points in canonical order, so
+    that is the canonical face order, and nothing is sorted.  Each vertex's
+    coordinate block and each axis value is rendered once per call, and a
+    face is written around them directly, without a dict per face.
+    """
+    blocks = ["[\n          " + ",\n          ".join(map(_coord_text, p.coords)) + "\n        ]"
+              for p in A.points]
+    values = [[_coord_text(v) for v in axis] for axis in A.rank_index.values]
+    sep, value, block = ",\n        ", list.__getitem__, blocks.__getitem__
+    faces = [  # value(values[k], top[k]) for each axis k is the join's coordinate text
+        f'{{\n      "dim": {len(members) - 1},\n      "multidegree": [\n        '
+        f'{sep.join(map(value, values, top))}\n      ],\n'
+        f'      "vertices": [\n        {sep.join(map(block, members))}\n      ]\n    }}'
+        for members, top in records
+    ]
+    f_vector = [0] * (len(records[-1][0]) if records else 0)
+    for members, _ in records:
+        f_vector[len(members) - 1] += 1
+    others = sorted({
         "kind": "complex",
-        "dimension": cx.dimension,
-        "f_vector": list(cx.f_vector()),
+        "dimension": len(f_vector) - 1,
+        "f_vector": f_vector,
         "empty_face": True,
-        "faces": [_face_json(f, row) for f in cx.faces() if f.vertices],
-    }
+        **(extra or {}),
+    }.items())
+    head = "".join([f"{encode_basestring_ascii(k)}: {_render(v, 1)},\n  "
+                    for k, v in others if k < "faces"])
+    tail = "".join([f",\n  {encode_basestring_ascii(k)}: {_render(v, 1)}"
+                    for k, v in others if k > "faces"])
+    if not faces:
+        return f'{{\n  {head}"faces": []{tail}\n}}\n'
+    # one join writes the whole text, the keys around "faces" riding on its
+    # first and last face, so the megabytes of faces are copied only once
+    faces[0] = f'{{\n  {head}"faces": [\n    {faces[0]}'
+    faces[-1] = f"{faces[-1]}\n  ]{tail}\n}}\n"
+    return ",\n    ".join(faces)
 
 
 def genericity_doc(report: GenericityReport) -> dict:

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
@@ -436,6 +437,25 @@ def test_oracle_points_doc(docfile, capsys):
     doc = json.loads(out)
     assert doc["source"] == "oracle"
     assert doc["f_vector"] == [3, 3, 1]
+
+
+def test_oracle_points_doc_matches_finite_nb(docfile, capsys):
+    # the oracle finds its faces independently but writes them with the same writer
+    rng = random.Random(29)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        rows = [[rng.choice([rng.randint(-3, 3), f"{rng.randint(-7, 7)}/{rng.randint(2, 4)}"])
+                 for _ in range(n)] for _ in range(rng.randint(1, 8))]
+        path = docfile({"points": rows})
+        for fmt in ("structured", "text"):
+            code, oracle_out, _ = run_cli(["oracle", path, "--format", fmt], capsys)
+            assert code == 0
+            code, out, _ = run_cli(["finite-nb", path, "--format", fmt], capsys)
+            assert code == 0
+            if fmt == "structured":
+                out = json.dumps({**json.loads(out), "source": "oracle"},
+                                 sort_keys=True, indent=2) + "\n"
+            assert oracle_out == out
 
 
 def test_oracle_lattice_doc(docfile, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scarf.errors import GenericityError, InputError
-from scarf.finite import FinitePointSet, enumerate_complex, is_generic
+from scarf.finite import FinitePointSet, _face_records, enumerate_complex, is_generic
 from scarf.formats import (
     complex_doc,
     error_doc,
@@ -111,14 +111,50 @@ def test_lattice_doc_round_trip():
 
 
 def test_complex_doc_shape():
-    cx = enumerate_complex(FinitePointSet([(0, 0), (1, 0), (2, 0)]))
-    doc = complex_doc(cx)
+    A = FinitePointSet([(0, 0), (1, 0), (2, 0)])
+    doc = json.loads(complex_doc(A, _face_records(A, None)))
     assert doc["kind"] == "complex"
     assert doc["f_vector"] == [3, 3, 1]
     assert doc["empty_face"] is True
     assert len(doc["faces"]) == 7  # empty face flagged, not listed
     assert all("multidegree" in f for f in doc["faces"])
-    json.dumps(doc)  # document must be plain JSON data
+    assert json.loads(complex_doc(A, [])) == {
+        "kind": "complex", "dimension": -1, "f_vector": [], "empty_face": True, "faces": []}
+
+
+def reference_complex(A, max_dim, extra) -> dict:
+    """The complex document built face by face from the library's LabeledComplex."""
+    cx = enumerate_complex(A, max_dim)
+    return {
+        "kind": "complex",
+        "dimension": cx.dimension,
+        "f_vector": list(cx.f_vector()),
+        "empty_face": True,
+        "faces": [{"vertices": [point_json(v) for v in f.vertices], "dim": f.dim,
+                   "multidegree": point_json(f.multidegree)}
+                  for f in cx.faces() if f.vertices],
+        **extra,
+    }
+
+
+coordinates = st.integers(-4, 4) | st.builds(
+    lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(2, 5))
+point_sets = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(coordinates, min_size=n, max_size=n), min_size=1, max_size=7))
+extras = st.sampled_from([
+    {},
+    {"source": "oracle"},
+    {"genericity": {"kind": "genericity", "generic": False, "mode": "both",
+                    "witness": {"a": [1, "1/2"], "b": [1, 2], "coordinate": 1},
+                    "pairwise": False, "facet": False, "modes_agree": True}},
+])
+
+
+@given(point_sets, st.none() | st.integers(0, 3), extras)
+def test_complex_doc_is_json_dumps_of_the_reference(rows, max_dim, extra):
+    A = FinitePointSet(rows)
+    records = _face_records(A, None if max_dim is None else max_dim + 1)
+    assert complex_doc(A, records, extra) == dumped(reference_complex(A, max_dim, extra))
 
 
 def test_genericity_doc_witness():
@@ -156,8 +192,8 @@ def test_error_doc():
 def fixture_docs():
     """One document of every kind the CLI writes, built from small fixtures."""
     dense = FinitePointSet([(i, 0) for i in range(5)] + [("1/2", "7/3")])
-    cx = complex_doc(enumerate_complex(dense))
-    cx["genericity"] = genericity_doc(is_generic(dense, mode="both"))
+    cx = json.loads(complex_doc(dense, _face_records(dense, None),
+                                {"genericity": genericity_doc(is_generic(dense, mode="both"))}))
     ker111_e1 = validate_periodic_set([(1, -1, 0), (0, 1, -1)], cosets=[(0, 0, 0), (1, 0, 0)])
     star = star_at(ker111_e1, Point((0, 0, 0)), 2)
     grid = FinitePointSet([(a, b) for a in range(4) for b in range(3)])
@@ -223,11 +259,3 @@ def test_render_sees_a_list_mutated_between_calls():
     assert render_document(doc) == dumped(doc)
     assert '"3/4"' in render_document(doc)
 
-
-def test_point_lists_are_shared_between_faces():
-    doc = complex_doc(enumerate_complex(FinitePointSet([(0, 0), (1, 0), (2, 0)])))
-    by_vertex = {}
-    for face in doc["faces"]:
-        for row in face["vertices"]:
-            assert by_vertex.setdefault(tuple(row), row) is row
-    assert len(by_vertex) == 3
