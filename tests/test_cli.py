@@ -111,6 +111,42 @@ RATIONAL_COLLINEAR = {"points": [["-3/2", 2], [0, 2], ["1/2", 2], [1, 2], ["7/3"
 PLANE_3D = {"points": [[3, 0, 0], [0, 3, 0], [0, 0, 3], [2, 1, 0], [0, 2, 1], [1, 0, 2]]}
 GENERIC_ANTICHAIN = {"points": [[0, 5, 9], [1, 7, 3], [4, 0, 8], [6, 2, 1], [8, 6, 0], [9, 1, 4]]}
 MIXED = {"points": [["1/2", -1, 3], [2, "-5/3", 0], [-4, 2, "2/7"], [1, 1, 1], [0, -2, 5]]}
+PERMUTATION_4D = {"points": [[4, 0, 2, 1], [0, 4, 1, 3], [2, 1, 4, 0], [1, 3, 0, 4], [3, 2, 3, 2]]}
+TIED_RATIONAL = {"points": [["1/2", 3, "7/3"], ["5/2", "1/3", 2], [1, "7/3", "-1/2"],
+                            ["1/2", "9/4", 4], [3, 0, "2/3"], ["6/3", "-0/5", 5]]}
+
+
+def seeded_grid(seed, n, dim, hi):
+    """n distinct integer points of [0, hi]^dim drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    pts = set()
+    while len(pts) < n:
+        pts.add(tuple(rng.randint(0, hi) for _ in range(dim)))
+    return {"points": [list(p) for p in sorted(pts)]}
+
+
+def seeded_rational_grid(seed, n, dim):
+    """n rows of "p/q" strings, some with q = 1 or q dividing p, from random.Random(seed)."""
+    rng = random.Random(seed)
+    return {"points": [[f"{rng.randint(-9, 9)}/{rng.randint(1, 4)}" for _ in range(dim)]
+                       for _ in range(n)]}
+
+
+def seeded_antichain(seed, m):
+    """m points of the plane x + y + z = 20m in N^3, distinct on every axis: a generic set."""
+    rng = random.Random(seed)
+    span = 10 * m
+    while True:
+        xs = rng.sample(range(1, span), m)
+        ys = rng.sample(range(1, span), m)
+        zs = [2 * span - x - y for x, y in zip(xs, ys)]
+        if len(set(zs)) == m:
+            return {"points": [[x, y, z] for x, y, z in zip(xs, ys, zs)]}
+
+
+GRID_4D = seeded_grid(4, 120, 4, 6)
+RATIONAL_GRID = seeded_rational_grid(5, 40, 3)
+ANTICHAIN_30 = seeded_antichain(30, 30)
 
 FINITE_OUTPUT_SHA256 = (
     ("finite-nb", RATIONAL_COLLINEAR, ["--format", "structured"],
@@ -131,6 +167,18 @@ FINITE_OUTPUT_SHA256 = (
      "6412a7cfc5c0e830770803aefc4e037c09901565966dbb7b78eb4691cd7eb44f"),
     ("oracle", PLANE_3D, ["--format", "text"],
      "f997f8b286979f621acc11575417a6e3a6c7d0f174136f41d3f53f9c3f85d931"),
+    ("layers", GRID_4D, ["--k", "3", "--format", "structured"],
+     "0ddba3a2fbb238ab3ffc7f69922be5a9791a28cb6f6bf92d85f98b5ad1fcab01"),
+    ("layers", GRID_4D, ["--k", "3", "--orthant=+-+-", "--format", "structured"],
+     "316d01b7ae2bdf55eb8bb2f267ab08cd4eda1152b85debd41db831fedc027fd0"),
+    ("layers", RATIONAL_GRID, ["--k", "2", "--format", "structured"],
+     "44fbdd843f87732720ea36e91117fe363d43a6bb71ac4f144e77e5ad5d3c7c92"),
+    ("scarf-resolve", ANTICHAIN_30, ["--format", "structured"],
+     "66d8d9290a15645bab98a730c8ae74244a64fb70d1aaf5b6d726e4eeef7cc31c"),
+    ("scarf-resolve", PERMUTATION_4D, ["--format", "structured"],
+     "dc659e3f8b1163e5f592c562ff4fa93a2e7accdc51d0e588e91d7d3e5491d67d"),
+    ("generic-check", TIED_RATIONAL, ["--generic-mode", "both", "--format", "structured"],
+     "8f48349c30878877d384bc508c1beb71874ee7240d3168e27e83a6863dffe10d"),
 )
 
 
