@@ -2,6 +2,10 @@
 
 Input documents hold either "points" (rows of integers or "p/q" strings)
 or "basis" plus optional "cosets" (integer columns and integer vectors).
+A coordinate string is "n" or "p/q" in ASCII digits, with an optional sign
+on the numerator and q nonzero; no spaces, underscores, decimals or
+exponents.  Integral values parse to ints however they are spelled, so
+point_json writes "6/3" back as 2.
 Rendered documents are plain JSON with sorted keys, so parse(render(x))
 round-trips at the document level and diffs are stable.  The exact byte
 contract: render_document(doc) equals
@@ -58,7 +62,7 @@ __all__ = [
 def parse_document(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int beyond the digit limit
         raise InputError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("the top-level JSON value must be an object")
@@ -193,10 +197,7 @@ def parse_cli_point(text: str) -> Point:
 
 
 def point_json(p: Point) -> list:
-    return [
-        int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-        for c in p.coords
-    ]
+    return [c if type(c) is int else f"{c.numerator}/{c.denominator}" for c in p.coords]
 
 
 def _shared_point_json():
@@ -226,7 +227,7 @@ def _face_json(f: Face, row) -> dict:
 
 def _coord_text(c) -> str:
     # point_json's entry as render_document writes it: digits, or a "p/q" string
-    return str(c.numerator) if c.denominator == 1 else f'"{c.numerator}/{c.denominator}"'
+    return int.__repr__(c) if type(c) is int else f'"{c.numerator}/{c.denominator}"'
 
 
 def complex_doc(A: FinitePointSet, records: list, extra: Optional[dict] = None) -> str:

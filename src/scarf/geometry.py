@@ -1,39 +1,62 @@
 """Exact coordinatewise order structure on Q^n.
 
-Points carry arbitrary-precision rationals.  Floats are rejected at
-construction, so no rounding can creep in anywhere downstream.  All
-operations are pure functions on immutable values.  A finite set's order
-structure compresses to a RankIndex: integer ranks per axis and prefix
-bitsets, which answer "which points lie below this bound" with a few ANDs.
+A coordinate is a plain int whenever its value is integral, and a Fraction
+with denominator above 1 otherwise.  Every input spelling of an integer (an
+int, a Fraction, "6/3") becomes the same int, so points of Z^n compare,
+sort and hash at C speed, and equal values stay equal and hash equal
+across the two types (Fraction(3) == 3, hash(Fraction(3)) == hash(3)).
+Floats are rejected at construction, so no rounding can creep in anywhere
+downstream; a library caller dividing coordinates must therefore divide
+with Fraction, since / on two ints gives a float.  All operations are pure
+functions on immutable values.  A finite set's order structure compresses
+to a RankIndex: integer ranks per axis and prefix bitsets, which answer
+"which points lie below this bound" with a few ANDs.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import InputError
 
+Coordinate = Union[int, Fraction]
 
-def as_fraction(value) -> Fraction:
-    """Coerce an int, a "p/q" string or a Fraction to Fraction; floats are refused."""
+# ASCII digits only: int() alone would also take "1_0", " 3 " and "\u0663"
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def as_fraction(value) -> Coordinate:
+    """An exact coordinate: an int when the value is integral, else a Fraction.
+
+    Accepts ints (not bools), Fractions, and strings "n" or "p/q" of ASCII
+    digits with an optional sign on the numerator and q nonzero.  Anything
+    else, floats included, raises InputError on every Python version.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, float):
         raise InputError(f"floating point is not allowed: {value!r}")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
+    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
         raise InputError(f"not a rational: {value!r}")
     try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise InputError(f"not a rational: {value!r}") from exc
+        p, q = int(match[1]), int(match[2] or 1)
+    except ValueError as exc:  # more digits than the interpreter converts
+        raise InputError(f"not a rational: {value!r}: {exc}") from exc
+    if q == 0:
+        raise InputError(f"not a rational: {value!r}")
+    return p // q if p % q == 0 else Fraction(p, q)
 
 
 class Point:
-    """An immutable vector of exact rationals with structural equality.
+    """An immutable vector of exact coordinates with structural equality.
 
     The hash is that of the coordinate tuple, computed on first use and
     kept, so tuples of points (face keys) hash without rehashing Fractions.
@@ -42,7 +65,11 @@ class Point:
     __slots__ = ("coords", "_hash")
 
     def __init__(self, coords: Iterable) -> None:
-        cs = tuple(as_fraction(c) for c in coords)
+        cs = tuple(coords)
+        for c in cs:
+            if type(c) is not int:  # all-int rows, the common case, skip as_fraction
+                cs = tuple(map(as_fraction, cs))
+                break
         if not cs:
             raise InputError("a point needs at least one coordinate")
         self.coords = cs
@@ -55,10 +82,10 @@ class Point:
     def __len__(self) -> int:
         return len(self.coords)
 
-    def __iter__(self) -> Iterator[Fraction]:
+    def __iter__(self) -> Iterator[Coordinate]:
         return iter(self.coords)
 
-    def __getitem__(self, i) -> Fraction:
+    def __getitem__(self, i) -> Coordinate:
         return self.coords[i]
 
     def __eq__(self, other) -> bool:
@@ -75,7 +102,7 @@ class Point:
     def __str__(self) -> str:
         """The point as JSON output writes it, on one line: [1, -2, "1/2"]."""
         return "[%s]" % ", ".join(
-            str(c) if c.denominator == 1 else f'"{c}"' for c in self.coords)
+            str(c) if type(c) is int else f'"{c}"' for c in self.coords)
 
     def __add__(self, other):
         if not isinstance(other, Point):
@@ -90,12 +117,12 @@ class Point:
         return Point(a - b for a, b in zip(self.coords, other.coords))
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return all(type(c) is int for c in self.coords)
 
     def as_int_tuple(self) -> tuple[int, ...]:
         if not self.is_integral():
             raise InputError(f"integer point required, got {self}")
-        return tuple(c.numerator for c in self.coords)
+        return self.coords
 
 
 def zero_point(n: int) -> Point:
@@ -107,7 +134,7 @@ def _same_dim(a: Point, b: Point) -> None:
         raise InputError(f"dimension mismatch: {len(a)} vs {len(b)}")
 
 
-def point_key(p: Point) -> tuple[Fraction, ...]:
+def point_key(p: Point) -> tuple[Coordinate, ...]:
     """Sort key giving the canonical (lexicographic) order on points."""
     return p.coords
 

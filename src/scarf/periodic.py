@@ -318,13 +318,12 @@ def quotient_complex(A: PeriodicSet, dmax: int) -> QuotientResult:
         certified = certified and star.report.certified
         for name, cnt in star.report.candidate_counts:
             combined[name] = combined.get(name, 0) + cnt
-        ints = {p: p.as_int_tuple() for p in (star.center,) + star.neighbors}
         shifts: dict = {}
         for f in star.faces:
             # translating by a lattice vector preserves the vertex order, so
             # pinning the least vertex to its canonical representative gives
             # a well-defined key: the Face.key of the translated face
-            vs = [ints[v] for v in f.vertices]
+            vs = [v.coords for v in f.vertices]  # star vertices are integral: int tuples
             v0 = vs[0]
             if v0 not in shifts:
                 shifts[v0] = tuple(a - b for a, b in zip(lattice._canonical(v0), v0))

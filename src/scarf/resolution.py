@@ -11,6 +11,7 @@ exactly minimality of the resolution the complex supports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, sub
 
 from .complexes import Face
 from .errors import GenericityError, InputError
@@ -111,10 +112,11 @@ def build_resolution(A: FinitePointSet) -> Resolution:
     for lower, upper in zip(faces_by_dim, faces_by_dim[1:]):
         entries: dict = {}
         for col, face in enumerate(upper):
-            vs = face.vertices
+            vs, top = face.vertices, face.multidegree.coords
             for j in range(len(vs)):
                 row = index[vs[:j] + vs[j + 1:]]
-                entries[(row, col)] = ((-1) ** j, face.multidegree - lower[row].multidegree)
+                exponent = Point(map(sub, top, lower[row].multidegree.coords))
+                entries[(row, col)] = ((-1) ** j, exponent)
         diffs.append(entries)
     return Resolution(
         points=A,
@@ -135,7 +137,7 @@ def _compose(lower: dict, upper: dict, step: int, failures: list) -> None:
         acc: dict = {}
         for m, sign1, exp1 in terms:
             for r, sign2, exp2 in lower_by_mid.get(m, ()):
-                key = (r, (exp1 + exp2).coords)
+                key = (r, tuple(map(add, exp1.coords, exp2.coords)))
                 acc[key] = acc.get(key, 0) + sign1 * sign2
         for (r, total), coeff in acc.items():
             if coeff != 0:

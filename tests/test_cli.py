@@ -541,9 +541,20 @@ def test_reads_stdin(capsys, monkeypatch):
 
 def test_bad_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{ not json")
-    code, _, err = run_cli(["finite-nb", str(path), "--format", "structured"], capsys)
-    assert code == 2
+    # the second integer has more digits than json.loads converts (a ValueError)
+    for text in ("{ not json", '{"points": [[1%s]]}' % ("0" * 5000)):
+        path.write_text(text)
+        code, _, err = run_cli(["finite-nb", str(path), "--format", "structured"], capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "InputError"
+
+
+@pytest.mark.parametrize("text", ["1_0", "3.5", "1e2", " 3 ", "\u0663"])
+def test_coordinate_outside_the_grammar_exits_2(docfile, capsys, text):
+    # int() and Fraction() alone accept these, some only on some Python versions
+    code, out, err = run_cli(
+        ["finite-nb", docfile({"points": [[text, 0]]}), "--format", "structured"], capsys)
+    assert code == 2 and out == ""
     assert json.loads(err)["error"] == "InputError"
 
 

@@ -294,7 +294,7 @@ def query_point(rng, A):
         values = sorted({a[k] for a in A.points})
         lo = rng.randrange(len(values))
         hi = min(lo + 1, len(values) - 1)
-        coords.append(rng.choice((values[0] - 1, values[lo], (values[lo] + values[hi]) / 2,
+        coords.append(rng.choice((values[0] - 1, values[lo], Fraction(values[lo] + values[hi], 2),
                                   values[-1] + Fraction(1, 3))))
     return Point(coords)
 

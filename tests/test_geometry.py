@@ -1,5 +1,6 @@
 """Exact rational points, joins, orthants."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scarf.errors import InputError
+from scarf.finite import FinitePointSet
+from scarf.formats import point_json
 from scarf.geometry import (
     Orthant,
     Point,
@@ -46,6 +49,57 @@ class TestAsFraction:
             as_fraction("one half")
         with pytest.raises(InputError):
             as_fraction("1/0")
+
+    def test_string_grammar(self):
+        # ASCII digits, a sign on the numerator only, a positive denominator
+        assert as_fraction("+3") == 3 and as_fraction("007") == 7
+        assert as_fraction("-0/5") == 0 and as_fraction("-4/6") == Fraction(-2, 3)
+        too_long = "1" * 5000  # more digits than int() converts
+        for text in ("", "/2", "1/", "1/-2", "--1", "1/2/3", "0x10", "3\n", "\u0661/2", too_long):
+            with pytest.raises(InputError):
+                as_fraction(text)
+        with pytest.raises(InputError):
+            as_fraction(None)
+
+
+def spellings(value: Fraction) -> list:
+    """Accepted input spellings of one rational value: Fractions, "p/q" strings, ints."""
+    p, q = value.numerator, value.denominator
+    out = [value, f"{p}/{q}", f"{3 * p}/{3 * q}"]  # the latter gives "6/3" for 2
+    if q == 1:
+        out += [p, str(p)]
+    if p == 0:
+        out.append("-0/5")
+    return out
+
+
+def reference_json(values: list) -> list:
+    """point_json as it reads with Fraction coordinates throughout."""
+    return [int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}" for c in values]
+
+
+class TestIntegralCoordinatesAreInts:
+    @given(st.lists(rationals, min_size=1, max_size=4), st.data())
+    def test_representation_does_not_depend_on_spelling(self, values, data):
+        spelled = [data.draw(st.sampled_from(spellings(v))) for v in values]
+        other = [data.draw(st.sampled_from(spellings(v))) for v in values]
+        p = Point(spelled)
+        for c, v in zip(p.coords, values):
+            if v.denominator == 1:
+                assert type(c) is int
+            else:
+                assert type(c) is Fraction and c.denominator > 1
+            assert c == v
+        assert p == Point(other) == Point(values)
+        assert hash(p) == hash(Point(other)) == hash(tuple(values))
+        assert len(FinitePointSet([spelled, other, values])) == 1
+        assert json.dumps(point_json(p)) == json.dumps(reference_json(values))
+        assert str(p) == json.dumps(reference_json(values))
+
+    def test_a_set_dedups_two_spellings_of_an_integer(self):
+        A = FinitePointSet([["2/1", 0], [2, 0], [Fraction(4, 2), "-0/5"]])
+        assert len(A) == 1 and A.points[0].coords == (2, 0)
+        assert [type(c) for c in A.points[0].coords] == [int, int]
 
 
 class TestPoint:
