@@ -9,12 +9,15 @@ certificate within the depth limit of --auto-dmax.
 
 Flags that would be ignored are refused instead (exit 2): finite-nb takes
 --max-dim or --vertex, not both, and the periodic subcommands take --dmax or
---auto-dmax, not both.
+--auto-dmax, not both.  oracle --selftest takes no input document and no
+radii, --seed needs --selftest, and --r-candidate/--r-witness need a lattice
+document.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -31,18 +34,8 @@ from .resolution import build_resolution, verify_chain
 
 __all__ = ["run", "main"]
 
-SUBCOMMANDS = (
-    "finite-nb",
-    "generic-check",
-    "layers",
-    "scarf-resolve",
-    "lattice-neighbors",
-    "lattice-star",
-    "quotient",
-    "oracle",
-)
 
-
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scarf",
@@ -87,22 +80,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("scarf-resolve", "labeled chain complex of a generic exponent set")
     p.add_argument("input")
 
-    p = add("lattice-neighbors", "neighbors of a point of a periodic set")
-    p.add_argument("input", help="JSON file with basis columns and optional cosets")
-    p.add_argument("--dmax", type=int, default=None, help="fixed search depth")
-    p.add_argument("--auto-dmax", action="store_true", help="double the depth until certified")
-    p.add_argument("--vertex", default=None, help='center point such as "1,0,-1" (default origin)')
-
-    p = add("lattice-star", "all faces through a point of a periodic set")
-    p.add_argument("input")
-    p.add_argument("--dmax", type=int, default=None)
-    p.add_argument("--auto-dmax", action="store_true")
-    p.add_argument("--vertex", default=None)
-
-    p = add("quotient", "translation classes of faces of a periodic set")
-    p.add_argument("input")
-    p.add_argument("--dmax", type=int, default=None)
-    p.add_argument("--auto-dmax", action="store_true")
+    for name, help_ in (("lattice-neighbors", "neighbors of a point of a periodic set"),
+                        ("lattice-star", "all faces through a point of a periodic set"),
+                        ("quotient", "translation classes of faces of a periodic set")):
+        p = add(name, help_)
+        p.add_argument("input", help="JSON file with basis columns and optional cosets")
+        p.add_argument("--dmax", type=int, default=None, help="fixed search depth")
+        p.add_argument("--auto-dmax", action="store_true", help="double the depth until certified")
+        if name != "quotient":
+            p.add_argument("--vertex", default=None,
+                           help='center point such as "1,0,-1" (default origin)')
 
     p = add("oracle", "brute-force cross-check paths")
     p.add_argument("input", nargs="?", default=None)
@@ -110,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-witness", type=int, default=None, help="witness box radius")
     p.add_argument("--selftest", type=int, default=None, metavar="TRIALS",
                    help="random cross-check of the main paths against the oracle")
-    p.add_argument("--seed", type=int, default=0, help="seed for --selftest generation")
+    p.add_argument("--seed", type=int, default=None, help="seed for --selftest generation")
 
     return parser
 
@@ -133,12 +120,19 @@ def _parse_vertex(job: argparse.Namespace, dim: int) -> Point:
 
 
 def _run_oracle(job: argparse.Namespace) -> dict | str:
+    radii = job.r_candidate is not None or job.r_witness is not None
     if job.selftest is not None:
-        return _selftest(job.selftest, job.seed)
+        if job.input is not None or radii:
+            raise InputError("--selftest takes no input document, --r-candidate or --r-witness")
+        return _selftest(job.selftest, 0 if job.seed is None else job.seed)
+    if job.seed is not None:
+        raise InputError("--seed applies to --selftest only")
     if job.input is None:
         raise InputError("the oracle needs an input document (or --selftest)")
     doc = formats.load_document(job.input)
     if "points" in doc:
+        if radii:
+            raise InputError("--r-candidate and --r-witness apply to lattice documents only")
         A = formats.parse_points_doc(doc)
         position = {p: i for i, p in enumerate(A.points)}
         ranks = A.rank_index.ranks
@@ -219,7 +213,7 @@ def run(job: argparse.Namespace) -> dict | str:
         A = formats.parse_points_doc(formats.load_document(job.input))
         if job.k < 0:
             raise InputError(f"--k must be a natural number, got {job.k}")
-        orthant = Orthant.from_string(job.orthant) if job.orthant else None
+        orthant = None if job.orthant is None else Orthant.from_string(job.orthant)
         layering = dickson_layers(A, job.k, orthant)
         filtered = filter_by_downset(A, job.k, orthant)
         return formats.layering_doc(layering, filtered, job.k)
@@ -292,13 +286,10 @@ def render_text(doc: dict) -> str:
             + _point_str(doc["f_vector"])
         )
         for f in doc["faces"]:
-            label = ""
-            if "multidegree" in f:
-                label = "  join " + _point_str(f["multidegree"])
             lines.append(
                 f"  dim {f['dim']}: "
                 + " ".join(_point_str(v) for v in f["vertices"])
-                + label
+                + "  join " + _point_str(f["multidegree"])
             )
     elif kind == "genericity":
         head = "generic" if doc["generic"] else "not generic"
@@ -315,11 +306,10 @@ def render_text(doc: dict) -> str:
         for i, layer in enumerate(doc["layers"]):
             lines.append(f"layer {i}: " + " ".join(_point_str(p) for p in layer))
         lines.append("residual: " + (" ".join(_point_str(p) for p in doc["residual"]) or "(empty)"))
-        if "filtered" in doc:
-            lines.append(
-                f"downset filter (k={doc.get('k')}): "
-                + " ".join(_point_str(p) for p in doc["filtered"])
-            )
+        lines.append(
+            f"downset filter (k={doc['k']}): "
+            + " ".join(_point_str(p) for p in doc["filtered"])
+        )
     elif kind in ("neighbors", "star"):
         lines.append(
             f"center {_point_str(doc['center'])}: {len(doc['neighbors'])} neighbors"

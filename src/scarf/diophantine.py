@@ -79,15 +79,10 @@ class Lattice:
             raise InputError(f"dimension mismatch: point {p} vs lattice of dimension {self.dim}")
         return v
 
-    def _coset_key(self, v: Sequence[int]) -> tuple[int, ...]:
-        """Reduced Smith coordinates of an integer vector: equal exactly on one coset."""
-        U, _, _ = self._snf
-        diag = self._diag
-        w = matvec(U, v)
-        return tuple(w[i] % diag[i] if i < self.rank else w[i] for i in range(self.dim))
-
     def member(self, p: Point) -> bool:
-        return not any(self._coset_key(self._int_coords(p)))
+        # a lattice vector v = basis * t has w = U v = D V^-1 t, so q = V^-1 t
+        # and the shift basis * V q is v itself: its representative is the origin
+        return not any(self._canonical(self._int_coords(p)))
 
     def canonical_rep(self, p: Point) -> Point:
         """The unique coset representative with reduced Smith coordinates.
@@ -150,14 +145,11 @@ class Lattice:
 
 
 def _canonical_reps(lattice: Lattice, reps: Iterable[Point]) -> list[tuple[int, ...]]:
-    """One representative of each distinct coset among reps, as int tuples."""
-    out: dict = {}
-    for rep in reps:
-        v = lattice._int_coords(rep)
-        out.setdefault(lattice._coset_key(v), v)
+    """The canonical representative of each distinct coset among reps, as int tuples."""
+    out = list(dict.fromkeys(lattice._canonical(lattice._int_coords(rep)) for rep in reps))
     if not out:
         raise InputError("at least one coset representative is required")
-    return list(out.values())
+    return out
 
 
 def coset_points(lattice: Lattice, creps: Sequence[tuple[int, ...]],

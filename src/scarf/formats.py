@@ -22,13 +22,13 @@ whose faces repeat a few vertices renders each vertex once, not per face.
 from __future__ import annotations
 
 import json
+import sys
 from json.encoder import encode_basestring_ascii
-from typing import Optional
 
 from .complexes import Face
 from .errors import InputError
 from .finite import FinitePointSet, GenericityReport
-from .geometry import Point
+from .geometry import Point, point_key
 from .periodic import (
     CompletenessReport,
     PeriodicSet,
@@ -133,8 +133,6 @@ def _render(value, depth: int) -> str:
 
 def load_document(path: str) -> dict:
     if path == "-":
-        import sys
-
         return parse_document(sys.stdin.read())
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -219,10 +217,9 @@ def _shared_point_json():
 
 
 def _face_json(f: Face, row) -> dict:
-    doc = {"vertices": [row(v) for v in f.vertices], "dim": f.dim}
-    if f.multidegree is not None:
-        doc["multidegree"] = row(f.multidegree)
-    return doc
+    # star faces are never empty, so each has a join
+    return {"vertices": [row(v) for v in f.vertices], "dim": f.dim,
+            "multidegree": row(f.multidegree)}
 
 
 def _coord_text(c) -> str:
@@ -230,7 +227,7 @@ def _coord_text(c) -> str:
     return int.__repr__(c) if type(c) is int else f'"{c.numerator}/{c.denominator}"'
 
 
-def complex_doc(A: FinitePointSet, records: list, extra: Optional[dict] = None) -> str:
+def complex_doc(A: FinitePointSet, records: list, extra: dict) -> str:
     """The text of the complex document of A's faces, given as (member indices, rank join).
 
     Returns render_document of {"kind": "complex", "dimension", "f_vector",
@@ -260,7 +257,7 @@ def complex_doc(A: FinitePointSet, records: list, extra: Optional[dict] = None) 
         "dimension": len(f_vector) - 1,
         "f_vector": f_vector,
         "empty_face": True,
-        **(extra or {}),
+        **extra,
     }.items())
     head = "".join([f"{encode_basestring_ascii(k)}: {_render(v, 1)},\n  "
                     for k, v in others if k < "faces"])
@@ -294,22 +291,17 @@ def genericity_doc(report: GenericityReport) -> dict:
     return doc
 
 
-def layering_doc(layering: Layering, filtered=None, k: Optional[int] = None) -> dict:
-    from .geometry import point_key
-
+def layering_doc(layering: Layering, filtered, k: int) -> dict:
     def rows(points) -> list:
         return [point_json(p) for p in sorted(points, key=point_key)]
 
-    doc = {
+    return {
         "kind": "layering",
         "layers": [rows(layer) for layer in layering.layers],
         "residual": rows(layering.residual),
+        "k": k,
+        "filtered": rows(filtered),
     }
-    if k is not None:
-        doc["k"] = k
-    if filtered is not None:
-        doc["filtered"] = rows(filtered)
-    return doc
 
 
 def report_doc(report: CompletenessReport) -> dict:

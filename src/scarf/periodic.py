@@ -72,8 +72,9 @@ class PeriodicSet:
     def contains(self, p: Point) -> bool:
         if not p.is_integral():
             return False
-        key = self.lattice._coset_key(self.lattice._int_coords(p))
-        return any(self.lattice._coset_key(rep.as_int_tuple()) == key for rep in self.reps)
+        # the reps are stored canonical, so one representative decides
+        canon = self.lattice._canonical(self.lattice._int_coords(p))
+        return any(rep.coords == canon for rep in self.reps)
 
     def __eq__(self, other):
         if not isinstance(other, PeriodicSet):
@@ -183,12 +184,11 @@ def _candidate_vertices(A: PeriodicSet, creps: list, center: tuple, dmax: int):
 
     The minimal points of coset -d in orthant -sigma are the negated ones of
     coset d in sigma: the same reflected steps, computed once per pair.
-    creps are the set's representatives and center a set point, all int
+    creps are the set's canonical representatives and center a set point, all int
     tuples; the candidates come back as sorted int tuples.
     """
     lattice = A.lattice
-    keys = [lattice._coset_key(c) for c in creps]
-    center_idx = keys.index(lattice._coset_key(center))
+    center_idx = creps.index(lattice._canonical(center))
     # the single coset a step from coset l to coset k lands in, per (l, k)
     diffs = [[lattice._canonical([a - b for a, b in zip(ck, cl)]) for ck in creps]
              for cl in creps]
@@ -274,9 +274,9 @@ def star_at(A: PeriodicSet, vertex: Point, dmax: int) -> StarResult:
     return StarResult(vertex, tuple(points), tuple(faces), report)
 
 
-def _double_until_certified(compute, dmax_start: int, dmax_limit: int, what: str):
-    """compute(dmax) at dmax_start, 2*dmax_start, ... until its report is certified."""
-    dmax = dmax_start
+def _double_until_certified(compute, dmax_limit: int, what: str):
+    """compute(dmax) at dmax 2, 4, 8, ... until its report is certified."""
+    dmax = 2
     result = None
     while dmax <= dmax_limit:
         result = compute(dmax)
@@ -289,13 +289,12 @@ def _double_until_certified(compute, dmax_start: int, dmax_limit: int, what: str
     )
 
 
-def certified_star(A: PeriodicSet, vertex=None, dmax_start: int = 2,
-                   dmax_limit: int = 256) -> StarResult:
+def certified_star(A: PeriodicSet, vertex=None, dmax_limit: int = 256) -> StarResult:
     """Double the search depth until the star certifies itself complete."""
     if vertex is None:
         vertex = zero_point(A.dim)
     return _double_until_certified(
-        lambda dmax: star_at(A, vertex, dmax), dmax_start, dmax_limit, f"star at {vertex}"
+        lambda dmax: star_at(A, vertex, dmax), dmax_limit, f"star at {vertex}"
     )
 
 
@@ -350,9 +349,8 @@ def quotient_complex(A: PeriodicSet, dmax: int) -> QuotientResult:
     return QuotientResult(orbits=orbits, f_vector=fvec, report=report)
 
 
-def certified_quotient(A: PeriodicSet, dmax_start: int = 2,
-                       dmax_limit: int = 256) -> QuotientResult:
+def certified_quotient(A: PeriodicSet, dmax_limit: int = 256) -> QuotientResult:
     """Double the search depth until every coset's star certifies itself complete."""
     return _double_until_certified(
-        lambda dmax: quotient_complex(A, dmax), dmax_start, dmax_limit, "quotient"
+        lambda dmax: quotient_complex(A, dmax), dmax_limit, "quotient"
     )

@@ -3,10 +3,14 @@
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import scarf
 from scarf.cli import main, monomial
 from scarf.errors import InputError
 
@@ -242,6 +246,11 @@ def test_layers_orthant_flag(docfile, capsys):
     assert code == 2
     code, _, _ = run_cli(["layers", docfile(doc_in), "--k", "-2"], capsys)
     assert code == 2
+    # an empty sign string is refused, not read as "no orthant"
+    code, out, err = run_cli(
+        ["layers", docfile(doc_in), "--orthant=", "--format", "structured"], capsys)
+    assert code == 2 and out == ""
+    assert "at least one axis" in json.loads(err)["message"]
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +537,32 @@ def test_oracle_flag_validation(docfile, capsys):
     assert code == 2
 
 
+def assert_refused(argv, capsys):
+    code, out, err = run_cli([*argv, "--format", "structured"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "InputError"
+
+
+def test_oracle_selftest_refuses_input_and_radii(docfile, capsys):
+    # refused before the document is opened
+    assert_refused(["oracle", "/nonexistent.json", "--selftest", "1", "--r-candidate", "3"],
+                   capsys)
+    assert_refused(["oracle", docfile(COLLINEAR), "--selftest", "1"], capsys)
+    assert_refused(["oracle", "--selftest", "1", "--r-witness", "8"], capsys)
+
+
+def test_oracle_points_doc_refuses_radii(docfile, capsys):
+    assert_refused(["oracle", docfile(COLLINEAR), "--r-candidate", "3"], capsys)
+    assert_refused(["oracle", docfile(COLLINEAR), "--r-candidate", "3", "--r-witness", "8"],
+                   capsys)
+
+
+def test_oracle_seed_needs_selftest(docfile, capsys):
+    assert_refused(["oracle", docfile(COLLINEAR), "--seed", "3"], capsys)
+    assert_refused(["oracle", docfile(KER111), "--r-candidate", "3", "--r-witness", "8",
+                    "--seed", "3"], capsys)
+
+
 # ---------------------------------------------------------------------------
 # transport and failure modes
 
@@ -537,6 +572,36 @@ def test_reads_stdin(capsys, monkeypatch):
     code, out, _ = run_cli(["finite-nb", "-", "--format", "structured"], capsys)
     assert code == 0
     assert json.loads(out)["f_vector"] == [3, 3, 1]
+
+
+def test_module_entry_point_matches_main(capsys):
+    # a fresh process builds its own parser: its bytes match the in-process run
+    src = os.path.dirname(os.path.dirname(scarf.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    argv = ["finite-nb", "-", "--format", "structured"]
+    text = json.dumps(STAIRCASE)
+    proc = subprocess.run([sys.executable, "-m", "scarf.cli", *argv], input=text,
+                          capture_output=True, text=True, env=env, check=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sys.stdin", io.StringIO(text))
+        assert run_cli(argv, capsys)[:2] == (0, proc.stdout)
+
+
+def test_parser_reuse_leaks_no_defaults(docfile, capsys):
+    # one process parses every job: a flag given to one must not reach the next
+    grid = docfile({"points": [[0, 1], [1, 0], [1, 1]]}, "grid.json")
+    stairs = docfile(STAIRCASE, "stairs.json")
+    jobs = [["generic-check", stairs, "--generic-mode", "remark"],
+            ["finite-nb", stairs],
+            ["layers", grid, "--orthant=-+"],
+            ["layers", grid]]
+    forward = [run_cli([*argv, "--format", "structured"], capsys) for argv in jobs]
+    backward = [run_cli([*argv, "--format", "structured"], capsys) for argv in reversed(jobs)]
+    assert forward == backward[::-1]
+    assert all(code == 0 for code, _, _ in forward)
+    assert "genericity" not in json.loads(forward[1][1])
+    assert forward[2][1] != forward[3][1]
 
 
 def test_bad_json_exits_2(tmp_path, capsys):

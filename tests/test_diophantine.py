@@ -232,7 +232,7 @@ def test_points_in_box_high_rank():
 
 @st.composite
 def box_queries(draw):
-    """A lattice in Z^2 or Z^3, one int representative per distinct coset, and a box."""
+    """A lattice in Z^2 or Z^3, the canonical int representatives of drawn cosets, and a box."""
     dim = draw(st.integers(2, 3))
     vector = st.tuples(*[st.integers(-3, 3)] * dim)
     columns = draw(st.lists(vector, min_size=1, max_size=dim))
@@ -241,7 +241,7 @@ def box_queries(draw):
     except InputError:
         assume(False)
     reps = draw(st.lists(vector, min_size=1, max_size=3))
-    creps = list({L._coset_key(r): r for r in reps}.values())
+    creps = list(dict.fromkeys(L._canonical(r) for r in reps))
     lo = draw(st.tuples(*[st.integers(-4, 0)] * dim))
     hi = tuple(l + draw(st.integers(0, 4)) for l in lo)
     return L, creps, lo, hi

@@ -112,13 +112,13 @@ def test_lattice_doc_round_trip():
 
 def test_complex_doc_shape():
     A = FinitePointSet([(0, 0), (1, 0), (2, 0)])
-    doc = json.loads(complex_doc(A, _face_records(A, None)))
+    doc = json.loads(complex_doc(A, _face_records(A, None), {}))
     assert doc["kind"] == "complex"
     assert doc["f_vector"] == [3, 3, 1]
     assert doc["empty_face"] is True
     assert len(doc["faces"]) == 7  # empty face flagged, not listed
     assert all("multidegree" in f for f in doc["faces"])
-    assert json.loads(complex_doc(A, [])) == {
+    assert json.loads(complex_doc(A, [], {})) == {
         "kind": "complex", "dimension": -1, "f_vector": [], "empty_face": True, "faces": []}
 
 

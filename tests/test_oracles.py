@@ -78,6 +78,11 @@ def test_coset_solver_matches_lattice():
         for _ in range(25):
             v = tuple(rng.randint(-8, 8) for _ in range(dim))
             assert solver.member(v) == L.member(Point(v))
+            # the canonical representative names the coset: equal exactly on one
+            p, q = Point(v), Point(tuple(rng.randint(-8, 8) for _ in range(dim)))
+            same = L.canonical_rep(p) == L.canonical_rep(q)
+            assert same == solver.member(tuple(a - b for a, b in zip(p.coords, q.coords)))
+            assert L.canonical_rep(p + Point(cols[0])) == L.canonical_rep(p)
 
 
 def test_coset_solver_rejects_dependent_columns():

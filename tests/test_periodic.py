@@ -305,8 +305,7 @@ def reference_candidates(A, creps, center, dmax):
     only accepted points step on.
     """
     lattice = A.lattice
-    keys = [lattice._coset_key(c) for c in creps]
-    center_idx = keys.index(lattice._coset_key(center))
+    center_idx = creps.index(lattice._canonical(center))
 
     def in_small_downbox(p):
         lo, hi = list(map(min, center, p)), list(map(max, center, p))
