@@ -410,6 +410,35 @@ def test_lattice_structured_output_pinned(docfile, capsys, subcommand, doc, flag
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# ker(1,1,4)+e1 has a face-heavy star (2.75 MB of structured output at depth 4)
+KER114_E1 = {"basis": [[1, -1, 0], [4, 0, -1]], "cosets": [[0, 0, 0], [1, 0, 0]]}
+
+LATTICE_FORMAT_SHA256 = (
+    ("lattice-star", KER114_E1, ["--dmax", "4", "--format", "structured"],
+     "387b2851650d37b2d39eb68f0fb0a416e2f6ad46ddd5e27ffe72f2d8e6cf736d"),
+    ("lattice-star", KER114_E1, ["--dmax", "4", "--format", "text"],
+     "a05e8645e88fd77df919a8920d5949728f63d5572cb3ba4cc260654354736238"),
+    ("quotient", KER114_E1, ["--dmax", "4", "--format", "structured"],
+     "17753a3bb6c1dcfd5dd8d8aa72bbab9f4fe55f08c55cf8c4f3313e2fd4bd9ffe"),
+    ("quotient", KER114_E1, ["--dmax", "4", "--format", "text"],
+     "6cf3553291584a88a66f729188a1fdfea44ba211ce7adf1d622945a59e2717e8"),
+    ("lattice-star", KER125_E1, ["--auto-dmax", "--format", "text"],
+     "68648c83c266fa67949411443f9c268a64ad30f8d43eb0f8df41bb5321edc35f"),
+    ("quotient", KER125_E1, ["--auto-dmax", "--format", "text"],
+     "95c8bc58f391cf804e36118607f0b807a347ace0e7a5aebd1cf2425d0171e061"),
+    ("lattice-neighbors", KER125_E1, ["--auto-dmax", "--format", "text"],
+     "89e27e0828efe7e7c82484b0639f546a2e39f9f74a377ac0c6c029005ca3487b"),
+)
+
+
+@pytest.mark.parametrize("subcommand, doc, flags, digest", LATTICE_FORMAT_SHA256,
+                         ids=[f"{c}-{i}" for i, (c, *_) in enumerate(LATTICE_FORMAT_SHA256)])
+def test_lattice_output_in_both_formats_pinned(docfile, capsys, subcommand, doc, flags, digest):
+    code, out, _ = run_cli([subcommand, docfile(doc), *flags], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_lattice_flag_validation(docfile, capsys):
     code, _, _ = run_cli(
         ["lattice-neighbors", docfile(KER111), "--dmax", "6", "--auto-dmax"], capsys
