@@ -30,7 +30,6 @@ from .geometry import Orthant, Point, all_orthants, join
 from .intsolve import minimal_natural_solutions, smith_normal_form
 from .periodic import (
     CompletenessReport,
-    FaceOrbit,
     PeriodicSet,
     QuotientResult,
     StarResult,
@@ -51,7 +50,6 @@ __all__ = [
     "ChainCheck",
     "CompletenessReport",
     "Face",
-    "FaceOrbit",
     "FinitePointSet",
     "GenericityError",
     "GenericityReport",

@@ -21,6 +21,7 @@ import functools
 import json
 import random
 import sys
+from collections import Counter
 from typing import Optional
 
 from . import formats
@@ -234,9 +235,13 @@ def run(job: argparse.Namespace) -> dict | str:
             star = certified_star(A, vertex)
         else:
             star = star_at(A, vertex, dmax)
-        if job.subcommand == "lattice-star":
+        if job.subcommand == "lattice-neighbors":
+            return formats.neighbors_doc(star)
+        if job.fmt == "structured":
             return formats.star_doc(star)
-        return formats.neighbors_doc(star)
+        # the summary counts faces by dimension, so it never writes them
+        f_vector = list(Counter(len(members) for members, _ in star.records).values())
+        return {**formats.neighbors_doc(star), "kind": "star", "f_vector": f_vector}
 
     if job.subcommand == "quotient":
         A = formats.parse_lattice_doc(formats.load_document(job.input))
@@ -317,13 +322,8 @@ def render_text(doc: dict) -> str:
         for p in doc["neighbors"]:
             lines.append("  " + _point_str(p))
         if kind == "star":
-            by_dim: dict = {}
-            for f in doc["faces"]:
-                by_dim[f["dim"]] = by_dim.get(f["dim"], 0) + 1
-            lines.append(
-                "faces by dimension: "
-                + ", ".join(f"{d}:{by_dim[d]}" for d in sorted(by_dim))
-            )
+            lines.append("faces by dimension: "
+                         + ", ".join(f"{d}:{n}" for d, n in enumerate(doc["f_vector"])))
         if "report" in doc:
             lines.extend(_report_lines(doc["report"]))
         if "r_candidate" in doc:

@@ -11,21 +11,22 @@ round-trips at the document level and diffs are stable.  The exact byte
 contract: render_document(doc) equals
 json.dumps(doc, sort_keys=True, indent=2) + "\n".
 
-Complexes of finite sets are the one exception to building a document
-first: complex_doc writes their text straight from the face records, and
-that text equals render_document of the document it stands for.  The other
-document builders give each point object one shared coordinate list, and
-the renderer writes each such list once per call and depth, so a star
-whose faces repeat a few vertices renders each vertex once, not per face.
+Documents with faces are the exception to building a document first:
+complex_doc and star_doc write their text from (member indices, join)
+face records through one face writer, and that text equals render_document
+of the document it stands for.  The quotient and resolution builders give
+each point one shared coordinate list, and the renderer writes each such
+list once per call and depth, not once per orbit or face.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from json.encoder import encode_basestring_ascii
+from operator import getitem
 
-from .complexes import Face
 from .errors import InputError
 from .finite import FinitePointSet, GenericityReport
 from .geometry import Point, point_key
@@ -87,7 +88,10 @@ def render_document(doc: dict) -> str:
 
 
 def _render(value, depth: int) -> str:
-    """render_document's text of value as it stands at this depth, without the newline."""
+    """render_document's text of value as it stands at this depth, without the newline.
+
+    Only quotient and resolution documents still share point lists.
+    """
     memo: dict = {}
 
     def write(x, depth: int) -> str:
@@ -201,8 +205,8 @@ def point_json(p: Point) -> list:
 def _shared_point_json():
     """point_json that returns one list per point object, however often it is asked.
 
-    Faces repeat a few vertex objects many times; sharing their lists lets
-    render_document write each one once.  Keys are ids, which is sound
+    A resolution repeats a few point objects many times; sharing their lists
+    lets render_document write each one once.  Keys are ids, which is sound
     because the result a document is built from holds all its points.
     """
     rows: dict = {}
@@ -216,49 +220,33 @@ def _shared_point_json():
     return row
 
 
-def _face_json(f: Face, row) -> dict:
-    # star faces are never empty, so each has a join
-    return {"vertices": [row(v) for v in f.vertices], "dim": f.dim,
-            "multidegree": row(f.multidegree)}
-
-
 def _coord_text(c) -> str:
     # point_json's entry as render_document writes it: digits, or a "p/q" string
     return int.__repr__(c) if type(c) is int else f'"{c.numerator}/{c.denominator}"'
 
 
-def complex_doc(A: FinitePointSet, records: list, extra: dict) -> str:
-    """The text of the complex document of A's faces, given as (member indices, rank join).
+def _vertex_block(coords) -> str:
+    # a vertex's coordinate list as render_document writes it in a face's "vertices"
+    return "[\n          " + ",\n          ".join(map(_coord_text, coords)) + "\n        ]"
 
-    Returns render_document of {"kind": "complex", "dimension", "f_vector",
-    "empty_face": true, "faces", **extra}, byte for byte, where each face is
-    {"dim", "multidegree", "vertices"} and the empty face is only flagged.
-    records are what finite's face growth returns: nonempty faces by size,
-    then by member indices.  A indexes its points in canonical order, so
-    that is the canonical face order, and nothing is sorted.  Each vertex's
-    coordinate block and each axis value is rendered once per call, and a
-    face is written around them directly, without a dict per face.
+
+def _faces_doc(fields: dict, blocks: list, values: list, records) -> str:
+    """render_document of {**fields, "faces": [...]}, with the faces written from records.
+
+    Each record (members, top) is the face {"dim", "multidegree",
+    "vertices"}: blocks[i] is the text of vertex i's coordinate list and
+    values[k][top[k]] that of the join's k-th coordinate.  Faces are
+    written in record order, each one string around those texts, without a
+    dict per face.
     """
-    blocks = ["[\n          " + ",\n          ".join(map(_coord_text, p.coords)) + "\n        ]"
-              for p in A.points]
-    values = [[_coord_text(v) for v in axis] for axis in A.rank_index.values]
-    sep, value, block = ",\n        ", list.__getitem__, blocks.__getitem__
-    faces = [  # value(values[k], top[k]) for each axis k is the join's coordinate text
+    sep, block = ",\n        ", blocks.__getitem__
+    faces = [
         f'{{\n      "dim": {len(members) - 1},\n      "multidegree": [\n        '
-        f'{sep.join(map(value, values, top))}\n      ],\n'
+        f'{sep.join(map(getitem, values, top))}\n      ],\n'
         f'      "vertices": [\n        {sep.join(map(block, members))}\n      ]\n    }}'
         for members, top in records
     ]
-    f_vector = [0] * (len(records[-1][0]) if records else 0)
-    for members, _ in records:
-        f_vector[len(members) - 1] += 1
-    others = sorted({
-        "kind": "complex",
-        "dimension": len(f_vector) - 1,
-        "f_vector": f_vector,
-        "empty_face": True,
-        **extra,
-    }.items())
+    others = sorted(fields.items())
     head = "".join([f"{encode_basestring_ascii(k)}: {_render(v, 1)},\n  "
                     for k, v in others if k < "faces"])
     tail = "".join([f",\n  {encode_basestring_ascii(k)}: {_render(v, 1)}"
@@ -270,6 +258,30 @@ def complex_doc(A: FinitePointSet, records: list, extra: dict) -> str:
     faces[0] = f'{{\n  {head}"faces": [\n    {faces[0]}'
     faces[-1] = f"{faces[-1]}\n  ]{tail}\n}}\n"
     return ",\n    ".join(faces)
+
+
+def complex_doc(A: FinitePointSet, records: list, extra: dict) -> str:
+    """The text of the complex document of A's faces, given as (member indices, rank join).
+
+    Returns render_document of {"kind": "complex", "dimension", "f_vector",
+    "empty_face": true, "faces", **extra}, byte for byte, where each face is
+    {"dim", "multidegree", "vertices"} and the empty face is only flagged.
+    records are what finite's face growth returns: nonempty faces by size,
+    then by member indices.  A indexes its points in canonical order, so
+    that is the canonical face order, and nothing is sorted.
+    """
+    # records come by size, and every size up to the largest occurs
+    f_vector = list(Counter(len(members) for members, _ in records).values())
+    fields = {
+        "kind": "complex",
+        "dimension": len(f_vector) - 1,
+        "f_vector": f_vector,
+        "empty_face": True,
+        **extra,
+    }
+    return _faces_doc(fields, [_vertex_block(p.coords) for p in A.points],
+                      [[_coord_text(v) for v in axis] for axis in A.rank_index.values],
+                      records)
 
 
 def genericity_doc(report: GenericityReport) -> dict:
@@ -313,39 +325,35 @@ def report_doc(report: CompletenessReport) -> dict:
     }
 
 
-def star_doc(star: StarResult) -> dict:
-    row = _shared_point_json()
-    return {
-        "kind": "star",
-        "center": row(star.center),
-        "neighbors": [row(p) for p in star.neighbors],
-        "faces": [_face_json(f, row) for f in star.faces],
-        "report": report_doc(star.report),
-    }
+def star_doc(star: StarResult) -> str:
+    """The text of the star document, written from the star's face records.
+
+    Returns render_document of {"kind": "star", "center", "neighbors",
+    "faces", "report"}, byte for byte, each face as in complex_doc.
+    """
+    # a join's coordinate on an axis is one of its vertices' coordinates there
+    values = [{c: _coord_text(c) for c in axis} for axis in zip(*star.vertices)]
+    return _faces_doc({**neighbors_doc(star), "kind": "star"},
+                      [_vertex_block(v) for v in star.vertices], values, star.records)
 
 
 def neighbors_doc(star: StarResult) -> dict:
+    center = star.center.coords
     return {
         "kind": "neighbors",
-        "center": point_json(star.center),
-        "neighbors": [point_json(p) for p in star.neighbors],
+        "center": list(center),
+        "neighbors": [list(v) for v in star.vertices if v != center],
         "report": report_doc(star.report),
     }
 
 
 def quotient_doc(q: QuotientResult) -> dict:
-    row = _shared_point_json()
+    rows: dict = {}  # one list per vertex, which render_document writes once
     return {
         "kind": "quotient",
         "f_vector": list(q.f_vector),
-        "orbits": [
-            {
-                "face": [row(v) for v in orb.face.vertices],
-                "dim": orb.dim,
-                "incidences": orb.incidences,
-            }
-            for orb in q.orbits
-        ],
+        "orbits": [{"face": [rows.setdefault(v, list(v)) for v in vs], "dim": len(vs) - 1,
+                    "incidences": c} for vs, c in q.orbits],
         "report": report_doc(q.report),
     }
 

@@ -12,18 +12,20 @@ coset -d in the opposite orthant are the negated steps of coset d, so
 each pair is searched once.  Second, faces among the candidates are tested
 exactly against the full periodic set, so reported faces are always
 correct and the report says whether the vertex list is known to be
-complete.  Both stages run on int tuples; points and faces are built only
-for the result.
+complete.  Both stages run on int tuples, and so do the results: a star
+is a sorted int vertex list with (member indices, join) face records, and
+a quotient's orbits are int vertex tuples with their incidence counts.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import add, le, mul
 
-from .complexes import Face, grow_faces
+from .complexes import grow_faces
 from .diophantine import Lattice, coset_points, minimal_orthant_points, points_below
 from .errors import CertificationError, InputError
 from .geometry import Point, all_orthants, point_key, zero_point
@@ -33,7 +35,6 @@ __all__ = [
     "validate_periodic_set",
     "CompletenessReport",
     "StarResult",
-    "FaceOrbit",
     "QuotientResult",
     "exists_strictly_below",
     "star_at",
@@ -116,33 +117,37 @@ class CompletenessReport:
 
 @dataclass(frozen=True)
 class StarResult:
-    """All faces through one point, with the completeness report."""
+    """All faces through one point, with the completeness report.
+
+    vertices are the sorted int tuples of the star's vertices, the center
+    among them.  Each face is a record (increasing indices into vertices,
+    the center's among them; the int join), by size, then by indices.
+    """
 
     center: Point
-    neighbors: tuple[Point, ...]
-    faces: tuple[Face, ...]
+    vertices: tuple[tuple[int, ...], ...]
+    records: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     report: CompletenessReport
+
+    @property
+    def neighbors(self) -> tuple[Point, ...]:
+        return tuple(Point(v) for v in self.vertices if v != self.center.coords)
 
     @property
     def dimension(self) -> int:
         return self.report.observed_star_dimension
 
 
-@dataclass(frozen=True)
-class FaceOrbit:
-    """A translation class of faces, named by its canonical representative."""
-
-    face: Face
-    incidences: int
-
-    @property
-    def dim(self) -> int:
-        return self.face.dim
-
 
 @dataclass(frozen=True)
 class QuotientResult:
-    orbits: tuple[FaceOrbit, ...]
+    """Faces up to lattice translation, as (vertices, incidences) by size, then vertices.
+
+    An orbit's vertices are the sorted int tuples of its translate whose
+    least vertex is a canonical representative.
+    """
+
+    orbits: tuple[tuple[tuple[tuple[int, ...], ...], int], ...]
     f_vector: tuple[int, ...]
     report: CompletenessReport
 
@@ -256,22 +261,18 @@ def star_at(A: PeriodicSet, vertex: Point, dmax: int) -> StarResult:
         )
     candidates, counts = _candidate_vertices(A, creps, center, dmax)
     neighbors = [v for v in candidates if is_face_join(tuple(map(max, center, v)))]
-    # records come by size, then by member indices; inserting the center
-    # keeps that order, which distinct sorted vertices make Face.key order
-    records = grow_faces(neighbors, [((), center)], is_face_join)
+    grown = grow_faces(neighbors, [((), center)], is_face_join)
+    # grown records come by size, then by member indices; putting the center
+    # in its sorted place keeps that order
     pos = bisect_left(neighbors, center)
-    points = [Point(v) for v in neighbors]
-    vertices = points[:pos] + [vertex] + points[pos:]
-    # faces share few distinct joins: one Point each
-    joins = {top: Point(top) for top in {top for _, top in records}}
-    faces = []
-    for members, top in records:
+    records = []
+    for members, top in grown:
         cut = bisect_left(members, pos)
-        idx = members[:cut] + (pos,) + tuple(j + 1 for j in members[cut:])
-        faces.append(Face.sorted_with_join(tuple(vertices[i] for i in idx), joins[top]))
-    observed = len(records[-1][0])
+        records.append((members[:cut] + (pos,) + tuple(j + 1 for j in members[cut:]), top))
+    observed = len(grown[-1][0])
     report = CompletenessReport(dmax, observed, observed < dmax, counts)
-    return StarResult(vertex, tuple(points), tuple(faces), report)
+    vertices = (*neighbors[:pos], center, *neighbors[pos:])
+    return StarResult(vertex, vertices, tuple(records), report)
 
 
 def _double_until_certified(compute, dmax_limit: int, what: str):
@@ -317,34 +318,22 @@ def quotient_complex(A: PeriodicSet, dmax: int) -> QuotientResult:
         certified = certified and star.report.certified
         for name, cnt in star.report.candidate_counts:
             combined[name] = combined.get(name, 0) + cnt
-        shifts: dict = {}
-        for f in star.faces:
+        vertices = star.vertices
+        moved: dict = {}
+        for members, _ in star.records:
             # translating by a lattice vector preserves the vertex order, so
-            # pinning the least vertex to its canonical representative gives
-            # a well-defined key: the Face.key of the translated face
-            vs = [v.coords for v in f.vertices]  # star vertices are integral: int tuples
-            v0 = vs[0]
-            if v0 not in shifts:
-                shifts[v0] = tuple(a - b for a, b in zip(lattice._canonical(v0), v0))
-            shift = shifts[v0]
-            key = (len(vs), tuple(tuple(map(add, v, shift)) for v in vs))
+            # moving the least vertex to its canonical representative gives
+            # a well-defined orbit key: the translate's sorted vertices
+            shifted = moved.get(members[0])
+            if shifted is None:
+                v0 = vertices[members[0]]
+                shift = [a - b for a, b in zip(lattice._canonical(v0), v0)]
+                shifted = moved[members[0]] = [tuple(map(add, v, shift)) for v in vertices]
+            key = tuple(map(shifted.__getitem__, members))
             orbit_map[key] = orbit_map.get(key, 0) + 1
-    made: dict = {}
-
-    def point(v: tuple) -> Point:
-        # orbit faces share vertices and joins: one Point each
-        if v not in made:
-            made[v] = Point(v)
-        return made[v]
-
-    # one Face per orbit; map(max, vs[0], *vs) is the join, also of a single vertex
-    orbits = tuple(
-        FaceOrbit(face=Face.sorted_with_join(tuple(map(point, vs)),
-                                             point(tuple(map(max, vs[0], *vs)))),
-                  incidences=c)
-        for (_, vs), c in sorted(orbit_map.items()))
-    top = max((o.dim for o in orbits), default=-1)
-    fvec = tuple(sum(1 for o in orbits if o.dim == d) for d in range(top + 1))
+    orbits = tuple(sorted(orbit_map.items(), key=lambda orbit: (len(orbit[0]), orbit[0])))
+    # orbits come by size, and every size up to the largest occurs
+    fvec = tuple(Counter(len(vs) for vs, _ in orbits).values())
     report = CompletenessReport(dmax, observed, certified, tuple(sorted(combined.items())))
     return QuotientResult(orbits=orbits, f_vector=fvec, report=report)
 

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scarf.errors import GenericityError, InputError
@@ -24,10 +24,11 @@ from scarf.formats import (
     resolution_doc,
     star_doc,
 )
-from scarf.geometry import Orthant, Point
-from scarf.periodic import quotient_complex, star_at, validate_periodic_set
+from scarf.geometry import Orthant, Point, join
+from scarf.periodic import exists_strictly_below, quotient_complex, star_at, validate_periodic_set
 from scarf.posets import dickson_layers, filter_by_downset
 from scarf.resolution import build_resolution
+from test_periodic import small_periodic_sets
 
 
 def dumped(doc) -> str:
@@ -157,6 +158,40 @@ def test_complex_doc_is_json_dumps_of_the_reference(rows, max_dim, extra):
     assert complex_doc(A, records, extra) == dumped(reference_complex(A, max_dim, extra))
 
 
+def reference_star(star) -> dict:
+    """The star document built face by face from the star's vertices."""
+    points = [Point(v) for v in star.vertices]
+    report = star.report
+    return {
+        "kind": "star",
+        "center": point_json(star.center),
+        "neighbors": [point_json(p) for p in points if p != star.center],
+        "faces": [{"vertices": [point_json(points[i]) for i in members],
+                   "dim": len(members) - 1,
+                   "multidegree": point_json(join(points[i] for i in members))}
+                  for members, _ in star.records],
+        "report": {"dmax_used": report.dmax_used,
+                   "observed_star_dimension": report.observed_star_dimension,
+                   "certified": report.certified,
+                   "candidate_counts": [[orth, n] for orth, n in report.candidate_counts]},
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_periodic_sets(), st.integers(1, 5), st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+def test_star_doc_is_json_dumps_of_the_reference(A, dmax, coeffs):
+    # each coset rep, and a lattice translate of it, so the center is not
+    # always the least vertex
+    shift = Point(sum(c * col[i] for c, col in zip(coeffs, A.lattice.columns))
+                  for i in range(A.dim))
+    for rep in A.reps:
+        if exists_strictly_below(A, rep) is not None:
+            continue  # not a vertex
+        for center in (rep, rep + shift):
+            star = star_at(A, center, dmax)
+            assert star_doc(star) == dumped(reference_star(star))
+
+
 def test_genericity_doc_witness():
     report = is_generic(FinitePointSet([(2, 1), (1, 2), (2, 2)]), mode="definition")
     doc = genericity_doc(report)
@@ -201,7 +236,7 @@ def fixture_docs():
     witness = (Point((2, 1)), Point((2, 2)), 1)
     return {
         "complex": cx,
-        "star": star_doc(star),
+        "star": json.loads(star_doc(star)),
         "neighbors": neighbors_doc(star),
         "quotient": quotient_doc(quotient_complex(ker111_e1, 2)),
         "resolution": resolution_doc(build_resolution([(3, 0, 1), (1, 2, 0), (0, 1, 3)])),

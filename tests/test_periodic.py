@@ -13,10 +13,11 @@ import scarf.periodic
 from scarf.complexes import Face, LabeledComplex
 from scarf.diophantine import Lattice, coset_points, minimal_orthant_points, points_in_box
 from scarf.errors import CertificationError, InputError, PositivityError
-from scarf.geometry import Point, all_orthants, join, point_key, zero_point
+from scarf.geometry import Point, all_orthants, join, zero_point
 from scarf.oracles import oracle_lattice_neighbors, oracle_star_orbit_counts
 from scarf.periodic import (
     PeriodicSet,
+    QuotientResult,
     _candidate_vertices,
     certified_quotient,
     certified_star,
@@ -43,6 +44,18 @@ def ker111_e1():
 
 def ker123_e1():
     return validate_periodic_set([(2, -1, 0), (3, 0, -1)], cosets=[(0, 0, 0), (1, 0, 0)])
+
+
+def faces(result) -> tuple:
+    """A star's faces, or a quotient's orbit faces, as Face objects built from its int data.
+
+    Face() sorts its vertices and joins them itself, so comparing what it
+    builds with the records checks the order and the joins they carry.
+    """
+    if isinstance(result, QuotientResult):
+        return tuple(Face(map(Point, vs)) for vs, _ in result.orbits)
+    points = [Point(v) for v in result.vertices]
+    return tuple(Face(points[i] for i in members) for members, _ in result.records)
 
 
 def perm_set(*vectors):
@@ -127,7 +140,7 @@ def test_neighbors_fixture():
 
 def test_star_fixture():
     star = star_at(ker111(), ZERO3, 6)
-    cx, report = LabeledComplex(star.faces), star.report
+    cx, report = LabeledComplex(faces(star)), star.report
     assert cx.f_vector() == (1, 18, 54, 60, 30, 6)
     assert cx.dimension == 5
     five = Face([Point(p) for p in
@@ -147,27 +160,35 @@ def test_candidate_counts_cover_all_orthants():
 def test_every_face_made_of_set_points():
     A = ker111()
     star = star_at(A, ZERO3, 6)
-    for f in star.faces:
+    for f in faces(star):
         assert ZERO3 in f.vertices
         for v in f.vertices:
             assert A.contains(v)
 
 
 def test_star_faces_are_canonical():
-    # star_at and quotient_complex build faces with Face.sorted_with_join,
-    # which checks nothing; check here what Face() enforces
+    # star_at and quotient_complex return records and int tuples, which
+    # nothing checks on the way out; check here what Face() would enforce
     for make in (ker111, ker123, ker111_e1, ker123_e1):
         A = make()
-        star = certified_star(A)
-        assert list(star.faces) == sorted(star.faces, key=Face.key)
-        for f in star.faces:
-            keys = [point_key(v) for v in f.vertices]
-            assert keys == sorted(set(keys)), f
-            assert star.center in f.vertices
-            assert f.multidegree == join(f.vertices)
-        for orbit in certified_quotient(A).orbits:
-            assert orbit.face == Face(orbit.face.vertices)
-            assert orbit.face.multidegree == join(orbit.face.vertices)
+        for center in (A.reps[-1], A.reps[0] + Point(A.lattice.columns[0])):
+            star = star_at(A, center, 8)
+            vertices = star.vertices
+            assert list(vertices) == sorted(set(vertices))
+            pos = vertices.index(center.coords)
+            keys = [(len(members), tuple(vertices[i] for i in members))
+                    for members, _ in star.records]
+            assert keys == sorted(set(keys))
+            for (members, top), f in zip(star.records, faces(star)):
+                assert list(members) == sorted(set(members)) and pos in members, members
+                assert f.vertices == tuple(Point(vertices[i]) for i in members)
+                assert f.multidegree == join(f.vertices) == Point(top)
+        q = certified_quotient(A)
+        keys = [(len(vs), vs) for vs, _ in q.orbits]
+        assert keys == sorted(set(keys))
+        for (vs, _), f in zip(q.orbits, faces(q)):
+            assert f.vertices == tuple(map(Point, vs))
+            assert A.lattice._canonical(vs[0]) == vs[0]
 
 
 def test_star_translation_invariance():
@@ -188,14 +209,14 @@ def test_star_translation_invariance():
         for rep in A.reps:
             base = star_at(A, rep, 4)
             where = f"{make.__name__} at {rep!r}"
-            assert (len(base.neighbors), len(base.faces)) == counts[rep.as_int_tuple()], where
+            assert (len(base.neighbors), len(base.records)) == counts[rep.as_int_tuple()], where
             assert all(A.contains(v) for v in base.neighbors), where
             for t in translates:
                 moved = star_at(A, rep + t, 4)
                 where = f"{make.__name__} at {rep!r} + {t!r}"
                 assert moved.center == rep + t, where
                 assert moved.neighbors == tuple(v + t for v in base.neighbors), where
-                assert moved.faces == tuple(f.translated(t) for f in base.faces), where
+                assert faces(moved) == tuple(f.translated(t) for f in faces(base)), where
                 assert moved.report == base.report, where
 
 
@@ -215,7 +236,7 @@ def test_star_and_quotient_permutation_invariance():
         base, star = star_at(A, center, 4), star_at(B, move(center), 4)
         where = f"{make.__name__} under {perm}"
         assert set(star.neighbors) == {move(v) for v in base.neighbors}, where
-        assert set(star.faces) == {Face(move(v) for v in f) for f in base.faces}, where
+        assert set(faces(star)) == {Face(move(v) for v in f) for f in faces(base)}, where
         assert star.dimension == base.dimension, where
         assert star.report.certified == base.report.certified, where
         assert dict(star.report.candidate_counts) == {
@@ -223,8 +244,7 @@ def test_star_and_quotient_permutation_invariance():
         }, where
         quot, moved = quotient_complex(A, 4), quotient_complex(B, 4)
         assert moved.f_vector == quot.f_vector, where
-        assert (sorted(o.incidences for o in moved.orbits)
-                == sorted(o.incidences for o in quot.orbits)), where
+        assert sorted(c for _, c in moved.orbits) == sorted(c for _, c in quot.orbits), where
 
 
 def test_certification_flag_semantics():
@@ -413,10 +433,10 @@ def test_quotient_fixture():
     q = quotient_complex(ker111(), 6)
     assert q.f_vector == (1, 9, 18, 15, 6, 1)
     assert q.report.certified
-    for orbit in q.orbits:
+    for (_, incidences), f in zip(q.orbits, faces(q)):
         # a class with k vertices is met once from each of its vertices
-        assert orbit.incidences == orbit.dim + 1
-        v0 = orbit.face.vertices[0]
+        assert incidences == f.dim + 1
+        v0 = f.vertices[0]
         assert ker111().lattice.canonical_rep(v0) == v0
 
 
@@ -443,5 +463,5 @@ def test_quotient_two_cosets_splits_vertex_orbits():
     q = certified_quotient(A)
     assert q.report.certified
     assert q.f_vector[0] == 2  # one vertex orbit per coset
-    for orbit in q.orbits:
-        assert orbit.incidences == orbit.dim + 1
+    for (_, incidences), f in zip(q.orbits, faces(q)):
+        assert incidences == f.dim + 1
