@@ -138,7 +138,6 @@ class StarResult:
         return self.report.observed_star_dimension
 
 
-
 @dataclass(frozen=True)
 class QuotientResult:
     """Faces up to lattice translation, as (vertices, incidences) by size, then vertices.
@@ -161,7 +160,29 @@ def exists_strictly_below(A: PeriodicSet, bound: Point):
     return pts[0] if pts else None
 
 
-def _candidate_vertices(A: PeriodicSet, creps: list, center: tuple, dmax: int):
+def _setup(A: PeriodicSet, vertices) -> tuple:
+    """The int reps, the face test and the int vertices, each checked to be a vertex."""
+    lattice, creps = A.lattice, [rep.as_int_tuple() for rep in A.reps]
+    open_below, empty_below = [None] * A.dim, {}
+
+    def is_face_join(top: tuple) -> bool:
+        # no set point strictly below top; one point found decides.  The memo
+        # is keyed by top alone, which names no center or depth
+        if top not in empty_below:
+            empty_below[top] = next(coset_points(
+                lattice, creps, open_below, [t - 1 for t in top]), None) is None
+        return empty_below[top]
+
+    for vertex in vertices:
+        if not A.contains(vertex):
+            raise InputError(f"point {vertex} is not in the set")
+        if not is_face_join(vertex.as_int_tuple()):
+            raise InputError(f"{vertex} is strictly dominated by "
+                             f"{exists_strictly_below(A, vertex)} and is not a vertex")
+    return creps, is_face_join, [vertex.as_int_tuple() for vertex in vertices]
+
+
+def _candidate_vertices(A: PeriodicSet, creps: list, center: tuple, dmax: int, steps: dict):
     """Per orthant, the set points whose down-box toward center has at most dmax+1 set points.
 
     The walk runs in reflected offsets r(s) = (sigma_i (s_i - c_i)) from the
@@ -187,20 +208,27 @@ def _candidate_vertices(A: PeriodicSet, creps: list, center: tuple, dmax: int):
     accepted points step on, and the accepted region is finite, which
     bounds the walk.
 
+    The rejected points are a frontier: if none is a neighbor of c, every
+    neighbor is a candidate, at any dmax.  For a set point v not accepted,
+    the chain argument on box(c, v) gives a rejected r <= r(v) in its
+    orthant, so max(c, r) <= max(c, v), and a set point strictly below
+    max(c, r), if {c, r} is no face, is strictly below max(c, v) too.
+
     The minimal points of coset -d in orthant -sigma are the negated ones of
-    coset d in sigma: the same reflected steps, computed once per pair.
-    creps are the set's canonical representatives and center a set point, all int
-    tuples; the candidates come back as sorted int tuples.
+    coset d in sigma: the same reflected steps, computed once per pair into
+    steps, which names no center or depth.  creps are the set's canonical
+    representatives and center a set point, all int tuples.  Returns the
+    sorted candidates, the counts per orthant and the sorted rejected points.
     """
     lattice = A.lattice
     center_idx = creps.index(lattice._canonical(center))
     # the single coset a step from coset l to coset k lands in, per (l, k)
     diffs = [[lattice._canonical([a - b for a, b in zip(ck, cl)]) for ck in creps]
              for cl in creps]
-    steps: dict = {}
     zero = (0,) * A.dim
     counts = []
     candidates: set = set()
+    frontier: set = set()
     for orth in all_orthants(A.dim):
         signs = orth.signs
         accepted = [zero]
@@ -231,35 +259,13 @@ def _candidate_vertices(A: PeriodicSet, creps: list, center: tuple, dmax: int):
                         heappush(heap, (w + wh, t, k))
         counts.append((str(orth), len(accepted)))
         candidates.update(tuple(map(add, center, map(mul, signs, r))) for r in accepted)
+        frontier.update(tuple(map(add, center, map(mul, signs, r))) for r in rejected)
     candidates.discard(center)
-    return sorted(candidates), tuple(counts)
+    return sorted(candidates), tuple(counts), sorted(frontier)
 
 
-def star_at(A: PeriodicSet, vertex: Point, dmax: int) -> StarResult:
-    """All faces containing the given set point, up to the search depth."""
-    if not A.contains(vertex):
-        raise InputError(f"point {vertex} is not in the set")
-    if dmax < 1:
-        raise InputError(f"search depth must be at least 1, got {dmax}")
-    lattice = A.lattice
-    creps = [rep.as_int_tuple() for rep in A.reps]
-    center = vertex.as_int_tuple()
-    open_below = [None] * A.dim
-    empty_below: dict = {}
-
-    def is_face_join(top: tuple) -> bool:
-        # no set point strictly below top; one point found decides
-        if top not in empty_below:
-            empty_below[top] = next(coset_points(
-                lattice, creps, open_below, [t - 1 for t in top]), None) is None
-        return empty_below[top]
-
-    if not is_face_join(center):
-        raise InputError(
-            f"{vertex} is strictly dominated by {exists_strictly_below(A, vertex)} "
-            "and is not a vertex"
-        )
-    candidates, counts = _candidate_vertices(A, creps, center, dmax)
+def _grow_star(center: tuple, candidates: list, is_face_join):
+    """The star's sorted vertices, its face records and its dimension, from the candidates."""
     neighbors = [v for v in candidates if is_face_join(tuple(map(max, center, v)))]
     grown = grow_faces(neighbors, [((), center)], is_face_join)
     # grown records come by size, then by member indices; putting the center
@@ -269,34 +275,71 @@ def star_at(A: PeriodicSet, vertex: Point, dmax: int) -> StarResult:
     for members, top in grown:
         cut = bisect_left(members, pos)
         records.append((members[:cut] + (pos,) + tuple(j + 1 for j in members[cut:]), top))
-    observed = len(grown[-1][0])
-    report = CompletenessReport(dmax, observed, observed < dmax, counts)
-    vertices = (*neighbors[:pos], center, *neighbors[pos:])
-    return StarResult(vertex, vertices, tuple(records), report)
+    return (*neighbors[:pos], center, *neighbors[pos:]), tuple(records), len(grown[-1][0])
 
 
-def _double_until_certified(compute, dmax_limit: int, what: str):
-    """compute(dmax) at dmax 2, 4, 8, ... until its report is certified."""
-    dmax = 2
-    result = None
-    while dmax <= dmax_limit:
-        result = compute(dmax)
-        if result.report.certified:
-            return result
-        dmax *= 2
-    raise CertificationError(
-        f"{what} did not certify up to depth {dmax_limit}",
-        report=None if result is None else result.report,
-    )
+def star_at(A: PeriodicSet, vertex: Point, dmax: int) -> StarResult:
+    """All faces containing the given set point, up to the search depth."""
+    if dmax < 1:
+        raise InputError(f"search depth must be at least 1, got {dmax}")
+    creps, is_face_join, (center,) = _setup(A, [vertex])
+    candidates, counts, _ = _candidate_vertices(A, creps, center, dmax, {})
+    vertices, records, observed = _grow_star(center, candidates, is_face_join)
+    return StarResult(vertex, vertices, records,
+                      CompletenessReport(dmax, observed, observed < dmax, counts))
+
+
+def _certified_stars(A: PeriodicSet, vertices, dmax_limit: int, report_at, what: str):
+    """The stars at the vertices at the first of depths 2, 4, 8, ... where all certify.
+
+    certified (observed < dmax) implies complete candidates, which imply the
+    frontier.  So no depth before the frontier's certifies, and from there on
+    each star stays the same: rounds walk until the frontier holds, and faces
+    grow once, there.  The first depth above the star's dimension D certifies,
+    since no star on fewer candidates is larger, and no depth up to D does.
+    """
+    depths = [2 << k for k in range(dmax_limit.bit_length() - 1)]
+
+    def uncertified():
+        return CertificationError(f"{what} did not certify up to depth {dmax_limit}",
+                                  report=report_at(depths[-1]) if depths else None)
+
+    if not depths:
+        raise uncertified()
+    creps, is_face_join, centers = _setup(A, vertices)
+    steps, grown = {}, []
+    for vertex, center in zip(vertices, centers):
+        for dmax in depths:
+            candidates, counts, rejected = _candidate_vertices(A, creps, center, dmax, steps)
+            if not any(is_face_join(tuple(map(max, center, r))) for r in rejected):
+                break
+        else:
+            raise uncertified()
+        grown.append((vertex, center, dmax, counts, *_grow_star(center, candidates, is_face_join)))
+    dim = max(g[-1] for g in grown)
+    dmax = next((d for d in depths if d > dim), None)
+    if dmax is None:
+        raise uncertified()
+    stars = []
+    for vertex, center, depth, counts, star_vertices, records, observed in grown:
+        if depth != dmax:  # one more walk for the counts there
+            counts = _candidate_vertices(A, creps, center, dmax, steps)[1]
+        stars.append(StarResult(vertex, star_vertices, records,
+                                CompletenessReport(dmax, observed, True, counts)))
+    return stars
 
 
 def certified_star(A: PeriodicSet, vertex=None, dmax_limit: int = 256) -> StarResult:
-    """Double the search depth until the star certifies itself complete."""
+    """star_at at the first of depths 2, 4, 8, ... whose report certifies.
+
+    certified still means observed < dmax, but the rounds only walk: the
+    rejected frontier says when the faces can grow, and they grow once.
+    """
     if vertex is None:
         vertex = zero_point(A.dim)
-    return _double_until_certified(
-        lambda dmax: star_at(A, vertex, dmax), dmax_limit, f"star at {vertex}"
-    )
+    (star,) = _certified_stars(A, [vertex], dmax_limit,
+                               lambda dmax: star_at(A, vertex, dmax).report, f"star at {vertex}")
+    return star
 
 
 def quotient_complex(A: PeriodicSet, dmax: int) -> QuotientResult:
@@ -307,15 +350,15 @@ def quotient_complex(A: PeriodicSet, dmax: int) -> QuotientResult:
     met once per vertex, so its incidence count should equal k; the count
     is reported rather than assumed.
     """
+    return _fold(A, [star_at(A, rep, dmax) for rep in A.reps])
+
+
+def _fold(A: PeriodicSet, stars: list) -> QuotientResult:
+    """The quotient of the stars at the coset representatives, all at one depth."""
     lattice = A.lattice
     orbit_map: dict = {}
-    observed = -1
-    certified = True
     combined: dict[str, int] = {}
-    for rep in A.reps:
-        star = star_at(A, rep, dmax)
-        observed = max(observed, star.report.observed_star_dimension)
-        certified = certified and star.report.certified
+    for star in stars:
         for name, cnt in star.report.candidate_counts:
             combined[name] = combined.get(name, 0) + cnt
         vertices = star.vertices
@@ -334,12 +377,17 @@ def quotient_complex(A: PeriodicSet, dmax: int) -> QuotientResult:
     orbits = tuple(sorted(orbit_map.items(), key=lambda orbit: (len(orbit[0]), orbit[0])))
     # orbits come by size, and every size up to the largest occurs
     fvec = tuple(Counter(len(vs) for vs, _ in orbits).values())
-    report = CompletenessReport(dmax, observed, certified, tuple(sorted(combined.items())))
+    report = CompletenessReport(
+        stars[0].report.dmax_used, max(star.dimension for star in stars),
+        all(star.report.certified for star in stars), tuple(sorted(combined.items())))
     return QuotientResult(orbits=orbits, f_vector=fvec, report=report)
 
 
 def certified_quotient(A: PeriodicSet, dmax_limit: int = 256) -> QuotientResult:
-    """Double the search depth until every coset's star certifies itself complete."""
-    return _double_until_certified(
-        lambda dmax: quotient_complex(A, dmax), dmax_limit, "quotient"
-    )
+    """quotient_complex at the first of depths 2, 4, 8, ... whose report certifies.
+
+    certified still means observed < dmax in every coset's star.  As in
+    certified_star, the rounds only walk and each star's faces grow once.
+    """
+    return _fold(A, _certified_stars(A, A.reps, dmax_limit,
+                                     lambda dmax: quotient_complex(A, dmax).report, "quotient"))

@@ -19,6 +19,7 @@ from scarf.periodic import (
     PeriodicSet,
     QuotientResult,
     _candidate_vertices,
+    _grow_star,
     certified_quotient,
     certified_star,
     exists_strictly_below,
@@ -313,8 +314,50 @@ def test_depth_limit_raises_certification_error():
     assert info.value.report == quotient_complex(ker111(), 2).report
 
 
+def record_rounds(monkeypatch, grow=_grow_star):
+    """Log the depth of each candidate walk and "grow" for each star grown; grow stands in."""
+    events = []
+
+    def walk(A, creps, center, dmax, steps):
+        events.append(dmax)
+        return _candidate_vertices(A, creps, center, dmax, steps)
+
+    def grow_star(*args):
+        events.append("grow")
+        return grow(*args)
+
+    monkeypatch.setattr(scarf.periodic, "_candidate_vertices", walk)
+    monkeypatch.setattr(scarf.periodic, "_grow_star", grow_star)
+    return events
+
+
+def test_depth_limit_between_frontier_and_dimension(monkeypatch):
+    # the frontier holds at depth 4, but the star has dimension 5, so only
+    # depth 8 would certify: the limit stops the doubling after faces grew
+    A = ker111()
+    expected = star_at(A, ZERO3, 4).report
+    assert (expected.dmax_used, expected.observed_star_dimension, expected.certified) == (4, 5, False)
+    events = record_rounds(monkeypatch)
+    with pytest.raises(CertificationError) as info:
+        certified_star(A, dmax_limit=4)
+    assert info.value.report == expected
+    # walk-only rounds at 2 and 4, one growth, then star_at(4) for the report
+    assert events == [2, 4, "grow", 4, "grow"]
+
+    events.clear()
+    with pytest.raises(CertificationError) as info:
+        certified_quotient(A, dmax_limit=7)
+    assert info.value.report == quotient_complex(A, 4).report
+    assert events[:3] == [2, 4, "grow"]
+
+
 # ---------------------------------------------------------------------------
 # the candidate walk
+
+
+def in_box(c, v, p):
+    """p lies in the box spanned by c and v."""
+    return all(min(a, b) <= x <= max(a, b) for a, b, x in zip(c, v, p))
 
 
 def reference_candidates(A, creps, center, dmax):
@@ -322,7 +365,9 @@ def reference_candidates(A, creps, center, dmax):
 
     An independent statement of what _candidate_vertices computes: a point
     is accepted when box(center, point) holds at most dmax+1 set points, and
-    only accepted points step on.
+    only accepted points step on.  Its rejected points are the least of the
+    points refused in some orthant: no other refused point of that orthant
+    lies in their box.
     """
     lattice = A.lattice
     center_idx = creps.index(lattice._canonical(center))
@@ -333,7 +378,7 @@ def reference_candidates(A, creps, center, dmax):
         return len(list(inside)) <= dmax + 1
 
     counts = []
-    candidates = set()
+    candidates, least_rejected = set(), set()
     for orth in all_orthants(A.dim):
         accepted, rejected = {center}, set()
         frontier = [(center, center_idx)]
@@ -354,15 +399,14 @@ def reference_candidates(A, creps, center, dmax):
             frontier = nxt
         counts.append((str(orth), len(accepted)))
         candidates |= accepted
+        least_rejected |= {s for s in rejected
+                           if not any(q != s and in_box(center, s, q) for q in rejected)}
     candidates.discard(center)
-    return sorted(candidates), tuple(counts)
+    return sorted(candidates), tuple(counts), sorted(least_rejected)
 
 
-@st.composite
-def small_periodic_sets(draw):
-    """ker(x) in Z^3 for x a permutation of (1, b, c), with one to three cosets."""
-    b, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    x = draw(st.permutations((1, b, c)))
+def kernel(x):
+    """The lattice ker(x) in Z^3, for x with a coordinate 1."""
     one = x.index(1)
     columns = []
     for j in range(3):
@@ -370,8 +414,16 @@ def small_periodic_sets(draw):
             col = [0, 0, 0]
             col[one], col[j] = -x[j], 1
             columns.append(tuple(col))
+    return Lattice(columns)
+
+
+@st.composite
+def small_periodic_sets(draw):
+    """ker(x) in Z^3 for x a permutation of (1, b, c), with one to three cosets."""
+    b, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    x = draw(st.permutations((1, b, c)))
     reps = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=3))
-    return PeriodicSet(Lattice(columns), reps)
+    return PeriodicSet(kernel(x), reps)
 
 
 @settings(max_examples=30, deadline=None)
@@ -379,10 +431,94 @@ def small_periodic_sets(draw):
 def test_candidate_walk_matches_reference(A, dmax):
     creps = [rep.as_int_tuple() for rep in A.reps]
     for center in creps:
-        got = _candidate_vertices(A, creps, center, dmax)
-        assert got == reference_candidates(A, creps, center, dmax)
-        for v in got[0]:
+        candidates, counts, rejected = _candidate_vertices(A, creps, center, dmax, {})
+        assert (candidates, counts, rejected) == reference_candidates(A, creps, center, dmax)
+        for v in candidates:
             assert len(points_in_box(A.lattice, A.reps, Point(center), Point(v))) <= dmax + 1
+        for r in rejected:
+            assert A.contains(Point(r))
+            assert len(points_in_box(A.lattice, A.reps, Point(center), Point(r))) > dmax + 1
+
+
+@st.composite
+def vertex_periodic_sets(draw):
+    """ker(x) in Z^3 for x a permutation of (1, b, c), b <= c <= 3, with one to three cosets.
+
+    The coset of a point p is the value x.p, and p is strictly dominated
+    exactly when some coset's value is at most x.p - (1 + b + c).  So
+    values drawn from 0..b+c make every representative a vertex.
+    """
+    c = draw(st.integers(1, 3))
+    b = draw(st.integers(1, c))
+    x = draw(st.permutations((1, b, c)))
+    values = draw(st.lists(st.integers(0, b + c), min_size=1, max_size=3, unique=True))
+    one = x.index(1)
+    return PeriodicSet(kernel(x), [tuple(t if i == one else 0 for i in range(3)) for t in values])
+
+
+@settings(max_examples=8, deadline=None)
+@given(vertex_periodic_sets(), st.data())
+def test_certified_results_match_doubling_reference(A, data):
+    # walk-only rounds with one face growth return what growing every star
+    # at 2, 4, 8, ... and keeping the first certified one returns
+    stars: dict = {}
+
+    def star(center, dmax):
+        if (center, dmax) not in stars:
+            stars[center, dmax] = star_at(A, center, dmax)
+        return stars[center, dmax]
+
+    def reference(center):
+        dmax = 2
+        while not star(center, dmax).report.certified:
+            dmax *= 2
+        return star(center, dmax)
+
+    # each rep, and a lattice translate of one, so the center is not always
+    # the least vertex
+    coeffs = data.draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    shift = Point(sum(c * col[i] for c, col in zip(coeffs, A.lattice.columns)) for i in range(3))
+    for center in (*A.reps, data.draw(st.sampled_from(A.reps)) + shift):
+        assert certified_star(A, center) == reference(center), center
+    creps = [rep.as_int_tuple() for rep in A.reps]
+    for rep in A.reps:
+        center = rep.as_int_tuple()
+        nbs = set(reference(rep).vertices) - {center}
+        for dmax in range(1, 9):
+            candidates, _, rejected = _candidate_vertices(A, creps, center, dmax, {})
+            # the frontier lemma in _candidate_vertices: a neighbor that is no
+            # candidate lies at or above a rejected point of its orthant
+            for v in nbs.difference(candidates):
+                assert any(in_box(center, v, r) for r in rejected), (rep, dmax, v)
+            # so the old rule, observed < dmax, implies the frontier
+            if star(rep, dmax).report.certified:
+                assert all(exists_strictly_below(A, Point(map(max, center, r))) is not None
+                           for r in rejected), (rep, dmax)
+    depth = max(reference(rep).report.dmax_used for rep in A.reps)
+    while not all(star(rep, depth).report.certified for rep in A.reps):
+        depth *= 2
+    assert certified_quotient(A) == quotient_complex(A, depth)
+
+
+def test_frontier_certifies_4d_neighbors_without_faces(monkeypatch):
+    # ker(1,1,1,1) at dmax 4 already has 333 407 faces, so the test stops
+    # certified_star where it would grow the first star
+    class Grow(Exception):
+        pass
+
+    def stop(center, candidates, is_face_join):
+        raise Grow(candidates, is_face_join)
+
+    events = record_rounds(monkeypatch, stop)
+    A = validate_periodic_set([(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1)])
+    with pytest.raises(Grow) as info:
+        certified_star(A)
+    assert events == [2, 4, 8, 16, "grow"]
+    candidates, is_face_join = info.value.args
+    nbs = [Point(v) for v in candidates if is_face_join(tuple(map(max, (0,) * 4, v)))]
+    assert len(nbs) == 146
+    got = {p for p in nbs if max(abs(x) for x in p.as_int_tuple()) <= 3}
+    assert got == set(oracle_lattice_neighbors(A, 3, 5))
 
 
 def test_step_search_shared_across_opposite_orthants(monkeypatch):
