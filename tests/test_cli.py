@@ -118,6 +118,9 @@ MIXED = {"points": [["1/2", -1, 3], [2, "-5/3", 0], [-4, 2, "2/7"], [1, 1, 1], [
 PERMUTATION_4D = {"points": [[4, 0, 2, 1], [0, 4, 1, 3], [2, 1, 4, 0], [1, 3, 0, 4], [3, 2, 3, 2]]}
 TIED_RATIONAL = {"points": [["1/2", 3, "7/3"], ["5/2", "1/3", 2], [1, "7/3", "-1/2"],
                             ["1/2", "9/4", 4], [3, 0, "2/3"], ["6/3", "-0/5", 5]]}
+# face-heavy: 4 095 faces over 39 distinct joins, and 1 023 faces over 10
+PLANE_12 = {"points": [[i, (7 * i) % 12, 5] for i in range(12)]}
+COLLINEAR_10Q = {"points": [[f"{(37 * i) % 101}/7", 3] for i in range(1, 11)]}
 
 
 def seeded_grid(seed, n, dim, hi):
@@ -183,6 +186,14 @@ FINITE_OUTPUT_SHA256 = (
      "dc659e3f8b1163e5f592c562ff4fa93a2e7accdc51d0e588e91d7d3e5491d67d"),
     ("generic-check", TIED_RATIONAL, ["--generic-mode", "both", "--format", "structured"],
      "8f48349c30878877d384bc508c1beb71874ee7240d3168e27e83a6863dffe10d"),
+    ("finite-nb", PLANE_12, ["--format", "structured"],
+     "db0cc4347f16b29182dcf2d2476e4f007ec17f828585fb7b1c7a6c12e9a6bfd2"),
+    ("finite-nb", PLANE_12, ["--max-dim", "2", "--format", "structured"],
+     "ed97ecf521eaf4b6936857ac2fe8cf5498dccf0a1e503b1866e6dafbfa4a85bd"),
+    ("finite-nb", COLLINEAR_10Q, ["--format", "structured"],
+     "edfae827f133571f35554b32d05da569cd67bcc9ebb9c78db182d30f57e6b550"),
+    ("finite-nb", COLLINEAR_10Q, ["--format", "text"],
+     "1e4fa43404764e338ba400af211c23765b38d17306544ef98c48044661a76f12"),
 )
 
 
