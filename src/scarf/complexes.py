@@ -6,6 +6,9 @@ the one face-growing loop, shared by finite complexes and periodic stars.
 It works on plain coordinate tuples (rank tuples for a finite set, exact
 coordinates for a star) and returns (member indices, join) records, so
 callers build each Face once, from vertices they already hold in order.
+Faces with the same top share its joins: a join depends only on the top
+and the candidate, and accept only on the join, so one call computes and
+tests each accepted join once and keeps at most one memo entry per record.
 """
 
 from __future__ import annotations
@@ -127,26 +130,43 @@ def grow_faces(coords: Sequence[tuple], seeds, accept: Callable[[tuple], bool],
     same members bar the last), tested against the joined top.  That is
     complete whenever the accepted family is downward closed: if F + k is a
     face, so is F - max(F) + k.  Growth stops once faces have max_size members.
+
+    Faces with the same top share their joins: the call keeps, per
+    candidate, the accepted join of each top it extended.  That is exact
+    because accept must be a pure function of the join.  Only accepted
+    joins are kept, at most one per record, and a refused join is tested
+    again when another face with its top meets it.  Seeds, whose tops are
+    distinct, fill the memo without reading it, since every lookup would miss.
     """
     seeds = list(seeds)
     records = list(seeds)
     if not seeds or len(seeds[0][0]) == max_size:
         return records
 
-    def extend(members, top, candidates):
+    after = [{} for _ in coords]  # after[j][top]: the accepted join of top and coords[j]
+
+    def extend(members, top, candidates, look=True):
         kids = []
         for j in candidates:
-            cand_top = tuple(map(max, top, coords[j]))
-            if accept(cand_top):
-                kids.append((members + (j,), cand_top))
+            cand_top = after[j].get(top) if look else None
+            if cand_top is None:
+                cand_top = tuple(map(max, top, coords[j]))
+                if not accept(cand_top):
+                    continue
+                after[j][top] = cand_top
+            kids.append((members + (j,), cand_top))
         records.extend(kids)
         return kids
 
-    groups = [extend(members, top, range(members[-1] + 1 if members else 0, len(coords)))
+    groups = [extend(members, top, range(members[-1] + 1 if members else 0, len(coords)), False)
               for members, top in seeds]
     size = len(seeds[0][0]) + 1
     while groups and size != max_size:
-        groups = [extend(members, top, [sibling[-1] for sibling, _ in kids[pos + 1:]])
-                  for kids in groups for pos, (members, top) in enumerate(kids)]
+        grown = []
+        for kids in groups:
+            lasts = [members[-1] for members, _ in kids]
+            grown += [extend(members, top, lasts[pos + 1:])
+                      for pos, (members, top) in enumerate(kids)]
+        groups = grown
         size += 1
     return records

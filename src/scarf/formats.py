@@ -237,12 +237,15 @@ def _faces_doc(fields: dict, blocks: list, values: list, records) -> str:
     "vertices"}: blocks[i] is the text of vertex i's coordinate list and
     values[k][top[k]] that of the join's k-th coordinate.  Faces are
     written in record order, each one string around those texts, without a
-    dict per face.
+    dict per face, and each distinct join's text is written once.
     """
     sep, block = ",\n        ", blocks.__getitem__
+    degree = dict.fromkeys(top for _, top in records)
+    for top in degree:
+        degree[top] = sep.join(map(getitem, values, top))
     faces = [
         f'{{\n      "dim": {len(members) - 1},\n      "multidegree": [\n        '
-        f'{sep.join(map(getitem, values, top))}\n      ],\n'
+        f'{degree[top]}\n      ],\n'
         f'      "vertices": [\n        {sep.join(map(block, members))}\n      ]\n    }}'
         for members, top in records
     ]

@@ -1,13 +1,16 @@
 """Faces with join labels and the labeled complex container."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
 from scarf.complexes import Face, LabeledComplex, grow_faces
 from scarf.errors import InputError
-from scarf.finite import FinitePointSet, enumerate_complex
+from scarf.finite import FinitePointSet, _face_records, enumerate_complex
 from scarf.geometry import Point
+from test_resolution import generic_antichain
 
 
 def F(*rows):
@@ -89,10 +92,12 @@ def in_grow_order(records):
     return keys == sorted(set(keys))
 
 
-def test_grow_faces_records_by_size_then_members():
-    # star_at and the facet genericity scan read the records in this order
-    # without sorting them: seeded by vertices, as a finite complex grows,
-    # and from the empty face at a center that is not a candidate, as a star
+def random_growths():
+    """Random small sets in N^2..N^4, each as (coords, vertex seeds, star coords, star seed, under).
+
+    A set grows from its vertices, as a finite complex does, and from the
+    empty face at one vertex that is not a candidate, as a star does.
+    """
     rng = random.Random(61)
     for _ in range(40):
         n = rng.randint(2, 4)
@@ -100,11 +105,92 @@ def test_grow_faces_records_by_size_then_members():
                             for _ in range(rng.randint(1, 14))})
         ranks, under = A.rank_index.ranks, A.rank_index.strictly_under
         seeds = [((i,), r) for i, r in enumerate(ranks) if not under(r)]
-        assert in_grow_order(grow_faces(ranks, seeds, lambda top: not under(top)))
         center = rng.choice([r for _, r in seeds])
-        others = [r for r in ranks if r != center]
-        records = grow_faces(others, [((), center)], lambda top: not under(top))
-        assert records[0] == ((), center) and in_grow_order(records)
+        yield ranks, seeds, [r for r in ranks if r != center], [((), center)], under
+
+
+def test_grow_faces_records_by_size_then_members():
+    # star_at and the facet genericity scan read the records in this order
+    # without sorting them
+    for ranks, seeds, others, star_seed, under in random_growths():
+        assert in_grow_order(grow_faces(ranks, seeds, lambda top: not under(top)))
+        records = grow_faces(others, star_seed, lambda top: not under(top))
+        assert records[0] == star_seed[0] and in_grow_order(records)
+
+
+def reference_grow_faces(coords, seeds, accept, max_size=None):
+    """grow_faces without its join memo: every face tried computes its join and calls accept."""
+    seeds = list(seeds)
+    records = list(seeds)
+    if not seeds or len(seeds[0][0]) == max_size:
+        return records
+
+    def extend(members, top, candidates):
+        kids = []
+        for j in candidates:
+            cand_top = tuple(map(max, top, coords[j]))
+            if accept(cand_top):
+                kids.append((members + (j,), cand_top))
+        records.extend(kids)
+        return kids
+
+    groups = [extend(members, top, range(members[-1] + 1 if members else 0, len(coords)))
+              for members, top in seeds]
+    size = len(seeds[0][0]) + 1
+    while groups and size != max_size:
+        groups = [extend(members, top, [sibling[-1] for sibling, _ in kids[pos + 1:]])
+                  for kids in groups for pos, (members, top) in enumerate(kids)]
+        size += 1
+    return records
+
+
+def test_grow_faces_computes_each_join_once():
+    # sharing a join between faces with the same top changes no record
+    for ranks, seeds, others, star_seed, under in random_growths():
+        def accept(top):
+            return not under(top)
+
+        for max_size in (None, 1, 2, 3, 4):
+            assert (grow_faces(ranks, seeds, accept, max_size)
+                    == reference_grow_faces(ranks, seeds, accept, max_size))
+            assert (grow_faces(others, star_seed, accept, max_size)
+                    == reference_grow_faces(others, star_seed, accept, max_size))
+    # a full 12-vertex simplex: 4 095 faces over 39 distinct joins, where
+    # testing every face tried makes 4 083 accept calls
+    index = FinitePointSet([(i, (7 * i) % 12, 5) for i in range(12)]).rank_index
+    calls = []
+
+    def counted(top):
+        calls.append(top)
+        return not index.strictly_under(top)
+
+    seeds = [((i,), r) for i, r in enumerate(index.ranks)]
+    records = grow_faces(index.ranks, seeds, counted)
+    assert len(records) == 4095
+    assert len(calls) <= len({top for _, top in records}) * len(index.ranks)
+
+
+def test_grow_faces_memo_keeps_no_refused_joins():
+    # on a sparse set most faces tried are refused; a memo that kept their
+    # joins would outgrow the records many times over (7x here, against 1.2x)
+    A = FinitePointSet(generic_antichain(random.Random(160), 160))
+    ranks, under = A.rank_index.ranks, A.rank_index.strictly_under
+    seeds = [((i,), r) for i, r in enumerate(ranks) if not under(r)]
+
+    def peak(grow):
+        # a full collection empties the free lists, whose reused tuples
+        # tracemalloc would not see, so both runs start from the same state
+        gc.collect()
+        tracemalloc.start()
+        try:
+            return grow(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    records, used = peak(lambda: _face_records(A, None))
+    expected, allowed = peak(lambda: reference_grow_faces(ranks, seeds, lambda top: not under(top)))
+    assert records == expected
+    assert used <= 1.5 * allowed
 
 
 def test_complex_equality_and_membership_on_fixtures():
