@@ -23,6 +23,9 @@ KER123 = {"basis": [[2, -1, 0], [3, 0, -1]]}
 KER123_E1 = {"basis": [[2, -1, 0], [3, 0, -1]], "cosets": [[0, 0, 0], [1, 0, 0]]}
 KER125_E1 = {"basis": [[2, -1, 0], [5, 0, -1]], "cosets": [[0, 0, 0], [1, 0, 0]]}
 KER123_3COSETS = {"basis": [[2, -1, 0], [3, 0, -1]], "cosets": [[0, 0, 0], [1, 0, 0], [1, 1, 0]]}
+# an index-2 sublattice of ker(1,1,4), Smith diagonal (1, 2), with three cosets
+INDEX2_3COSETS = {"basis": [[2, -2, 0], [4, 0, -1]], "cosets": [[0, 0, 0], [1, 0, 0], [1, 1, 0]]}
+KER114 = {"basis": [[1, -1, 0], [4, 0, -1]]}
 BAD_LATTICE = {"basis": [[1, 0]]}
 
 
@@ -410,6 +413,15 @@ LATTICE_OUTPUT_SHA256 = (
      "e1b9129e3efd7dbcdee41f3e857bdac3f82740ac554c50c80bec402f84699d10"),
     ("lattice-star", KER123_3COSETS, ["--dmax", "6", "--vertex", "1,1,0"],
      "1016966acb745ae524ae588df4f903027992041a3c47ff3cbc9dfcdec97b35b4"),
+    ("quotient", INDEX2_3COSETS, ["--auto-dmax"],
+     "20edd683dceb2c618ee70e9af86ec680cc972f0eaa16ee9977ee6868b54409ec"),
+    ("lattice-neighbors", INDEX2_3COSETS, ["--auto-dmax"],
+     "15f1bd706e8415acc113e43d048abeaedf8b2b610a7c336bacdf9331e8f8ee6f"),
+    ("lattice-star", INDEX2_3COSETS, ["--dmax", "2", "--vertex", "3,-1,0"],
+     "5efef645641daa3b79a3dabf6d99ec97b98a6268bb5b5b69c87daaa17c532134"),
+    # one coset, so every center is a center of symmetry
+    ("lattice-star", KER114, ["--auto-dmax"],
+     "d2fdb3996d051a2c0714799a37064b43e62553536382ee2148f61a523e059040"),
 )
 
 
