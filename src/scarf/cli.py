@@ -21,6 +21,7 @@ import functools
 import json
 import random
 import sys
+from bisect import bisect_right
 from collections import Counter
 from typing import Optional
 
@@ -191,12 +192,22 @@ def run(job: argparse.Namespace) -> dict | str:
         if job.max_dim is not None and job.max_dim < 0:
             raise InputError(f"--max-dim must be nonnegative, got {job.max_dim}")
         v = None if job.vertex is None else _parse_vertex(job, A.dim)
+        max_size = None if job.max_dim is None else job.max_dim + 1
+        records = None
         extra = {}
         if job.generic_mode is not None:
-            extra["genericity"] = formats.genericity_doc(is_generic(A, mode=job.generic_mode))
+            if v is None and job.generic_mode != "definition":
+                # the facet check reads every face: grow them once for both
+                records = _face_records(A, None)
+            extra["genericity"] = formats.genericity_doc(
+                is_generic(A, mode=job.generic_mode, records=records))
         if v is None:
-            max_size = None if job.max_dim is None else job.max_dim + 1
-            return formats.complex_doc(A, _face_records(A, max_size), extra)
+            if records is None:
+                records = _face_records(A, max_size)
+            elif max_size is not None:
+                # records come by size, so the faces up to max_size are a prefix
+                records = records[:bisect_right(records, max_size, key=lambda r: len(r[0]))]
+            return formats.complex_doc(A, records, extra)
         return {
             "kind": "neighbors",
             "center": formats.point_json(v),

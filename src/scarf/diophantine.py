@@ -9,8 +9,10 @@ the first point.  It runs one Fourier-Motzkin elimination plan per lattice
 and bound pattern, so a query only supplies integer right-hand sides.  Two
 point queries wrap it: all coset points inside a box given by two opposite
 corners, and all coset points strictly below a bound.  The minimal nonzero
-coset points of an orthant come from a minimal-solutions search instead,
-decided among its own candidates.
+points of an orthant come from a minimal-solutions search instead: one
+search per orthant answers every coset asked about, through one counter
+column per coset, and each coset's points are decided among its own
+candidates.
 """
 
 from __future__ import annotations
@@ -21,13 +23,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError, PositivityError
 from .geometry import Orthant, Point
-from .intsolve import (
-    EliminationPlan,
-    matvec,
-    minimal_natural_solutions,
-    nonzero_cone_direction,
-    smith_normal_form,
-)
+from .intsolve import EliminationPlan, _cd_search, matvec, nonzero_cone_direction, smith_normal_form
 
 __all__ = [
     "Lattice",
@@ -202,55 +198,66 @@ def points_below(lattice: Lattice, reps: Sequence[Point], bound: Point) -> tuple
     return tuple(Point(v) for v in sorted(found))
 
 
-def _orthant_candidates(lattice: Lattice, c: tuple[int, ...],
-                        orthant: Orthant) -> set[tuple[int, ...]]:
-    """Superset of the coset's minimal nonzero orthant points, via reflected systems.
+def _orthant_steps(lattice: Lattice, diffs: Sequence[tuple[int, ...]],
+                   signs: tuple[int, ...]) -> dict:
+    """For each coset d + L, d in diffs, its minimal nonzero points in the orthant, reflected.
 
-    With U * basis * V = D, x lies in the coset of c exactly when
-    (U x)_i = (U c)_i for each i past the rank and (U x)_i = (U c)_i
-    (mod d_i) for each d_i >= 2 below it.  In reflected coordinates that is
-    a system over the naturals once each congruence gains a slack pair, so
-    it feeds a minimal-solutions search.  Projections of minimal extended
-    solutions cover every minimal nonzero point, with possible extras that
-    the caller filters exactly; every candidate is a nonzero coset point of
-    the orthant.
+    With U * basis * V = D, x lies in the coset of d exactly when
+    (U x)_i = (U d)_i for each i past the rank and (U x)_i = (U d)_i
+    (mod d_i) for each d_i >= 2 below it.  In reflected coordinates
+    y = sigma x that is a system A y = b_d over the naturals once each
+    congruence gains a slack pair, with b_d reduced into [0, d_i) on the
+    congruence rows.  Distinct cosets have distinct b_d, and only L itself
+    has b_d = 0.  So one counter search, with a column -b_d for each other
+    coset, finds the minimal extended solutions of all of them: those with
+    d's counter at 1, or with every counter at 0 for L.  Their y parts
+    cover every minimal nonzero point of each coset, with possible extras,
+    and a point is kept when no other point of its coset lies below it.
+
+    diffs are canonical representatives as int tuples.  Returns
+    {d: sorted nonnegative y}, the points being sigma * y.
     """
-    U, _, _ = lattice._snf
-    uc = matvec(U, c)
-    diag = lattice._diag
-    signs = orthant.signs
-    n = lattice.dim
+    U = lattice._snf[0]
+    diag, n = lattice._diag, lattice.dim
     moduli = [i for i in range(lattice.rank) if diag[i] >= 2]
-    slack = [0] * (2 * len(moduli))
-    reflected = [[u * s for u, s in zip(row, signs)] + slack for row in U]
-    rows = [(tuple(reflected[i]), uc[i]) for i in range(lattice.rank, n)]
-    for a, i in enumerate(moduli):
-        row = reflected[i]
-        row[n + 2 * a], row[n + 2 * a + 1] = -diag[i], diag[i]
-        rows.append((tuple(row), uc[i] % diag[i]))
-    out = set()
-    for sol in minimal_natural_solutions(rows, n + len(slack)):
+    eqs = range(lattice.rank, n)
+    rows = [[u * s for u, s in zip(U[i], signs)] for i in (*eqs, *moduli)]
+    columns = [tuple(row[j] for row in rows) for j in range(n)]
+    for a, i in enumerate(moduli, start=len(eqs)):
+        for m in (-diag[i], diag[i]):
+            columns.append(tuple(m if row == a else 0 for row in range(len(rows))))
+    rhs = {}
+    for d in diffs:
+        ud = matvec(U, d)
+        rhs[d] = tuple(ud[i] for i in eqs) + tuple(ud[i] % diag[i] for i in moduli)
+    counted = [d for d in rhs if any(rhs[d])]
+    width = len(columns)
+    columns += [tuple(-b for b in rhs[d]) for d in counted]
+    found: dict = {d: set() for d in rhs}
+    lattice_key = (0,) * n
+    for sol in _cd_search(columns, len(counted)):
         y = sol[:n]
-        if not any(y):
-            continue
-        out.add(tuple(signs[j] * y[j] for j in range(n)))
-    return out
+        if any(y):
+            counter = sol[width:]
+            key = counted[counter.index(1)] if any(counter) else lattice_key
+            if key in found:
+                found[key].add(y)
+    return {d: tuple(y for y in sorted(ys) if not any(z != y and all(map(le, z, y)) for z in ys))
+            for d, ys in found.items()}
 
 
 def minimal_orthant_points(lattice: Lattice, reps: Sequence[Point],
                            orthant: Orthant) -> tuple[Point, ...]:
     """Minimal nonzero points of the coset union inside the orthant's reflected order.
 
-    These are the steps from which neighbor candidates are produced.  Every
-    minimal point is a candidate and every candidate a nonzero set point,
-    so a candidate is minimal exactly when no other candidate lies below it.
+    These are the steps from which neighbor candidates are produced.  The
+    minimal points of each coset come from one search, and a point is
+    minimal in the union exactly when no other coset's point lies below it.
     """
     if len(orthant.signs) != lattice.dim:
         raise InputError(f"dimension mismatch: orthant {orthant} vs lattice of dimension {lattice.dim}")
-    candidates = set()
-    for c in _canonical_reps(lattice, reps):
-        candidates |= _orthant_candidates(lattice, c, orthant)
-    reflected = {a: tuple(map(mul, orthant.signs, a)) for a in candidates}
-    return tuple(
-        Point(a) for a in sorted(candidates)
-        if not any(b != a and all(map(le, rb, reflected[a])) for b, rb in reflected.items()))
+    signs = orthant.signs
+    ys = {y for found in _orthant_steps(lattice, _canonical_reps(lattice, reps), signs).values()
+          for y in found}
+    minimal = [y for y in ys if not any(z != y and all(map(le, z, y)) for z in ys)]
+    return tuple(Point(a) for a in sorted(tuple(map(mul, signs, y)) for y in minimal))

@@ -181,13 +181,13 @@ def _generic_pairwise(A: FinitePointSet):
     return True, None
 
 
-def _generic_facet(A: FinitePointSet):
+def _generic_facet(A: FinitePointSet, records: list):
     # Same 1-based coordinate convention as the pairwise form; faces scan
     # in the order grow_faces emits them, by size and then member indices,
     # and the witnesses are the first two points below the join that attain
     # it on the axis.
     index = A.rank_index
-    tops = [top for _, top in _face_records(A, None)]
+    tops = [top for _, top in records]
     weakly = [index.weakly_under(top) for top in tops]
     for k, below in enumerate(index.below):
         for top, le in zip(tops, weakly):
@@ -198,15 +198,23 @@ def _generic_facet(A: FinitePointSet):
     return True, None
 
 
-def is_generic(A: FinitePointSet, mode: str = "definition") -> GenericityReport:
-    """Genericity check in pairwise ("definition"), facet ("remark") or "both" mode."""
+def is_generic(A: FinitePointSet, mode: str = "definition",
+               records: Optional[list] = None) -> GenericityReport:
+    """Genericity check in pairwise ("definition"), facet ("remark") or "both" mode.
+
+    The facet form reads every face; records, when given, are A's face
+    records from _face_records(A, None), so a caller that grew them already
+    does not grow them again.
+    """
     if mode not in ("definition", "remark", "both"):
         raise InputError(f"unknown genericity mode {mode!r}")
     pair_ok = pair_wit = facet_ok = facet_wit = None
     if mode in ("definition", "both"):
         pair_ok, pair_wit = _generic_pairwise(A)
     if mode in ("remark", "both"):
-        facet_ok, facet_wit = _generic_facet(A)
+        if records is None:
+            records = _face_records(A, None)
+        facet_ok, facet_wit = _generic_facet(A, records)
     if mode == "definition":
         return GenericityReport(pair_ok, mode, pair_wit, pairwise=pair_ok)
     if mode == "remark":

@@ -3,7 +3,8 @@
 Everything here is plain Python ints: Smith normal form with unimodular
 transforms, Bareiss determinants, a breadth-first minimal-solutions search
 for linear Diophantine systems over the naturals (Contejean-Devie branching
-rule with domination pruning), and one Fourier-Motzkin projection,
+rule with domination pruning, with counter columns so that one search
+answers several right-hand sides), and one Fourier-Motzkin projection,
 `fm_systems`.  The projection serves integer point enumeration, through
 elimination plans built once per coefficient matrix, and the search for a
 nonzero direction in a cone.  Rational rows given to `fm_enumerate_integer`
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, ge, mul
 from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, InternalError
@@ -375,20 +376,32 @@ def nonzero_cone_direction(B) -> Optional[list[int]]:
 
 def _dominates_any(x, minimals):
     for m in minimals:
-        if all(a >= b for a, b in zip(x, m)):
+        if all(map(ge, x, m)):
             return True
     return False
 
 
-def _cd_search(columns, capped=False):
+def _cd_search(columns, counters=0):
     """Componentwise-minimal nonzero solutions of sum_i x_i * columns[i] = 0, x in N^k.
 
     Breadth-first from the unit vectors; a node x grows in direction i only
     when <Ax, Ae_i> < 0, which preserves completeness; nodes dominating a
-    known solution are pruned.  capped keeps the last coordinate (the
-    homogenization counter) at most 1, which only discards solutions above it.
+    known solution are pruned.
+
+    The last `counters` columns are counters: in every node at most one of
+    them is nonzero, and it is at most 1.  No solution with that property
+    is lost, because a search path only increases coordinates: every node
+    on the path to a solution (y, e_j) lies below it and has the property
+    too.  Anything below such a solution has it as well, so the solutions
+    returned are exactly the minimal solutions of the whole system that
+    have it.  With counter columns -b_1, ..., -b_m, those with counter j at
+    1 give the minimal solutions y of A y = b_j (a nonzero solution of
+    A y = 0 below y would leave a smaller one), and those with every
+    counter at 0 the minimal nonzero solutions of A y = 0, so one search
+    serves m right-hand sides and the homogeneous system.
     """
     k = len(columns)
+    free = k - counters
     nrows = len(columns[0]) if k else 0
     zero_val = (0,) * nrows
     minimals = []
@@ -405,18 +418,17 @@ def _cd_search(columns, capped=False):
                 continue
             if _dominates_any(x, minimals):
                 continue
-            for i in range(k):
-                if capped and i == k - 1 and x[i]:
-                    continue
+            # a node with a counter set grows in the other columns only
+            for i in range(free if any(x[free:]) else k):
                 col = columns[i]
-                if sum(a * b for a, b in zip(v, col)) >= 0:
+                if sum(map(mul, v, col)) >= 0:
                     continue
                 child = x[:i] + (x[i] + 1,) + x[i + 1:]
                 if child in nxt:
                     continue
                 if _dominates_any(child, minimals):
                     continue
-                nxt[child] = tuple(a + b for a, b in zip(v, col))
+                nxt[child] = tuple(map(add, v, col))
         frontier = nxt
     return sorted(minimals)
 
@@ -425,9 +437,9 @@ def minimal_natural_solutions(rows, nvars: int) -> list[tuple[int, ...]]:
     """Minimal solutions in N^nvars of the integer system coeffs . x = rhs.
 
     Homogeneous systems yield the minimal nonzero solutions.  Inhomogeneous
-    systems are homogenized with one extra counter variable capped at 1;
-    minimal solutions of the original system are exactly the minimal
-    homogeneous solutions with counter value 1.
+    systems gain one counter column, minus the right-hand side; their
+    minimal solutions are exactly the minimal solutions of the counter
+    search with the counter at 1.
     """
     checked = []
     for coeffs, rhs in rows:
@@ -438,5 +450,4 @@ def minimal_natural_solutions(rows, nvars: int) -> list[tuple[int, ...]]:
     if all(rhs == 0 for _, rhs in checked):
         return _cd_search(columns)
     columns.append(tuple(-rhs for _, rhs in checked))
-    sols = _cd_search(columns, capped=True)
-    return sorted(s[:-1] for s in sols if s[-1] == 1)
+    return sorted(s[:-1] for s in _cd_search(columns, 1) if s[-1])

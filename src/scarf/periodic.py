@@ -7,14 +7,18 @@ most dmax+1 set points; these are the only possible star vertices once
 dmax reaches the star dimension.  Each set point of such a box is reached
 by steps that stay inside the box, and points pop in order of their
 weight, so the box's other set points have all been decided when a point
-pops: its count is a scan of the points already accepted.  The steps of
-coset -d in the opposite orthant are the negated steps of coset d, so
-each pair is searched once.  Second, faces among the candidates are tested
-exactly against the full periodic set, so reported faces are always
-correct and the report says whether the vertex list is known to be
-complete.  Both stages run on int tuples, and so do the results: a star
-is a sorted int vertex list with (member indices, join) face records, and
-a quotient's orbits are int vertex tuples with their incidence counts.
+pops: its count is a scan of the points already accepted.  One
+minimal-solutions search per pair of opposite orthants gives the steps of
+every coset difference, since the steps of coset -d in the opposite orthant
+are the negated steps of coset d.  A walk resumes when dmax grows, so a
+certified call walks once per center, and at a center of symmetry of the
+set only half of the orthants are walked, the others being mirror images.
+Second, faces among the candidates are tested exactly against the full
+periodic set, so reported faces are always correct and the report says
+whether the vertex list is known to be complete.  Both stages run on int
+tuples, and so do the results: a star is a sorted int vertex list with
+(member indices, join) face records, and a quotient's orbits are int vertex
+tuples with their incidence counts.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from operator import add, le, mul
 
 from .complexes import grow_faces
-from .diophantine import Lattice, coset_points, minimal_orthant_points, points_below
+from .diophantine import Lattice, _orthant_steps, coset_points, points_below
 from .errors import CertificationError, InputError
 from .geometry import Point, all_orthants, point_key, zero_point
 
@@ -182,8 +186,47 @@ def _setup(A: PeriodicSet, vertices) -> tuple:
     return creps, is_face_join, [vertex.as_int_tuple() for vertex in vertices]
 
 
-def _candidate_vertices(A: PeriodicSet, creps: list, center: tuple, dmax: int, steps: dict):
-    """Per orthant, the set points whose down-box toward center has at most dmax+1 set points.
+def _walk_orthant(moves: list, accepted: list, seen: set, pending: list, dmax: int) -> list:
+    """Carry one orthant's walk on at depth dmax; return the offsets it rejects there.
+
+    accepted, seen and pending are the walk's state, updated in place: the
+    offsets accepted so far, every offset pushed, and the heap entries
+    (weight, offset, coset) popped but not accepted, which pop again here.
+    moves[l] lists (k, steps) for the steps from coset l to coset k.
+    """
+    heap = pending.copy()
+    heapify(heap)
+    pending.clear()
+    rejected: list = []
+    while heap:
+        entry = heappop(heap)
+        w, r, l = entry
+        if w:
+            if any(all(map(le, x, r)) for x in rejected):
+                pending.append(entry)
+                continue
+            below = 0  # counted up to dmax + 1
+            for x in accepted:
+                if all(map(le, x, r)):
+                    below += 1
+                    if below > dmax:
+                        break
+            if below > dmax:
+                rejected.append(r)
+                pending.append(entry)
+                continue
+            accepted.append(r)
+        for k, steps in moves[l]:
+            for wh, h in steps:
+                t = tuple(map(add, r, h))
+                if t not in seen:
+                    seen.add(t)
+                    heappush(heap, (w + wh, t, k))
+    return rejected
+
+
+def _candidate_vertices(A: PeriodicSet, creps: list, center: tuple, steps: dict):
+    """A resumable walk to the set points whose down-box toward center holds at most dmax+1 set points.
 
     The walk runs in reflected offsets r(s) = (sigma_i (s_i - c_i)) from the
     center c, so each orthant sigma becomes the nonnegative one.  A step from
@@ -214,54 +257,68 @@ def _candidate_vertices(A: PeriodicSet, creps: list, center: tuple, dmax: int, s
     orthant, so max(c, r) <= max(c, v), and a set point strictly below
     max(c, r), if {c, r} is no face, is strictly below max(c, v) too.
 
+    The walk resumes: raising dmax pops the rejected and skipped entries
+    again, with the rejected list started afresh, and carries on.  That is
+    the walk a fresh start at the new depth makes.  An accepted point's
+    count is its box's exact number of other set points, at most the old
+    dmax, so it stays accepted, and its steps were pushed.  Every other
+    set point of a re-popped point's box has been accepted already or pops
+    before it, by weight, so the decision rule holds as above.
+
     The minimal points of coset -d in orthant -sigma are the negated ones of
-    coset d in sigma: the same reflected steps, computed once per pair into
-    steps, which names no center or depth.  creps are the set's canonical
-    representatives and center a set point, all int tuples.  Returns the
-    sorted candidates, the counts per orthant and the sorted rejected points.
+    coset d in sigma: the same reflected steps.  One search in sigma, with
+    a counter per coset, finds the steps of every difference of creps, so
+    a pair of opposite orthants costs one search, kept in steps, which
+    names no center or depth.  When x -> 2c - x maps the set onto itself
+    (always, for one coset), it maps the walk in -sigma onto the walk in
+    sigma, offset for offset, so only the orthants whose first sign is +
+    are walked.  In all_orthants' order the opposite of orthant o is
+    2^n - 1 - o.
+
+    creps are the set's canonical representatives and center a set point,
+    all int tuples.  Returns advance(dmax), for nondecreasing dmax, which
+    carries the walk on and returns the sorted candidates, the counts per
+    orthant and the sorted rejected points.
     """
     lattice = A.lattice
     center_idx = creps.index(lattice._canonical(center))
     # the single coset a step from coset l to coset k lands in, per (l, k)
     diffs = [[lattice._canonical([a - b for a, b in zip(ck, cl)]) for ck in creps]
              for cl in creps]
+    negated = {d: diffs[k][l] for l, row in enumerate(diffs) for k, d in enumerate(row)}
+    orthants = list(all_orthants(A.dim))
+    last = len(orthants) - 1
+    mirrored = set(creps) == {lattice._canonical([2 * a - b for a, b in zip(center, rep)])
+                              for rep in creps}
+    walked = range(len(orthants) // 2 if mirrored else len(orthants))
     zero = (0,) * A.dim
-    counts = []
-    candidates: set = set()
-    frontier: set = set()
-    for orth in all_orthants(A.dim):
-        signs = orth.signs
-        accepted = [zero]
-        rejected: list = []
-        seen = {zero}
-        heap = [(0, zero, center_idx)]
-        while heap:
-            w, r, l = heappop(heap)
-            if w:
-                if any(all(map(le, x, r)) for x in rejected):
-                    continue
-                if sum(all(map(le, x, r)) for x in accepted) > dmax:
-                    rejected.append(r)
-                    continue
-                accepted.append(r)
-            for k, diff in enumerate(diffs[l]):
-                moves = steps.get((signs, diff))
-                if moves is None:
-                    found = minimal_orthant_points(lattice, [Point(diff)], orth)
-                    reflected = [tuple(map(mul, signs, h.as_int_tuple())) for h in found]
-                    moves = [(sum(h), h) for h in reflected]
-                    opposite = (tuple(-x for x in signs), lattice._canonical([-x for x in diff]))
-                    steps[signs, diff] = steps[opposite] = moves
-                for wh, h in moves:
-                    t = tuple(map(add, r, h))
-                    if t not in seen:
-                        seen.add(t)
-                        heappush(heap, (w + wh, t, k))
-        counts.append((str(orth), len(accepted)))
-        candidates.update(tuple(map(add, center, map(mul, signs, r))) for r in accepted)
-        frontier.update(tuple(map(add, center, map(mul, signs, r))) for r in rejected)
-    candidates.discard(center)
-    return sorted(candidates), tuple(counts), sorted(frontier)
+    walks = []
+    for o in walked:
+        signs = orthants[o].signs
+        if signs not in steps:
+            found = _orthant_steps(lattice, sorted(negated), signs)
+            by_diff = {d: [(sum(y), y) for y in ys] for d, ys in found.items()}
+            steps[signs] = by_diff
+            steps[orthants[last - o].signs] = {negated[d]: m for d, m in by_diff.items()}
+        by_diff = steps[signs]
+        walks.append(([[(k, by_diff[d]) for k, d in enumerate(row)] for row in diffs],
+                      [zero], {zero}, [(0, zero, center_idx)]))
+
+    def advance(dmax: int):
+        counts = [None] * len(orthants)
+        candidates: set = set()
+        frontier: set = set()
+        for o, (moves, accepted, seen, pending) in zip(walked, walks):
+            rejected = _walk_orthant(moves, accepted, seen, pending, dmax)
+            for t in ((o, last - o) if mirrored else (o,)):
+                signs = orthants[t].signs
+                counts[t] = (str(orthants[t]), len(accepted))
+                candidates.update(tuple(map(add, center, map(mul, signs, r))) for r in accepted)
+                frontier.update(tuple(map(add, center, map(mul, signs, r))) for r in rejected)
+        candidates.discard(center)
+        return sorted(candidates), tuple(counts), sorted(frontier)
+
+    return advance
 
 
 def _grow_star(center: tuple, candidates: list, is_face_join):
@@ -283,7 +340,7 @@ def star_at(A: PeriodicSet, vertex: Point, dmax: int) -> StarResult:
     if dmax < 1:
         raise InputError(f"search depth must be at least 1, got {dmax}")
     creps, is_face_join, (center,) = _setup(A, [vertex])
-    candidates, counts, _ = _candidate_vertices(A, creps, center, dmax, {})
+    candidates, counts, _ = _candidate_vertices(A, creps, center, {})(dmax)
     vertices, records, observed = _grow_star(center, candidates, is_face_join)
     return StarResult(vertex, vertices, records,
                       CompletenessReport(dmax, observed, observed < dmax, counts))
@@ -297,6 +354,8 @@ def _certified_stars(A: PeriodicSet, vertices, dmax_limit: int, report_at, what:
     each star stays the same: rounds walk until the frontier holds, and faces
     grow once, there.  The first depth above the star's dimension D certifies,
     since no star on fewer candidates is larger, and no depth up to D does.
+    So that depth is at least each star's frontier depth, and one walk per
+    center, resumed from depth to depth, serves the rounds and the counts.
     """
     depths = [2 << k for k in range(dmax_limit.bit_length() - 1)]
 
@@ -309,21 +368,22 @@ def _certified_stars(A: PeriodicSet, vertices, dmax_limit: int, report_at, what:
     creps, is_face_join, centers = _setup(A, vertices)
     steps, grown = {}, []
     for vertex, center in zip(vertices, centers):
+        advance = _candidate_vertices(A, creps, center, steps)
         for dmax in depths:
-            candidates, counts, rejected = _candidate_vertices(A, creps, center, dmax, steps)
+            candidates, counts, rejected = advance(dmax)
             if not any(is_face_join(tuple(map(max, center, r))) for r in rejected):
                 break
         else:
             raise uncertified()
-        grown.append((vertex, center, dmax, counts, *_grow_star(center, candidates, is_face_join)))
+        grown.append((vertex, advance, dmax, counts, *_grow_star(center, candidates, is_face_join)))
     dim = max(g[-1] for g in grown)
     dmax = next((d for d in depths if d > dim), None)
     if dmax is None:
         raise uncertified()
     stars = []
-    for vertex, center, depth, counts, star_vertices, records, observed in grown:
-        if depth != dmax:  # one more walk for the counts there
-            counts = _candidate_vertices(A, creps, center, dmax, steps)[1]
+    for vertex, advance, depth, counts, star_vertices, records, observed in grown:
+        if depth != dmax:  # the walk goes on to dmax for the counts there
+            counts = advance(dmax)[1]
         stars.append(StarResult(vertex, star_vertices, records,
                                 CompletenessReport(dmax, observed, True, counts)))
     return stars

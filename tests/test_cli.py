@@ -208,6 +208,39 @@ def test_finite_output_pinned(docfile, capsys, subcommand, doc, flags, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("doc", [MIXED, PLANE_3D, GENERIC_ANTICHAIN, TIED_RATIONAL])
+@pytest.mark.parametrize("mode", ["remark", "both"])
+@pytest.mark.parametrize("max_dim", [None, 0, 1, 2])
+def test_finite_nb_facet_genericity_grows_faces_once(docfile, capsys, monkeypatch,
+                                                     doc, mode, max_dim):
+    # the facet check and the complex share one growth of every face, and
+    # --max-dim keeps a prefix of it: the document is the plain complex's
+    # with generic-check's report attached
+    from scarf import cli, finite
+
+    calls = []
+
+    def counting(A, max_size):
+        calls.append(max_size)
+        return face_records(A, max_size)
+
+    face_records = finite._face_records
+    flags = [] if max_dim is None else ["--max-dim", str(max_dim)]
+    path = docfile(doc)
+    code, plain, _ = run_cli(["finite-nb", path, *flags, "--format", "structured"], capsys)
+    assert code == 0
+    code, report, _ = run_cli(["generic-check", path, "--generic-mode", mode,
+                               "--format", "structured"], capsys)
+    assert code == 0
+    monkeypatch.setattr(cli, "_face_records", counting)
+    monkeypatch.setattr(finite, "_face_records", counting)
+    code, out, _ = run_cli(["finite-nb", path, *flags, "--generic-mode", mode,
+                            "--format", "structured"], capsys)
+    assert code == 0
+    assert calls == [None]
+    assert json.loads(out) == {**json.loads(plain), "genericity": json.loads(report)}
+
+
 # ---------------------------------------------------------------------------
 # generic-check
 

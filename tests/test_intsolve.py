@@ -6,12 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scarf.errors import InputError, InternalError
 from scarf.intsolve import (
     EliminationPlan,
+    _cd_search,
     det,
     fm_enumerate_integer,
     identity_matrix,
@@ -336,3 +337,37 @@ def test_minimal_natural_solutions_against_scan():
         )
         for t in scan:
             assert any(all(a <= b for a, b in zip(s, t)) for s in got)
+
+
+@st.composite
+def counter_systems(draw):
+    """Columns of a 1-2 row system in 2-3 variables, some rows held modulo 2 or 3, and 1-4 right-hand sides.
+
+    A row holds modulo m through a slack pair of columns, -m and m on that
+    row, as in the coset systems of the minimal-step search.
+    """
+    nrows, nvars = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(nvars)] for _ in range(nrows)]
+    columns = [tuple(row[j] for row in rows) for j in range(nvars)]
+    for i in range(nrows):
+        if draw(st.booleans()):
+            m = draw(st.integers(2, 3))
+            columns += [tuple(d if r == i else 0 for r in range(nrows)) for d in (-m, m)]
+    vectors = st.tuples(*[st.integers(-3, 3)] * nrows).filter(any)
+    return columns, draw(st.lists(vectors, min_size=1, max_size=4, unique=True))
+
+
+@settings(max_examples=80, deadline=None)
+@given(counter_systems())
+def test_counter_search_is_the_union_of_single_searches(system):
+    # one search with a counter per right-hand side finds the homogeneous
+    # solutions and, for each right-hand side, the solutions of a search
+    # with that counter alone
+    columns, rhss = system
+    m = len(rhss)
+    counters = [tuple(-b for b in rhs) for rhs in rhss]
+    want = [x + (0,) * m for x in _cd_search(columns)]
+    for j, counter in enumerate(counters):
+        unit = tuple(int(i == j) for i in range(m))
+        want += [x[:-1] + unit for x in _cd_search(columns + [counter], 1) if x[-1]]
+    assert _cd_search(columns + counters, m) == sorted(want)

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 import scarf.periodic
 from scarf.complexes import Face, LabeledComplex
-from scarf.diophantine import Lattice, coset_points, minimal_orthant_points, points_in_box
+from scarf.diophantine import (
+    Lattice,
+    _orthant_steps,
+    coset_points,
+    minimal_orthant_points,
+    points_in_box,
+)
 from scarf.errors import CertificationError, InputError, PositivityError
 from scarf.geometry import Point, all_orthants, join, zero_point
 from scarf.oracles import oracle_lattice_neighbors, oracle_star_orbit_counts
@@ -315,12 +321,16 @@ def test_depth_limit_raises_certification_error():
 
 
 def record_rounds(monkeypatch, grow=_grow_star):
-    """Log the depth of each candidate walk and "grow" for each star grown; grow stands in."""
+    """Log the depth of each advance of a candidate walk and "grow" for each star grown; grow stands in."""
     events = []
 
-    def walk(A, creps, center, dmax, steps):
-        events.append(dmax)
-        return _candidate_vertices(A, creps, center, dmax, steps)
+    def walk(A, creps, center, steps):
+        advance = _candidate_vertices(A, creps, center, steps)
+
+        def logged(dmax):
+            events.append(dmax)
+            return advance(dmax)
+        return logged
 
     def grow_star(*args):
         events.append("grow")
@@ -431,13 +441,92 @@ def small_periodic_sets(draw):
 def test_candidate_walk_matches_reference(A, dmax):
     creps = [rep.as_int_tuple() for rep in A.reps]
     for center in creps:
-        candidates, counts, rejected = _candidate_vertices(A, creps, center, dmax, {})
+        candidates, counts, rejected = _candidate_vertices(A, creps, center, {})(dmax)
         assert (candidates, counts, rejected) == reference_candidates(A, creps, center, dmax)
         for v in candidates:
             assert len(points_in_box(A.lattice, A.reps, Point(center), Point(v))) <= dmax + 1
         for r in rejected:
             assert A.contains(Point(r))
             assert len(points_in_box(A.lattice, A.reps, Point(center), Point(r))) > dmax + 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_periodic_sets())
+def test_resumed_walk_matches_fresh_walks(A):
+    # a walk carried on through depths 1..6 is, at each depth, the walk
+    # started there: candidates, counts per orthant and rejected frontier
+    creps = [rep.as_int_tuple() for rep in A.reps]
+    for center in creps:
+        advance = _candidate_vertices(A, creps, center, {})
+        for dmax in range(1, 7):
+            assert advance(dmax) == _candidate_vertices(A, creps, center, {})(dmax), (center, dmax)
+
+
+@st.composite
+def symmetric_periodic_sets(draw):
+    """ker(x) in Z^3 as in small_periodic_sets, with cosets symmetric about a set point c.
+
+    The reps are c, some points r and their mirror images 2c - r, so
+    x -> 2c - x maps the set onto itself.  Returns the set and c.
+    """
+    b, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    x = draw(st.permutations((1, b, c)))
+    point = st.tuples(*[st.integers(-2, 2)] * 3)
+    center = draw(point)
+    others = draw(st.lists(point, max_size=2))
+    reps = [center, *others, *(tuple(2 * a - b for a, b in zip(center, r)) for r in others)]
+    return PeriodicSet(kernel(x), reps), center
+
+
+def log_orthant_walks(monkeypatch):
+    """Log each orthant walk that _candidate_vertices runs from now on."""
+    walked = []
+    walk = scarf.periodic._walk_orthant
+
+    def logged(*args):
+        walked.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(scarf.periodic, "_walk_orthant", logged)
+    return walked
+
+
+@settings(max_examples=30, deadline=None)
+@given(symmetric_periodic_sets(), st.integers(1, 6))
+def test_symmetric_center_walks_half_the_orthants(query, dmax):
+    # the walk of -sigma is the mirror image of the walk of sigma, so four
+    # orthants are walked; the result is still the reference walk's
+    A, center = query
+    creps = [rep.as_int_tuple() for rep in A.reps]
+    with pytest.MonkeyPatch.context() as mp:
+        walked = log_orthant_walks(mp)
+        got = _candidate_vertices(A, creps, center, {})(dmax)
+    assert len(walked) == 4
+    assert got == reference_candidates(A, creps, center, dmax)
+
+
+def test_asymmetric_center_walks_every_orthant(monkeypatch):
+    # ker(1,2,3) + {0, e1} is not symmetric about 0: 2*0 - e1 lies in neither coset
+    A = ker123_e1()
+    walked = log_orthant_walks(monkeypatch)
+    _candidate_vertices(A, [rep.as_int_tuple() for rep in A.reps], (0, 0, 0), {})(3)
+    assert len(walked) == 8
+
+
+def test_certified_calls_walk_once_per_center(monkeypatch):
+    A = ker111_e1()
+    centers = []
+
+    def walk(A, creps, center, steps):
+        centers.append(center)
+        return _candidate_vertices(A, creps, center, steps)
+
+    monkeypatch.setattr(scarf.periodic, "_candidate_vertices", walk)
+    certified_quotient(A)
+    assert sorted(centers) == sorted(rep.as_int_tuple() for rep in A.reps)
+    centers.clear()
+    certified_star(A, Point((1, 0, 0)))
+    assert centers == [(1, 0, 0)]
 
 
 @st.composite
@@ -485,7 +574,7 @@ def test_certified_results_match_doubling_reference(A, data):
         center = rep.as_int_tuple()
         nbs = set(reference(rep).vertices) - {center}
         for dmax in range(1, 9):
-            candidates, _, rejected = _candidate_vertices(A, creps, center, dmax, {})
+            candidates, _, rejected = _candidate_vertices(A, creps, center, {})(dmax)
             # the frontier lemma in _candidate_vertices: a neighbor that is no
             # candidate lies at or above a rejected point of its orthant
             for v in nbs.difference(candidates):
@@ -522,21 +611,27 @@ def test_frontier_certifies_4d_neighbors_without_faces(monkeypatch):
 
 
 def test_step_search_shared_across_opposite_orthants(monkeypatch):
-    A = ker123_e1()
+    # one search per pair of opposite orthants, each for every coset
+    # difference: four per star in Z^3, for two cosets as for three
     calls = []
 
-    def counting(lattice, reps, orthant):
-        calls.append((orthant.signs, lattice.canonical_rep(reps[0]).as_int_tuple()))
-        return minimal_orthant_points(lattice, reps, orthant)
+    def counting(lattice, diffs, signs):
+        calls.append((signs, tuple(diffs)))
+        return orthant_steps(lattice, diffs, signs)
 
-    monkeypatch.setattr(scarf.periodic, "minimal_orthant_points", counting)
-    star_at(A, ZERO3, 4)
-    assert calls
-    pairs = Counter(
-        frozenset([(signs, diff), (tuple(-s for s in signs),
-                                   A.lattice.canonical_rep(Point([-x for x in diff])).as_int_tuple())])
-        for signs, diff in calls)
-    assert max(pairs.values()) == 1
+    orthant_steps = _orthant_steps
+    monkeypatch.setattr(scarf.periodic, "_orthant_steps", counting)
+    index2 = validate_periodic_set([(2, -2, 0), (4, 0, -1)], [(0, 0, 0), (1, 0, 0), (1, 1, 0)])
+    for A in (ker123_e1(), index2):
+        creps = [rep.as_int_tuple() for rep in A.reps]
+        differences = {A.lattice._canonical([a - b for a, b in zip(ck, cl)])
+                       for ck in creps for cl in creps}
+        calls.clear()
+        star_at(A, ZERO3, 4)
+        assert len(calls) == 4
+        assert {frozenset([signs, tuple(-s for s in signs)]) for signs, _ in calls} == \
+            {frozenset([o.signs, tuple(-s for s in o.signs)]) for o in all_orthants(3)}
+        assert all(set(diffs) == differences for _, diffs in calls)
 
 
 # ---------------------------------------------------------------------------
