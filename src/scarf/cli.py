@@ -182,8 +182,9 @@ def _selftest(trials: int, seed: int) -> dict:
 def run(job: argparse.Namespace) -> dict | str:
     """Execute one job, given as the parsed command line, and return its output.
 
-    The output is a document, except for complexes of finite sets: those
-    come back as the structured text itself, written from the face records.
+    The output is a document, except for complexes of finite sets,
+    structured stars and quotients: those come back as the structured text
+    itself, written from the face records or orbits.
     """
     if job.subcommand == "finite-nb":
         A = formats.parse_points_doc(formats.load_document(job.input))

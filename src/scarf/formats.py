@@ -11,12 +11,10 @@ round-trips at the document level and diffs are stable.  The exact byte
 contract: render_document(doc) equals
 json.dumps(doc, sort_keys=True, indent=2) + "\n".
 
-Documents with faces are the exception to building a document first:
-complex_doc and star_doc write their text from (member indices, join)
-face records through one face writer, and that text equals render_document
-of the document it stands for.  The quotient and resolution builders give
-each point one shared coordinate list, and the renderer writes each such
-list once per call and depth, not once per orbit or face.
+Documents with a long list are the exception to building a document
+first: complex_doc and star_doc (from (member indices, join) face records)
+and quotient_doc (from orbits) write their text through one list writer,
+and that text equals render_document of the document it stands for.
 """
 
 from __future__ import annotations
@@ -78,61 +76,44 @@ _STR = {str}  # the key types of a dict the writer renders itself
 def render_document(doc: dict) -> str:
     """json.dumps(doc, sort_keys=True, indent=2) + "\n", byte for byte.
 
-    Flat lists (ints and strings only) are rendered once per (object,
-    depth) within the call; the memo lives only as long as the call, since
-    ids are reused after garbage collection.  Values other than str, int,
-    bool, None, lists, tuples and str-keyed dicts (subclasses included) are
-    left to json.dumps.
+    Values other than str, int, bool, None, lists, tuples and str-keyed
+    dicts (subclasses included) are left to json.dumps.
     """
     return _render(doc, 0) + "\n"
 
 
-def _render(value, depth: int) -> str:
-    """render_document's text of value as it stands at this depth, without the newline.
-
-    Only quotient and resolution documents still share point lists.
-    """
-    memo: dict = {}
-
-    def write(x, depth: int) -> str:
-        kind = type(x)
-        if kind is list or kind is tuple:
-            if not x:
-                return "[]"
-            # look up before testing flatness: a repeated point list is the common case
-            key = (id(x), depth)
-            text = memo.get(key)
-            if text is not None:
-                return text
-            inner = "\n" + "  " * (depth + 1)
-            if set(map(type, x)) <= _FLAT.keys():
-                body = ("," + inner).join([_FLAT[type(v)](v) for v in x])
-                text = memo[key] = f"[{inner}{body}\n{'  ' * depth}]"
-                return text
-            body = ("," + inner).join([write(v, depth + 1) for v in x])
-            return f"[{inner}{body}\n{'  ' * depth}]"
-        if kind is str:
-            return encode_basestring_ascii(x)
-        if kind is int:
-            return int.__repr__(x)
-        if kind is dict and set(map(type, x)) <= _STR:
-            if not x:
-                return "{}"
-            inner = "\n" + "  " * (depth + 1)
-            body = ("," + inner).join([
-                f"{encode_basestring_ascii(k)}: {write(v, depth + 1)}"
-                for k, v in sorted(x.items())])
-            return f"{{{inner}{body}\n{'  ' * depth}}}"
-        if x is None:
-            return "null"
-        if x is True:
-            return "true"
-        if x is False:
-            return "false"
-        # JSON strings hold no raw newline, so re-indenting is exact
-        return json.dumps(x, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
-
-    return write(value, depth)
+def _render(x, depth: int) -> str:
+    """render_document's text of x at this depth, without the newline."""
+    kind = type(x)
+    if kind is list or kind is tuple:
+        if not x:
+            return "[]"
+        inner = "\n" + "  " * (depth + 1)
+        if set(map(type, x)) <= _FLAT.keys():
+            body = ("," + inner).join([_FLAT[type(v)](v) for v in x])
+        else:
+            body = ("," + inner).join([_render(v, depth + 1) for v in x])
+        return f"[{inner}{body}\n{'  ' * depth}]"
+    if kind is str:
+        return encode_basestring_ascii(x)
+    if kind is int:
+        return int.__repr__(x)
+    if kind is dict and set(map(type, x)) <= _STR:
+        if not x:
+            return "{}"
+        inner = "\n" + "  " * (depth + 1)
+        body = ("," + inner).join([
+            f"{encode_basestring_ascii(k)}: {_render(v, depth + 1)}"
+            for k, v in sorted(x.items())])
+        return f"{{{inner}{body}\n{'  ' * depth}}}"
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    # JSON strings hold no raw newline, so re-indenting is exact
+    return json.dumps(x, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
 
 
 def load_document(path: str) -> dict:
@@ -202,24 +183,6 @@ def point_json(p: Point) -> list:
     return [c if type(c) is int else f"{c.numerator}/{c.denominator}" for c in p.coords]
 
 
-def _shared_point_json():
-    """point_json that returns one list per point object, however often it is asked.
-
-    A resolution repeats a few point objects many times; sharing their lists
-    lets render_document write each one once.  Keys are ids, which is sound
-    because the result a document is built from holds all its points.
-    """
-    rows: dict = {}
-
-    def row(p: Point) -> list:
-        found = rows.get(id(p))
-        if found is None:
-            found = rows[id(p)] = point_json(p)
-        return found
-
-    return row
-
-
 def _coord_text(c) -> str:
     # point_json's entry as render_document writes it: digits, or a "p/q" string
     return int.__repr__(c) if type(c) is int else f'"{c.numerator}/{c.denominator}"'
@@ -230,37 +193,47 @@ def _vertex_block(coords) -> str:
     return "[\n          " + ",\n          ".join(map(_coord_text, coords)) + "\n        ]"
 
 
-def _faces_doc(fields: dict, blocks: list, values: list, records) -> str:
-    """render_document of {**fields, "faces": [...]}, with the faces written from records.
+def _faces(blocks: list, values: list, records) -> list:
+    """The text of each face of records, in record order, at its place in a document.
 
     Each record (members, top) is the face {"dim", "multidegree",
     "vertices"}: blocks[i] is the text of vertex i's coordinate list and
-    values[k][top[k]] that of the join's k-th coordinate.  Faces are
-    written in record order, each one string around those texts, without a
-    dict per face, and each distinct join's text is written once.
+    values[k][top[k]] that of the join's k-th coordinate.  Each face is one
+    string around those texts, without a dict per face, and each distinct
+    join's text is written once.
     """
     sep, block = ",\n        ", blocks.__getitem__
     degree = dict.fromkeys(top for _, top in records)
     for top in degree:
         degree[top] = sep.join(map(getitem, values, top))
-    faces = [
+    return [
         f'{{\n      "dim": {len(members) - 1},\n      "multidegree": [\n        '
         f'{degree[top]}\n      ],\n'
         f'      "vertices": [\n        {sep.join(map(block, members))}\n      ]\n    }}'
         for members, top in records
     ]
+
+
+def _list_doc(fields: dict, key: str, items: list) -> str:
+    """render_document of {**fields, key: [...]}, given the text of each item of the list.
+
+    The items are written at depth 2, as render_document writes a list
+    under a top-level key.  The other fields are rendered in sorted key
+    order around the list.
+    """
     others = sorted(fields.items())
     head = "".join([f"{encode_basestring_ascii(k)}: {_render(v, 1)},\n  "
-                    for k, v in others if k < "faces"])
+                    for k, v in others if k < key])
     tail = "".join([f",\n  {encode_basestring_ascii(k)}: {_render(v, 1)}"
-                    for k, v in others if k > "faces"])
-    if not faces:
-        return f'{{\n  {head}"faces": []{tail}\n}}\n'
-    # one join writes the whole text, the keys around "faces" riding on its
-    # first and last face, so the megabytes of faces are copied only once
-    faces[0] = f'{{\n  {head}"faces": [\n    {faces[0]}'
-    faces[-1] = f"{faces[-1]}\n  ]{tail}\n}}\n"
-    return ",\n    ".join(faces)
+                    for k, v in others if k > key])
+    name = encode_basestring_ascii(key)
+    if not items:
+        return f"{{\n  {head}{name}: []{tail}\n}}\n"
+    # one join writes the whole text, the keys around the list riding on its
+    # first and last item, so the megabytes of items are copied only once
+    items[0] = f"{{\n  {head}{name}: [\n    {items[0]}"
+    items[-1] = f"{items[-1]}\n  ]{tail}\n}}\n"
+    return ",\n    ".join(items)
 
 
 def complex_doc(A: FinitePointSet, records: list, extra: dict) -> str:
@@ -282,9 +255,9 @@ def complex_doc(A: FinitePointSet, records: list, extra: dict) -> str:
         "empty_face": True,
         **extra,
     }
-    return _faces_doc(fields, [_vertex_block(p.coords) for p in A.points],
-                      [[_coord_text(v) for v in axis] for axis in A.rank_index.values],
-                      records)
+    return _list_doc(fields, "faces", _faces(
+        [_vertex_block(p.coords) for p in A.points],
+        [[_coord_text(v) for v in axis] for axis in A.rank_index.values], records))
 
 
 def genericity_doc(report: GenericityReport) -> dict:
@@ -336,8 +309,8 @@ def star_doc(star: StarResult) -> str:
     """
     # a join's coordinate on an axis is one of its vertices' coordinates there
     values = [{c: _coord_text(c) for c in axis} for axis in zip(*star.vertices)]
-    return _faces_doc({**neighbors_doc(star), "kind": "star"},
-                      [_vertex_block(v) for v in star.vertices], values, star.records)
+    return _list_doc({**neighbors_doc(star), "kind": "star"}, "faces",
+                     _faces([_vertex_block(v) for v in star.vertices], values, star.records))
 
 
 def neighbors_doc(star: StarResult) -> dict:
@@ -350,24 +323,33 @@ def neighbors_doc(star: StarResult) -> dict:
     }
 
 
-def quotient_doc(q: QuotientResult) -> dict:
-    rows: dict = {}  # one list per vertex, which render_document writes once
-    return {
-        "kind": "quotient",
-        "f_vector": list(q.f_vector),
-        "orbits": [{"face": [rows.setdefault(v, list(v)) for v in vs], "dim": len(vs) - 1,
-                    "incidences": c} for vs, c in q.orbits],
-        "report": report_doc(q.report),
-    }
+def quotient_doc(q: QuotientResult) -> str:
+    """The text of the quotient document, written from the orbits.
+
+    Returns render_document of {"kind": "quotient", "f_vector", "orbits",
+    "report"}, byte for byte, where each orbit is {"dim", "face",
+    "incidences"} and "face" lists its vertices' coordinates.  Each
+    distinct vertex's coordinate list is written once.
+    """
+    blocks = dict.fromkeys(v for vs, _ in q.orbits for v in vs)
+    for v in blocks:
+        blocks[v] = _vertex_block(v)
+    sep, block = ",\n        ", blocks.__getitem__
+    orbits = [
+        f'{{\n      "dim": {len(vs) - 1},\n      "face": [\n        '
+        f'{sep.join(map(block, vs))}\n      ],\n      "incidences": {c}\n    }}'
+        for vs, c in q.orbits
+    ]
+    return _list_doc({"kind": "quotient", "f_vector": list(q.f_vector),
+                      "report": report_doc(q.report)}, "orbits", orbits)
 
 
 def resolution_doc(res: Resolution) -> dict:
-    row = _shared_point_json()
     diffs = []
     for step in res.differentials:
         diffs.append(
             [
-                {"row": r, "col": c, "sign": s, "exponent": row(e)}
+                {"row": r, "col": c, "sign": s, "exponent": point_json(e)}
                 for (r, c), (s, e) in sorted(step.items())
             ]
         )
@@ -375,14 +357,14 @@ def resolution_doc(res: Resolution) -> dict:
         "kind": "resolution",
         "betti": list(res.betti),
         "multigraded_betti": [
-            {"dim": d, "multidegree": row(md), "count": c}
+            {"dim": d, "multidegree": point_json(md), "count": c}
             for (d, md), c in sorted(
                 res.multigraded_betti.items(), key=lambda it: (it[0][0], it[0][1].coords)
             )
         ],
-        "augmentation": [row(p) for p in res.augmentation],
+        "augmentation": [point_json(p) for p in res.augmentation],
         "faces_by_dim": [
-            [[row(v) for v in f.vertices] for f in fs] for fs in res.faces_by_dim
+            [[point_json(v) for v in f.vertices] for f in fs] for fs in res.faces_by_dim
         ],
         "differentials": diffs,
         "euler_characteristic": res.euler_characteristic(),

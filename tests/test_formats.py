@@ -25,10 +25,16 @@ from scarf.formats import (
     star_doc,
 )
 from scarf.geometry import Orthant, Point, join
-from scarf.periodic import exists_strictly_below, quotient_complex, star_at, validate_periodic_set
+from scarf.periodic import (
+    certified_quotient,
+    exists_strictly_below,
+    quotient_complex,
+    star_at,
+    validate_periodic_set,
+)
 from scarf.posets import dickson_layers, filter_by_downset
 from scarf.resolution import build_resolution
-from test_periodic import small_periodic_sets
+from test_periodic import small_periodic_sets, vertex_periodic_sets
 
 
 def dumped(doc) -> str:
@@ -162,10 +168,16 @@ def first_difference(a: str, b: str) -> int:
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
+def reference_report(report) -> dict:
+    return {"dmax_used": report.dmax_used,
+            "observed_star_dimension": report.observed_star_dimension,
+            "certified": report.certified,
+            "candidate_counts": [[orth, n] for orth, n in report.candidate_counts]}
+
+
 def reference_star(star) -> dict:
     """The star document built face by face from the star's vertices."""
     points = [Point(v) for v in star.vertices]
-    report = star.report
     return {
         "kind": "star",
         "center": point_json(star.center),
@@ -174,10 +186,7 @@ def reference_star(star) -> dict:
                    "dim": len(members) - 1,
                    "multidegree": point_json(join(points[i] for i in members))}
                   for members, _ in star.records],
-        "report": {"dmax_used": report.dmax_used,
-                   "observed_star_dimension": report.observed_star_dimension,
-                   "certified": report.certified,
-                   "candidate_counts": [[orth, n] for orth, n in report.candidate_counts]},
+        "report": reference_report(star.report),
     }
 
 
@@ -198,6 +207,27 @@ def test_star_doc_is_json_dumps_of_the_reference(A, dmax, coeffs):
             # takes minutes, once per shrinking step
             same = text == expected
             assert same, f"first difference at offset {first_difference(text, expected)}"
+
+
+def reference_quotient(q) -> dict:
+    """The quotient document built orbit by orbit, as a dict."""
+    return {
+        "kind": "quotient",
+        "f_vector": list(q.f_vector),
+        "orbits": [{"face": [list(v) for v in vs], "dim": len(vs) - 1, "incidences": c}
+                   for vs, c in q.orbits],
+        "report": reference_report(q.report),
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(vertex_periodic_sets(), st.none() | st.integers(1, 4))
+def test_quotient_doc_is_json_dumps_of_the_reference(A, dmax):
+    # dmax None is the certified quotient
+    q = certified_quotient(A) if dmax is None else quotient_complex(A, dmax)
+    text, expected = quotient_doc(q), dumped(reference_quotient(q))
+    same = text == expected
+    assert same, f"first difference at offset {first_difference(text, expected)}"
 
 
 def test_genericity_doc_witness():
@@ -246,7 +276,7 @@ def fixture_docs():
         "complex": cx,
         "star": json.loads(star_doc(star)),
         "neighbors": neighbors_doc(star),
-        "quotient": quotient_doc(quotient_complex(ker111_e1, 2)),
+        "quotient": json.loads(quotient_doc(quotient_complex(ker111_e1, 2))),
         "resolution": resolution_doc(build_resolution([(3, 0, 1), (1, 2, 0), (0, 1, 3)])),
         "layering": layering_doc(dickson_layers(grid, 2, orthant),
                                  filter_by_downset(grid, 2, orthant), 2),
