@@ -2,13 +2,16 @@
 
 Every face stores its multidegree, the coordinatewise join of its vertices;
 the empty face is always present and carries no multidegree.  grow_faces is
-the one face-growing loop, shared by finite complexes and periodic stars.
-It works on plain coordinate tuples (rank tuples for a finite set, exact
-coordinates for a star) and returns (member indices, join) records, so
-callers build each Face once, from vertices they already hold in order.
-Faces with the same top share its joins: a join depends only on the top
-and the candidate, and accept only on the join, so one call computes and
-tests each accepted join once and keeps at most one memo entry per record.
+the one face-growing loop, shared by finite complexes, resolutions and
+periodic stars.  It works on plain coordinate tuples (rank tuples for a
+finite set, int coordinates for a star) and grows one seed: the empty face
+of a finite set, or a star's center at its own index among the star's
+sorted vertices.  It returns (member indices, join) records, so callers
+build each Face once, from vertices they already hold in order.  Faces
+with the same top share its joins: a join depends only on the top and the
+candidate, and accept only on the join, so one call computes and tests
+each accepted join once and remembers only accepted joins, at most one per
+record.
 """
 
 from __future__ import annotations
@@ -114,59 +117,86 @@ class LabeledComplex:
         return tuple(counts)
 
 
-def grow_faces(coords: Sequence[tuple], seeds, accept: Callable[[tuple], bool],
+def grow_faces(coords: Sequence[tuple], seed: tuple, accept: Callable[[tuple], bool],
                max_size: Optional[int] = None) -> list[tuple[tuple[int, ...], tuple]]:
-    """The seed faces and every extension of one by later candidates whose join passes accept.
+    """The seed face and every face it grows into whose join passes accept.
 
-    coords lists the candidate vertices as coordinate tuples, and joins are
-    coordinatewise maxima of them.  A seed is (members, top): increasing
-    indices into coords and the join of the face it stands for, which may
-    hold vertices that are not candidates (the center of a star).  The
-    result holds the seeds and the accepted extensions as records of the
-    same form; callers build their own faces from them.
+    coords lists the vertices as coordinate tuples, and joins are
+    coordinatewise maxima of them.  The seed is (members, top) with at most
+    one member, and top is where joins start: a face's join is the max of
+    top and its members' coords.  A finite complex grows from the empty
+    face with zero ranks, a star from its center, at the center's own index
+    among the star's vertices, with the center's coordinates.  The result
+    starts with the seed record and holds every face grown from it whose
+    join passes accept, as (increasing indices into coords, join), by size
+    and then by member indices; callers build their own faces from them.
 
-    A seed extends by every candidate after its last member.  After that, a
-    face extends only by the last member of a later sibling (a face with the
-    same members bar the last), tested against the joined top.  That is
-    complete whenever the accepted family is downward closed: if F + k is a
-    face, so is F - max(F) + k.  Growth stops once faces have max_size members.
+    The seed extends by every index that is not one of its members.  After
+    that, a face extends only by the indices its later siblings added
+    (siblings: the faces grown from one parent, in the order of the indices
+    they added), each tested against the joined top.  That is complete
+    whenever the accepted family is downward closed: if F + j + k is a face
+    with j < k, then F + j and F + k are sibling faces.  Growth stops once
+    faces have max_size members.
 
-    Faces with the same top share their joins: the call keeps, per
-    candidate, the accepted join of each top it extended.  That is exact
-    because accept must be a pure function of the join.  Only accepted
-    joins are kept, at most one per record, and a refused join is tested
-    again when another face with its top meets it.  Seeds, whose tops are
-    distinct, fill the memo without reading it, since every lookup would miss.
+    Added indices increase along the growth of a face, so at most the
+    seed's member lies above a new index j: the kid is members + (j,), or
+    members[:-1] + (j, members[-1]) when j < members[-1], and the records
+    come out in coords' own indices.  Only faces with a later sibling
+    extend, so the last kid of a group, and a kid without siblings, cost
+    nothing beyond their record.
+
+    Faces with the same top share their joins, which is exact because
+    accept must be a pure function of the join.  The first face met with a
+    top probes nothing and keeps only where its kids went.  A second face
+    with that top turns those kids into the top's row, candidate index ->
+    accepted join, and it and every later face with the top look their
+    candidates up there first.  Only accepted joins are kept, at most one
+    per record, and a refused join is tested again when another face with
+    its top meets it.
     """
-    seeds = list(seeds)
-    records = list(seeds)
-    if not seeds or len(seeds[0][0]) == max_size:
+    members, top = seed
+    records = [seed]
+    if len(members) == max_size:
         return records
-
-    after = [{} for _ in coords]  # after[j][top]: the accepted join of top and coords[j]
-
-    def extend(members, top, candidates, look=True):
-        kids = []
-        for j in candidates:
-            cand_top = after[j].get(top) if look else None
-            if cand_top is None:
-                cand_top = tuple(map(max, top, coords[j]))
-                if not accept(cand_top):
-                    continue
-                after[j][top] = cand_top
-            kids.append((members + (j,), cand_top))
-        records.extend(kids)
-        return kids
-
-    groups = [extend(members, top, range(members[-1] + 1 if members else 0, len(coords)), False)
-              for members, top in seeds]
-    size = len(seeds[0][0]) + 1
-    while groups and size != max_size:
-        grown = []
-        for kids in groups:
-            lasts = [members[-1] for members, _ in kids]
-            grown += [extend(members, top, lasts[pos + 1:])
-                      for pos, (members, top) in enumerate(kids)]
-        groups = grown
+    append = records.append
+    added = [j for j in range(len(coords)) if j not in members]  # then each kid's added index
+    add = added.append
+    rows = {}  # top -> its row, or where its first face's kids went: (records index, added slice)
+    level = [(0, 0, len(added))]  # (i, a, b): records[i] extends by added[a:b]
+    size = len(members)
+    while level and size != max_size:
         size += 1
+        grown = []
+        for i, a, b in level:
+            members, top = records[i]
+            hi = members[-1] if members else -1
+            start, base = len(records), len(added)
+            row = rows.get(top)
+            if row is None:
+                for j in added[a:b]:
+                    t = tuple(map(max, top, coords[j]))
+                    if accept(t):
+                        append((members + (j,) if j > hi else members[:-1] + (j, hi), t))
+                        add(j)
+                if len(added) > base:
+                    rows[top] = (start, base, len(added))
+            else:
+                if type(row) is tuple:  # the second face with this top
+                    first, q, e = row
+                    row = rows[top] = dict(zip(added[q:e], [t for _, t in records[first:first + e - q]]))
+                for j in added[a:b]:
+                    t = row.get(j)
+                    if t is None:
+                        t = tuple(map(max, top, coords[j]))
+                        if not accept(t):
+                            continue
+                        row[j] = t
+                    append((members + (j,) if j > hi else members[:-1] + (j, hi), t))
+                    add(j)
+            end = len(added)
+            for k in range(base + 1, end):
+                grown.append((start, k, end))
+                start += 1
+        level = grown
     return records

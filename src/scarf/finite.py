@@ -115,16 +115,16 @@ def neighbors(A: FinitePointSet, a: Point) -> frozenset:
 def _face_records(A: FinitePointSet, max_size: Optional[int]) -> list:
     """(point indices, rank join) of every nonempty face with at most max_size vertices.
 
-    Faces grow by appending vertices in canonical order; a candidate is
-    tested only once its prefix is known to be a face, which is complete
-    because the complex is downward closed.
+    Faces grow from the empty face, whose zero ranks lie below every point,
+    by appending vertices in canonical order; a candidate is tested only
+    once its prefix is known to be a face, which is complete because the
+    complex is downward closed.  The empty face's own record is dropped.
     """
-    if max_size == 0:
-        return []
     index = A.rank_index
     under = index.strictly_under
-    seeds = [((i,), r) for i, r in enumerate(index.ranks) if not under(r)]
-    return grow_faces(index.ranks, seeds, lambda top: not under(top), max_size)
+    records = grow_faces(index.ranks, ((), (0,) * A.dim), lambda top: not under(top), max_size)
+    del records[0]
+    return records
 
 
 def enumerate_complex(A: FinitePointSet, max_dim: Optional[int] = None) -> LabeledComplex:

@@ -18,7 +18,10 @@ periodic set, so reported faces are always correct and the report says
 whether the vertex list is known to be complete.  Both stages run on int
 tuples, and so do the results: a star is a sorted int vertex list with
 (member indices, join) face records, and a quotient's orbits are int vertex
-tuples with their incidence counts.
+tuples with their incidence counts.  A star's faces grow from the center at
+its own index among the sorted vertices, through the one face-growing loop
+of the complexes module, so its records come out in the star's vertex
+indices.
 """
 
 from __future__ import annotations
@@ -322,17 +325,18 @@ def _candidate_vertices(A: PeriodicSet, creps: list, center: tuple, steps: dict)
 
 
 def _grow_star(center: tuple, candidates: list, is_face_join):
-    """The star's sorted vertices, its face records and its dimension, from the candidates."""
-    neighbors = [v for v in candidates if is_face_join(tuple(map(max, center, v)))]
-    grown = grow_faces(neighbors, [((), center)], is_face_join)
-    # grown records come by size, then by member indices; putting the center
-    # in its sorted place keeps that order
-    pos = bisect_left(neighbors, center)
-    records = []
-    for members, top in grown:
-        cut = bisect_left(members, pos)
-        records.append((members[:cut] + (pos,) + tuple(j + 1 for j in members[cut:]), top))
-    return (*neighbors[:pos], center, *neighbors[pos:]), tuple(records), len(grown[-1][0])
+    """The star's sorted vertices, its face records and its dimension, from the candidates.
+
+    The vertices are the candidates that make a face with the center, and
+    the center in its sorted place.  Faces grow from the center at its own
+    index there, so the records come out in the star's vertex indices, by
+    size and then by indices.
+    """
+    vertices = [v for v in candidates if is_face_join(tuple(map(max, center, v)))]
+    pos = bisect_left(vertices, center)
+    vertices.insert(pos, center)
+    records = grow_faces(vertices, ((pos,), center), is_face_join)
+    return tuple(vertices), tuple(records), len(records[-1][0]) - 1
 
 
 def star_at(A: PeriodicSet, vertex: Point, dmax: int) -> StarResult:

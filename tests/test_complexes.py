@@ -93,10 +93,11 @@ def in_grow_order(records):
 
 
 def random_growths():
-    """Random small sets in N^2..N^4, each as (coords, vertex seeds, star coords, star seed, under).
+    """Random small sets in N^2..N^4, each as (coords, vertex seeds, center index, under).
 
-    A set grows from its vertices, as a finite complex does, and from the
-    empty face at one vertex that is not a candidate, as a star does.
+    A set grows from the empty face, as a finite complex does, and from one
+    vertex, its center, as a star does.  The vertex seeds start the
+    reference's growth of the complex.
     """
     rng = random.Random(61)
     for _ in range(40):
@@ -105,17 +106,26 @@ def random_growths():
                             for _ in range(rng.randint(1, 14))})
         ranks, under = A.rank_index.ranks, A.rank_index.strictly_under
         seeds = [((i,), r) for i, r in enumerate(ranks) if not under(r)]
-        center = rng.choice([r for _, r in seeds])
-        yield ranks, seeds, [r for r in ranks if r != center], [((), center)], under
+        yield ranks, seeds, rng.choice([i for (i,), _ in seeds]), under
+
+
+def with_center(records, pos):
+    """Records grown among the other vertices, from the empty face at the center, in star indices.
+
+    The center takes index pos, and the indices from pos on move up by one.
+    """
+    return [(tuple(sorted((pos, *(j + (j >= pos) for j in members)))), top)
+            for members, top in records]
 
 
 def test_grow_faces_records_by_size_then_members():
     # star_at and the facet genericity scan read the records in this order
     # without sorting them
-    for ranks, seeds, others, star_seed, under in random_growths():
-        assert in_grow_order(grow_faces(ranks, seeds, lambda top: not under(top)))
-        records = grow_faces(others, star_seed, lambda top: not under(top))
-        assert records[0] == star_seed[0] and in_grow_order(records)
+    for ranks, _, pos, under in random_growths():
+        records = grow_faces(ranks, ((), (0,) * len(ranks[0])), lambda top: not under(top))
+        assert records[0] == ((), (0,) * len(ranks[0])) and in_grow_order(records)
+        records = grow_faces(ranks, ((pos,), ranks[pos]), lambda top: not under(top))
+        assert records[0] == ((pos,), ranks[pos]) and in_grow_order(records)
 
 
 def reference_grow_faces(coords, seeds, accept, max_size=None):
@@ -146,15 +156,19 @@ def reference_grow_faces(coords, seeds, accept, max_size=None):
 
 def test_grow_faces_computes_each_join_once():
     # sharing a join between faces with the same top changes no record
-    for ranks, seeds, others, star_seed, under in random_growths():
+    for ranks, seeds, pos, under in random_growths():
         def accept(top):
             return not under(top)
 
+        others = ranks[:pos] + ranks[pos + 1:]
         for max_size in (None, 1, 2, 3, 4):
-            assert (grow_faces(ranks, seeds, accept, max_size)
+            assert (grow_faces(ranks, ((), (0,) * len(ranks[0])), accept, max_size)[1:]
                     == reference_grow_faces(ranks, seeds, accept, max_size))
-            assert (grow_faces(others, star_seed, accept, max_size)
-                    == reference_grow_faces(others, star_seed, accept, max_size))
+            # the star's max_size counts the center, the reference's does not
+            expected = reference_grow_faces(others, [((), ranks[pos])], accept,
+                                            max_size and max_size - 1)
+            assert (grow_faces(ranks, ((pos,), ranks[pos]), accept, max_size)
+                    == with_center(expected, pos))
     # a full 12-vertex simplex: 4 095 faces over 39 distinct joins, where
     # testing every face tried makes 4 083 accept calls
     index = FinitePointSet([(i, (7 * i) % 12, 5) for i in range(12)]).rank_index
@@ -164,9 +178,13 @@ def test_grow_faces_computes_each_join_once():
         calls.append(top)
         return not index.strictly_under(top)
 
-    seeds = [((i,), r) for i, r in enumerate(index.ranks)]
-    records = grow_faces(index.ranks, seeds, counted)
-    assert len(records) == 4095
+    records = grow_faces(index.ranks, ((), (0, 0, 0)), counted)
+    assert len(records) == 4096  # the empty seed and 4 095 faces
+    assert len(calls) <= len({top for _, top in records}) * len(index.ranks)
+    # the star at the seventh vertex: its 2 048 faces in the same bound
+    calls.clear()
+    records = grow_faces(index.ranks, ((6,), index.ranks[6]), counted)
+    assert len(records) == 2048
     assert len(calls) <= len({top for _, top in records}) * len(index.ranks)
 
 

@@ -2,11 +2,12 @@
 
 import itertools
 import re
+from bisect import bisect_left
 from collections import Counter
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scarf.periodic
@@ -26,6 +27,7 @@ from scarf.periodic import (
     QuotientResult,
     _candidate_vertices,
     _grow_star,
+    _setup,
     certified_quotient,
     certified_star,
     exists_strictly_below,
@@ -33,6 +35,7 @@ from scarf.periodic import (
     star_at,
     validate_periodic_set,
 )
+from test_complexes import reference_grow_faces, with_center
 
 ZERO3 = zero_point(3)
 
@@ -543,6 +546,30 @@ def vertex_periodic_sets(draw):
     values = draw(st.lists(st.integers(0, b + c), min_size=1, max_size=3, unique=True))
     one = x.index(1)
     return PeriodicSet(kernel(x), [tuple(t if i == one else 0 for i in range(3)) for t in values])
+
+
+@settings(max_examples=60, deadline=None)
+@given(vertex_periodic_sets(), st.integers(1, 4), st.sampled_from(("first", "middle", "last")),
+       st.data())
+def test_star_grows_in_its_own_vertex_indices(A, dmax, place, data):
+    # growing from the center's own index gives what growing among the
+    # neighbors alone, from the empty face at the center, and then putting
+    # the center in its sorted place gives.  The candidates above or below
+    # the center alone put it first or last
+    vertex = data.draw(st.sampled_from(A.reps))
+    creps, is_face_join, (center,) = _setup(A, [vertex])
+    candidates = _candidate_vertices(A, creps, center, {})(dmax)[0]
+    if place == "first":
+        candidates = [v for v in candidates if v > center]
+    elif place == "last":
+        candidates = [v for v in candidates if v < center]
+    neighbors = [v for v in candidates if is_face_join(tuple(map(max, center, v)))]
+    pos = bisect_left(neighbors, center)
+    assume(place != "middle" or 0 < pos < len(neighbors))
+    grown = reference_grow_faces(neighbors, [((), center)], is_face_join)
+    assert _grow_star(center, candidates, is_face_join) == (
+        (*neighbors[:pos], center, *neighbors[pos:]), tuple(with_center(grown, pos)),
+        len(grown[-1][0]))
 
 
 @settings(max_examples=8, deadline=None)
