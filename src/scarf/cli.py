@@ -2,10 +2,12 @@
 
 One job per invocation: a subcommand, one JSON input document, flags, and a
 single output document on stdout (JSON with --format structured, a readable
-summary otherwise).  Failures print an error document to stderr and exit
-with a class-specific code: 2 malformed input, 3 positivity violation, 4
-genericity required but absent, 5 internal invariant failure, 6 no
-certificate within the depth limit of --auto-dmax.
+summary otherwise).  Complexes, stars and quotients are written in either
+format straight from their face records or orbits, with no document between.
+Failures print an error document to stderr and exit with a class-specific
+code: 2 malformed input, 3 positivity violation, 4 genericity required but
+absent, 5 internal invariant failure, 6 no certificate within the depth
+limit of --auto-dmax.
 
 Flags that would be ignored are refused instead (exit 2): finite-nb takes
 --max-dim or --vertex, not both, and the periodic subcommands take --dmax or
@@ -18,11 +20,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
 from bisect import bisect_right
 from collections import Counter
+from operator import getitem
 from typing import Optional
 
 from . import formats
@@ -30,7 +32,7 @@ from .errors import InputError, InternalError, ScarfError
 from .finite import FinitePointSet, _face_records, enumerate_complex, is_generic, neighbors
 from .geometry import Orthant, Point, point_key, zero_point
 from .oracles import oracle_finite_nb, oracle_lattice_neighbors
-from .periodic import certified_quotient, certified_star, quotient_complex, star_at
+from .periodic import QuotientResult, certified_quotient, certified_star, quotient_complex, star_at
 from .posets import dickson_layers, filter_by_downset
 from .resolution import build_resolution, verify_chain
 
@@ -145,7 +147,8 @@ def _run_oracle(job: argparse.Namespace) -> dict | str:
             if f.vertices:
                 members = tuple(position[v] for v in f.vertices)
                 records.append((members, tuple(map(max, zip(*(ranks[i] for i in members))))))
-        return formats.complex_doc(A, records, {"source": "oracle"})
+        write = complex_text if job.fmt == "text" else formats.complex_doc
+        return write(A, records, {"source": "oracle"})
     A = formats.parse_lattice_doc(doc)
     if job.r_candidate is None or job.r_witness is None:
         raise InputError("lattice oracle needs --r-candidate and --r-witness")
@@ -182,9 +185,9 @@ def _selftest(trials: int, seed: int) -> dict:
 def run(job: argparse.Namespace) -> dict | str:
     """Execute one job, given as the parsed command line, and return its output.
 
-    The output is a document, except for complexes of finite sets,
-    structured stars and quotients: those come back as the structured text
-    itself, written from the face records or orbits.
+    The output is a document, except for complexes of finite sets, stars
+    and quotients: those come back as the text of the job's format itself,
+    written from the face records or orbits in either format.
     """
     if job.subcommand == "finite-nb":
         A = formats.parse_points_doc(formats.load_document(job.input))
@@ -208,7 +211,8 @@ def run(job: argparse.Namespace) -> dict | str:
             elif max_size is not None:
                 # records come by size, so the faces up to max_size are a prefix
                 records = records[:bisect_right(records, max_size, key=lambda r: len(r[0]))]
-            return formats.complex_doc(A, records, extra)
+            write = complex_text if job.fmt == "text" else formats.complex_doc
+            return write(A, records, extra)
         return {
             "kind": "neighbors",
             "center": formats.point_json(v),
@@ -253,13 +257,13 @@ def run(job: argparse.Namespace) -> dict | str:
             return formats.star_doc(star)
         # the summary counts faces by dimension, so it never writes them
         f_vector = list(Counter(len(members) for members, _ in star.records).values())
-        return {**formats.neighbors_doc(star), "kind": "star", "f_vector": f_vector}
+        return render_text({**formats.neighbors_doc(star), "kind": "star", "f_vector": f_vector})
 
     if job.subcommand == "quotient":
         A = formats.parse_lattice_doc(formats.load_document(job.input))
         dmax = _resolve_dmax(job)
         q = certified_quotient(A) if dmax is None else quotient_complex(A, dmax)
-        return formats.quotient_doc(q)
+        return quotient_text(q) if job.fmt == "text" else formats.quotient_doc(q)
 
     if job.subcommand == "oracle":
         return _run_oracle(job)
@@ -293,22 +297,38 @@ def _report_lines(rep: dict) -> list:
     return lines
 
 
+def complex_text(A: FinitePointSet, records: list, extra: dict) -> str:
+    """render_text of the document formats.complex_doc(A, records, extra), from the records.
+
+    Each vertex's text and each distinct join's text is written once.
+    """
+    f_vector = list(Counter(len(members) for members, _ in records).values())
+    block = [_point_str(p.coords) for p in A.points].__getitem__
+    values = [[str(v) for v in axis] for axis in A.rank_index.values]
+    joins = {top: "(" + ", ".join(map(getitem, values, top)) + ")"
+             for top in dict.fromkeys(top for _, top in records)}
+    lines = [f"complex of dimension {len(f_vector) - 1}, f-vector {_point_str(f_vector)}"]
+    lines += [f"  dim {len(members) - 1}: {' '.join(map(block, members))}  join {joins[top]}"
+              for members, top in records]
+    text = "\n".join(lines) + "\n"
+    return text + render_text(extra["genericity"]) if "genericity" in extra else text
+
+
+def quotient_text(q: QuotientResult) -> str:
+    """render_text of the document formats.quotient_doc(q), each vertex's text written once."""
+    vertices = dict.fromkeys(v for vs, _ in q.orbits for v in vs)
+    block = {v: _point_str(v) for v in vertices}.__getitem__
+    lines = [f"orbit f-vector: {_point_str(q.f_vector)}"]
+    lines += [f"  dim {len(vs) - 1} x{c}: {' '.join(map(block, vs))}" for vs, c in q.orbits]
+    lines += _report_lines(formats.report_doc(q.report))
+    return "\n".join(lines) + "\n"
+
+
 def render_text(doc: dict) -> str:
     """Readable one-job summary of an output document."""
     kind = doc.get("kind")
     lines = []
-    if kind == "complex":
-        lines.append(
-            f"complex of dimension {doc['dimension']}, f-vector "
-            + _point_str(doc["f_vector"])
-        )
-        for f in doc["faces"]:
-            lines.append(
-                f"  dim {f['dim']}: "
-                + " ".join(_point_str(v) for v in f["vertices"])
-                + "  join " + _point_str(f["multidegree"])
-            )
-    elif kind == "genericity":
+    if kind == "genericity":
         head = "generic" if doc["generic"] else "not generic"
         lines.append(f"{head} (mode: {doc['mode']})")
         if doc["witness"] is not None:
@@ -342,14 +362,6 @@ def render_text(doc: dict) -> str:
             lines.append(
                 f"candidate radius {doc['r_candidate']}, witness radius {doc['r_witness']}"
             )
-    elif kind == "quotient":
-        lines.append("orbit f-vector: " + _point_str(doc["f_vector"]))
-        for orb in doc["orbits"]:
-            lines.append(
-                f"  dim {orb['dim']} x{orb['incidences']}: "
-                + " ".join(_point_str(v) for v in orb["face"])
-            )
-        lines.extend(_report_lines(doc["report"]))
     elif kind == "resolution":
         lines.append("betti numbers: " + _point_str(doc["betti"]))
         lines.append(
@@ -388,28 +400,16 @@ def render_text(doc: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    job = parser.parse_args(argv)
+    job = _build_parser().parse_args(argv)
     try:
-        doc = run(job)
-    except ScarfError as exc:
-        _emit_error(exc, exc.exit_code, job.fmt)
-        return exc.exit_code
-    except Exception as exc:  # noqa: BLE001 - surface as an internal failure
-        _emit_error(exc, 5, job.fmt)
-        return 5
-    if job.fmt == "structured":
-        out = doc if isinstance(doc, str) else formats.render_document(doc)
-    else:
-        out = render_text(json.loads(doc) if isinstance(doc, str) else doc)
-    sys.stdout.write(out)
-    return 0
-
-
-def _emit_error(exc: Exception, code: int, fmt: str) -> None:
-    doc = formats.error_doc(exc, code)
-    text = formats.render_document(doc) if fmt == "structured" else render_text(doc)
-    sys.stderr.write(text)
+        doc, stream, code = run(job), sys.stdout, 0
+    except Exception as exc:  # noqa: BLE001 - anything but a ScarfError is an internal failure
+        code = exc.exit_code if isinstance(exc, ScarfError) else 5
+        doc, stream = formats.error_doc(exc, code), sys.stderr
+    if not isinstance(doc, str):
+        doc = formats.render_document(doc) if job.fmt == "structured" else render_text(doc)
+    stream.write(doc)
+    return code
 
 
 if __name__ == "__main__":

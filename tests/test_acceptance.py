@@ -2,14 +2,19 @@
 
 Every expected value here is either a hand-checked fixture or recomputed by
 a brute-force oracle that shares no enumeration code with the main paths.
-Stated time limits are asserted, not aspirational.
+Stated time limits are asserted, not aspirational.  A last gate bounds the
+CLI's text output by the time of its structured output.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
 
+from scarf.cli import main
 from scarf.complexes import Face
 from scarf.diophantine import Lattice, minimal_orthant_points, points_in_box
 from scarf.finite import (
@@ -244,3 +249,23 @@ def test_criterion_9_diophantine_core():
         ok = ok and in_box == brute
         ok = ok and all(any(orthant.contains(p - m) for m in got) for p in brute)
     verdict("criterion 9", ok, f"500 SNF checks; {done} lattices at radius {radius}")
+
+
+def test_text_output_no_slower_than_structured(tmp_path):
+    """finite-nb on 14 collinear points: text within 1.5x of structured, best of 5 each."""
+    path = tmp_path / "collinear14.json"
+    path.write_text(json.dumps({"points": [[i, 0] for i in range(14)]}))
+
+    def best(fmt: str) -> float:
+        times = []
+        for _ in range(5):
+            out = io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out):
+                assert main(["finite-nb", str(path), "--format", fmt]) == 0
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    structured, text = best("structured"), best("text")
+    verdict("text output", text <= 1.5 * structured,
+            f"text {text:.3f} s, structured {structured:.3f} s")

@@ -9,10 +9,17 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scarf
-from scarf.cli import main, monomial
+from scarf import formats
+from scarf.cli import complex_text, main, monomial, quotient_text, render_text
 from scarf.errors import InputError
+from scarf.finite import FinitePointSet, _face_records, is_generic
+from scarf.periodic import quotient_complex
+from test_formats import first_difference, point_sets
+from test_periodic import vertex_periodic_sets
 
 COLLINEAR = {"points": [[0, 0], [1, 0], [2, 0]]}
 STAIRCASE = {"points": [[2, 0], [1, 1], [0, 2]]}
@@ -556,6 +563,87 @@ def test_quotient(docfile, capsys):
     doc = json.loads(out)
     assert doc["f_vector"] == [1, 9, 18, 15, 6, 1]
     assert all(orb["incidences"] == orb["dim"] + 1 for orb in doc["orbits"])
+
+
+# ---------------------------------------------------------------------------
+# text writers
+
+
+def point_text(coords) -> str:
+    return "(" + ", ".join(str(c) for c in coords) + ")"
+
+
+def reference_text(doc: dict) -> str:
+    """The text summary of a parsed complex or quotient document, walked dict by dict."""
+    if doc["kind"] == "complex":
+        lines = [f"complex of dimension {doc['dimension']}, f-vector "
+                 + point_text(doc["f_vector"])]
+        lines += [f"  dim {f['dim']}: " + " ".join(point_text(v) for v in f["vertices"])
+                  + "  join " + point_text(f["multidegree"]) for f in doc["faces"]]
+    else:
+        rep = doc["report"]
+        lines = ["orbit f-vector: " + point_text(doc["f_vector"])]
+        lines += [f"  dim {orb['dim']} x{orb['incidences']}: "
+                  + " ".join(point_text(v) for v in orb["face"]) for orb in doc["orbits"]]
+        lines += [f"search depth {rep['dmax_used']}, observed star dimension "
+                  f"{rep['observed_star_dimension']}, "
+                  + ("certified complete" if rep["certified"] else "NOT certified"),
+                  "candidates per orthant: "
+                  + ", ".join(f"{orth}:{n}" for orth, n in rep["candidate_counts"])]
+    if "genericity" in doc:
+        lines.append(render_text(doc["genericity"]).rstrip("\n"))
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None)
+@given(point_sets, st.none() | st.integers(0, 3),
+       st.sampled_from([None, "source", "definition", "remark", "both"]))
+def test_complex_text_matches_the_parsed_document(rows, max_dim, extra):
+    A = FinitePointSet(rows)
+    records = _face_records(A, None if max_dim is None else max_dim + 1)
+    if extra is None:
+        extra = {}
+    elif extra == "source":
+        extra = {"source": "oracle"}
+    else:
+        extra = {"genericity": formats.genericity_doc(is_generic(A, mode=extra))}
+    text = complex_text(A, records, extra)
+    expected = reference_text(json.loads(formats.complex_doc(A, records, extra)))
+    # not assert text == expected: pytest's diff of long strings takes
+    # minutes, once per shrinking step
+    same = text == expected
+    assert same, f"first difference at offset {first_difference(text, expected)}"
+
+
+# fixed depths only: a failing certified quotient shrinks for minutes, and
+# certified texts are pinned in LATTICE_FORMAT_SHA256 and in CI
+@settings(max_examples=30, deadline=None)
+@given(vertex_periodic_sets(), st.integers(1, 3))
+def test_quotient_text_matches_the_parsed_document(A, dmax):
+    q = quotient_complex(A, dmax)
+    text, expected = quotient_text(q), reference_text(json.loads(formats.quotient_doc(q)))
+    same = text == expected
+    assert same, f"first difference at offset {first_difference(text, expected)}"
+
+
+def test_text_output_writes_no_json(docfile, capsys, monkeypatch):
+    pinned = {(c, json.dumps(doc), tuple(flags)): digest
+              for c, doc, flags, digest in FINITE_OUTPUT_SHA256 + LATTICE_FORMAT_SHA256}
+
+    def refuse(*args):
+        raise AssertionError("a text job wrote the structured document")
+
+    monkeypatch.setattr(formats, "complex_doc", refuse)
+    monkeypatch.setattr(formats, "quotient_doc", refuse)
+    for c, doc, flags in (("finite-nb", RATIONAL_COLLINEAR, ("--format", "text")),
+                          ("finite-nb", GENERIC_ANTICHAIN,
+                           ("--generic-mode", "both", "--format", "text")),
+                          ("oracle", PLANE_3D, ("--format", "text")),
+                          ("quotient", KER114_E1, ("--dmax", "4", "--format", "text")),
+                          ("quotient", KER125_E1, ("--auto-dmax", "--format", "text"))):
+        code, out, _ = run_cli([c, docfile(doc), *flags], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned[c, json.dumps(doc), flags]
 
 
 # ---------------------------------------------------------------------------
