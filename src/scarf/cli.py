@@ -20,18 +20,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import random
 import sys
 from bisect import bisect_right
-from collections import Counter
 from operator import getitem
-from typing import Optional
 
 from . import formats
+from .complexes import f_vector_of
 from .errors import InputError, InternalError, ScarfError
 from .finite import FinitePointSet, _face_records, enumerate_complex, is_generic, neighbors
 from .geometry import Orthant, Point, point_key, zero_point
-from .oracles import oracle_finite_nb, oracle_lattice_neighbors
 from .periodic import QuotientResult, certified_quotient, certified_star, quotient_complex, star_at
 from .posets import dickson_layers, filter_by_downset
 from .resolution import build_resolution, verify_chain
@@ -106,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_dmax(job: argparse.Namespace) -> Optional[int]:
+def _resolve_dmax(job: argparse.Namespace) -> int | None:
     if job.dmax is not None and job.auto_dmax:
         raise InputError("--dmax and --auto-dmax are mutually exclusive")
     if job.dmax is not None and job.dmax < 1:
@@ -124,6 +121,9 @@ def _parse_vertex(job: argparse.Namespace, dim: int) -> Point:
 
 
 def _run_oracle(job: argparse.Namespace) -> dict | str:
+    # the oracles load with the one subcommand that runs them, not with the CLI
+    from .oracles import oracle_finite_nb, oracle_lattice_neighbors
+
     radii = job.r_candidate is not None or job.r_witness is not None
     if job.selftest is not None:
         if job.input is not None or radii:
@@ -164,6 +164,10 @@ def _run_oracle(job: argparse.Namespace) -> dict | str:
 
 
 def _selftest(trials: int, seed: int) -> dict:
+    import random
+
+    from .oracles import oracle_finite_nb
+
     if trials < 1:
         raise InputError(f"--selftest needs at least 1 trial, got {trials}")
     rng = random.Random(seed)
@@ -256,7 +260,7 @@ def run(job: argparse.Namespace) -> dict | str:
         if job.fmt == "structured":
             return formats.star_doc(star)
         # the summary counts faces by dimension, so it never writes them
-        f_vector = list(Counter(len(members) for members, _ in star.records).values())
+        f_vector = f_vector_of(star.records)
         return render_text({**formats.neighbors_doc(star), "kind": "star", "f_vector": f_vector})
 
     if job.subcommand == "quotient":
@@ -302,7 +306,7 @@ def complex_text(A: FinitePointSet, records: list, extra: dict) -> str:
 
     Each vertex's text and each distinct join's text is written once.
     """
-    f_vector = list(Counter(len(members) for members, _ in records).values())
+    f_vector = f_vector_of(records)
     block = [_point_str(p.coords) for p in A.points].__getitem__
     values = [[str(v) for v in axis] for axis in A.rank_index.values]
     joins = {top: "(" + ", ".join(map(getitem, values, top)) + ")"

@@ -16,7 +16,8 @@ record.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from bisect import bisect_right
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
 from .geometry import Point, join, point_key
@@ -118,7 +119,7 @@ class LabeledComplex:
 
 
 def grow_faces(coords: Sequence[tuple], seed: tuple, accept: Callable[[tuple], bool],
-               max_size: Optional[int] = None) -> list[tuple[tuple[int, ...], tuple]]:
+               max_size: int | None = None) -> list[tuple[tuple[int, ...], tuple]]:
     """The seed face and every face it grows into whose join passes accept.
 
     coords lists the vertices as coordinate tuples, and joins are
@@ -200,3 +201,18 @@ def grow_faces(coords: Sequence[tuple], seed: tuple, accept: Callable[[tuple], b
                 start += 1
         level = grown
     return records
+
+
+def f_vector_of(faces: Sequence[tuple]) -> list[int]:
+    """The number of faces of each size, given faces as (members, ...) listed by size.
+
+    Face records and quotient orbits both come by size, and every size up
+    to the largest occurs, so a size's count is the length of its run: one
+    bisection per size, whatever the number of faces.
+    """
+    counts, start, size = [], 0, lambda face: len(face[0])
+    while start < len(faces):
+        end = bisect_right(faces, size(faces[start]), start, key=size)
+        counts.append(end - start)
+        start = end
+    return counts

@@ -17,9 +17,9 @@ candidates.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from math import ceil, floor
 from operator import le, mul
-from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError, PositivityError
 from .geometry import Orthant, Point
@@ -114,7 +114,7 @@ class Lattice:
             plan = self._plans[pattern] = EliminationPlan(rows, self.rank)
         return plan
 
-    def positivity_witness(self) -> Optional[Point]:
+    def positivity_witness(self) -> Point | None:
         """A nonzero nonnegative lattice vector if one exists, else None."""
         if self._positive is None:
             z = nonzero_cone_direction(self._rows)

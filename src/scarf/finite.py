@@ -20,8 +20,8 @@ neighbor complexes of dimension below n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .complexes import Face, LabeledComplex, grow_faces
 from .errors import InputError
@@ -74,7 +74,7 @@ class FinitePointSet:
         return "FinitePointSet(%d points in Q^%d)" % (len(self.points), self.dim)
 
 
-def _first_point(A: FinitePointSet, bits: int) -> Optional[Point]:
+def _first_point(A: FinitePointSet, bits: int) -> Point | None:
     i = lowest_bit(bits)
     return None if i is None else A.points[i]
 
@@ -86,7 +86,7 @@ def _member_ranks(A: FinitePointSet, p: Point, what: str) -> tuple[int, ...]:
     return A.rank_index.ranks[i]
 
 
-def strict_dominator(A: FinitePointSet, v: Point) -> Optional[Point]:
+def strict_dominator(A: FinitePointSet, v: Point) -> Point | None:
     """First point of A strictly below v in every coordinate, else None."""
     if len(v) != A.dim:
         raise InputError(f"dimension mismatch: {A.dim} vs {len(v)}")
@@ -94,7 +94,7 @@ def strict_dominator(A: FinitePointSet, v: Point) -> Optional[Point]:
     return _first_point(A, index.strictly_under(index.strict_ranks(v)))
 
 
-def face_witness(A: FinitePointSet, B: Iterable[Point]) -> Optional[Point]:
+def face_witness(A: FinitePointSet, B: Iterable[Point]) -> Point | None:
     """A point of A strictly below the join of B, or None when B is a face."""
     tops = [_member_ranks(A, b, "face candidate ") for b in B]
     if not tops:
@@ -112,7 +112,7 @@ def neighbors(A: FinitePointSet, a: Point) -> frozenset:
     )
 
 
-def _face_records(A: FinitePointSet, max_size: Optional[int]) -> list:
+def _face_records(A: FinitePointSet, max_size: int | None) -> list:
     """(point indices, rank join) of every nonempty face with at most max_size vertices.
 
     Faces grow from the empty face, whose zero ranks lie below every point,
@@ -127,7 +127,7 @@ def _face_records(A: FinitePointSet, max_size: Optional[int]) -> list:
     return records
 
 
-def enumerate_complex(A: FinitePointSet, max_dim: Optional[int] = None) -> LabeledComplex:
+def enumerate_complex(A: FinitePointSet, max_dim: int | None = None) -> LabeledComplex:
     """Enumerate the neighbor complex of A up to max_dim."""
     if max_dim is None:
         max_dim = len(A) - 1
@@ -144,23 +144,20 @@ def enumerate_complex(A: FinitePointSet, max_dim: Optional[int] = None) -> Label
     return LabeledComplex.from_closed(faces)
 
 
-@dataclass(frozen=True)
-class GenericityReport:
+class GenericityReport(namedtuple("GenericityReport", "generic mode witness pairwise facet",
+                                  defaults=(None, None))):
     """Outcome of a genericity check, with the witness when it fails.
 
     Witnesses are (a, a', coordinate) with the coordinate 1-based: in
     pairwise mode two neighbors agreeing there, in facet mode two points
-    below some face's join both attaining it there.
+    below some face's join both attaining it there.  pairwise and facet
+    are the verdicts of the forms that ran, None for a form that did not.
     """
 
-    generic: bool
-    mode: str
-    witness: Optional[tuple]
-    pairwise: Optional[bool] = None
-    facet: Optional[bool] = None
+    __slots__ = ()
 
     @property
-    def modes_agree(self) -> Optional[bool]:
+    def modes_agree(self) -> bool | None:
         if self.pairwise is None or self.facet is None:
             return None
         return self.pairwise == self.facet
@@ -199,7 +196,7 @@ def _generic_facet(A: FinitePointSet, records: list):
 
 
 def is_generic(A: FinitePointSet, mode: str = "definition",
-               records: Optional[list] = None) -> GenericityReport:
+               records: list | None = None) -> GenericityReport:
     """Genericity check in pairwise ("definition"), facet ("remark") or "both" mode.
 
     The facet form reads every face; records, when given, are A's face

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import json
 import sys
-from collections import Counter
 from json.encoder import encode_basestring_ascii
 from operator import getitem
 
+from .complexes import f_vector_of
 from .errors import InputError
 from .finite import FinitePointSet, GenericityReport
 from .geometry import Point, point_key
@@ -246,8 +246,7 @@ def complex_doc(A: FinitePointSet, records: list, extra: dict) -> str:
     then by member indices.  A indexes its points in canonical order, so
     that is the canonical face order, and nothing is sorted.
     """
-    # records come by size, and every size up to the largest occurs
-    f_vector = list(Counter(len(members) for members, _ in records).values())
+    f_vector = f_vector_of(records)
     fields = {
         "kind": "complex",
         "dimension": len(f_vector) - 1,

@@ -18,13 +18,13 @@ from __future__ import annotations
 import itertools
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import InputError
 
-Coordinate = Union[int, Fraction]
+Coordinate = int | Fraction
 
 # ASCII digits only: int() alone would also take "1_0", " 3 " and "\u0663"
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -153,17 +153,17 @@ def join(points: Iterable[Point]) -> Point:
     return Point(acc)
 
 
-@dataclass(frozen=True)
-class Orthant:
+class Orthant(namedtuple("Orthant", "signs")):
     """A closed orthant of R^n given by a sign pattern (+1 / -1 per axis)."""
 
-    signs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.signs:
+    def __new__(cls, signs: tuple[int, ...]):
+        if not signs:
             raise InputError("an orthant needs at least one axis")
-        if any(s not in (1, -1) for s in self.signs):
-            raise InputError(f"orthant signs must be +1 or -1: {self.signs!r}")
+        if any(s not in (1, -1) for s in signs):
+            raise InputError(f"orthant signs must be +1 or -1: {signs!r}")
+        return super().__new__(cls, signs)
 
     @classmethod
     def from_string(cls, text: str) -> "Orthant":
@@ -243,7 +243,7 @@ class RankIndex:
         return tuple(bisect_left(values, c) for values, c in zip(self.values, p.coords))
 
 
-def lowest_bit(bits: int) -> Optional[int]:
+def lowest_bit(bits: int) -> int | None:
     """Index of the lowest set bit, or None for the empty bitset."""
     return (bits & -bits).bit_length() - 1 if bits else None
 

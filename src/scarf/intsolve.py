@@ -13,10 +13,10 @@ are scaled to integers exactly.  No floats anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, ge, mul
-from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, InternalError
 
@@ -332,7 +332,7 @@ def fm_enumerate_integer(rows, nvars: int) -> Iterator[tuple[int, ...]]:
     yield from EliminationPlan(coeff_rows, nvars).points(rhs)
 
 
-def nonzero_cone_direction(B) -> Optional[list[int]]:
+def nonzero_cone_direction(B) -> list[int] | None:
     """A primitive integer z != 0 with B z >= 0 componentwise, or None if only z = 0.
 
     For each coordinate j in turn, projects the cone {z : -B z <= 0} with

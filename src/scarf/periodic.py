@@ -27,12 +27,11 @@ indices.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from operator import add, le, mul
 
-from .complexes import grow_faces
+from .complexes import f_vector_of, grow_faces
 from .diophantine import Lattice, _orthant_steps, coset_points, points_below
 from .errors import CertificationError, InputError
 from .geometry import Point, all_orthants, point_key, zero_point
@@ -106,35 +105,30 @@ def validate_periodic_set(basis_columns, cosets=None) -> PeriodicSet:
     return PeriodicSet(lattice, reps)
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(namedtuple(
+        "CompletenessReport", "dmax_used observed_star_dimension certified candidate_counts")):
     """What a star computation can promise about itself.
 
     candidate_counts lists, per orthant, how many set points passed the
-    down-box cardinality test (the center included).  certified means the
-    observed star dimension stayed strictly under the search depth, in which
-    case the candidate pool provably contained every star vertex.
+    down-box cardinality test (the center included), as (orthant string,
+    count) pairs.  certified means the observed star dimension stayed
+    strictly under the search depth dmax_used, in which case the candidate
+    pool provably contained every star vertex.
     """
 
-    dmax_used: int
-    observed_star_dimension: int
-    certified: bool
-    candidate_counts: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StarResult:
+class StarResult(namedtuple("StarResult", "center vertices records report")):
     """All faces through one point, with the completeness report.
 
-    vertices are the sorted int tuples of the star's vertices, the center
-    among them.  Each face is a record (increasing indices into vertices,
-    the center's among them; the int join), by size, then by indices.
+    center is a Point.  vertices are the sorted int tuples of the star's
+    vertices, the center among them.  Each face is a record (increasing
+    indices into vertices, the center's among them; the int join), by size,
+    then by indices.  report is a CompletenessReport.
     """
 
-    center: Point
-    vertices: tuple[tuple[int, ...], ...]
-    records: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    report: CompletenessReport
+    __slots__ = ()
 
     @property
     def neighbors(self) -> tuple[Point, ...]:
@@ -145,17 +139,15 @@ class StarResult:
         return self.report.observed_star_dimension
 
 
-@dataclass(frozen=True)
-class QuotientResult:
+class QuotientResult(namedtuple("QuotientResult", "orbits f_vector report")):
     """Faces up to lattice translation, as (vertices, incidences) by size, then vertices.
 
     An orbit's vertices are the sorted int tuples of its translate whose
-    least vertex is a canonical representative.
+    least vertex is a canonical representative.  f_vector counts the orbits
+    by size, and report is the CompletenessReport of the stars behind them.
     """
 
-    orbits: tuple[tuple[tuple[tuple[int, ...], ...], int], ...]
-    f_vector: tuple[int, ...]
-    report: CompletenessReport
+    __slots__ = ()
 
 
 def exists_strictly_below(A: PeriodicSet, bound: Point):
@@ -439,8 +431,7 @@ def _fold(A: PeriodicSet, stars: list) -> QuotientResult:
             key = tuple(map(shifted.__getitem__, members))
             orbit_map[key] = orbit_map.get(key, 0) + 1
     orbits = tuple(sorted(orbit_map.items(), key=lambda orbit: (len(orbit[0]), orbit[0])))
-    # orbits come by size, and every size up to the largest occurs
-    fvec = tuple(Counter(len(vs) for vs, _ in orbits).values())
+    fvec = tuple(f_vector_of(orbits))
     report = CompletenessReport(
         stars[0].report.dmax_used, max(star.dimension for star in stars),
         all(star.report.certified for star in stars), tuple(sorted(combined.items())))

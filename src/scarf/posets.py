@@ -15,15 +15,14 @@ least r" on a reversed one, and its size is a bit count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .errors import InputError
 from .finite import FinitePointSet
 from .geometry import Orthant
 
 
-def _downsets(A: FinitePointSet, orthant: Optional[Orthant]) -> list[int]:
+def _downsets(A: FinitePointSet, orthant: Orthant | None) -> list[int]:
     """Bitset of each point's downset under the orthant order, itself included."""
     signs = (1,) * A.dim if orthant is None else orthant.signs
     if len(signs) != A.dim:
@@ -40,15 +39,16 @@ def _downsets(A: FinitePointSet, orthant: Optional[Orthant]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Layering:
-    """Staged minimal-element strata plus whatever depth k left untouched."""
+class Layering(namedtuple("Layering", "layers residual")):
+    """Staged minimal-element strata plus whatever depth k left untouched.
 
-    layers: tuple[frozenset, ...]
-    residual: frozenset
+    layers is a tuple of frozensets of points, residual one frozenset.
+    """
+
+    __slots__ = ()
 
 
-def dickson_layers(A: FinitePointSet, k: int, orthant: Optional[Orthant] = None) -> Layering:
+def dickson_layers(A: FinitePointSet, k: int, orthant: Orthant | None = None) -> Layering:
     """Layers 0..k of the staged minimal-element decomposition."""
     if k < 0:
         raise InputError(f"layer depth must be nonnegative, got {k}")
@@ -69,7 +69,7 @@ def dickson_layers(A: FinitePointSet, k: int, orthant: Optional[Orthant] = None)
     return Layering(tuple(layers), residual)
 
 
-def filter_by_downset(A: FinitePointSet, k: int, orthant: Optional[Orthant] = None) -> frozenset:
+def filter_by_downset(A: FinitePointSet, k: int, orthant: Orthant | None = None) -> frozenset:
     """Elements whose downset has at most k+1 elements.
 
     Always a subset of the union of layers 0..k, and equal to the minimal

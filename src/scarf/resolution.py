@@ -10,10 +10,9 @@ exactly minimality of the resolution the complex supports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import add, sub
 
-from .complexes import Face
 from .errors import GenericityError, InputError
 from .finite import FinitePointSet, enumerate_complex, face_witness, is_generic
 from .geometry import Point
@@ -21,21 +20,20 @@ from .geometry import Point
 __all__ = ["Resolution", "ChainCheck", "build_resolution", "verify_chain"]
 
 
-@dataclass
-class Resolution:
+class Resolution(namedtuple("Resolution", "points faces_by_dim augmentation differentials",
+                            defaults=((),))):
     """Betti data and sparse signed-monomial boundary maps.
 
-    differentials[i-1] maps i-dimensional faces to (i-1)-dimensional ones,
-    keyed by (row_index, column_index) with value (sign, exponent vector);
-    a single-vertex input therefore has no differentials at all.  The
-    augmentation lists each vertex's own exponent vector (the rank-one map).
-    multigraded_betti counts faces per (homological degree, multidegree).
+    points is the FinitePointSet and faces_by_dim[d] its d-dimensional
+    Faces.  differentials[i-1] maps i-dimensional faces to (i-1)-dimensional
+    ones, keyed by (row_index, column_index) with value (sign, exponent
+    vector); a single-vertex input therefore has no differentials at all.
+    The augmentation lists each vertex's own exponent vector (the rank-one
+    map).  multigraded_betti counts faces per (homological degree,
+    multidegree).
     """
 
-    points: FinitePointSet
-    faces_by_dim: tuple[tuple[Face, ...], ...]
-    augmentation: tuple[Point, ...]
-    differentials: tuple[dict, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
     @property
     def betti(self) -> tuple[int, ...]:
@@ -54,12 +52,14 @@ class Resolution:
         return sum((-1) ** i * b for i, b in enumerate(self.betti))
 
 
-@dataclass
-class ChainCheck:
-    """Outcome of recomputing all composites of consecutive boundary maps."""
+class ChainCheck(namedtuple("ChainCheck", "ok failures")):
+    """Outcome of recomputing all composites of consecutive boundary maps.
 
-    ok: bool
-    failures: tuple[str, ...]
+    failures holds one message per failed check; the outcome is true
+    exactly when ok is.
+    """
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
