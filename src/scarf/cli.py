@@ -2,8 +2,9 @@
 
 One job per invocation: a subcommand, one JSON input document, flags, and a
 single output document on stdout (JSON with --format structured, a readable
-summary otherwise).  Complexes, stars and quotients are written in either
-format straight from their face records or orbits, with no document between.
+summary otherwise).  Complexes, stars, quotients, layerings and resolutions
+are written in either format straight from their face records, orbits or
+results, with no document between.
 Failures print an error document to stderr and exit with a class-specific
 code: 2 malformed input, 3 positivity violation, 4 genericity required but
 absent, 5 internal invariant failure, 6 no certificate within the depth
@@ -30,8 +31,8 @@ from .errors import InputError, InternalError, ScarfError
 from .finite import FinitePointSet, _face_records, enumerate_complex, is_generic, neighbors
 from .geometry import Orthant, Point, point_key, zero_point
 from .periodic import QuotientResult, certified_quotient, certified_star, quotient_complex, star_at
-from .posets import dickson_layers, filter_by_downset
-from .resolution import build_resolution, verify_chain
+from .posets import Layering, dickson_layers, filter_by_downset
+from .resolution import Resolution, build_resolution, verify_chain
 
 __all__ = ["run", "main"]
 
@@ -189,9 +190,10 @@ def _selftest(trials: int, seed: int) -> dict:
 def run(job: argparse.Namespace) -> dict | str:
     """Execute one job, given as the parsed command line, and return its output.
 
-    The output is a document, except for complexes of finite sets, stars
-    and quotients: those come back as the text of the job's format itself,
-    written from the face records or orbits in either format.
+    The output is a document, except for complexes of finite sets, stars,
+    quotients, layerings and resolutions: those come back as the text of
+    the job's format itself, written from the face records, orbits,
+    Layering or Resolution in either format.
     """
     if job.subcommand == "finite-nb":
         A = formats.parse_points_doc(formats.load_document(job.input))
@@ -237,7 +239,8 @@ def run(job: argparse.Namespace) -> dict | str:
         orthant = None if job.orthant is None else Orthant.from_string(job.orthant)
         layering = dickson_layers(A, job.k, orthant)
         filtered = filter_by_downset(A, job.k, orthant)
-        return formats.layering_doc(layering, filtered, job.k)
+        write = layering_text if job.fmt == "text" else formats.layering_doc
+        return write(layering, filtered, job.k)
 
     if job.subcommand == "scarf-resolve":
         A = formats.parse_points_doc(formats.load_document(job.input))
@@ -245,7 +248,7 @@ def run(job: argparse.Namespace) -> dict | str:
         check = verify_chain(res)
         if not check:
             raise InternalError("; ".join(check.failures))
-        return formats.resolution_doc(res)
+        return resolution_text(res) if job.fmt == "text" else formats.resolution_doc(res)
 
     if job.subcommand in ("lattice-neighbors", "lattice-star"):
         A = formats.parse_lattice_doc(formats.load_document(job.input))
@@ -280,7 +283,7 @@ def _point_str(coords: list) -> str:
 
 
 def monomial(exponents: list) -> str:
-    """Monomial string for a JSON exponent row, 1-based variables: "x1^2*x3"."""
+    """Monomial string for an exponent row, 1-based variables: "x1^2*x3"."""
     parts = []
     for i, c in enumerate(exponents, start=1):
         if isinstance(c, bool) or not isinstance(c, int) or c < 0:
@@ -328,6 +331,33 @@ def quotient_text(q: QuotientResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def layering_text(layering: Layering, filtered, k: int) -> str:
+    """render_text of the document formats.layering_doc(layering, filtered, k), from its sets."""
+    def row(points) -> str:
+        return " ".join([_point_str(p.coords) for p in sorted(points, key=point_key)])
+
+    lines = [f"layer {i}: {row(layer)}" for i, layer in enumerate(layering.layers)]
+    lines.append(f"residual: {row(layering.residual) or '(empty)'}")
+    lines.append(f"downset filter (k={k}): {row(filtered)}")
+    return "\n".join(lines) + "\n"
+
+
+def resolution_text(res: Resolution) -> str:
+    """render_text of the document formats.resolution_doc(res), from the Resolution."""
+    lines = [
+        f"betti numbers: {_point_str(res.betti)}",
+        "multigraded: " + "; ".join([f"dim {d} at {_point_str(md.coords)} x{n}"
+                                     for (d, md), n in res.multigraded_betti.items()]),
+        "augmentation: " + "  ".join([monomial(p.coords) for p in res.augmentation]),
+    ]
+    for i, step in enumerate(res.differentials, start=1):
+        lines.append(f"differential {i}:")
+        lines += [f"  [{r},{c}] {'+' if s > 0 else '-'}{monomial(e.coords)}"
+                  for (r, c), (s, e) in sorted(step.items())]
+    lines.append(f"euler characteristic: {res.euler_characteristic()}")
+    return "\n".join(lines) + "\n"
+
+
 def render_text(doc: dict) -> str:
     """Readable one-job summary of an output document."""
     kind = doc.get("kind")
@@ -343,14 +373,6 @@ def render_text(doc: dict) -> str:
             )
         if "modes_agree" in doc:
             lines.append(f"  modes agree: {doc['modes_agree']}")
-    elif kind == "layering":
-        for i, layer in enumerate(doc["layers"]):
-            lines.append(f"layer {i}: " + " ".join(_point_str(p) for p in layer))
-        lines.append("residual: " + (" ".join(_point_str(p) for p in doc["residual"]) or "(empty)"))
-        lines.append(
-            f"downset filter (k={doc['k']}): "
-            + " ".join(_point_str(p) for p in doc["filtered"])
-        )
     elif kind in ("neighbors", "star"):
         lines.append(
             f"center {_point_str(doc['center'])}: {len(doc['neighbors'])} neighbors"
@@ -366,27 +388,6 @@ def render_text(doc: dict) -> str:
             lines.append(
                 f"candidate radius {doc['r_candidate']}, witness radius {doc['r_witness']}"
             )
-    elif kind == "resolution":
-        lines.append("betti numbers: " + _point_str(doc["betti"]))
-        lines.append(
-            "multigraded: "
-            + "; ".join(
-                f"dim {e['dim']} at {_point_str(e['multidegree'])} x{e['count']}"
-                for e in doc["multigraded_betti"]
-            )
-        )
-        lines.append(
-            "augmentation: "
-            + "  ".join(monomial(p) for p in doc["augmentation"])
-        )
-        for i, step in enumerate(doc["differentials"], start=1):
-            lines.append(f"differential {i}:")
-            for e in step:
-                sign = "+" if e["sign"] > 0 else "-"
-                lines.append(
-                    f"  [{e['row']},{e['col']}] {sign}{monomial(e['exponent'])}"
-                )
-        lines.append(f"euler characteristic: {doc['euler_characteristic']}")
     elif kind == "selftest":
         lines.append(
             f"selftest: {doc['trials']} trials with seed {doc['seed']}: "

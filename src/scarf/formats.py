@@ -8,20 +8,21 @@ exponents.  Integral values parse to ints however they are spelled, so
 point_json writes "6/3" back as 2.
 Rendered documents are plain JSON with sorted keys, so parse(render(x))
 round-trips at the document level and diffs are stable.  The exact byte
-contract: render_document(doc) equals
-json.dumps(doc, sort_keys=True, indent=2) + "\n".
+contract, json.dumps(doc, sort_keys=True, indent=2) + "\n", is what
+render_document is.
 
-Documents with a long list are the exception to building a document
-first: complex_doc and star_doc (from (member indices, join) face records)
-and quotient_doc (from orbits) write their text through one list writer,
-and that text equals render_document of the document it stands for.
+Documents with long lists are written from results, not built first:
+complex_doc and star_doc (from (member indices, join) face records),
+quotient_doc (from orbits), resolution_doc (from a Resolution) and
+layering_doc (from a Layering) write each list's items as text, and one
+list writer places them among the short fields that render_document
+writes; that text equals render_document of the document it stands for.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from json.encoder import encode_basestring_ascii
 from operator import getitem
 
 from .complexes import f_vector_of
@@ -68,52 +69,13 @@ def parse_document(text: str) -> dict:
     return doc
 
 
-# how a flat list renders each item: ints as digits, strings as ASCII JSON
-_FLAT = {int: int.__repr__, str: encode_basestring_ascii}
-_STR = {str}  # the key types of a dict the writer renders itself
-
-
 def render_document(doc: dict) -> str:
-    """json.dumps(doc, sort_keys=True, indent=2) + "\n", byte for byte.
+    """The structured text of a document, which is the byte contract by construction.
 
-    Values other than str, int, bool, None, lists, tuples and str-keyed
-    dicts (subclasses included) are left to json.dumps.
+    The writers of documents with long lists call it for the short fields
+    around their lists and write the lists' items from results.
     """
-    return _render(doc, 0) + "\n"
-
-
-def _render(x, depth: int) -> str:
-    """render_document's text of x at this depth, without the newline."""
-    kind = type(x)
-    if kind is list or kind is tuple:
-        if not x:
-            return "[]"
-        inner = "\n" + "  " * (depth + 1)
-        if set(map(type, x)) <= _FLAT.keys():
-            body = ("," + inner).join([_FLAT[type(v)](v) for v in x])
-        else:
-            body = ("," + inner).join([_render(v, depth + 1) for v in x])
-        return f"[{inner}{body}\n{'  ' * depth}]"
-    if kind is str:
-        return encode_basestring_ascii(x)
-    if kind is int:
-        return int.__repr__(x)
-    if kind is dict and set(map(type, x)) <= _STR:
-        if not x:
-            return "{}"
-        inner = "\n" + "  " * (depth + 1)
-        body = ("," + inner).join([
-            f"{encode_basestring_ascii(k)}: {_render(v, depth + 1)}"
-            for k, v in sorted(x.items())])
-        return f"{{{inner}{body}\n{'  ' * depth}}}"
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    # JSON strings hold no raw newline, so re-indenting is exact
-    return json.dumps(x, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def load_document(path: str) -> dict:
@@ -188,9 +150,15 @@ def _coord_text(c) -> str:
     return int.__repr__(c) if type(c) is int else f'"{c.numerator}/{c.denominator}"'
 
 
-def _vertex_block(coords) -> str:
-    # a vertex's coordinate list as render_document writes it in a face's "vertices"
-    return "[\n          " + ",\n          ".join(map(_coord_text, coords)) + "\n        ]"
+def _block(items: list, depth: int) -> str:
+    """A nonempty list as render_document writes it at this depth, given its items' text."""
+    inner = "\n" + "  " * (depth + 1)
+    return f"[{inner}{(',' + inner).join(items)}\n{'  ' * depth}]"
+
+
+def _vertex_block(coords, depth: int) -> str:
+    # point_json's list of a point's coordinates, at this depth
+    return _block([*map(_coord_text, coords)], depth)
 
 
 def _faces(blocks: list, values: list, records) -> list:
@@ -214,26 +182,25 @@ def _faces(blocks: list, values: list, records) -> list:
     ]
 
 
-def _list_doc(fields: dict, key: str, items: list) -> str:
-    """render_document of {**fields, key: [...]}, given the text of each item of the list.
+def _list_doc(fields: dict, **lists: list) -> str:
+    """render_document of {**fields, **lists}, given the text of each item of each list.
 
     The items are written at depth 2, as render_document writes a list
-    under a top-level key.  The other fields are rendered in sorted key
-    order around the list.
+    under a top-level key.  render_document writes the fields, with each
+    list empty, and each nonempty list is placed where its [] stands.
     """
-    others = sorted(fields.items())
-    head = "".join([f"{encode_basestring_ascii(k)}: {_render(v, 1)},\n  "
-                    for k, v in others if k < key])
-    tail = "".join([f",\n  {encode_basestring_ascii(k)}: {_render(v, 1)}"
-                    for k, v in others if k > key])
-    name = encode_basestring_ascii(key)
-    if not items:
-        return f"{{\n  {head}{name}: []{tail}\n}}\n"
-    # one join writes the whole text, the keys around the list riding on its
+    text = render_document({**fields, **dict.fromkeys(lists, [])})
+    # one join writes the whole text, the text around each list riding on its
     # first and last item, so the megabytes of items are copied only once
-    items[0] = f"{{\n  {head}{name}: [\n    {items[0]}"
-    items[-1] = f"{items[-1]}\n  ]{tail}\n}}\n"
-    return ",\n    ".join(items)
+    parts = [""]
+    for key, items in sorted(lists.items()):
+        if items:
+            head, text = text.split(f'\n  "{key}": []')
+            parts[-1] += f'{head}\n  "{key}": [\n    {items[0]}'
+            parts += items[1:]
+            parts[-1] += "\n  ]"
+    parts[-1] += text
+    return ",\n    ".join(parts)
 
 
 def complex_doc(A: FinitePointSet, records: list, extra: dict) -> str:
@@ -254,8 +221,8 @@ def complex_doc(A: FinitePointSet, records: list, extra: dict) -> str:
         "empty_face": True,
         **extra,
     }
-    return _list_doc(fields, "faces", _faces(
-        [_vertex_block(p.coords) for p in A.points],
+    return _list_doc(fields, faces=_faces(
+        [_vertex_block(p.coords, 4) for p in A.points],
         [[_coord_text(v) for v in axis] for axis in A.rank_index.values], records))
 
 
@@ -278,17 +245,19 @@ def genericity_doc(report: GenericityReport) -> dict:
     return doc
 
 
-def layering_doc(layering: Layering, filtered, k: int) -> dict:
-    def rows(points) -> list:
-        return [point_json(p) for p in sorted(points, key=point_key)]
+def layering_doc(layering: Layering, filtered, k: int) -> str:
+    """The text of the layering document, written from the Layering.
 
-    return {
-        "kind": "layering",
-        "layers": [rows(layer) for layer in layering.layers],
-        "residual": rows(layering.residual),
-        "k": k,
-        "filtered": rows(filtered),
-    }
+    Returns render_document of {"kind": "layering", "layers", "residual",
+    "k", "filtered"}, byte for byte, each set of points listed in
+    canonical order.
+    """
+    def rows(points, depth: int) -> list:
+        return [_vertex_block(p.coords, depth) for p in sorted(points, key=point_key)]
+
+    return _list_doc({"kind": "layering", "k": k},
+                     layers=[_block(rows(layer, 3), 2) for layer in layering.layers],
+                     residual=rows(layering.residual, 2), filtered=rows(filtered, 2))
 
 
 def report_doc(report: CompletenessReport) -> dict:
@@ -308,8 +277,9 @@ def star_doc(star: StarResult) -> str:
     """
     # a join's coordinate on an axis is one of its vertices' coordinates there
     values = [{c: _coord_text(c) for c in axis} for axis in zip(*star.vertices)]
-    return _list_doc({**neighbors_doc(star), "kind": "star"}, "faces",
-                     _faces([_vertex_block(v) for v in star.vertices], values, star.records))
+    return _list_doc({**neighbors_doc(star), "kind": "star"},
+                     faces=_faces([_vertex_block(v, 4) for v in star.vertices], values,
+                                  star.records))
 
 
 def neighbors_doc(star: StarResult) -> dict:
@@ -332,7 +302,7 @@ def quotient_doc(q: QuotientResult) -> str:
     """
     blocks = dict.fromkeys(v for vs, _ in q.orbits for v in vs)
     for v in blocks:
-        blocks[v] = _vertex_block(v)
+        blocks[v] = _vertex_block(v, 4)
     sep, block = ",\n        ", blocks.__getitem__
     orbits = [
         f'{{\n      "dim": {len(vs) - 1},\n      "face": [\n        '
@@ -340,34 +310,36 @@ def quotient_doc(q: QuotientResult) -> str:
         for vs, c in q.orbits
     ]
     return _list_doc({"kind": "quotient", "f_vector": list(q.f_vector),
-                      "report": report_doc(q.report)}, "orbits", orbits)
+                      "report": report_doc(q.report)}, orbits=orbits)
 
 
-def resolution_doc(res: Resolution) -> dict:
-    diffs = []
-    for step in res.differentials:
-        diffs.append(
-            [
-                {"row": r, "col": c, "sign": s, "exponent": point_json(e)}
-                for (r, c), (s, e) in sorted(step.items())
-            ]
-        )
-    return {
-        "kind": "resolution",
-        "betti": list(res.betti),
-        "multigraded_betti": [
-            {"dim": d, "multidegree": point_json(md), "count": c}
-            for (d, md), c in sorted(
-                res.multigraded_betti.items(), key=lambda it: (it[0][0], it[0][1].coords)
-            )
-        ],
-        "augmentation": [point_json(p) for p in res.augmentation],
-        "faces_by_dim": [
-            [[point_json(v) for v in f.vertices] for f in fs] for fs in res.faces_by_dim
-        ],
-        "differentials": diffs,
-        "euler_characteristic": res.euler_characteristic(),
-    }
+def resolution_doc(res: Resolution) -> str:
+    """The text of the resolution document, written from the Resolution.
+
+    Returns render_document of {"kind": "resolution", "betti",
+    "multigraded_betti", "augmentation", "faces_by_dim", "differentials",
+    "euler_characteristic"}, byte for byte: a face lists its vertices'
+    exponents, a differential entry is {"row", "col", "sign", "exponent"},
+    and entries come in (row, column) order.  Each vertex's exponent list
+    is written once for all the faces that hold it.
+    """
+    block = {p: _vertex_block(p.coords, 4) for p in res.points.points}.__getitem__
+    differentials = [_block([
+        f'{{\n        "col": {c},\n        "exponent": {_vertex_block(e.coords, 4)},\n'
+        f'        "row": {r},\n        "sign": {s}\n      }}'
+        for (r, c), (s, e) in sorted(step.items())], 2) for step in res.differentials]
+    multigraded = [
+        f'{{\n      "count": {n},\n      "dim": {d},\n'
+        f'      "multidegree": {_vertex_block(md.coords, 3)}\n    }}'
+        for (d, md), n in res.multigraded_betti.items()]
+    return _list_doc(
+        {"kind": "resolution", "betti": list(res.betti),
+         "euler_characteristic": res.euler_characteristic()},
+        augmentation=[_vertex_block(p.coords, 2) for p in res.augmentation],
+        differentials=differentials,
+        faces_by_dim=[_block([_block([*map(block, f.vertices)], 3) for f in fs], 2)
+                      for fs in res.faces_by_dim],
+        multigraded_betti=multigraded)
 
 
 def error_doc(exc: Exception, exit_code: int) -> dict:

@@ -15,7 +15,7 @@ from operator import add, sub
 
 from .errors import GenericityError, InputError
 from .finite import FinitePointSet, enumerate_complex, face_witness, is_generic
-from .geometry import Point
+from .geometry import Point, point_key
 
 __all__ = ["Resolution", "ChainCheck", "build_resolution", "verify_chain"]
 
@@ -30,7 +30,7 @@ class Resolution(namedtuple("Resolution", "points faces_by_dim augmentation diff
     vector); a single-vertex input therefore has no differentials at all.
     The augmentation lists each vertex's own exponent vector (the rank-one
     map).  multigraded_betti counts faces per (homological degree,
-    multidegree).
+    multidegree), in that order.
     """
 
     __slots__ = ()
@@ -43,9 +43,8 @@ class Resolution(namedtuple("Resolution", "points faces_by_dim augmentation diff
     def multigraded_betti(self) -> dict:
         table: dict = {}
         for d, fs in enumerate(self.faces_by_dim):
-            for f in fs:
-                key = (d, f.multidegree)
-                table[key] = table.get(key, 0) + 1
+            for md in sorted((f.multidegree for f in fs), key=point_key):
+                table[d, md] = table.get((d, md), 0) + 1
         return table
 
     def euler_characteristic(self) -> int:

@@ -14,11 +14,28 @@ from hypothesis import strategies as st
 
 import scarf
 from scarf import formats
-from scarf.cli import complex_text, main, monomial, quotient_text, render_text
+from scarf.cli import (
+    complex_text,
+    layering_text,
+    main,
+    monomial,
+    quotient_text,
+    render_text,
+    resolution_text,
+)
 from scarf.errors import InputError
 from scarf.finite import FinitePointSet, _face_records, is_generic
 from scarf.periodic import quotient_complex
-from test_formats import first_difference, point_sets
+from scarf.resolution import build_resolution
+from test_formats import (
+    NO_SHRINK,
+    first_difference,
+    generic_antichains,
+    layering_cases,
+    point_sets,
+    reference_layering,
+    reference_resolution,
+)
 from test_periodic import vertex_periodic_sets
 
 COLLINEAR = {"points": [[0, 0], [1, 0], [2, 0]]}
@@ -204,6 +221,18 @@ FINITE_OUTPUT_SHA256 = (
      "edfae827f133571f35554b32d05da569cd67bcc9ebb9c78db182d30f57e6b550"),
     ("finite-nb", COLLINEAR_10Q, ["--format", "text"],
      "1e4fa43404764e338ba400af211c23765b38d17306544ef98c48044661a76f12"),
+    # text forms of layerings and resolutions, from before they were written
+    # from the Layering and the Resolution
+    ("layers", GRID_4D, ["--k", "3", "--format", "text"],
+     "6c771ca52b3f5ef012c2a493048c17acc43b5bc89ddb1f1ab898559e4de864b0"),
+    ("layers", GRID_4D, ["--k", "3", "--orthant=+-+-", "--format", "text"],
+     "9fd57e69ee4213406aad7e3f7b5eb4a240ba4cf8108f267475f17614a8937a52"),
+    ("layers", RATIONAL_GRID, ["--k", "2", "--format", "text"],
+     "346dcbdefb563547ccbcbce0b4b57a8fd18098dc47b61dea0a0c90ae669117b0"),
+    ("scarf-resolve", ANTICHAIN_30, ["--format", "text"],
+     "1d94438fafd1156f497ab9db79bf860434063273d2dea08cf5325ba51d329706"),
+    ("scarf-resolve", PERMUTATION_4D, ["--format", "text"],
+     "7f69140b4a5bf0a58438ae3ff8ed34cf5802dd7ad9ae6dd30f23a8fb97b8d20e"),
 )
 
 
@@ -285,7 +314,7 @@ def test_layers_matches_library(docfile, capsys):
     assert code == 0
     A = parse_points_doc(doc_in)
     expected = layering_doc(dickson_layers(A, 1), filter_by_downset(A, 1), 1)
-    assert json.loads(out) == json.loads(json.dumps(expected))
+    assert json.loads(out) == json.loads(expected)
 
 
 def test_layers_orthant_flag(docfile, capsys):
@@ -573,9 +602,33 @@ def point_text(coords) -> str:
     return "(" + ", ".join(str(c) for c in coords) + ")"
 
 
+def reference_monomial(exponents) -> str:
+    return "*".join(f"x{i}" if c == 1 else f"x{i}^{c}"
+                    for i, c in enumerate(exponents, start=1) if c) or "1"
+
+
 def reference_text(doc: dict) -> str:
-    """The text summary of a parsed complex or quotient document, walked dict by dict."""
-    if doc["kind"] == "complex":
+    """The text summary of a complex, quotient, layering or resolution document, dict by dict."""
+    if doc["kind"] == "layering":
+        lines = [f"layer {i}: " + " ".join(point_text(p) for p in layer)
+                 for i, layer in enumerate(doc["layers"])]
+        lines.append("residual: "
+                     + (" ".join(point_text(p) for p in doc["residual"]) or "(empty)"))
+        lines.append(f"downset filter (k={doc['k']}): "
+                     + " ".join(point_text(p) for p in doc["filtered"]))
+    elif doc["kind"] == "resolution":
+        lines = ["betti numbers: " + point_text(doc["betti"]),
+                 "multigraded: " + "; ".join(
+                     f"dim {e['dim']} at {point_text(e['multidegree'])} x{e['count']}"
+                     for e in doc["multigraded_betti"]),
+                 "augmentation: " + "  ".join(reference_monomial(p)
+                                              for p in doc["augmentation"])]
+        for i, step in enumerate(doc["differentials"], start=1):
+            lines.append(f"differential {i}:")
+            lines += [f"  [{e['row']},{e['col']}] {'+' if e['sign'] > 0 else '-'}"
+                      + reference_monomial(e["exponent"]) for e in step]
+        lines.append(f"euler characteristic: {doc['euler_characteristic']}")
+    elif doc["kind"] == "complex":
         lines = [f"complex of dimension {doc['dimension']}, f-vector "
                  + point_text(doc["f_vector"])]
         lines += [f"  dim {f['dim']}: " + " ".join(point_text(v) for v in f["vertices"])
@@ -626,6 +679,23 @@ def test_quotient_text_matches_the_parsed_document(A, dmax):
     assert same, f"first difference at offset {first_difference(text, expected)}"
 
 
+@settings(deadline=None, phases=NO_SHRINK)
+@given(layering_cases())
+def test_layering_text_matches_the_reference(case):
+    text, expected = layering_text(*case), reference_text(reference_layering(*case))
+    same = text == expected
+    assert same, f"first difference at offset {first_difference(text, expected)}"
+
+
+@settings(deadline=None, phases=NO_SHRINK)
+@given(generic_antichains())
+def test_resolution_text_matches_the_reference(rows):
+    res = build_resolution(rows)
+    text, expected = resolution_text(res), reference_text(reference_resolution(res))
+    same = text == expected
+    assert same, f"first difference at offset {first_difference(text, expected)}"
+
+
 def test_text_output_writes_no_json(docfile, capsys, monkeypatch):
     pinned = {(c, json.dumps(doc), tuple(flags)): digest
               for c, doc, flags, digest in FINITE_OUTPUT_SHA256 + LATTICE_FORMAT_SHA256}
@@ -633,14 +703,16 @@ def test_text_output_writes_no_json(docfile, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("a text job wrote the structured document")
 
-    monkeypatch.setattr(formats, "complex_doc", refuse)
-    monkeypatch.setattr(formats, "quotient_doc", refuse)
+    for name in ("complex_doc", "quotient_doc", "layering_doc", "resolution_doc"):
+        monkeypatch.setattr(formats, name, refuse)
     for c, doc, flags in (("finite-nb", RATIONAL_COLLINEAR, ("--format", "text")),
                           ("finite-nb", GENERIC_ANTICHAIN,
                            ("--generic-mode", "both", "--format", "text")),
                           ("oracle", PLANE_3D, ("--format", "text")),
                           ("quotient", KER114_E1, ("--dmax", "4", "--format", "text")),
-                          ("quotient", KER125_E1, ("--auto-dmax", "--format", "text"))):
+                          ("quotient", KER125_E1, ("--auto-dmax", "--format", "text")),
+                          ("layers", RATIONAL_GRID, ("--k", "2", "--format", "text")),
+                          ("scarf-resolve", PERMUTATION_4D, ("--format", "text"))):
         code, out, _ = run_cli([c, docfile(doc), *flags], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == pinned[c, json.dumps(doc), flags]

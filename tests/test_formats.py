@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from scarf.errors import GenericityError, InputError
@@ -24,7 +24,7 @@ from scarf.formats import (
     resolution_doc,
     star_doc,
 )
-from scarf.geometry import Orthant, Point, join
+from scarf.geometry import Orthant, Point, join, point_key
 from scarf.periodic import (
     certified_quotient,
     exists_strictly_below,
@@ -171,6 +171,12 @@ def first_difference(a: str, b: str) -> int:
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
+# Hypothesis without its shrink phase: the writer tests compare whole
+# documents, and shrinking a failure through certified stars and quotients
+# takes minutes where the first failing example reports in about a second
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
 def reference_report(report) -> dict:
     return {"dmax_used": report.dmax_used,
             "observed_star_dimension": report.observed_star_dimension,
@@ -193,7 +199,7 @@ def reference_star(star) -> dict:
     }
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK)
 @given(small_periodic_sets(), st.integers(1, 5), st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
 def test_star_doc_is_json_dumps_of_the_reference(A, dmax, coeffs):
     # each coset rep, and a lattice translate of it, so the center is not
@@ -223,12 +229,84 @@ def reference_quotient(q) -> dict:
     }
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, phases=NO_SHRINK)
 @given(vertex_periodic_sets(), st.none() | st.integers(1, 4))
 def test_quotient_doc_is_json_dumps_of_the_reference(A, dmax):
     # dmax None is the certified quotient
     q = certified_quotient(A) if dmax is None else quotient_complex(A, dmax)
     text, expected = quotient_doc(q), dumped(reference_quotient(q))
+    same = text == expected
+    assert same, f"first difference at offset {first_difference(text, expected)}"
+
+
+def reference_resolution(res) -> dict:
+    """The resolution document built as a dict, entry by entry."""
+    return {
+        "kind": "resolution",
+        "betti": list(res.betti),
+        "multigraded_betti": [
+            {"dim": d, "multidegree": point_json(md), "count": c}
+            for (d, md), c in sorted(res.multigraded_betti.items(),
+                                     key=lambda it: (it[0][0], it[0][1].coords))
+        ],
+        "augmentation": [point_json(p) for p in res.augmentation],
+        "faces_by_dim": [[[point_json(v) for v in f.vertices] for f in fs]
+                         for fs in res.faces_by_dim],
+        "differentials": [[{"row": r, "col": c, "sign": s, "exponent": point_json(e)}
+                           for (r, c), (s, e) in sorted(step.items())]
+                          for step in res.differentials],
+        "euler_characteristic": res.euler_characteristic(),
+    }
+
+
+@st.composite
+def generic_antichains(draw):
+    """1-12 points of the hyperplane sum(x) = n * 4m in N^n (n = 2-4), distinct on every axis.
+
+    On the hyperplane no point lies below another, and with no coordinate
+    shared the set is generic: build_resolution accepts every draw.
+    """
+    n, m = draw(st.integers(2, 4)), draw(st.integers(1, 12))
+    axes = [draw(st.lists(st.integers(1, 4 * m), min_size=m, max_size=m, unique=True))
+            for _ in range(n - 1)]
+    last = [n * 4 * m - sum(row) for row in zip(*axes)]
+    assume(len(set(last)) == m)
+    return [(*row, z) for row, z in zip(zip(*axes), last)]
+
+
+@settings(deadline=None, phases=NO_SHRINK)
+@given(generic_antichains())
+def test_resolution_doc_is_json_dumps_of_the_reference(rows):
+    res = build_resolution(rows)
+    text, expected = resolution_doc(res), dumped(reference_resolution(res))
+    same = text == expected
+    assert same, f"first difference at offset {first_difference(text, expected)}"
+
+
+def reference_layering(layering, filtered, k) -> dict:
+    """The layering document built as a dict, point by point."""
+    def rows(points) -> list:
+        return [point_json(p) for p in sorted(points, key=point_key)]
+
+    return {"kind": "layering", "layers": [rows(layer) for layer in layering.layers],
+            "residual": rows(layering.residual), "k": k, "filtered": rows(filtered)}
+
+
+@st.composite
+def layering_cases(draw):
+    """(layering, filtered, k) of a set of int and "p/q" points, k 0-3, orthant or none."""
+    A = FinitePointSet(draw(point_sets))
+    signs = draw(st.none() | st.lists(st.sampled_from((1, -1)), min_size=A.dim,
+                                      max_size=A.dim))
+    orthant = None if signs is None else Orthant(tuple(signs))
+    k = draw(st.integers(0, 3))
+    return dickson_layers(A, k, orthant), filter_by_downset(A, k, orthant), k
+
+
+@settings(deadline=None, phases=NO_SHRINK)
+@given(layering_cases())
+def test_layering_doc_is_json_dumps_of_the_reference(case):
+    text, expected = layering_doc(*case), dumped(reference_layering(*case))
     same = text == expected
     assert same, f"first difference at offset {first_difference(text, expected)}"
 
@@ -244,7 +322,8 @@ def test_genericity_doc_witness():
 
 
 def test_resolution_doc_shape():
-    doc = resolution_doc(build_resolution([(2, 0), (1, 1), (0, 2)]))
+    text = resolution_doc(build_resolution([(2, 0), (1, 1), (0, 2)]))
+    doc = json.loads(text)
     assert doc["betti"] == [3, 2]
     assert doc["euler_characteristic"] == 1
     assert len(doc["differentials"]) == 1
@@ -252,7 +331,7 @@ def test_resolution_doc_shape():
     assert {(e["row"], e["col"]) for e in entries} == {(0, 0), (1, 0), (1, 1), (2, 1)}
     assert all(e["sign"] in (1, -1) for e in entries)
     assert doc["multigraded_betti"][0] == {"dim": 0, "multidegree": [0, 2], "count": 1}
-    json.dumps(doc)
+    assert text == dumped(doc)
 
 
 def test_error_doc():
@@ -280,9 +359,10 @@ def fixture_docs():
         "star": json.loads(star_doc(star)),
         "neighbors": neighbors_doc(star),
         "quotient": json.loads(quotient_doc(quotient_complex(ker111_e1, 2))),
-        "resolution": resolution_doc(build_resolution([(3, 0, 1), (1, 2, 0), (0, 1, 3)])),
-        "layering": layering_doc(dickson_layers(grid, 2, orthant),
-                                 filter_by_downset(grid, 2, orthant), 2),
+        "resolution": json.loads(resolution_doc(build_resolution([(3, 0, 1), (1, 2, 0),
+                                                                  (0, 1, 3)]))),
+        "layering": json.loads(layering_doc(dickson_layers(grid, 2, orthant),
+                                            filter_by_downset(grid, 2, orthant), 2)),
         "genericity": genericity_doc(is_generic(FinitePointSet([(2, 1), (1, 2), (2, 2)]))),
         "error": error_doc(GenericityError("not generic: \"x\"\n", witness=witness), 4),
     }
