@@ -28,7 +28,7 @@ from operator import getitem
 from . import formats
 from .complexes import f_vector_of
 from .errors import InputError, InternalError, ScarfError
-from .finite import FinitePointSet, _face_records, enumerate_complex, is_generic, neighbors
+from .finite import FinitePointSet, _face_records, is_generic, neighbors
 from .geometry import Orthant, Point, point_key, zero_point
 from .periodic import QuotientResult, certified_quotient, certified_star, quotient_complex, star_at
 from .posets import Layering, dickson_layers, filter_by_downset
@@ -121,10 +121,20 @@ def _parse_vertex(job: argparse.Namespace, dim: int) -> Point:
     return v
 
 
-def _run_oracle(job: argparse.Namespace) -> dict | str:
-    # the oracles load with the one subcommand that runs them, not with the CLI
-    from .oracles import oracle_finite_nb, oracle_lattice_neighbors
+def _oracle_records(A: FinitePointSet) -> list:
+    """The subset oracle's nonempty faces of A as _face_records(A, None) lists them.
 
+    faces() comes by size, then in canonical vertex order, as A indexes its points.
+    """
+    # the oracles load with the one subcommand that runs them, not with the CLI
+    from .oracles import oracle_finite_nb
+
+    position, index = {p: i for i, p in enumerate(A.points)}, A.rank_index
+    return [(tuple(position[v] for v in f.vertices), index.strict_ranks(f.multidegree))
+            for f in oracle_finite_nb(A).faces() if f.vertices]
+
+
+def _run_oracle(job: argparse.Namespace) -> dict | str:
     radii = job.r_candidate is not None or job.r_witness is not None
     if job.selftest is not None:
         if job.input is not None or radii:
@@ -139,20 +149,13 @@ def _run_oracle(job: argparse.Namespace) -> dict | str:
         if radii:
             raise InputError("--r-candidate and --r-witness apply to lattice documents only")
         A = formats.parse_points_doc(doc)
-        position = {p: i for i, p in enumerate(A.points)}
-        ranks = A.rank_index.ranks
-        # faces() lists faces by size, then in canonical vertex order, and A
-        # indexes its points canonically: that is (size, members) order
-        records = []
-        for f in oracle_finite_nb(A).faces():
-            if f.vertices:
-                members = tuple(position[v] for v in f.vertices)
-                records.append((members, tuple(map(max, zip(*(ranks[i] for i in members))))))
         write = complex_text if job.fmt == "text" else formats.complex_doc
-        return write(A, records, {"source": "oracle"})
+        return write(A, _oracle_records(A), {"source": "oracle"})
     A = formats.parse_lattice_doc(doc)
     if job.r_candidate is None or job.r_witness is None:
         raise InputError("lattice oracle needs --r-candidate and --r-witness")
+    from .oracles import oracle_lattice_neighbors
+
     nbs = oracle_lattice_neighbors(A, job.r_candidate, job.r_witness)
     return {
         "kind": "neighbors",
@@ -167,8 +170,6 @@ def _run_oracle(job: argparse.Namespace) -> dict | str:
 def _selftest(trials: int, seed: int) -> dict:
     import random
 
-    from .oracles import oracle_finite_nb
-
     if trials < 1:
         raise InputError(f"--selftest needs at least 1 trial, got {trials}")
     rng = random.Random(seed)
@@ -179,7 +180,8 @@ def _selftest(trials: int, seed: int) -> dict:
         while len(pts) < m:
             pts.add(tuple(rng.randint(0, 9) for _ in range(n)))
         A = FinitePointSet(pts)
-        if enumerate_complex(A) != oracle_finite_nb(A):
+        # face records, order and joins included
+        if _face_records(A, None) != _oracle_records(A):
             raise InternalError(
                 f"selftest trial {t} (seed {seed}): enumerator and oracle disagree on "
                 f"{[list(p) for p in sorted(pts)]}"
@@ -346,13 +348,13 @@ def resolution_text(res: Resolution) -> str:
     """render_text of the document formats.resolution_doc(res), from the Resolution."""
     lines = [
         f"betti numbers: {_point_str(res.betti)}",
-        "multigraded: " + "; ".join([f"dim {d} at {_point_str(md.coords)} x{n}"
+        "multigraded: " + "; ".join([f"dim {d} at {_point_str(md)} x{n}"
                                      for (d, md), n in res.multigraded_betti.items()]),
-        "augmentation: " + "  ".join([monomial(p.coords) for p in res.augmentation]),
+        "augmentation: " + "  ".join([monomial(p) for p in res.augmentation]),
     ]
     for i, step in enumerate(res.differentials, start=1):
         lines.append(f"differential {i}:")
-        lines += [f"  [{r},{c}] {'+' if s > 0 else '-'}{monomial(e.coords)}"
+        lines += [f"  [{r},{c}] {'+' if s > 0 else '-'}{monomial(e)}"
                   for (r, c), (s, e) in sorted(step.items())]
     lines.append(f"euler characteristic: {res.euler_characteristic()}")
     return "\n".join(lines) + "\n"

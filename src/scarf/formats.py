@@ -323,21 +323,21 @@ def resolution_doc(res: Resolution) -> str:
     and entries come in (row, column) order.  Each vertex's exponent list
     is written once for all the faces that hold it.
     """
-    block = {p: _vertex_block(p.coords, 4) for p in res.points.points}.__getitem__
+    block = [_vertex_block(p.coords, 4) for p in res.points.points].__getitem__
     differentials = [_block([
-        f'{{\n        "col": {c},\n        "exponent": {_vertex_block(e.coords, 4)},\n'
+        f'{{\n        "col": {c},\n        "exponent": {_vertex_block(e, 4)},\n'
         f'        "row": {r},\n        "sign": {s}\n      }}'
         for (r, c), (s, e) in sorted(step.items())], 2) for step in res.differentials]
     multigraded = [
         f'{{\n      "count": {n},\n      "dim": {d},\n'
-        f'      "multidegree": {_vertex_block(md.coords, 3)}\n    }}'
+        f'      "multidegree": {_vertex_block(md, 3)}\n    }}'
         for (d, md), n in res.multigraded_betti.items()]
     return _list_doc(
         {"kind": "resolution", "betti": list(res.betti),
          "euler_characteristic": res.euler_characteristic()},
-        augmentation=[_vertex_block(p.coords, 2) for p in res.augmentation],
+        augmentation=[_vertex_block(p, 2) for p in res.augmentation],
         differentials=differentials,
-        faces_by_dim=[_block([_block([*map(block, f.vertices)], 3) for f in fs], 2)
+        faces_by_dim=[_block([_block([*map(block, members)], 3) for members, _ in fs], 2)
                       for fs in res.faces_by_dim],
         multigraded_betti=multigraded)
 

@@ -20,25 +20,25 @@ import re
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from fractions import Fraction
 
 from .errors import InputError
-
-Coordinate = int | Fraction
 
 # ASCII digits only: int() alone would also take "1_0", " 3 " and "\u0663"
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def as_fraction(value) -> Coordinate:
+def as_fraction(value):
     """An exact coordinate: an int when the value is integral, else a Fraction.
 
     Accepts ints (not bools), Fractions, and strings "n" or "p/q" of ASCII
     digits with an optional sign on the numerator and q nonzero.  Anything
     else, floats included, raises InputError on every Python version.
+    fractions is imported only for a value that is not an int, so all-int
+    work never loads it.
     """
     if type(value) is int:
         return value
+    from fractions import Fraction
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, float):
@@ -82,10 +82,10 @@ class Point:
     def __len__(self) -> int:
         return len(self.coords)
 
-    def __iter__(self) -> Iterator[Coordinate]:
+    def __iter__(self) -> Iterator:
         return iter(self.coords)
 
-    def __getitem__(self, i) -> Coordinate:
+    def __getitem__(self, i):
         return self.coords[i]
 
     def __eq__(self, other) -> bool:
@@ -134,7 +134,7 @@ def _same_dim(a: Point, b: Point) -> None:
         raise InputError(f"dimension mismatch: {len(a)} vs {len(b)}")
 
 
-def point_key(p: Point) -> tuple[Coordinate, ...]:
+def point_key(p: Point) -> tuple:
     """Sort key giving the canonical (lexicographic) order on points."""
     return p.coords
 
@@ -178,11 +178,6 @@ class Orthant(namedtuple("Orthant", "signs")):
 
     def __str__(self) -> str:
         return "".join("+" if s > 0 else "-" for s in self.signs)
-
-    def contains(self, p: Point) -> bool:
-        if len(p) != self.dim:
-            raise InputError(f"dimension mismatch: {len(p)} vs {self.dim}")
-        return all(s * c >= 0 for s, c in zip(self.signs, p.coords))
 
 
 def all_orthants(n: int) -> Iterator[Orthant]:

@@ -14,7 +14,6 @@ are scaled to integers exactly.  No floats anywhere.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from fractions import Fraction
 from math import gcd, lcm
 from operator import add, ge, mul
 
@@ -26,6 +25,7 @@ def _as_int(value) -> int:
         raise InputError(f"integer required, got {value!r}")
     if isinstance(value, int):
         return value
+    from fractions import Fraction  # only for a value that is not an int
     if isinstance(value, Fraction) and value.denominator == 1:
         return value.numerator
     raise InputError(f"integer required, got {value!r}")
@@ -322,6 +322,7 @@ def fm_enumerate_integer(rows, nvars: int) -> Iterator[tuple[int, ...]]:
     integers exactly, and an unbounded interval in the walk means the region
     was not a polytope, which callers must rule out.
     """
+    from fractions import Fraction
     coeff_rows, rhs = [], []
     for coeffs, bound in rows:
         vals = [Fraction(x) for x in coeffs] + [Fraction(bound)]

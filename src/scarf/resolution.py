@@ -11,11 +11,10 @@ exactly minimality of the resolution the complex supports.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import add, sub
+from operator import add, getitem, sub
 
 from .errors import GenericityError, InputError
-from .finite import FinitePointSet, enumerate_complex, face_witness, is_generic
-from .geometry import Point, point_key
+from .finite import FinitePointSet, _face_records, face_witness, is_generic
 
 __all__ = ["Resolution", "ChainCheck", "build_resolution", "verify_chain"]
 
@@ -25,12 +24,14 @@ class Resolution(namedtuple("Resolution", "points faces_by_dim augmentation diff
     """Betti data and sparse signed-monomial boundary maps.
 
     points is the FinitePointSet and faces_by_dim[d] its d-dimensional
-    Faces.  differentials[i-1] maps i-dimensional faces to (i-1)-dimensional
-    ones, keyed by (row_index, column_index) with value (sign, exponent
-    vector); a single-vertex input therefore has no differentials at all.
-    The augmentation lists each vertex's own exponent vector (the rank-one
-    map).  multigraded_betti counts faces per (homological degree,
-    multidegree), in that order.
+    faces as records (member indices into points.points, multidegree), by
+    member indices.  differentials[i-1] maps i-dimensional faces to
+    (i-1)-dimensional ones, keyed by (row_index, column_index) with value
+    (sign, exponent vector); a single-vertex input therefore has no
+    differentials at all.  The augmentation lists each vertex's own
+    exponent vector (the rank-one map).  Multidegrees and exponent vectors
+    are int tuples.  multigraded_betti counts faces per (homological
+    degree, multidegree), in that order.
     """
 
     __slots__ = ()
@@ -43,7 +44,7 @@ class Resolution(namedtuple("Resolution", "points faces_by_dim augmentation diff
     def multigraded_betti(self) -> dict:
         table: dict = {}
         for d, fs in enumerate(self.faces_by_dim):
-            for md in sorted((f.multidegree for f in fs), key=point_key):
+            for md in sorted(md for _, md in fs):
                 table[d, md] = table.get((d, md), 0) + 1
         return table
 
@@ -98,29 +99,28 @@ def build_resolution(A: FinitePointSet) -> Resolution:
         raise GenericityError(
             f"input is not generic: witness [{a}, {b}, {k}]", witness=report.witness
         )
-    complex_ = enumerate_complex(A)
-    faces_by_dim: list = [[] for _ in range(complex_.dimension + 1)]
+    # records come by size, then members: each size is one dimension, in face order
+    values = A.rank_index.values
+    faces_by_dim: list = []
     index = {}
-    for f in complex_.faces():
-        if f.vertices:
-            fs = faces_by_dim[f.dim]
-            index[f.vertices] = len(fs)
-            fs.append(f)
-    augmentation = tuple(f.vertices[0] for f in faces_by_dim[0])
+    for members, top in _face_records(A, None):
+        if len(members) > len(faces_by_dim):
+            faces_by_dim.append([])
+        fs = faces_by_dim[-1]
+        index[members] = len(fs)
+        fs.append((members, tuple(map(getitem, values, top))))
     diffs = []
     for lower, upper in zip(faces_by_dim, faces_by_dim[1:]):
         entries: dict = {}
-        for col, face in enumerate(upper):
-            vs, top = face.vertices, face.multidegree.coords
-            for j in range(len(vs)):
-                row = index[vs[:j] + vs[j + 1:]]
-                exponent = Point(map(sub, top, lower[row].multidegree.coords))
-                entries[(row, col)] = ((-1) ** j, exponent)
+        for col, (members, top) in enumerate(upper):
+            for j in range(len(members)):
+                row = index[members[:j] + members[j + 1:]]
+                entries[(row, col)] = ((-1) ** j, tuple(map(sub, top, lower[row][1])))
         diffs.append(entries)
     return Resolution(
         points=A,
         faces_by_dim=tuple(map(tuple, faces_by_dim)),
-        augmentation=augmentation,
+        augmentation=tuple(md for _, md in faces_by_dim[0]),
         differentials=tuple(diffs),
     )
 
@@ -136,7 +136,7 @@ def _compose(lower: dict, upper: dict, step: int, failures: list) -> None:
         acc: dict = {}
         for m, sign1, exp1 in terms:
             for r, sign2, exp2 in lower_by_mid.get(m, ()):
-                key = (r, tuple(map(add, exp1.coords, exp2.coords)))
+                key = (r, tuple(map(add, exp1, exp2)))
                 acc[key] = acc.get(key, 0) + sign1 * sign2
         for (r, total), coeff in acc.items():
             if coeff != 0:
@@ -159,7 +159,7 @@ def verify_chain(res: Resolution) -> ChainCheck:
         for (r, c), (sign, exp) in diff.items():
             if sign not in (1, -1):
                 failures.append(f"bad sign {sign} at step {i + 1}, row {r}, column {c}")
-            if not any(exp.coords):
+            if not any(exp):
                 failures.append(
                     f"zero exponent at step {i + 1}, row {r}, column {c}: not minimal"
                 )

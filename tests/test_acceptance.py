@@ -31,6 +31,7 @@ from scarf.periodic import PeriodicSet, certified_star
 from scarf.posets import dickson_layers, filter_by_downset
 from scarf.resolution import build_resolution, verify_chain
 from test_periodic import faces
+from test_posets import in_orthant
 
 
 def collinear(m):
@@ -208,7 +209,7 @@ def test_criterion_8_resolutions():
         ok = ok and r.euler_characteristic() == 1
         ok = ok and len(r.betti) <= 3  # dimension stays below n = 3
         ok = ok and all(
-            any(exp.coords) for step in r.differentials for _, exp in step.values()
+            any(exp) for step in r.differentials for _, exp in step.values()
         )
     verdict("criterion 8", ok, f"fixture + {produced} random generic sets")
 
@@ -239,33 +240,35 @@ def test_criterion_9_diophantine_core():
         got = minimal_orthant_points(L, [rep], orthant)
         pool = [
             Point(v) for v in itertools.product(range(-radius, radius + 1), repeat=3)
-            if any(v) and orthant.contains(Point(v)) and L.member(Point(v) - rep)
+            if any(v) and in_orthant(orthant, v) and L.member(Point(v) - rep)
         ]
         brute = sorted(
-            (p for p in pool if not any(q != p and orthant.contains(p - q) for q in pool)),
+            (p for p in pool if not any(q != p and in_orthant(orthant, p - q) for q in pool)),
             key=point_key,
         )
         in_box = [p for p in got if max(abs(int(c)) for c in p.coords) <= radius]
         ok = ok and in_box == brute
-        ok = ok and all(any(orthant.contains(p - m) for m in got) for p in brute)
+        ok = ok and all(any(in_orthant(orthant, p - m) for m in got) for p in brute)
     verdict("criterion 9", ok, f"500 SNF checks; {done} lattices at radius {radius}")
 
 
 def test_text_output_no_slower_than_structured(tmp_path):
-    """finite-nb on 14 collinear points: text within 1.5x of structured, best of 5 each."""
+    """finite-nb on 14 collinear points: text within 1.5x of structured, best of 5 each.
+
+    The formats alternate run by run, so a burst of load on a busy machine
+    slows both formats' runs alike rather than one format's block of five.
+    """
     path = tmp_path / "collinear14.json"
     path.write_text(json.dumps({"points": [[i, 0] for i in range(14)]}))
-
-    def best(fmt: str) -> float:
-        times = []
-        for _ in range(5):
+    times = {"structured": [], "text": []}
+    for _ in range(5):
+        for fmt, runs in times.items():
             out = io.StringIO()
             start = time.perf_counter()
             with contextlib.redirect_stdout(out):
                 assert main(["finite-nb", str(path), "--format", fmt]) == 0
-            times.append(time.perf_counter() - start)
-        return min(times)
+            runs.append(time.perf_counter() - start)
 
-    structured, text = best("structured"), best("text")
+    structured, text = min(times["structured"]), min(times["text"])
     verdict("text output", text <= 1.5 * structured,
             f"text {text:.3f} s, structured {structured:.3f} s")

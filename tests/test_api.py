@@ -105,6 +105,7 @@ def test_cli_import_is_lean(tmp_path):
     assert proc.returncode == 0, proc.stderr
     added, _, outputs = proc.stdout.partition("\n")
     assert "scarf.cli" in added.split()
-    assert {"dataclasses", "inspect", "typing", "scarf.oracles"} & set(added.split()) == set()
+    assert {"dataclasses", "decimal", "fractions", "inspect", "typing",
+            "scarf.oracles"} & set(added.split()) == set()
     assert "selftest: 3 trials with seed 0: all agreed" in outputs
     assert '"source": "oracle"' in outputs

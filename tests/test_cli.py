@@ -30,13 +30,13 @@ from scarf.resolution import build_resolution
 from test_formats import (
     NO_SHRINK,
     first_difference,
-    generic_antichains,
     layering_cases,
     point_sets,
     reference_layering,
     reference_resolution,
 )
 from test_periodic import vertex_periodic_sets
+from test_resolution import generic_antichains
 
 COLLINEAR = {"points": [[0, 0], [1, 0], [2, 0]]}
 STAIRCASE = {"points": [[2, 0], [1, 1], [0, 2]]}
@@ -729,6 +729,25 @@ def test_oracle_selftest(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc == {"kind": "selftest", "trials": 5, "seed": 3, "agreed": True}
+
+
+def test_oracle_selftest_checks_joins(capsys, monkeypatch):
+    # the main path grows the right faces in the right order, but one join is
+    # off; patched where either path would read the records
+    import scarf.cli
+    import scarf.finite
+
+    def one_wrong_join(A, max_size):
+        # the last face takes the first face's join: wrong once a set has two faces
+        records = _face_records(A, max_size)
+        records[-1] = records[-1][0], records[0][1]
+        return records
+
+    for module in (scarf.cli, scarf.finite):
+        monkeypatch.setattr(module, "_face_records", one_wrong_join)
+    code, _, err = run_cli(["oracle", "--selftest", "5", "--format", "structured"], capsys)
+    assert code == 5
+    assert "enumerator and oracle disagree" in json.loads(err)["message"]
 
 
 def test_oracle_points_doc(docfile, capsys):

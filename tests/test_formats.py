@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from scarf.errors import GenericityError, InputError
@@ -35,6 +35,7 @@ from scarf.periodic import (
 from scarf.posets import dickson_layers, filter_by_downset
 from scarf.resolution import build_resolution
 from test_periodic import small_periodic_sets, vertex_periodic_sets
+from test_resolution import generic_antichains
 
 
 def dumped(doc) -> str:
@@ -245,33 +246,17 @@ def reference_resolution(res) -> dict:
         "kind": "resolution",
         "betti": list(res.betti),
         "multigraded_betti": [
-            {"dim": d, "multidegree": point_json(md), "count": c}
-            for (d, md), c in sorted(res.multigraded_betti.items(),
-                                     key=lambda it: (it[0][0], it[0][1].coords))
+            {"dim": d, "multidegree": list(md), "count": c}
+            for (d, md), c in sorted(res.multigraded_betti.items())
         ],
-        "augmentation": [point_json(p) for p in res.augmentation],
-        "faces_by_dim": [[[point_json(v) for v in f.vertices] for f in fs]
-                         for fs in res.faces_by_dim],
-        "differentials": [[{"row": r, "col": c, "sign": s, "exponent": point_json(e)}
+        "augmentation": [list(p) for p in res.augmentation],
+        "faces_by_dim": [[[point_json(res.points.points[i]) for i in members]
+                          for members, _ in fs] for fs in res.faces_by_dim],
+        "differentials": [[{"row": r, "col": c, "sign": s, "exponent": list(e)}
                            for (r, c), (s, e) in sorted(step.items())]
                           for step in res.differentials],
         "euler_characteristic": res.euler_characteristic(),
     }
-
-
-@st.composite
-def generic_antichains(draw):
-    """1-12 points of the hyperplane sum(x) = n * 4m in N^n (n = 2-4), distinct on every axis.
-
-    On the hyperplane no point lies below another, and with no coordinate
-    shared the set is generic: build_resolution accepts every draw.
-    """
-    n, m = draw(st.integers(2, 4)), draw(st.integers(1, 12))
-    axes = [draw(st.lists(st.integers(1, 4 * m), min_size=m, max_size=m, unique=True))
-            for _ in range(n - 1)]
-    last = [n * 4 * m - sum(row) for row in zip(*axes)]
-    assume(len(set(last)) == m)
-    return [(*row, z) for row, z in zip(zip(*axes), last)]
 
 
 @settings(deadline=None, phases=NO_SHRINK)

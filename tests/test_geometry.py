@@ -194,22 +194,6 @@ class TestOrthants:
         assert len(orths) == 8
         assert len({str(o) for o in orths}) == 8
 
-    def test_contains(self):
-        o = Orthant((1, -1))
-        assert o.contains(Point((2, -3)))
-        assert o.contains(Point((0, 0)))
-        assert not o.contains(Point((2, 3)))
-
-    @given(pts(3), pts(3), st.sampled_from([(1, 1, 1), (1, -1, 1), (-1, -1, -1), (-1, 1, -1)]))
-    def test_reflect_carries_order(self, a, b, signs):
-        # flipping the negative axes carries the orthant order onto the componentwise one
-        o = Orthant(signs)
-
-        def reflect(p):
-            return Point(s * c for s, c in zip(signs, p))
-
-        assert o.contains(b - a) == all(x <= y for x, y in zip(reflect(a), reflect(b)))
-
 
 class TestBoxes:
     def test_point_key_is_lex(self):

@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from scarf.errors import GenericityError, InputError
-from scarf.finite import FinitePointSet, is_generic
+from scarf.finite import FinitePointSet, _face_records, is_generic
 from scarf.geometry import Point
 from scarf.resolution import build_resolution, verify_chain
 
@@ -16,32 +18,32 @@ def test_staircase_betti():
     res = build_resolution(STAIRCASE)
     assert res.betti == (3, 2)
     assert res.euler_characteristic() == 1
-    assert [f.dim for fs in res.faces_by_dim for f in fs] == [0, 0, 0, 1, 1]
-    edges = [tuple(v.as_int_tuple() for v in f.vertices) for f in res.faces_by_dim[1]]
-    assert edges == [((0, 2), (1, 1)), ((1, 1), (2, 0))]
+    assert [len(members) - 1 for fs in res.faces_by_dim for members, _ in fs] == [0, 0, 0, 1, 1]
+    # members index the points in canonical order: (0, 2), (1, 1), (2, 0)
+    assert res.faces_by_dim[1] == (((0, 1), (1, 2)), ((1, 2), (2, 1)))
 
 
 def test_staircase_multigraded_betti():
     res = build_resolution(STAIRCASE)
     assert res.multigraded_betti == {
-        (0, Point((0, 2))): 1,
-        (0, Point((1, 1))): 1,
-        (0, Point((2, 0))): 1,
-        (1, Point((1, 2))): 1,
-        (1, Point((2, 1))): 1,
+        (0, (0, 2)): 1,
+        (0, (1, 1)): 1,
+        (0, (2, 0)): 1,
+        (1, (1, 2)): 1,
+        (1, (2, 1)): 1,
     }
 
 
 def test_staircase_differential_entries():
     res = build_resolution(STAIRCASE)
-    assert res.augmentation == (Point((0, 2)), Point((1, 1)), Point((2, 0)))
+    assert res.augmentation == ((0, 2), (1, 1), (2, 0))
     (d1,) = res.differentials
     # vertices are rows 0..2 in lex order; dropping a vertex keeps its complement
     assert d1 == {
-        (1, 0): (1, Point((0, 1))),
-        (0, 0): (-1, Point((1, 0))),
-        (2, 1): (1, Point((0, 1))),
-        (1, 1): (-1, Point((1, 0))),
+        (1, 0): (1, (0, 1)),
+        (0, 0): (-1, (1, 0)),
+        (2, 1): (1, (0, 1)),
+        (1, 1): (-1, (1, 0)),
     }
 
 
@@ -56,7 +58,7 @@ def test_single_generator():
     res = build_resolution([(5, 7)])
     assert res.betti == (1,)
     assert res.differentials == ()
-    assert res.augmentation == (Point((5, 7)),)
+    assert res.augmentation == ((5, 7),)
     assert verify_chain(res).ok
 
 
@@ -72,7 +74,7 @@ def test_sign_flip_detected():
 def test_zero_exponent_detected():
     res = build_resolution(STAIRCASE)
     (r, c), (sign, _) = next(iter(res.differentials[0].items()))
-    res.differentials[0][(r, c)] = (sign, Point((0, 0)))
+    res.differentials[0][(r, c)] = (sign, (0, 0))
     check = verify_chain(res)
     assert not check.ok
     assert any("not minimal" in f for f in check.failures)
@@ -130,11 +132,11 @@ def test_random_generic_resolutions():
             rows = res.faces_by_dim[d]
             cols = res.faces_by_dim[d + 1]
             for (r, c), (sign, exp) in diff.items():
+                (_, low), (_, high) = rows[r], cols[c]
                 assert sign in (1, -1)
-                assert any(exp.coords)
-                assert all(x >= 0 for x in exp.coords)
-                assert all(x <= y for x, y in zip(rows[r].multidegree, cols[c].multidegree))
-                assert cols[c].multidegree - rows[r].multidegree == exp
+                assert any(exp)
+                assert all(x >= 0 for x in exp)
+                assert tuple(y - x for x, y in zip(low, high)) == exp
 
 
 def generic_antichain(rng, m):
@@ -155,6 +157,21 @@ def generic_antichain(rng, m):
     return pts
 
 
+@st.composite
+def generic_antichains(draw):
+    """1-12 points of the hyperplane sum(x) = n * 4m in N^n (n = 2-4), distinct on every axis.
+
+    On the hyperplane no point lies below another, and with no coordinate
+    shared the set is generic: build_resolution accepts every draw.
+    """
+    n, m = draw(st.integers(2, 4)), draw(st.integers(1, 12))
+    axes = [draw(st.lists(st.integers(1, 4 * m), min_size=m, max_size=m, unique=True))
+            for _ in range(n - 1)]
+    last = [n * 4 * m - sum(row) for row in zip(*axes)]
+    assume(len(set(last)) == m)
+    return [(*row, z) for row, z in zip(zip(*axes), last)]
+
+
 def test_generic_antichain_resolution_at_scale():
     m = 400
     res = build_resolution(generic_antichain(random.Random(400), m))
@@ -164,3 +181,20 @@ def test_generic_antichain_resolution_at_scale():
     assert len(res.betti) <= 3
     assert res.betti[1] <= 3 * m - 6
     assert res.euler_characteristic() == 1
+
+
+@settings(deadline=None)
+@given(generic_antichains())
+def test_faces_by_dim_are_the_face_records(rows):
+    # the nonempty face records, split by size, each rank join read as its values
+    A = FinitePointSet(rows)
+    values = A.rank_index.values
+    by_dim: list = []
+    for members, top in _face_records(A, None):
+        if len(members) > len(by_dim):
+            by_dim.append([])
+        by_dim[-1].append((members, tuple(vals[t] for vals, t in zip(values, top))))
+    res = build_resolution(A)
+    assert res.faces_by_dim == tuple(map(tuple, by_dim))
+    assert res.augmentation == tuple(p.coords for p in A.points)
+    assert all(type(c) is int for fs in res.faces_by_dim for _, md in fs for c in md)
