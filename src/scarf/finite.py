@@ -141,7 +141,7 @@ def enumerate_complex(A: FinitePointSet, max_dim: int | None = None) -> LabeledC
         if multidegree is None:
             multidegree = labels[top] = Point(vals[t] for vals, t in zip(values, top))
         faces.append(Face.sorted_with_join(tuple(pts[i] for i in members), multidegree))
-    return LabeledComplex.from_closed(faces)
+    return LabeledComplex(faces)
 
 
 class GenericityReport(namedtuple("GenericityReport", "generic mode witness pairwise facet",

@@ -52,7 +52,7 @@ def oracle_finite_nb(A: FinitePointSet) -> LabeledComplex:
             )
             if not dominated:
                 faces.append(Face(Point(c) for c in combo))
-    return LabeledComplex.from_closed(faces)
+    return LabeledComplex(faces)
 
 
 class _CosetSolver:

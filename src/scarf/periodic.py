@@ -3,25 +3,27 @@
 A periodic set is a finite union of cosets of one lattice.  Faces at a
 point are computed in two stages.  First, per orthant, a walk over minimal
 coset steps collects every point whose down-box toward the center holds at
-most dmax+1 set points; these are the only possible star vertices once
-dmax reaches the star dimension.  Each set point of such a box is reached
-by steps that stay inside the box, and points pop in order of their
-weight, so the box's other set points have all been decided when a point
-pops: its count is a scan of the points already accepted.  One
-minimal-solutions search per pair of opposite orthants gives the steps of
-every coset difference, since the steps of coset -d in the opposite orthant
-are the negated steps of coset d.  A walk resumes when dmax grows, so a
-certified call walks once per center, and at a center of symmetry of the
-set only half of the orthants are walked, the others being mirror images.
-Second, faces among the candidates are tested exactly against the full
-periodic set, so reported faces are always correct and the report says
-whether the vertex list is known to be complete.  Both stages run on int
-tuples, and so do the results: a star is a sorted int vertex list with
-(member indices, join) face records, and a quotient's orbits are int vertex
-tuples with their incidence counts.  A star's faces grow from the center at
-its own index among the sorted vertices, through the one face-growing loop
-of the complexes module, so its records come out in the star's vertex
-indices.
+most dmax+1 set points; these are the only possible star vertices once dmax
+reaches the star dimension.  Each set point of such a box is reached by
+steps that stay inside the box, and points pop in order of their weight, so
+the box's other set points have all been decided when a point pops: its
+count is a scan of the points already accepted.  One minimal-solutions
+search per pair of opposite orthants gives the steps of every coset
+difference, since the steps of coset -d in the opposite orthant are the
+negated steps of coset d, and at a center of symmetry of the set only half
+of the orthants are walked.  Second, faces among the candidates are tested
+exactly against the full periodic set, so reported faces are always correct
+and the report says whether the vertex list is known to be complete.  One
+engine, _stars, runs both stages for every entry point, at one depth or
+over doubling depths: a call shares one face-test memo and one step table
+among its centers, each center has one walk, resumed as the depth grows,
+and one face growth, and a search that does not certify reports from those
+same walks.  Both stages run on int tuples, and so do the results: a star
+is a sorted int vertex list with (member indices, join) face records, and a
+quotient's orbits are int vertex tuples with their incidence counts.  A
+star's faces grow from the center at its own index among the sorted
+vertices, through the one face-growing loop of the complexes module, so its
+records come out in the star's vertex indices.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from operator import add, le, mul
 from .complexes import f_vector_of, grow_faces
 from .diophantine import Lattice, _orthant_steps, coset_points, points_below
 from .errors import CertificationError, InputError
-from .geometry import Point, all_orthants, point_key, zero_point
+from .geometry import Point, all_orthants, zero_point
 
 __all__ = [
     "PeriodicSet",
@@ -56,7 +58,7 @@ class PeriodicSet:
     __slots__ = ("lattice", "reps")
 
     def __init__(self, lattice: Lattice, reps):
-        seen = {}
+        seen = set()
         for rep in reps:
             if not isinstance(rep, Point):
                 rep = Point(rep)
@@ -64,13 +66,12 @@ class PeriodicSet:
                 raise InputError(
                     f"dimension mismatch: representative {rep} vs lattice of dimension {lattice.dim}"
                 )
-            canon = lattice.canonical_rep(rep)
-            seen.setdefault(canon.coords, canon)
+            seen.add(lattice._canonical(rep.as_int_tuple()))
         if not seen:
             raise InputError("a periodic set needs at least one coset representative")
         lattice.check_positive()
         self.lattice = lattice
-        self.reps = tuple(sorted(seen.values(), key=point_key))
+        self.reps = tuple(map(Point, sorted(seen)))
 
     @property
     def dim(self) -> int:
@@ -98,11 +99,7 @@ class PeriodicSet:
 def validate_periodic_set(basis_columns, cosets=None) -> PeriodicSet:
     """Build a periodic set from raw basis columns and coset vectors."""
     lattice = Lattice(basis_columns)
-    if cosets is None:
-        reps = [zero_point(lattice.dim)]
-    else:
-        reps = [Point(c) for c in cosets]
-    return PeriodicSet(lattice, reps)
+    return PeriodicSet(lattice, [zero_point(lattice.dim)] if cosets is None else cosets)
 
 
 class CompletenessReport(namedtuple(
@@ -331,58 +328,56 @@ def _grow_star(center: tuple, candidates: list, is_face_join):
     return tuple(vertices), tuple(records), len(records[-1][0]) - 1
 
 
-def star_at(A: PeriodicSet, vertex: Point, dmax: int) -> StarResult:
-    """All faces containing the given set point, up to the search depth."""
-    if dmax < 1:
-        raise InputError(f"search depth must be at least 1, got {dmax}")
-    creps, is_face_join, (center,) = _setup(A, [vertex])
-    candidates, counts, _ = _candidate_vertices(A, creps, center, {})(dmax)
-    vertices, records, observed = _grow_star(center, candidates, is_face_join)
-    return StarResult(vertex, vertices, records,
-                      CompletenessReport(dmax, observed, observed < dmax, counts))
+def _stars(A: PeriodicSet, vertices, depths: list) -> list:
+    """The StarResults at the vertices, all reported at one of the increasing depths.
 
+    One setup, so one face-test memo and one step table, serves every
+    center.  Each center's walk resumes from depth to depth and stops at the
+    first depth where its frontier holds, tested only before the last depth,
+    or at the last; its faces grow once, there.  The reported dmax is the
+    first depth above every observed dimension, or the last depth, and
+    walks stopped below it go on to it for the counts.
 
-def _certified_stars(A: PeriodicSet, vertices, dmax_limit: int, report_at, what: str):
-    """The stars at the vertices at the first of depths 2, 4, 8, ... where all certify.
-
-    certified (observed < dmax) implies complete candidates, which imply the
-    frontier.  So no depth before the frontier's certifies, and from there on
-    each star stays the same: rounds walk until the frontier holds, and faces
-    grow once, there.  The first depth above the star's dimension D certifies,
-    since no star on fewer candidates is larger, and no depth up to D does.
-    So that depth is at least each star's frontier depth, and one walk per
-    center, resumed from depth to depth, serves the rounds and the counts.
+    These are the reports of a walk and growth at dmax alone.  certified
+    (observed < dmax) implies complete candidates, which imply the frontier,
+    so from the frontier depth on each star stays the same.  The first depth
+    above a star's dimension certifies it, since no star on fewer candidates
+    is larger, so that depth is at or past its frontier depth.  A frontier
+    that fails at the last depth leaves a star that does not certify there,
+    so dmax is the last depth, and every star whose frontier held earlier is
+    already the star there.
     """
-    depths = [2 << k for k in range(dmax_limit.bit_length() - 1)]
-
-    def uncertified():
-        return CertificationError(f"{what} did not certify up to depth {dmax_limit}",
-                                  report=report_at(depths[-1]) if depths else None)
-
-    if not depths:
-        raise uncertified()
+    if depths[-1] < 1:
+        raise InputError(f"search depth must be at least 1, got {depths[-1]}")
     creps, is_face_join, centers = _setup(A, vertices)
     steps, grown = {}, []
-    for vertex, center in zip(vertices, centers):
+    for center in centers:
         advance = _candidate_vertices(A, creps, center, steps)
-        for dmax in depths:
-            candidates, counts, rejected = advance(dmax)
-            if not any(is_face_join(tuple(map(max, center, r))) for r in rejected):
+        for depth in depths:
+            candidates, counts, rejected = advance(depth)
+            if depth == depths[-1] or not any(
+                    is_face_join(tuple(map(max, center, r))) for r in rejected):
                 break
-        else:
-            raise uncertified()
-        grown.append((vertex, advance, dmax, counts, *_grow_star(center, candidates, is_face_join)))
+        grown.append((advance, depth, counts, *_grow_star(center, candidates, is_face_join)))
     dim = max(g[-1] for g in grown)
-    dmax = next((d for d in depths if d > dim), None)
-    if dmax is None:
-        raise uncertified()
-    stars = []
-    for vertex, advance, depth, counts, star_vertices, records, observed in grown:
-        if depth != dmax:  # the walk goes on to dmax for the counts there
-            counts = advance(dmax)[1]
-        stars.append(StarResult(vertex, star_vertices, records,
-                                CompletenessReport(dmax, observed, True, counts)))
-    return stars
+    dmax = next((d for d in depths if d > dim), depths[-1])
+    return [StarResult(vertex, star_vertices, records, CompletenessReport(
+                dmax, observed, observed < dmax, counts if depth == dmax else advance(dmax)[1]))
+            for vertex, (advance, depth, counts, star_vertices, records, observed)
+            in zip(vertices, grown)]
+
+
+def _certified(result, what: str, dmax_limit: int):
+    """The result if it certifies, else CertificationError with its report (None for no result)."""
+    if result is None or not result.report.certified:
+        raise CertificationError(f"{what} did not certify up to depth {dmax_limit}",
+                                 report=result and result.report)
+    return result
+
+
+def star_at(A: PeriodicSet, vertex: Point, dmax: int) -> StarResult:
+    """All faces containing the given set point, up to the search depth."""
+    return _stars(A, [vertex], [dmax])[0]
 
 
 def certified_star(A: PeriodicSet, vertex=None, dmax_limit: int = 256) -> StarResult:
@@ -393,9 +388,9 @@ def certified_star(A: PeriodicSet, vertex=None, dmax_limit: int = 256) -> StarRe
     """
     if vertex is None:
         vertex = zero_point(A.dim)
-    (star,) = _certified_stars(A, [vertex], dmax_limit,
-                               lambda dmax: star_at(A, vertex, dmax).report, f"star at {vertex}")
-    return star
+    depths = [2 << k for k in range(max(dmax_limit, 1).bit_length() - 1)]
+    return _certified(_stars(A, [vertex], depths)[0] if depths else None,
+                      f"star at {vertex}", dmax_limit)
 
 
 def quotient_complex(A: PeriodicSet, dmax: int) -> QuotientResult:
@@ -406,7 +401,7 @@ def quotient_complex(A: PeriodicSet, dmax: int) -> QuotientResult:
     met once per vertex, so its incidence count should equal k; the count
     is reported rather than assumed.
     """
-    return _fold(A, [star_at(A, rep, dmax) for rep in A.reps])
+    return _fold(A, _stars(A, A.reps, [dmax]))
 
 
 def _fold(A: PeriodicSet, stars: list) -> QuotientResult:
@@ -444,5 +439,6 @@ def certified_quotient(A: PeriodicSet, dmax_limit: int = 256) -> QuotientResult:
     certified still means observed < dmax in every coset's star.  As in
     certified_star, the rounds only walk and each star's faces grow once.
     """
-    return _fold(A, _certified_stars(A, A.reps, dmax_limit,
-                                     lambda dmax: quotient_complex(A, dmax).report, "quotient"))
+    depths = [2 << k for k in range(max(dmax_limit, 1).bit_length() - 1)]
+    return _certified(_fold(A, _stars(A, A.reps, depths)) if depths else None,
+                      "quotient", dmax_limit)

@@ -23,9 +23,12 @@ from scarf.errors import CertificationError, InputError, PositivityError
 from scarf.geometry import Point, all_orthants, join, zero_point
 from scarf.oracles import oracle_lattice_neighbors, oracle_star_orbit_counts
 from scarf.periodic import (
+    CompletenessReport,
     PeriodicSet,
     QuotientResult,
+    StarResult,
     _candidate_vertices,
+    _fold,
     _grow_star,
     _setup,
     certified_quotient,
@@ -322,6 +325,14 @@ def test_depth_limit_raises_certification_error():
         certified_quotient(ker111(), dmax_limit=3)
     assert info.value.report == quotient_complex(ker111(), 2).report
 
+    # no doubling depth lies below 2, nor below a negative limit, whose
+    # bit length is that of its absolute value
+    for limit in (1, 0, -9, -300):
+        for search in (certified_star, certified_quotient):
+            with pytest.raises(CertificationError) as info:
+                search(ker111(), dmax_limit=limit)
+            assert info.value.report is None
+
 
 def record_rounds(monkeypatch, grow=_grow_star):
     """Log the depth of each advance of a candidate walk and "grow" for each star grown; grow stands in."""
@@ -350,18 +361,19 @@ def test_depth_limit_between_frontier_and_dimension(monkeypatch):
     A = ker111()
     expected = star_at(A, ZERO3, 4).report
     assert (expected.dmax_used, expected.observed_star_dimension, expected.certified) == (4, 5, False)
+    expected_quotient = quotient_complex(A, 4).report
     events = record_rounds(monkeypatch)
     with pytest.raises(CertificationError) as info:
         certified_star(A, dmax_limit=4)
     assert info.value.report == expected
-    # walk-only rounds at 2 and 4, one growth, then star_at(4) for the report
-    assert events == [2, 4, "grow", 4, "grow"]
+    # walk-only rounds at 2 and 4 and one growth, which the report reads
+    assert events == [2, 4, "grow"]
 
     events.clear()
     with pytest.raises(CertificationError) as info:
         certified_quotient(A, dmax_limit=7)
-    assert info.value.report == quotient_complex(A, 4).report
-    assert events[:3] == [2, 4, "grow"]
+    assert info.value.report == expected_quotient
+    assert events == [2, 4, "grow"]
 
 
 # ---------------------------------------------------------------------------
@@ -517,19 +529,40 @@ def test_asymmetric_center_walks_every_orthant(monkeypatch):
 
 
 def test_certified_calls_walk_once_per_center(monkeypatch):
+    # one setup per call, one walk and one growth per center, at a fixed
+    # depth, over doubling depths, and when the doubling does not certify
     A = ker111_e1()
-    centers = []
+    reps = sorted(rep.as_int_tuple() for rep in A.reps)
+    setups, centers, grown = [], [], []
+
+    def setup(A, vertices):
+        setups.append(len(vertices))
+        return _setup(A, vertices)
 
     def walk(A, creps, center, steps):
         centers.append(center)
         return _candidate_vertices(A, creps, center, steps)
 
+    def grow_star(center, candidates, is_face_join):
+        grown.append(center)
+        return _grow_star(center, candidates, is_face_join)
+
+    monkeypatch.setattr(scarf.periodic, "_setup", setup)
     monkeypatch.setattr(scarf.periodic, "_candidate_vertices", walk)
-    certified_quotient(A)
-    assert sorted(centers) == sorted(rep.as_int_tuple() for rep in A.reps)
-    centers.clear()
-    certified_star(A, Point((1, 0, 0)))
-    assert centers == [(1, 0, 0)]
+    monkeypatch.setattr(scarf.periodic, "_grow_star", grow_star)
+    calls = [
+        (lambda: certified_quotient(A), reps),
+        (lambda: certified_star(A, Point((1, 0, 0))), [(1, 0, 0)]),
+        (lambda: quotient_complex(A, 4), reps),
+        (lambda: star_at(A, Point((1, 0, 0)), 3), [(1, 0, 0)]),
+        (lambda: pytest.raises(CertificationError, certified_quotient, A, dmax_limit=4), reps),
+        (lambda: pytest.raises(CertificationError, certified_star, A, dmax_limit=2), [(0, 0, 0)]),
+    ]
+    for call, expected in calls:
+        setups.clear(), centers.clear(), grown.clear()
+        call()
+        assert setups == [len(expected)]
+        assert sorted(centers) == sorted(grown) == expected
 
 
 @st.composite
@@ -572,6 +605,51 @@ def test_star_grows_in_its_own_vertex_indices(A, dmax, place, data):
         len(grown[-1][0]))
 
 
+def reference_star_at(A, vertex, dmax):
+    """The star at vertex from its own setup, one fresh walk to dmax and one growth there."""
+    creps, is_face_join, (center,) = _setup(A, [vertex])
+    candidates, counts, _ = _candidate_vertices(A, creps, center, {})(dmax)
+    vertices, records, observed = _grow_star(center, candidates, is_face_join)
+    return StarResult(vertex, vertices, records,
+                      CompletenessReport(dmax, observed, observed < dmax, counts))
+
+
+def reference_quotient(A, dmax):
+    return _fold(A, [reference_star_at(A, rep, dmax) for rep in A.reps])
+
+
+@settings(max_examples=15, deadline=None)
+@given(vertex_periodic_sets(), st.integers(1, 5))
+def test_fixed_depth_matches_reference(A, dmax):
+    # one setup shared by the cosets, and one walk per center, change
+    # nothing against a fresh setup and walk per star
+    for rep in A.reps:
+        assert star_at(A, rep, dmax) == reference_star_at(A, rep, dmax), rep
+    assert quotient_complex(A, dmax) == reference_quotient(A, dmax)
+
+
+@settings(max_examples=15, deadline=None)
+@given(vertex_periodic_sets(), st.integers(1, 8))
+def test_certified_result_or_reference_report(A, dmax_limit):
+    # a certified result is the reference at the first doubling depth that
+    # certifies; with none, the error carries the reference's report at the
+    # last doubling depth, or None when there is no depth
+    depths = [d for d in (2, 4, 8) if d <= dmax_limit]
+    vertex = A.reps[-1]
+    for run, reference in ((lambda: certified_star(A, vertex, dmax_limit),
+                            lambda dmax: reference_star_at(A, vertex, dmax)),
+                           (lambda: certified_quotient(A, dmax_limit),
+                            lambda dmax: reference_quotient(A, dmax))):
+        certified = [d for d in depths if reference(d).report.certified]
+        try:
+            got = run()
+        except CertificationError as error:
+            assert not certified
+            assert error.report == (reference(depths[-1]).report if depths else None)
+            continue
+        assert certified and got == reference(certified[0])
+
+
 @settings(max_examples=8, deadline=None)
 @given(vertex_periodic_sets(), st.data())
 def test_certified_results_match_doubling_reference(A, data):
@@ -581,7 +659,7 @@ def test_certified_results_match_doubling_reference(A, data):
 
     def star(center, dmax):
         if (center, dmax) not in stars:
-            stars[center, dmax] = star_at(A, center, dmax)
+            stars[center, dmax] = reference_star_at(A, center, dmax)
         return stars[center, dmax]
 
     def reference(center):
@@ -613,7 +691,7 @@ def test_certified_results_match_doubling_reference(A, data):
     depth = max(reference(rep).report.dmax_used for rep in A.reps)
     while not all(star(rep, depth).report.certified for rep in A.reps):
         depth *= 2
-    assert certified_quotient(A) == quotient_complex(A, depth)
+    assert certified_quotient(A) == _fold(A, [star(rep, depth) for rep in A.reps])
 
 
 def test_frontier_certifies_4d_neighbors_without_faces(monkeypatch):
