@@ -531,6 +531,86 @@ def test_lattice_output_in_both_formats_pinned(docfile, capsys, subcommand, doc,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def capped_star(A, vertex):
+    from scarf import periodic
+
+    return periodic.certified_star(A, vertex, dmax_limit=3)
+
+
+def rational_witness(A):
+    # the CLI's resolutions take integer exponents, so a "p/q" witness is planted
+    from scarf.errors import GenericityError
+    from scarf.geometry import Point
+
+    raise GenericityError("input is not generic",
+                          witness=(Point(["1/2", 3]), Point(["1/2", "7/3"]), 0))
+
+
+TIED_VERTEX = ["--vertex", "1/2,3,7/3", "--generic-mode", "both"]
+RADII = ["--r-candidate", "2", "--r-witness", "5"]
+
+# short documents and error documents, with the exit code and, for a planted
+# failure, the cli name patched to raise it; stdout's digest on exit 0,
+# stderr's otherwise
+SHORT_OUTPUT_SHA256 = (
+    ("generic-check", TIED_RATIONAL, ["--generic-mode", "both", "--format", "text"], None, 0,
+     "0079736407cfd6b95a75fa0d6d3a9268d7c26d109c8f35b41d24f84eb970e56e"),
+    ("generic-check", MIXED, ["--generic-mode", "remark", "--format", "text"], None, 0,
+     "56d0f09c8bddfacbc490bb36386c265614c5d4ded00bcfe5087170a04df918ed"),
+    ("finite-nb", TIED_RATIONAL, [*TIED_VERTEX, "--format", "structured"], None, 0,
+     "9f307732d68a3a5790a75cf0b82d80fb746d8024a75b19f7d7f8b77056c43711"),
+    ("finite-nb", TIED_RATIONAL, [*TIED_VERTEX, "--format", "text"], None, 0,
+     "823102bbc12769bf8bc16cf753333a95b222cac52970edb759aba2171e0e9d4a"),
+    ("oracle", KER111_E1, [*RADII, "--format", "structured"], None, 0,
+     "2062b57784153453e8b2a3dca8276194d5d30ee9d6193c9ec17a1d069fd3b21c"),
+    ("oracle", KER111_E1, [*RADII, "--format", "text"], None, 0,
+     "cfc457baea04bf723d5e98d3c29be6a98f491275f8d5cdf8cf919466119e9a1e"),
+    ("oracle", None, ["--selftest", "3", "--format", "structured"], None, 0,
+     "7a9371853979fd5315b4b44c771635c189abeeab68e849cc583a8cdc4700115c"),
+    ("oracle", None, ["--selftest", "3", "--format", "text"], None, 0,
+     "ad28c520fbce825f1616b85682fef01b795c7242d361c8f72d0f8c3837a5c17a"),
+    ("finite-nb", COLLINEAR, ["--vertex", "0,0", "--max-dim", "1", "--format", "structured"],
+     None, 2, "57704ae8f4ecafb7c334388f20527a82d4224bdfe89eabcb59d0432cbce7d0da"),
+    ("finite-nb", COLLINEAR, ["--vertex", "0,0", "--max-dim", "1", "--format", "text"],
+     None, 2, "8af0b0a10922710d42b728d1554dbad718f831cc742bade08743652b52b752c8"),
+    ("lattice-neighbors", BAD_LATTICE, ["--format", "structured"], None, 3,
+     "ed2855a10212d84d07209c43342818c7b0d2cf1d72e193752d4dabf97a587bf0"),
+    ("lattice-neighbors", BAD_LATTICE, ["--format", "text"], None, 3,
+     "d4244fcfe5e63a80660b37a162c798ec34afdafecd1ab4d8e9ef2e301cfaf208"),
+    ("scarf-resolve", NONGENERIC, ["--format", "structured"], None, 4,
+     "e8955142bbbae06a8049286a29636a9676c0f28d45acbb5bad0c4fe27bbca1ec"),
+    ("scarf-resolve", NONGENERIC, ["--format", "text"], None, 4,
+     "81bdfd1705af3710756e0ee9c8279d1eca0ef2c46e5e412f83155965e8591727"),
+    ("scarf-resolve", COLLINEAR, ["--format", "structured"],
+     ("build_resolution", rational_witness), 4,
+     "15addcf9b411d74d3484fe0f19b5436b4b5df749cddb19b1c8b439d21131c072"),
+    ("scarf-resolve", COLLINEAR, ["--format", "text"],
+     ("build_resolution", rational_witness), 4,
+     "86d65e13f080c5137c821100e8d5dbf2a4a19070e63a67784af512d7c0d1b739"),
+    ("lattice-star", KER111, ["--auto-dmax", "--format", "structured"],
+     ("certified_star", capped_star), 6,
+     "97378318021ad87fa19dc39f55e54d156b5938a8be7656794cb8ecd2f3f01ca9"),
+    ("lattice-star", KER111, ["--auto-dmax", "--format", "text"],
+     ("certified_star", capped_star), 6,
+     "41ac010d30a00a62d667a335ad3a54d8227e66587d0608ce276a9c57aa06b6be"),
+)
+
+
+@pytest.mark.parametrize("subcommand, doc, flags, patch, exit_code, digest", SHORT_OUTPUT_SHA256,
+                         ids=[f"{c}-{i}" for i, (c, *_) in enumerate(SHORT_OUTPUT_SHA256)])
+def test_short_output_pinned(docfile, capsys, monkeypatch, subcommand, doc, flags, patch,
+                             exit_code, digest):
+    from scarf import cli
+
+    if patch is not None:
+        monkeypatch.setattr(cli, *patch)
+    code, out, err = run_cli([subcommand, *([] if doc is None else [docfile(doc)]), *flags],
+                             capsys)
+    text, rest = (out, err) if code == 0 else (err, out)
+    assert (code, rest) == (exit_code, "")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_lattice_flag_validation(docfile, capsys):
     code, _, _ = run_cli(
         ["lattice-neighbors", docfile(KER111), "--dmax", "6", "--auto-dmax"], capsys
