@@ -64,6 +64,8 @@ def parse_document(text: str) -> dict:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an int beyond the digit limit
         raise InputError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError("the JSON nests too deeply to read") from exc
     if not isinstance(doc, dict):
         raise InputError("the top-level JSON value must be an object")
     return doc
@@ -79,13 +81,15 @@ def render_document(doc: dict) -> str:
 
 
 def load_document(path: str) -> dict:
-    if path == "-":
-        return parse_document(sys.stdin.read())
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_document(fh.read())
-    except OSError as exc:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    return parse_document(text)
 
 
 def _parse_row(row, where: str) -> Point:

@@ -958,6 +958,22 @@ def test_bad_json_exits_2(tmp_path, capsys):
         assert json.loads(err)["error"] == "InputError"
 
 
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(["finite-nb", str(path), "--format", "structured"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "InputError"
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"points": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run_cli(["finite-nb", str(path), "--format", "structured"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "InputError"
+
+
 @pytest.mark.parametrize("text", ["1_0", "3.5", "1e2", " 3 ", "\u0663"])
 def test_coordinate_outside_the_grammar_exits_2(docfile, capsys, text):
     # int() and Fraction() alone accept these, some only on some Python versions
