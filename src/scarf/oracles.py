@@ -143,7 +143,8 @@ def oracle_lattice_neighbors(A: PeriodicSet, r_candidate: int, r_witness: int):
     candidate the exact strictly-below set is fetched independently and must
     lie inside the witness box; a too-small radius raises RadiusError rather
     than silently truncating, and any disagreement between the scan and the
-    exact set is an internal failure.
+    exact set is an internal failure.  An origin that is not a set point, or
+    is strictly dominated, is no vertex and raises InputError.
     """
     if r_candidate < 1 or r_witness <= r_candidate:
         raise InputError(
@@ -153,15 +154,12 @@ def oracle_lattice_neighbors(A: PeriodicSet, r_candidate: int, r_witness: int):
     solver = _CosetSolver(A.lattice.columns)
     reps = _int_reps(A)
     zero = (0,) * n
-    candidates = [
-        x for x in _scan_box(solver, reps, (-r_candidate,) * n, (r_candidate,) * n)
-        if x != zero
-    ]
+    if not any(solver.member(tuple(-c for c in rep)) for rep in reps):
+        raise InputError("the origin is not a point of the set")
     pool = _scan_box(solver, reps, (-r_witness,) * n, (r_witness,) * n)
-    neighbors = []
     checked: dict = {}
-    for b in candidates:
-        top = tuple(max(x, 0) for x in b)
+
+    def below_is_empty(top) -> bool:
         if top not in checked:
             exact = points_below(A.lattice, A.reps, Point(top))
             for p in exact:
@@ -178,8 +176,14 @@ def oracle_lattice_neighbors(A: PeriodicSet, r_candidate: int, r_witness: int):
                     f"witness scan and exact enumeration disagree below {Point(top)}"
                 )
             checked[top] = not scanned
-        if checked[top]:
-            neighbors.append(Point(b))
+        return checked[top]
+
+    if not below_is_empty(zero):
+        raise InputError("the origin is strictly dominated and is not a vertex")
+    neighbors = [
+        Point(b) for b in _scan_box(solver, reps, (-r_candidate,) * n, (r_candidate,) * n)
+        if b != zero and below_is_empty(tuple(max(x, 0) for x in b))
+    ]
     return tuple(sorted(neighbors, key=point_key))
 
 

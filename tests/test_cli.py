@@ -872,6 +872,17 @@ def test_oracle_lattice_doc(docfile, capsys):
     assert doc["source"] == "oracle"
 
 
+@pytest.mark.parametrize("cosets", [[[1, 0, 0]], [[0, 0, 0], [-1, -1, -1]]],
+                         ids=["origin-not-in-set", "origin-dominated"])
+def test_lattice_oracle_refuses_a_center_that_is_no_vertex(docfile, capsys, cosets):
+    # the oracle and the main path agree that the origin has no neighbors to list
+    path = docfile({"basis": KER111["basis"], "cosets": cosets})
+    code, out, err = run_cli(["oracle", path, *RADII, "--format", "structured"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "InputError"
+    assert run_cli(["lattice-neighbors", path, "--dmax", "2"], capsys)[0] == code
+
+
 def test_oracle_flag_validation(docfile, capsys):
     code, _, _ = run_cli(["oracle", docfile(KER111)], capsys)
     assert code == 2  # radii missing
