@@ -2,9 +2,9 @@
 
 One job per invocation: a subcommand, one JSON input document, flags, and a
 single output document on stdout (JSON with --format structured, a readable
-summary otherwise).  Complexes, stars, quotients, layerings and resolutions
-are written in either format straight from their face records, orbits or
-results, with no document between.
+summary otherwise).  Every job returns its output as text, written in
+either format straight from its result (face records, neighbor rows,
+orbits, reports, a Layering or a Resolution), with no document between.
 Failures print an error document to stderr and exit with a class-specific
 code: 2 malformed input, 3 positivity violation, 4 genericity required but
 absent, 5 internal invariant failure, 6 no certificate within the depth
@@ -28,9 +28,10 @@ from operator import getitem
 from . import formats
 from .complexes import f_vector_of
 from .errors import InputError, InternalError, ScarfError
-from .finite import FinitePointSet, _face_records, is_generic, neighbors
+from .finite import FinitePointSet, GenericityReport, _face_records, is_generic, neighbors
 from .geometry import Orthant, Point, point_key, zero_point
-from .periodic import QuotientResult, certified_quotient, certified_star, quotient_complex, star_at
+from .periodic import (CompletenessReport, QuotientResult, certified_quotient, certified_star,
+                       quotient_complex, star_at)
 from .posets import Layering, dickson_layers, filter_by_downset
 from .resolution import Resolution, build_resolution, verify_chain
 
@@ -134,12 +135,12 @@ def _oracle_records(A: FinitePointSet) -> list:
             for f in oracle_finite_nb(A).faces() if f.vertices]
 
 
-def _run_oracle(job: argparse.Namespace) -> dict | str:
-    radii = job.r_candidate is not None or job.r_witness is not None
+def _run_oracle(job: argparse.Namespace) -> str:
+    text, radii = job.fmt == "text", job.r_candidate is not None or job.r_witness is not None
     if job.selftest is not None:
         if job.input is not None or radii:
             raise InputError("--selftest takes no input document, --r-candidate or --r-witness")
-        return _selftest(job.selftest, 0 if job.seed is None else job.seed)
+        return _selftest(job.selftest, 0 if job.seed is None else job.seed, text)
     if job.seed is not None:
         raise InputError("--seed applies to --selftest only")
     if job.input is None:
@@ -149,33 +150,29 @@ def _run_oracle(job: argparse.Namespace) -> dict | str:
         if radii:
             raise InputError("--r-candidate and --r-witness apply to lattice documents only")
         A = formats.parse_points_doc(doc)
-        write = complex_text if job.fmt == "text" else formats.complex_doc
-        return write(A, _oracle_records(A), {"source": "oracle"})
+        write, extra = (complex_text, []) if text else (formats.complex_doc, {"source": "oracle"})
+        return write(A, _oracle_records(A), extra)
     A = formats.parse_lattice_doc(doc)
     if job.r_candidate is None or job.r_witness is None:
         raise InputError("lattice oracle needs --r-candidate and --r-witness")
     from .oracles import oracle_lattice_neighbors
 
-    nbs = oracle_lattice_neighbors(A, job.r_candidate, job.r_witness)
-    return {
-        "kind": "neighbors",
-        "center": formats.point_json(zero_point(A.dim)),
-        "neighbors": [formats.point_json(p) for p in nbs],
-        "r_candidate": job.r_candidate,
-        "r_witness": job.r_witness,
-        "source": "oracle",
-    }
+    rows = [p.coords for p in oracle_lattice_neighbors(A, job.r_candidate, job.r_witness)]
+    if text:
+        return neighbors_text(zero_point(A.dim), rows, [
+            f"candidate radius {job.r_candidate}, witness radius {job.r_witness}"])
+    return formats.neighbors_doc(zero_point(A.dim), rows, {
+        "r_candidate": job.r_candidate, "r_witness": job.r_witness, "source": "oracle"})
 
 
-def _selftest(trials: int, seed: int) -> dict:
+def _selftest(trials: int, seed: int, text: bool) -> str:
     import random
 
     if trials < 1:
         raise InputError(f"--selftest needs at least 1 trial, got {trials}")
     rng = random.Random(seed)
     for t in range(trials):
-        n = rng.randint(2, 4)
-        m = rng.randint(1, 7)
+        n, m = rng.randint(2, 4), rng.randint(1, 7)
         pts = set()
         while len(pts) < m:
             pts.add(tuple(rng.randint(0, 9) for _ in range(n)))
@@ -186,17 +183,20 @@ def _selftest(trials: int, seed: int) -> dict:
                 f"selftest trial {t} (seed {seed}): enumerator and oracle disagree on "
                 f"{[list(p) for p in sorted(pts)]}"
             )
-    return {"kind": "selftest", "trials": trials, "seed": seed, "agreed": True}
+    if text:
+        return f"selftest: {trials} trials with seed {seed}: all agreed\n"
+    return formats.render_document({"kind": "selftest", "trials": trials, "seed": seed,
+                                    "agreed": True})
 
 
-def run(job: argparse.Namespace) -> dict | str:
-    """Execute one job, given as the parsed command line, and return its output.
+def run(job: argparse.Namespace) -> str:
+    """Execute one job, given as the parsed command line, and return its output text.
 
-    The output is a document, except for complexes of finite sets, stars,
-    quotients, layerings and resolutions: those come back as the text of
-    the job's format itself, written from the face records, orbits,
-    Layering or Resolution in either format.
+    The text is the structured document or the readable summary, as --format
+    asks, written in either format from the job's result: face records,
+    neighbor rows, orbits, reports, a Layering or a Resolution.
     """
+    text = job.fmt == "text"
     if job.subcommand == "finite-nb":
         A = formats.parse_points_doc(formats.load_document(job.input))
         if job.max_dim is not None and job.vertex is not None:
@@ -206,33 +206,31 @@ def run(job: argparse.Namespace) -> dict | str:
         v = None if job.vertex is None else _parse_vertex(job, A.dim)
         max_size = None if job.max_dim is None else job.max_dim + 1
         records = None
-        extra = {}
+        # what the writer adds after the faces or neighbors: lines, or fields
+        extra = [] if text else {}
         if job.generic_mode is not None:
             if v is None and job.generic_mode != "definition":
                 # the facet check reads every face: grow them once for both
                 records = _face_records(A, None)
-            extra["genericity"] = formats.genericity_doc(
-                is_generic(A, mode=job.generic_mode, records=records))
+            report = is_generic(A, mode=job.generic_mode, records=records)
+            extra = _genericity_lines(report) if text else {
+                "genericity": formats.genericity_doc(report)}
         if v is None:
             if records is None:
                 records = _face_records(A, max_size)
             elif max_size is not None:
                 # records come by size, so the faces up to max_size are a prefix
                 records = records[:bisect_right(records, max_size, key=lambda r: len(r[0]))]
-            write = complex_text if job.fmt == "text" else formats.complex_doc
-            return write(A, records, extra)
-        return {
-            "kind": "neighbors",
-            "center": formats.point_json(v),
-            "neighbors": [
-                formats.point_json(p) for p in sorted(neighbors(A, v), key=point_key)
-            ],
-            **extra,
-        }
+            return (complex_text if text else formats.complex_doc)(A, records, extra)
+        rows = [p.coords for p in sorted(neighbors(A, v), key=point_key)]
+        return (neighbors_text if text else formats.neighbors_doc)(v, rows, extra)
 
     if job.subcommand == "generic-check":
         A = formats.parse_points_doc(formats.load_document(job.input))
-        return formats.genericity_doc(is_generic(A, mode=job.generic_mode))
+        report = is_generic(A, mode=job.generic_mode)
+        if text:
+            return "\n".join(_genericity_lines(report)) + "\n"
+        return formats.render_document(formats.genericity_doc(report))
 
     if job.subcommand == "layers":
         A = formats.parse_points_doc(formats.load_document(job.input))
@@ -241,7 +239,7 @@ def run(job: argparse.Namespace) -> dict | str:
         orthant = None if job.orthant is None else Orthant.from_string(job.orthant)
         layering = dickson_layers(A, job.k, orthant)
         filtered = filter_by_downset(A, job.k, orthant)
-        write = layering_text if job.fmt == "text" else formats.layering_doc
+        write = layering_text if text else formats.layering_doc
         return write(layering, filtered, job.k)
 
     if job.subcommand == "scarf-resolve":
@@ -250,29 +248,31 @@ def run(job: argparse.Namespace) -> dict | str:
         check = verify_chain(res)
         if not check:
             raise InternalError("; ".join(check.failures))
-        return resolution_text(res) if job.fmt == "text" else formats.resolution_doc(res)
+        return resolution_text(res) if text else formats.resolution_doc(res)
 
     if job.subcommand in ("lattice-neighbors", "lattice-star"):
         A = formats.parse_lattice_doc(formats.load_document(job.input))
         dmax = _resolve_dmax(job)
         vertex = _parse_vertex(job, A.dim)
-        if dmax is None:
-            star = certified_star(A, vertex)
-        else:
-            star = star_at(A, vertex, dmax)
-        if job.subcommand == "lattice-neighbors":
-            return formats.neighbors_doc(star)
-        if job.fmt == "structured":
+        star = certified_star(A, vertex) if dmax is None else star_at(A, vertex, dmax)
+        if job.subcommand == "lattice-star" and not text:
             return formats.star_doc(star)
-        # the summary counts faces by dimension, so it never writes them
-        f_vector = f_vector_of(star.records)
-        return render_text({**formats.neighbors_doc(star), "kind": "star", "f_vector": f_vector})
+        rows = [v for v in star.vertices if v != star.center.coords]
+        if not text:
+            return formats.neighbors_doc(star.center, rows,
+                                         {"report": formats.report_doc(star.report)})
+        lines = _report_lines(star.report)
+        if job.subcommand == "lattice-star":
+            # the summary counts faces by dimension, so it never writes them
+            lines.insert(0, "faces by dimension: " + ", ".join(
+                f"{d}:{n}" for d, n in enumerate(f_vector_of(star.records))))
+        return neighbors_text(star.center, rows, lines)
 
     if job.subcommand == "quotient":
         A = formats.parse_lattice_doc(formats.load_document(job.input))
         dmax = _resolve_dmax(job)
         q = certified_quotient(A) if dmax is None else quotient_complex(A, dmax)
-        return quotient_text(q) if job.fmt == "text" else formats.quotient_doc(q)
+        return quotient_text(q) if text else formats.quotient_doc(q)
 
     if job.subcommand == "oracle":
         return _run_oracle(job)
@@ -295,21 +295,32 @@ def monomial(exponents: list) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _report_lines(rep: dict) -> list:
-    status = "certified complete" if rep["certified"] else "NOT certified"
-    lines = [
-        f"search depth {rep['dmax_used']}, observed star dimension "
-        f"{rep['observed_star_dimension']}, {status}",
+def _report_lines(report: CompletenessReport) -> list:
+    status = "certified complete" if report.certified else "NOT certified"
+    return [
+        f"search depth {report.dmax_used}, observed star dimension "
+        f"{report.observed_star_dimension}, {status}",
         "candidates per orthant: "
-        + ", ".join(f"{orth}:{n}" for orth, n in rep["candidate_counts"]),
+        + ", ".join(f"{orth}:{n}" for orth, n in report.candidate_counts),
     ]
+
+
+def _genericity_lines(report: GenericityReport) -> list:
+    lines = [f"{'generic' if report.generic else 'not generic'} (mode: {report.mode})"]
+    if report.witness is not None:
+        a, b, coordinate = report.witness
+        lines.append(f"  witness: {_point_str(a.coords)} and {_point_str(b.coords)} "
+                     f"share coordinate {coordinate}")
+    if report.modes_agree is not None:
+        lines.append(f"  modes agree: {report.modes_agree}")
     return lines
 
 
-def complex_text(A: FinitePointSet, records: list, extra: dict) -> str:
-    """render_text of the document formats.complex_doc(A, records, extra), from the records.
+def complex_text(A: FinitePointSet, records: list, tail: list) -> str:
+    """The text form of formats.complex_doc(A, records, extra), from the records.
 
-    Each vertex's text and each distinct join's text is written once.
+    A line per face, then tail, the lines of what extra holds.  Each
+    vertex's text and each distinct join's text is written once.
     """
     f_vector = f_vector_of(records)
     block = [_point_str(p.coords) for p in A.points].__getitem__
@@ -319,22 +330,32 @@ def complex_text(A: FinitePointSet, records: list, extra: dict) -> str:
     lines = [f"complex of dimension {len(f_vector) - 1}, f-vector {_point_str(f_vector)}"]
     lines += [f"  dim {len(members) - 1}: {' '.join(map(block, members))}  join {joins[top]}"
               for members, top in records]
-    text = "\n".join(lines) + "\n"
-    return text + render_text(extra["genericity"]) if "genericity" in extra else text
+    return "\n".join(lines + tail) + "\n"
+
+
+def neighbors_text(center: Point, rows: list, tail: list) -> str:
+    """The text form of formats.neighbors_doc(center, rows, fields), from the rows.
+
+    The center and the neighbor count, a line per neighbor, then tail, the
+    lines of what fields holds.
+    """
+    lines = [f"center {_point_str(center.coords)}: {len(rows)} neighbors"]
+    lines += ["  " + _point_str(v) for v in rows]
+    return "\n".join(lines + tail) + "\n"
 
 
 def quotient_text(q: QuotientResult) -> str:
-    """render_text of the document formats.quotient_doc(q), each vertex's text written once."""
+    """The text form of formats.quotient_doc(q), each vertex's text written once."""
     vertices = dict.fromkeys(v for vs, _ in q.orbits for v in vs)
     block = {v: _point_str(v) for v in vertices}.__getitem__
     lines = [f"orbit f-vector: {_point_str(q.f_vector)}"]
     lines += [f"  dim {len(vs) - 1} x{c}: {' '.join(map(block, vs))}" for vs, c in q.orbits]
-    lines += _report_lines(formats.report_doc(q.report))
+    lines += _report_lines(q.report)
     return "\n".join(lines) + "\n"
 
 
 def layering_text(layering: Layering, filtered, k: int) -> str:
-    """render_text of the document formats.layering_doc(layering, filtered, k), from its sets."""
+    """The text form of formats.layering_doc(layering, filtered, k), from its sets."""
     def row(points) -> str:
         return " ".join([_point_str(p.coords) for p in sorted(points, key=point_key)])
 
@@ -345,7 +366,7 @@ def layering_text(layering: Layering, filtered, k: int) -> str:
 
 
 def resolution_text(res: Resolution) -> str:
-    """render_text of the document formats.resolution_doc(res), from the Resolution."""
+    """The text form of formats.resolution_doc(res), from the Resolution."""
     lines = [
         f"betti numbers: {_point_str(res.betti)}",
         "multigraded: " + "; ".join([f"dim {d} at {_point_str(md)} x{n}"
@@ -360,62 +381,20 @@ def resolution_text(res: Resolution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_text(doc: dict) -> str:
-    """Readable one-job summary of an output document."""
-    kind = doc.get("kind")
-    lines = []
-    if kind == "genericity":
-        head = "generic" if doc["generic"] else "not generic"
-        lines.append(f"{head} (mode: {doc['mode']})")
-        if doc["witness"] is not None:
-            w = doc["witness"]
-            lines.append(
-                f"  witness: {_point_str(w['a'])} and {_point_str(w['b'])} "
-                f"share coordinate {w['coordinate']}"
-            )
-        if "modes_agree" in doc:
-            lines.append(f"  modes agree: {doc['modes_agree']}")
-    elif kind in ("neighbors", "star"):
-        lines.append(
-            f"center {_point_str(doc['center'])}: {len(doc['neighbors'])} neighbors"
-        )
-        for p in doc["neighbors"]:
-            lines.append("  " + _point_str(p))
-        if kind == "star":
-            lines.append("faces by dimension: "
-                         + ", ".join(f"{d}:{n}" for d, n in enumerate(doc["f_vector"])))
-        if "report" in doc:
-            lines.extend(_report_lines(doc["report"]))
-        if "r_candidate" in doc:
-            lines.append(
-                f"candidate radius {doc['r_candidate']}, witness radius {doc['r_witness']}"
-            )
-    elif kind == "selftest":
-        lines.append(
-            f"selftest: {doc['trials']} trials with seed {doc['seed']}: "
-            + ("all agreed" if doc["agreed"] else "DISAGREED")
-        )
-    elif kind == "error":
-        lines.append(f"error [{doc['error']}]: {doc['message']}")
-        if "witness" in doc:
-            lines.append(f"  witness: {doc['witness']}")
-    else:
-        return formats.render_document(doc)
-    if "genericity" in doc:
-        lines.append(render_text(doc["genericity"]).rstrip("\n"))
-    return "\n".join(lines) + "\n"
-
-
 def main(argv=None) -> int:
     job = _build_parser().parse_args(argv)
     try:
-        doc, stream, code = run(job), sys.stdout, 0
+        text, stream, code = run(job), sys.stdout, 0
     except Exception as exc:  # noqa: BLE001 - anything but a ScarfError is an internal failure
         code = exc.exit_code if isinstance(exc, ScarfError) else 5
         doc, stream = formats.error_doc(exc, code), sys.stderr
-    if not isinstance(doc, str):
-        doc = formats.render_document(doc) if job.fmt == "structured" else render_text(doc)
-    stream.write(doc)
+        if job.fmt == "structured":
+            text = formats.render_document(doc)
+        else:
+            # the witness as the structured error lists it
+            witness = [f"  witness: {doc['witness']}"] if "witness" in doc else []
+            text = "\n".join([f"error [{doc['error']}]: {doc['message']}", *witness]) + "\n"
+    stream.write(text)
     return code
 
 

@@ -11,12 +11,15 @@ round-trips at the document level and diffs are stable.  The exact byte
 contract, json.dumps(doc, sort_keys=True, indent=2) + "\n", is what
 render_document is.
 
-Documents with long lists are written from results, not built first:
+Documents with lists are written from results, not built first:
 complex_doc and star_doc (from (member indices, join) face records),
-quotient_doc (from orbits), resolution_doc (from a Resolution) and
-layering_doc (from a Layering) write each list's items as text, and one
-list writer places them among the short fields that render_document
-writes; that text equals render_document of the document it stands for.
+neighbors_doc (from coordinate rows), quotient_doc (from orbits),
+resolution_doc (from a Resolution) and layering_doc (from a Layering)
+write each list's items as text, and one list writer places them among
+the short fields that render_document writes; that text equals
+render_document of the document it stands for.  genericity_doc,
+report_doc and error_doc build the short dicts that other documents
+embed or that render_document writes whole.
 """
 
 from __future__ import annotations
@@ -277,23 +280,26 @@ def star_doc(star: StarResult) -> str:
     """The text of the star document, written from the star's face records.
 
     Returns render_document of {"kind": "star", "center", "neighbors",
-    "faces", "report"}, byte for byte, each face as in complex_doc.
+    "faces", "report"}, byte for byte, each face as in complex_doc and the
+    neighbors as in neighbors_doc.
     """
+    center = star.center.coords
     # a join's coordinate on an axis is one of its vertices' coordinates there
     values = [{c: _coord_text(c) for c in axis} for axis in zip(*star.vertices)]
-    return _list_doc({**neighbors_doc(star), "kind": "star"},
-                     faces=_faces([_vertex_block(v, 4) for v in star.vertices], values,
-                                  star.records))
+    return _list_doc(
+        {"kind": "star", "center": point_json(star.center), "report": report_doc(star.report)},
+        faces=_faces([_vertex_block(v, 4) for v in star.vertices], values, star.records),
+        neighbors=[_vertex_block(v, 2) for v in star.vertices if v != center])
 
 
-def neighbors_doc(star: StarResult) -> dict:
-    center = star.center.coords
-    return {
-        "kind": "neighbors",
-        "center": list(center),
-        "neighbors": [list(v) for v in star.vertices if v != center],
-        "report": report_doc(star.report),
-    }
+def neighbors_doc(center: Point, rows, fields: dict) -> str:
+    """The text of the neighbors document of center, given its neighbors' coordinates.
+
+    Returns render_document of {"kind": "neighbors", "center", "neighbors",
+    **fields}, byte for byte, with the neighbors in the order of rows.
+    """
+    return _list_doc({"kind": "neighbors", "center": point_json(center), **fields},
+                     neighbors=[_vertex_block(v, 2) for v in rows])
 
 
 def quotient_doc(q: QuotientResult) -> str:

@@ -15,16 +15,18 @@ from hypothesis import strategies as st
 import scarf
 from scarf import formats
 from scarf.cli import (
+    _genericity_lines,
     complex_text,
     layering_text,
     main,
     monomial,
+    neighbors_text,
     quotient_text,
-    render_text,
     resolution_text,
 )
 from scarf.errors import InputError
-from scarf.finite import FinitePointSet, _face_records, is_generic
+from scarf.finite import FinitePointSet, _face_records, is_generic, neighbors
+from scarf.geometry import point_key
 from scarf.periodic import quotient_complex
 from scarf.resolution import build_resolution
 from test_formats import (
@@ -713,6 +715,9 @@ def reference_text(doc: dict) -> str:
                  + point_text(doc["f_vector"])]
         lines += [f"  dim {f['dim']}: " + " ".join(point_text(v) for v in f["vertices"])
                   + "  join " + point_text(f["multidegree"]) for f in doc["faces"]]
+    elif doc["kind"] == "neighbors":
+        lines = [f"center {point_text(doc['center'])}: {len(doc['neighbors'])} neighbors"]
+        lines += ["  " + point_text(p) for p in doc["neighbors"]]
     else:
         rep = doc["report"]
         lines = ["orbit f-vector: " + point_text(doc["f_vector"])]
@@ -724,8 +729,25 @@ def reference_text(doc: dict) -> str:
                   "candidates per orthant: "
                   + ", ".join(f"{orth}:{n}" for orth, n in rep["candidate_counts"])]
     if "genericity" in doc:
-        lines.append(render_text(doc["genericity"]).rstrip("\n"))
+        g = doc["genericity"]
+        lines.append(f"{'generic' if g['generic'] else 'not generic'} (mode: {g['mode']})")
+        if g["witness"] is not None:
+            w = g["witness"]
+            lines.append(f"  witness: {point_text(w['a'])} and {point_text(w['b'])} "
+                         f"share coordinate {w['coordinate']}")
+        if "modes_agree" in g:
+            lines.append(f"  modes agree: {g['modes_agree']}")
     return "\n".join(lines) + "\n"
+
+
+def attached(A, extra):
+    """The text tail and the document fields a finite job attaches, for extra."""
+    if extra is None:
+        return [], {}
+    if extra == "source":
+        return [], {"source": "oracle"}
+    report = is_generic(A, mode=extra)
+    return _genericity_lines(report), {"genericity": formats.genericity_doc(report)}
 
 
 @settings(deadline=None)
@@ -734,18 +756,23 @@ def reference_text(doc: dict) -> str:
 def test_complex_text_matches_the_parsed_document(rows, max_dim, extra):
     A = FinitePointSet(rows)
     records = _face_records(A, None if max_dim is None else max_dim + 1)
-    if extra is None:
-        extra = {}
-    elif extra == "source":
-        extra = {"source": "oracle"}
-    else:
-        extra = {"genericity": formats.genericity_doc(is_generic(A, mode=extra))}
-    text = complex_text(A, records, extra)
-    expected = reference_text(json.loads(formats.complex_doc(A, records, extra)))
+    tail, fields = attached(A, extra)
+    text = complex_text(A, records, tail)
+    expected = reference_text(json.loads(formats.complex_doc(A, records, fields)))
     # not assert text == expected: pytest's diff of long strings takes
     # minutes, once per shrinking step
     same = text == expected
     assert same, f"first difference at offset {first_difference(text, expected)}"
+
+
+@given(point_sets, st.sampled_from([None, "source", "definition", "remark", "both"]))
+def test_neighbors_text_matches_the_parsed_document(rows, extra):
+    A = FinitePointSet(rows)
+    center = A.points[-1]
+    nbs = [p.coords for p in sorted(neighbors(A, center), key=point_key)]
+    tail, fields = attached(A, extra)
+    text = neighbors_text(center, nbs, tail)
+    assert text == reference_text(json.loads(formats.neighbors_doc(center, nbs, fields)))
 
 
 # fixed depths only: a failing certified quotient shrinks for minutes, and
@@ -777,25 +804,38 @@ def test_resolution_text_matches_the_reference(rows):
 
 
 def test_text_output_writes_no_json(docfile, capsys, monkeypatch):
-    pinned = {(c, json.dumps(doc), tuple(flags)): digest
+    # a text job of every subcommand, and a text error, with every structured
+    # writer but error_doc refusing to run
+    pinned = {(c, json.dumps(doc), tuple(flags)): (0, digest)
               for c, doc, flags, digest in FINITE_OUTPUT_SHA256 + LATTICE_FORMAT_SHA256}
+    pinned.update({(c, json.dumps(doc), tuple(flags)): (code, digest)
+                   for c, doc, flags, patch, code, digest in SHORT_OUTPUT_SHA256 if patch is None})
 
     def refuse(*args):
-        raise AssertionError("a text job wrote the structured document")
+        raise AssertionError("a text job wrote a structured document")
 
-    for name in ("complex_doc", "quotient_doc", "layering_doc", "resolution_doc"):
+    for name in ("render_document", "complex_doc", "genericity_doc", "layering_doc",
+                 "neighbors_doc", "quotient_doc", "report_doc", "resolution_doc", "star_doc"):
         monkeypatch.setattr(formats, name, refuse)
     for c, doc, flags in (("finite-nb", RATIONAL_COLLINEAR, ("--format", "text")),
                           ("finite-nb", GENERIC_ANTICHAIN,
                            ("--generic-mode", "both", "--format", "text")),
+                          ("finite-nb", TIED_RATIONAL, (*TIED_VERTEX, "--format", "text")),
+                          ("generic-check", TIED_RATIONAL,
+                           ("--generic-mode", "both", "--format", "text")),
                           ("oracle", PLANE_3D, ("--format", "text")),
+                          ("oracle", KER111_E1, (*RADII, "--format", "text")),
+                          ("oracle", None, ("--selftest", "3", "--format", "text")),
                           ("quotient", KER114_E1, ("--dmax", "4", "--format", "text")),
                           ("quotient", KER125_E1, ("--auto-dmax", "--format", "text")),
+                          ("lattice-star", KER125_E1, ("--auto-dmax", "--format", "text")),
+                          ("lattice-neighbors", KER125_E1, ("--auto-dmax", "--format", "text")),
+                          ("lattice-neighbors", BAD_LATTICE, ("--format", "text")),
                           ("layers", RATIONAL_GRID, ("--k", "2", "--format", "text")),
                           ("scarf-resolve", PERMUTATION_4D, ("--format", "text"))):
-        code, out, _ = run_cli([c, docfile(doc), *flags], capsys)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == pinned[c, json.dumps(doc), flags]
+        code, out, err = run_cli([c, *([] if doc is None else [docfile(doc)]), *flags], capsys)
+        digest = hashlib.sha256((out or err).encode()).hexdigest()
+        assert (code, digest) == pinned[c, json.dumps(doc), flags]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from scarf.formats import (
     point_json,
     quotient_doc,
     render_document,
+    report_doc,
     resolution_doc,
     star_doc,
 )
@@ -166,6 +167,15 @@ def test_complex_doc_is_json_dumps_of_the_reference(rows, max_dim, extra):
     # not a plain ==: pytest's diff of two long texts would run at every shrink step
     same = text == expected
     assert same, f"first difference at offset {first_difference(text, expected)}"
+
+
+@given(point_sets, extras)
+def test_neighbors_doc_is_json_dumps_of_the_reference(rows, extra):
+    center, *rest = [Point(r) for r in rows]
+    nbs = [p.coords for p in rest]
+    expected = {"kind": "neighbors", "center": point_json(center),
+                "neighbors": [point_json(p) for p in rest], **extra}
+    assert neighbors_doc(center, nbs, extra) == dumped(expected)
 
 
 def first_difference(a: str, b: str) -> int:
@@ -342,7 +352,9 @@ def fixture_docs():
     return {
         "complex": cx,
         "star": json.loads(star_doc(star)),
-        "neighbors": neighbors_doc(star),
+        "neighbors": json.loads(neighbors_doc(star.center, [v for v in star.vertices
+                                                             if v != star.center.coords],
+                                              {"report": report_doc(star.report)})),
         "quotient": json.loads(quotient_doc(quotient_complex(ker111_e1, 2))),
         "resolution": json.loads(resolution_doc(build_resolution([(3, 0, 1), (1, 2, 0),
                                                                   (0, 1, 3)]))),
