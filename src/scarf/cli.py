@@ -391,9 +391,11 @@ def main(argv=None) -> int:
         if job.fmt == "structured":
             text = formats.render_document(doc)
         else:
-            # the witness as the structured error lists it
-            witness = [f"  witness: {doc['witness']}"] if "witness" in doc else []
-            text = "\n".join([f"error [{doc['error']}]: {doc['message']}", *witness]) + "\n"
+            # the witness as the structured error lists it, then any last report
+            lines = [f"error [{doc['error']}]: {doc['message']}"]
+            lines += [f"  witness: {doc['witness']}"] if "witness" in doc else []
+            lines += _report_lines(exc.report) if "report" in doc else []
+            text = "\n".join(lines) + "\n"
     stream.write(text)
     return code
 

@@ -29,7 +29,7 @@ import sys
 from operator import getitem
 
 from .complexes import f_vector_of
-from .errors import InputError
+from .errors import CertificationError, InputError
 from .finite import FinitePointSet, GenericityReport
 from .geometry import Point, point_key
 from .periodic import (
@@ -366,5 +366,7 @@ def error_doc(exc: Exception, exit_code: int) -> dict:
         doc["witness"] = [
             point_json(w) if isinstance(w, Point) else w for w in witness
         ]
+    if isinstance(exc, CertificationError) and exc.report is not None:
+        doc["report"] = report_doc(exc.report)
     return doc
 

@@ -437,6 +437,9 @@ def test_lattice_star_depth_limit_exit_6(docfile, capsys, monkeypatch):
     doc = json.loads(err)
     assert doc["error"] == "CertificationError"
     assert doc["exit_code"] == 6
+    # the evidence: the report of the last depth tried
+    assert doc["report"]["certified"] is False
+    assert doc["report"]["dmax_used"] == 2
 
 
 def test_lattice_neighbors_fixture(docfile, capsys):
@@ -591,10 +594,10 @@ SHORT_OUTPUT_SHA256 = (
      "86d65e13f080c5137c821100e8d5dbf2a4a19070e63a67784af512d7c0d1b739"),
     ("lattice-star", KER111, ["--auto-dmax", "--format", "structured"],
      ("certified_star", capped_star), 6,
-     "97378318021ad87fa19dc39f55e54d156b5938a8be7656794cb8ecd2f3f01ca9"),
+     "567ed85f6fa9cd7596ee90531069288334c1405870eb587ee3a891fcb0bb2a85"),
     ("lattice-star", KER111, ["--auto-dmax", "--format", "text"],
      ("certified_star", capped_star), 6,
-     "41ac010d30a00a62d667a335ad3a54d8227e66587d0608ce276a9c57aa06b6be"),
+     "2a32a9ac0085314fe54d850f1ee6d7b7ef220542bae6ae8ddb8aac3a31d72b44"),
 )
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from scarf.errors import GenericityError, InputError
+from scarf.errors import CertificationError, GenericityError, InputError
 from scarf.finite import FinitePointSet, _face_records, enumerate_complex, is_generic
 from scarf.formats import (
     complex_doc,
@@ -27,6 +27,7 @@ from scarf.formats import (
 )
 from scarf.geometry import Orthant, Point, join, point_key
 from scarf.periodic import (
+    CompletenessReport,
     certified_quotient,
     exists_strictly_below,
     quotient_complex,
@@ -337,6 +338,11 @@ def test_error_doc():
     exc = GenericityError("w", witness=(Point((2, 1)), Point((2, 2)), 1))
     doc = error_doc(exc, 4)
     assert doc["witness"] == [[2, 1], [2, 2], 1]
+    report = CompletenessReport(4, 4, False, (("++", 3), ("--", 1)))
+    doc = error_doc(CertificationError("no certificate", report=report), 6)
+    assert doc["report"] == {"dmax_used": 4, "observed_star_dimension": 4, "certified": False,
+                             "candidate_counts": [["++", 3], ["--", 1]]}
+    assert "report" not in error_doc(CertificationError("no depth tried"), 6)
 
 
 def fixture_docs():
