@@ -172,7 +172,8 @@ def _selftest(trials: int, seed: int, text: bool) -> str:
         raise InputError(f"--selftest needs at least 1 trial, got {trials}")
     rng = random.Random(seed)
     for t in range(trials):
-        n, m = rng.randint(2, 4), rng.randint(1, 7)
+        n = rng.randint(2, 4)
+        m = rng.randint(1, 7)
         pts = set()
         while len(pts) < m:
             pts.add(tuple(rng.randint(0, 9) for _ in range(n)))

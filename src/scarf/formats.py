@@ -17,9 +17,7 @@ neighbors_doc (from coordinate rows), quotient_doc (from orbits),
 resolution_doc (from a Resolution) and layering_doc (from a Layering)
 write each list's items as text, and one list writer places them among
 the short fields that render_document writes; that text equals
-render_document of the document it stands for.  genericity_doc,
-report_doc and error_doc build the short dicts that other documents
-embed or that render_document writes whole.
+render_document of the document it stands for.
 """
 
 from __future__ import annotations
