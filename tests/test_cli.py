@@ -235,6 +235,12 @@ FINITE_OUTPUT_SHA256 = (
      "1d94438fafd1156f497ab9db79bf860434063273d2dea08cf5325ba51d329706"),
     ("scarf-resolve", PERMUTATION_4D, ["--format", "text"],
      "7f69140b4a5bf0a58438ae3ff8ed34cf5802dd7ad9ae6dd30f23a8fb97b8d20e"),
+    # the --max-dim cut in the text summary, and of a complex whose faces the
+    # facet genericity check grew whole: from before faces grew as a tree
+    ("finite-nb", PLANE_12, ["--max-dim", "2", "--format", "text"],
+     "c8bc09c41c9da700bfca233260a5190af551f8851b042e4c0370285de3130f81"),
+    ("finite-nb", MIXED, ["--generic-mode", "remark", "--max-dim", "1", "--format", "structured"],
+     "52e8c36e012ee8730d006b86a6f1db908bffb09001284569869d193f54134534"),
 )
 
 
