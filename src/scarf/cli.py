@@ -3,7 +3,7 @@
 One job per invocation: a subcommand, one JSON input document, flags, and a
 single output document on stdout (JSON with --format structured, a readable
 summary otherwise).  Every job returns its output as text, written in
-either format straight from its result (face records, neighbor rows,
+either format straight from its result (face trees, neighbor rows,
 orbits, reports, a Layering or a Resolution), with no document between.
 Failures print an error document to stderr and exit with a class-specific
 code: 2 malformed input, 3 positivity violation, 4 genericity required but
@@ -22,11 +22,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from bisect import bisect_right
 from operator import getitem
 
 from . import formats
-from .complexes import f_vector_of
+from .complexes import FaceTree
 from .errors import InputError, InternalError, ScarfError
 from .finite import FinitePointSet, GenericityReport, _face_records, is_generic, neighbors
 from .geometry import Orthant, Point, point_key, zero_point
@@ -122,17 +121,24 @@ def _parse_vertex(job: argparse.Namespace, dim: int) -> Point:
     return v
 
 
-def _oracle_records(A: FinitePointSet) -> list:
-    """The subset oracle's nonempty faces of A as _face_records(A, None) lists them.
+def _oracle_tree(A: FinitePointSet) -> FaceTree:
+    """The subset oracle's faces of A as the tree _face_records(A, None) returns.
 
-    faces() comes by size, then in canonical vertex order, as A indexes its points.
+    faces() comes by size, then in canonical vertex order, as A indexes its
+    points, so each face's parent is the face without its last vertex.
     """
     # the oracles load with the one subcommand that runs them, not with the CLI
     from .oracles import oracle_finite_nb
 
     position, index = {p: i for i, p in enumerate(A.points)}, A.rank_index
-    return [(tuple(position[v] for v in f.vertices), index.strict_ranks(f.multidegree))
-            for f in oracle_finite_nb(A).faces() if f.vertices]
+    tree, face = FaceTree([-1], [-1], [(0,) * A.dim]), {(): 0}
+    for f in oracle_finite_nb(A).faces()[1:]:
+        members = tuple(position[v] for v in f.vertices)
+        face[members] = len(tree.parent)
+        tree.parent.append(face[members[:-1]])
+        tree.vertex.append(members[-1])
+        tree.join.append(index.strict_ranks(f.multidegree))
+    return tree
 
 
 def _run_oracle(job: argparse.Namespace) -> str:
@@ -151,7 +157,7 @@ def _run_oracle(job: argparse.Namespace) -> str:
             raise InputError("--r-candidate and --r-witness apply to lattice documents only")
         A = formats.parse_points_doc(doc)
         write, extra = (complex_text, []) if text else (formats.complex_doc, {"source": "oracle"})
-        return write(A, _oracle_records(A), extra)
+        return write(A, _oracle_tree(A), extra)
     A = formats.parse_lattice_doc(doc)
     if job.r_candidate is None or job.r_witness is None:
         raise InputError("lattice oracle needs --r-candidate and --r-witness")
@@ -178,8 +184,8 @@ def _selftest(trials: int, seed: int, text: bool) -> str:
         while len(pts) < m:
             pts.add(tuple(rng.randint(0, 9) for _ in range(n)))
         A = FinitePointSet(pts)
-        # face records, order and joins included
-        if _face_records(A, None) != _oracle_records(A):
+        # the face trees: faces, their order and their joins
+        if _face_records(A, None) != _oracle_tree(A):
             raise InternalError(
                 f"selftest trial {t} (seed {seed}): enumerator and oracle disagree on "
                 f"{[list(p) for p in sorted(pts)]}"
@@ -194,7 +200,7 @@ def run(job: argparse.Namespace) -> str:
     """Execute one job, given as the parsed command line, and return its output text.
 
     The text is the structured document or the readable summary, as --format
-    asks, written in either format from the job's result: face records,
+    asks, written in either format from the job's result: face trees,
     neighbor rows, orbits, reports, a Layering or a Resolution.
     """
     text = job.fmt == "text"
@@ -206,23 +212,25 @@ def run(job: argparse.Namespace) -> str:
             raise InputError(f"--max-dim must be nonnegative, got {job.max_dim}")
         v = None if job.vertex is None else _parse_vertex(job, A.dim)
         max_size = None if job.max_dim is None else job.max_dim + 1
-        records = None
+        tree = None
         # what the writer adds after the faces or neighbors: lines, or fields
         extra = [] if text else {}
         if job.generic_mode is not None:
             if v is None and job.generic_mode != "definition":
                 # the facet check reads every face: grow them once for both
-                records = _face_records(A, None)
-            report = is_generic(A, mode=job.generic_mode, records=records)
+                tree = _face_records(A, None)
+            report = is_generic(A, mode=job.generic_mode, records=tree)
             extra = _genericity_lines(report) if text else {
                 "genericity": formats.genericity_doc(report)}
         if v is None:
-            if records is None:
-                records = _face_records(A, max_size)
+            if tree is None:
+                tree = _face_records(A, max_size)
             elif max_size is not None:
-                # records come by size, so the faces up to max_size are a prefix
-                records = records[:bisect_right(records, max_size, key=lambda r: len(r[0]))]
-            return (complex_text if text else formats.complex_doc)(A, records, extra)
+                # faces come by size, from the empty face: those up to max_size are a prefix
+                ends = tree.level_ends()
+                end = ends[min(max_size, len(ends) - 1)]
+                tree = FaceTree(*(column[:end] for column in tree))
+            return (complex_text if text else formats.complex_doc)(A, tree, extra)
         rows = [p.coords for p in sorted(neighbors(A, v), key=point_key)]
         return (neighbors_text if text else formats.neighbors_doc)(v, rows, extra)
 
@@ -266,7 +274,7 @@ def run(job: argparse.Namespace) -> str:
         if job.subcommand == "lattice-star":
             # the summary counts faces by dimension, so it never writes them
             lines.insert(0, "faces by dimension: " + ", ".join(
-                f"{d}:{n}" for d, n in enumerate(f_vector_of(star.records))))
+                f"{d}:{n}" for d, n in enumerate(star.records.f_vector())))
         return neighbors_text(star.center, rows, lines)
 
     if job.subcommand == "quotient":
@@ -317,20 +325,19 @@ def _genericity_lines(report: GenericityReport) -> list:
     return lines
 
 
-def complex_text(A: FinitePointSet, records: list, tail: list) -> str:
-    """The text form of formats.complex_doc(A, records, extra), from the records.
+def complex_text(A: FinitePointSet, tree: FaceTree, tail: list) -> str:
+    """The text form of formats.complex_doc(A, tree, extra), from the tree.
 
     A line per face, then tail, the lines of what extra holds.  Each
     vertex's text and each distinct join's text is written once.
     """
-    f_vector = f_vector_of(records)
-    block = [_point_str(p.coords) for p in A.points].__getitem__
+    f_vector = tree.f_vector()
     values = [[str(v) for v in axis] for axis in A.rank_index.values]
     joins = {top: "(" + ", ".join(map(getitem, values, top)) + ")"
-             for top in dict.fromkeys(top for _, top in records)}
+             for top in dict.fromkeys(tree.join)}
     lines = [f"complex of dimension {len(f_vector) - 1}, f-vector {_point_str(f_vector)}"]
-    lines += [f"  dim {len(members) - 1}: {' '.join(map(block, members))}  join {joins[top]}"
-              for members, top in records]
+    for dim, tops, texts in formats.face_texts(tree, [_point_str(p.coords) for p in A.points], " "):
+        lines += [f"  dim {dim}: {vs}  join {joins[t]}" for t, vs in zip(tops, texts)]
     return "\n".join(lines + tail) + "\n"
 
 

@@ -6,17 +6,21 @@ the one face-growing loop, shared by finite complexes, resolutions and
 periodic stars.  It works on plain coordinate tuples (rank tuples for a
 finite set, int coordinates for a star) and grows one seed: the empty face
 of a finite set, or a star's center at its own index among the star's
-sorted vertices.  It returns (member indices, join) records, so callers
-build each Face once, from vertices they already hold in order.  Faces
-with the same top share its joins: a join depends only on the top and the
-candidate, and accept only on the join, so one call computes and tests
-each accepted join once and remembers only accepted joins, at most one per
-record.
+sorted vertices.  The complexes are downward closed, so every face but the
+seed is its parent plus one vertex, and grow_faces returns a FaceTree:
+each face's parent, the vertex index it added and its join, in three
+parallel lists, with no tuple per face.  Sizes, f-vectors and the face
+writer read the tree; FaceTree.members rebuilds member tuples for the
+callers that build their own faces from them.  Faces with the same top
+share its joins: a join depends only on the top and the candidate, and
+accept only on the join, so one call computes and tests each accepted join
+once and remembers only accepted joins, at most one per face.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -118,19 +122,63 @@ class LabeledComplex:
         return tuple(counts)
 
 
+class FaceTree(namedtuple("FaceTree", "parent vertex join")):
+    """Faces grown from one seed, each stored as its parent plus one vertex.
+
+    Three parallel lists: face i is face parent[i] with vertex index
+    vertex[i] added, and join[i] is its join.  Face 0 is the seed, with
+    parent -1 and, as vertex, its one member, or -1 for the empty face.
+    Faces come by size and then by member indices, so a face's parent comes
+    before it and parents never decrease.  The faces of a star hold its
+    center, vertex[0]: a face's members are its parent's plus its vertex,
+    which goes before the center when it is smaller.  No face has a tuple
+    of its own; members() rebuilds them for the callers that need them.
+    """
+
+    __slots__ = ()
+
+    def level_ends(self) -> list[int]:
+        """Where each size's run of faces ends, the seed's first.
+
+        A face of the next size has a parent of this size, so the next run
+        ends at the first face whose parent lies beyond this run.
+        """
+        parent, ends = self.parent, [1]
+        while ends[-1] < len(parent):
+            ends.append(bisect_left(parent, ends[-1], ends[-1]))
+        return ends
+
+    def f_vector(self) -> list[int]:
+        """The number of faces of each dimension from 0 on; the empty face is not counted."""
+        ends = self.level_ends()
+        counts = [end - start for start, end in zip([0] + ends, ends)]
+        return counts[1:] if self.vertex[0] < 0 else counts
+
+    def members(self) -> list[tuple[int, ...]]:
+        """Each face's increasing member indices, in face order."""
+        center = self.vertex[0]
+        faces = [() if center < 0 else (center,)]
+        append = faces.append
+        for p, j in zip(self.parent[1:], self.vertex[1:]):
+            members = faces[p]
+            # added indices increase along a face's growth, so only the center can lie above j
+            append(members[:-1] + (j, center) if j < center else members + (j,))
+        return faces
+
+
 def grow_faces(coords: Sequence[tuple], seed: tuple, accept: Callable[[tuple], bool],
-               max_size: int | None = None) -> list[tuple[tuple[int, ...], tuple]]:
-    """The seed face and every face it grows into whose join passes accept.
+               max_size: int | None = None) -> FaceTree:
+    """The seed face and every face it grows into whose join passes accept, as a FaceTree.
 
     coords lists the vertices as coordinate tuples, and joins are
     coordinatewise maxima of them.  The seed is (members, top) with at most
     one member, and top is where joins start: a face's join is the max of
     top and its members' coords.  A finite complex grows from the empty
     face with zero ranks, a star from its center, at the center's own index
-    among the star's vertices, with the center's coordinates.  The result
-    starts with the seed record and holds every face grown from it whose
-    join passes accept, as (increasing indices into coords, join), by size
-    and then by member indices; callers build their own faces from them.
+    among the star's vertices, with the center's coordinates.  The tree's
+    face 0 is the seed, and after it come every face grown from it whose
+    join passes accept, by size and then by member indices, in coords' own
+    indices.
 
     The seed extends by every index that is not one of its members.  After
     that, a face extends only by the indices its later siblings added
@@ -138,14 +186,9 @@ def grow_faces(coords: Sequence[tuple], seed: tuple, accept: Callable[[tuple], b
     they added), each tested against the joined top.  That is complete
     whenever the accepted family is downward closed: if F + j + k is a face
     with j < k, then F + j and F + k are sibling faces.  Growth stops once
-    faces have max_size members.
-
-    Added indices increase along the growth of a face, so at most the
-    seed's member lies above a new index j: the kid is members + (j,), or
-    members[:-1] + (j, members[-1]) when j < members[-1], and the records
-    come out in coords' own indices.  Only faces with a later sibling
-    extend, so the last kid of a group, and a kid without siblings, cost
-    nothing beyond their record.
+    faces have max_size members.  Only faces with a later sibling extend,
+    so the last kid of a group, and a kid without siblings, cost nothing
+    beyond their entries in the three lists.
 
     Faces with the same top share their joins, which is exact because
     accept must be a pure function of the join.  The first face met with a
@@ -153,62 +196,65 @@ def grow_faces(coords: Sequence[tuple], seed: tuple, accept: Callable[[tuple], b
     with that top turns those kids into the top's row, candidate index ->
     accepted join, and it and every later face with the top look their
     candidates up there first.  Only accepted joins are kept, at most one
-    per record, and a refused join is tested again when another face with
+    per face, and a refused join is tested again when another face with
     its top meets it.
     """
     members, top = seed
-    records = [seed]
-    if len(members) == max_size:
-        return records
-    append = records.append
-    added = [j for j in range(len(coords)) if j not in members]  # then each kid's added index
-    add = added.append
-    rows = {}  # top -> its row, or where its first face's kids went: (records index, added slice)
-    level = [(0, 0, len(added))]  # (i, a, b): records[i] extends by added[a:b]
+    tree = FaceTree([-1], [members[0] if members else -1], [top])
     size = len(members)
-    while level and size != max_size:
+    if size == max_size:
+        return tree
+    parent, vertex, joins = tree
+    add_parent, add_vertex, add_join = parent.append, vertex.append, joins.append
+    # a group (first, last, end) of siblings: face i in range(first, last)
+    # extends by src[i + 1:end], the indices its later siblings added.  The
+    # seed, alone, extends by every other index, put after it as if its siblings'
+    src = [-1, *(j for j in range(len(coords)) if j not in members)]
+    groups = [(0, 1, len(src))]
+    rows = {}  # top -> its row, or where its first face's kids went: (start, end) in the tree
+    while groups and size != max_size:
         size += 1
         grown = []
-        for i, a, b in level:
-            members, top = records[i]
-            hi = members[-1] if members else -1
-            start, base = len(records), len(added)
-            row = rows.get(top)
-            if row is None:
-                for j in added[a:b]:
-                    t = tuple(map(max, top, coords[j]))
-                    if accept(t):
-                        append((members + (j,) if j > hi else members[:-1] + (j, hi), t))
-                        add(j)
-                if len(added) > base:
-                    rows[top] = (start, base, len(added))
-            else:
-                if type(row) is tuple:  # the second face with this top
-                    first, q, e = row
-                    row = rows[top] = dict(zip(added[q:e], [t for _, t in records[first:first + e - q]]))
-                for j in added[a:b]:
-                    t = row.get(j)
-                    if t is None:
+        for first, last, end in groups:
+            for i in range(first, last):
+                top = joins[i]
+                start = len(vertex)
+                row = rows.get(top)
+                if row is None:
+                    for j in src[i + 1:end]:
                         t = tuple(map(max, top, coords[j]))
-                        if not accept(t):
-                            continue
-                        row[j] = t
-                    append((members + (j,) if j > hi else members[:-1] + (j, hi), t))
-                    add(j)
-            end = len(added)
-            for k in range(base + 1, end):
-                grown.append((start, k, end))
-                start += 1
-        level = grown
-    return records
+                        if accept(t):
+                            add_parent(i)
+                            add_vertex(j)
+                            add_join(t)
+                    if len(vertex) > start:
+                        rows[top] = (start, len(vertex))
+                else:
+                    if type(row) is tuple:  # the second face with this top
+                        kids, stop = row
+                        row = rows[top] = dict(zip(vertex[kids:stop], joins[kids:stop]))
+                    for j in src[i + 1:end]:
+                        t = row.get(j)
+                        if t is None:
+                            t = tuple(map(max, top, coords[j]))
+                            if not accept(t):
+                                continue
+                            row[j] = t
+                        add_parent(i)
+                        add_vertex(j)
+                        add_join(t)
+                if len(vertex) - start > 1:  # the last kid has no later sibling
+                    grown.append((start, len(vertex) - 1, len(vertex)))
+        src, groups = vertex, grown
+    return tree
 
 
 def f_vector_of(faces: Sequence[tuple]) -> list[int]:
     """The number of faces of each size, given faces as (members, ...) listed by size.
 
-    Face records and quotient orbits both come by size, and every size up
-    to the largest occurs, so a size's count is the length of its run: one
-    bisection per size, whatever the number of faces.
+    Quotient orbits come by size, and every size up to the largest occurs,
+    so a size's count is the length of its run: one bisection per size,
+    whatever the number of faces.
     """
     counts, start, size = [], 0, lambda face: len(face[0])
     while start < len(faces):

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
+from itertools import islice
 
-from .complexes import Face, LabeledComplex, grow_faces
+from .complexes import Face, FaceTree, LabeledComplex, grow_faces
 from .errors import InputError
 from .geometry import Point, RankIndex, iter_bits, lowest_bit, point_key
 
@@ -112,19 +113,17 @@ def neighbors(A: FinitePointSet, a: Point) -> frozenset:
     )
 
 
-def _face_records(A: FinitePointSet, max_size: int | None) -> list:
-    """(point indices, rank join) of every nonempty face with at most max_size vertices.
+def _face_records(A: FinitePointSet, max_size: int | None) -> FaceTree:
+    """The tree of A's faces with at most max_size vertices, over point indices and rank joins.
 
-    Faces grow from the empty face, whose zero ranks lie below every point,
-    by appending vertices in canonical order; a candidate is tested only
-    once its prefix is known to be a face, which is complete because the
-    complex is downward closed.  The empty face's own record is dropped.
+    Faces grow from the empty face, face 0, whose zero ranks lie below
+    every point, by appending vertices in canonical order; a candidate is
+    tested only once its prefix is known to be a face, which is complete
+    because the complex is downward closed.
     """
     index = A.rank_index
     under = index.strictly_under
-    records = grow_faces(index.ranks, ((), (0,) * A.dim), lambda top: not under(top), max_size)
-    del records[0]
-    return records
+    return grow_faces(index.ranks, ((), (0,) * A.dim), lambda top: not under(top), max_size)
 
 
 def enumerate_complex(A: FinitePointSet, max_dim: int | None = None) -> LabeledComplex:
@@ -136,7 +135,8 @@ def enumerate_complex(A: FinitePointSet, max_dim: int | None = None) -> LabeledC
     pts, values = A.points, A.rank_index.values
     faces = [Face(())]
     labels: dict = {}  # one multidegree Point per distinct rank join
-    for members, top in _face_records(A, max_dim + 1):
+    tree = _face_records(A, max_dim + 1)
+    for members, top in islice(zip(tree.members(), tree.join), 1, None):
         multidegree = labels.get(top)
         if multidegree is None:
             multidegree = labels[top] = Point(vals[t] for vals, t in zip(values, top))
@@ -178,13 +178,13 @@ def _generic_pairwise(A: FinitePointSet):
     return True, None
 
 
-def _generic_facet(A: FinitePointSet, records: list):
+def _generic_facet(A: FinitePointSet, tree: FaceTree):
     # Same 1-based coordinate convention as the pairwise form; faces scan
     # in the order grow_faces emits them, by size and then member indices,
     # and the witnesses are the first two points below the join that attain
-    # it on the axis.
+    # it on the axis.  Only the joins are read, the empty face's left out.
     index = A.rank_index
-    tops = [top for _, top in records]
+    tops = tree.join[1:]
     weakly = [index.weakly_under(top) for top in tops]
     for k, below in enumerate(index.below):
         for top, le in zip(tops, weakly):
@@ -196,12 +196,12 @@ def _generic_facet(A: FinitePointSet, records: list):
 
 
 def is_generic(A: FinitePointSet, mode: str = "definition",
-               records: list | None = None) -> GenericityReport:
+               records: FaceTree | None = None) -> GenericityReport:
     """Genericity check in pairwise ("definition"), facet ("remark") or "both" mode.
 
-    The facet form reads every face; records, when given, are A's face
-    records from _face_records(A, None), so a caller that grew them already
-    does not grow them again.
+    The facet form reads every face's join; records, when given, is A's
+    face tree from _face_records(A, None), so a caller that grew it already
+    does not grow it again.
     """
     if mode not in ("definition", "remark", "both"):
         raise InputError(f"unknown genericity mode {mode!r}")

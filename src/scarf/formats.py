@@ -12,12 +12,15 @@ contract, json.dumps(doc, sort_keys=True, indent=2) + "\n", is what
 render_document is.
 
 Documents with lists are written from results, not built first:
-complex_doc and star_doc (from (member indices, join) face records),
+complex_doc and star_doc (from a FaceTree of faces and joins),
 neighbors_doc (from coordinate rows), quotient_doc (from orbits),
 resolution_doc (from a Resolution) and layering_doc (from a Layering)
 write each list's items as text, and one list writer places them among
 the short fields that render_document writes; that text equals
-render_document of the document it stands for.
+render_document of the document it stands for.  One face writer,
+face_texts, serves complex_doc, star_doc and the CLI's text summary: each
+face's vertex text is its parent's plus one vertex's block, one size of
+faces at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import json
 import sys
 from operator import getitem
 
-from .complexes import f_vector_of
+from .complexes import FaceTree
 from .errors import CertificationError, InputError
 from .finite import FinitePointSet, GenericityReport
 from .geometry import Point, point_key
@@ -166,25 +169,59 @@ def _vertex_block(coords, depth: int) -> str:
     return _block([*map(_coord_text, coords)], depth)
 
 
-def _faces(blocks: list, values: list, records) -> list:
-    """The text of each face of records, in record order, at its place in a document.
+def face_texts(tree: FaceTree, blocks: list, sep: str):
+    """The text of each face's vertices, sep.join(blocks[i] for i in members), size by size.
 
-    Each record (members, top) is the face {"dim", "multidegree",
-    "vertices"}: blocks[i] is the text of vertex i's coordinate list and
-    values[k][top[k]] that of the join's k-th coordinate.  Each face is one
-    string around those texts, without a dict per face, and each distinct
-    join's text is written once.
+    Yields (dim, joins, texts) for each size of the tree's faces, the empty
+    face left out: the faces' dimension, and their joins and vertex texts in
+    face order.  A face's text is its parent's plus one block, and only one
+    size's texts are kept at a time.  In a star the center's block keeps
+    its sorted place: a face that added only vertices below the center
+    keeps the text of those, each followed by sep, and puts the center's
+    block after it.
     """
-    sep, block = ",\n        ", blocks.__getitem__
-    degree = dict.fromkeys(top for _, top in records)
+    parent, vertex, joins = tree
+    ends = tree.level_ends()
+    glued = [sep + b for b in blocks]
+    center = vertex[0]
+    if center < 0:  # grown from the empty face, whose kids are single vertices
+        if len(ends) > 1:
+            texts = [blocks[j] for j in vertex[1:ends[1]]]
+            yield 0, joins[1:ends[1]], texts
+        for dim, (lo, start, end) in enumerate(zip(ends, ends[1:], ends[2:]), 1):
+            texts = [texts[p - lo] + glued[j] for p, j in zip(parent[start:end], vertex[start:end])]
+            yield dim, joins[start:end], texts
+        return
+    below = [b + sep for b in blocks[:center]]
+    mid = blocks[center]
+    lows, texts = [""], [mid]
+    yield 0, joins[:1], texts
+    for dim, (lo, start, end) in enumerate(zip([0] + ends, ends, ends[1:]), 1):
+        kids = parent[start:end], vertex[start:end]
+        lows = [lows[p - lo] + below[j] if j < center else None for p, j in zip(*kids)]
+        texts = [texts[p - lo] + glued[j] if low is None else low + mid
+                 for low, p, j in zip(lows, *kids)]
+        yield dim, joins[start:end], texts
+
+
+def _faces(tree: FaceTree, blocks: list, values: list) -> list:
+    """The text of each face of the tree but the empty one, in face order, at its place in a document.
+
+    Each face is {"dim", "multidegree", "vertices"}: blocks[i] is the text
+    of vertex i's coordinate list and values[k][top[k]] that of the join's
+    k-th coordinate.  Each face is one string around those texts, without a
+    dict per face, and each distinct join's text is written once.
+    """
+    sep = ",\n        "
+    degree = dict.fromkeys(tree.join)
     for top in degree:
         degree[top] = sep.join(map(getitem, values, top))
-    return [
-        f'{{\n      "dim": {len(members) - 1},\n      "multidegree": [\n        '
-        f'{degree[top]}\n      ],\n'
-        f'      "vertices": [\n        {sep.join(map(block, members))}\n      ]\n    }}'
-        for members, top in records
-    ]
+    items = []
+    for dim, joins, texts in face_texts(tree, blocks, sep):
+        head = f'{{\n      "dim": {dim},\n      "multidegree": [\n        '
+        items += [f'{head}{degree[t]}\n      ],\n      "vertices": [\n        {vs}\n      ]\n    }}'
+                  for t, vs in zip(joins, texts)]
+    return items
 
 
 def _list_doc(fields: dict, **lists: list) -> str:
@@ -208,17 +245,18 @@ def _list_doc(fields: dict, **lists: list) -> str:
     return ",\n    ".join(parts)
 
 
-def complex_doc(A: FinitePointSet, records: list, extra: dict) -> str:
-    """The text of the complex document of A's faces, given as (member indices, rank join).
+def complex_doc(A: FinitePointSet, tree: FaceTree, extra: dict) -> str:
+    """The text of the complex document of A's faces, given as a tree of rank joins.
 
     Returns render_document of {"kind": "complex", "dimension", "f_vector",
     "empty_face": true, "faces", **extra}, byte for byte, where each face is
     {"dim", "multidegree", "vertices"} and the empty face is only flagged.
-    records are what finite's face growth returns: nonempty faces by size,
-    then by member indices.  A indexes its points in canonical order, so
-    that is the canonical face order, and nothing is sorted.
+    The tree is what finite's face growth returns: the empty face, then the
+    others by size, then by member indices.  A indexes its points in
+    canonical order, so that is the canonical face order, and nothing is
+    sorted.
     """
-    f_vector = f_vector_of(records)
+    f_vector = tree.f_vector()
     fields = {
         "kind": "complex",
         "dimension": len(f_vector) - 1,
@@ -227,8 +265,8 @@ def complex_doc(A: FinitePointSet, records: list, extra: dict) -> str:
         **extra,
     }
     return _list_doc(fields, faces=_faces(
-        [_vertex_block(p.coords, 4) for p in A.points],
-        [[_coord_text(v) for v in axis] for axis in A.rank_index.values], records))
+        tree, [_vertex_block(p.coords, 4) for p in A.points],
+        [[_coord_text(v) for v in axis] for axis in A.rank_index.values]))
 
 
 def genericity_doc(report: GenericityReport) -> dict:
@@ -275,7 +313,7 @@ def report_doc(report: CompletenessReport) -> dict:
 
 
 def star_doc(star: StarResult) -> str:
-    """The text of the star document, written from the star's face records.
+    """The text of the star document, written from the star's face tree.
 
     Returns render_document of {"kind": "star", "center", "neighbors",
     "faces", "report"}, byte for byte, each face as in complex_doc and the
@@ -286,7 +324,7 @@ def star_doc(star: StarResult) -> str:
     values = [{c: _coord_text(c) for c in axis} for axis in zip(*star.vertices)]
     return _list_doc(
         {"kind": "star", "center": point_json(star.center), "report": report_doc(star.report)},
-        faces=_faces([_vertex_block(v, 4) for v in star.vertices], values, star.records),
+        faces=_faces(star.records, [_vertex_block(v, 4) for v in star.vertices], values),
         neighbors=[_vertex_block(v, 2) for v in star.vertices if v != center])
 
 

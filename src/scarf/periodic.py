@@ -19,11 +19,11 @@ over doubling depths: a call shares one face-test memo and one step table
 among its centers, each center has one walk, resumed as the depth grows,
 and one face growth, and a search that does not certify reports from those
 same walks.  Both stages run on int tuples, and so do the results: a star
-is a sorted int vertex list with (member indices, join) face records, and a
-quotient's orbits are int vertex tuples with their incidence counts.  A
-star's faces grow from the center at its own index among the sorted
-vertices, through the one face-growing loop of the complexes module, so its
-records come out in the star's vertex indices.
+is a sorted int vertex list with a tree of its faces and their int joins,
+and a quotient's orbits are int vertex tuples with their incidence counts.
+A star's faces grow from the center at its own index among the sorted
+vertices, through the one face-growing loop of the complexes module, so
+its faces come out in the star's vertex indices.
 """
 
 from __future__ import annotations
@@ -120,9 +120,11 @@ class StarResult(namedtuple("StarResult", "center vertices records report")):
     """All faces through one point, with the completeness report.
 
     center is a Point.  vertices are the sorted int tuples of the star's
-    vertices, the center among them.  Each face is a record (increasing
-    indices into vertices, the center's among them; the int join), by size,
-    then by indices.  report is a CompletenessReport.
+    vertices, the center among them.  records is the FaceTree of the faces,
+    over indices into vertices, with int joins: face 0 is the center, and
+    the faces come by size, then by member indices;
+    records.members() gives each face's increasing indices, the center's
+    among them.  report is a CompletenessReport.
     """
 
     __slots__ = ()
@@ -314,18 +316,18 @@ def _candidate_vertices(A: PeriodicSet, creps: list, center: tuple, steps: dict)
 
 
 def _grow_star(center: tuple, candidates: list, is_face_join):
-    """The star's sorted vertices, its face records and its dimension, from the candidates.
+    """The star's sorted vertices, its face tree and its dimension, from the candidates.
 
     The vertices are the candidates that make a face with the center, and
     the center in its sorted place.  Faces grow from the center at its own
-    index there, so the records come out in the star's vertex indices, by
+    index there, so the tree comes out in the star's vertex indices, by
     size and then by indices.
     """
     vertices = [v for v in candidates if is_face_join(tuple(map(max, center, v)))]
     pos = bisect_left(vertices, center)
     vertices.insert(pos, center)
-    records = grow_faces(vertices, ((pos,), center), is_face_join)
-    return tuple(vertices), tuple(records), len(records[-1][0]) - 1
+    tree = grow_faces(vertices, ((pos,), center), is_face_join)
+    return tuple(vertices), tree, len(tree.level_ends()) - 1
 
 
 def _stars(A: PeriodicSet, vertices, depths: list) -> list:
@@ -414,7 +416,7 @@ def _fold(A: PeriodicSet, stars: list) -> QuotientResult:
             combined[name] = combined.get(name, 0) + cnt
         vertices = star.vertices
         moved: dict = {}
-        for members, _ in star.records:
+        for members in star.records.members():
             # translating by a lattice vector preserves the vertex order, so
             # moving the least vertex to its canonical representative gives
             # a well-defined orbit key: the translate's sorted vertices

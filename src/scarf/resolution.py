@@ -11,6 +11,7 @@ exactly minimality of the resolution the complex supports.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import islice
 from operator import add, getitem, sub
 
 from .errors import GenericityError, InputError
@@ -99,11 +100,12 @@ def build_resolution(A: FinitePointSet) -> Resolution:
         raise GenericityError(
             f"input is not generic: witness [{a}, {b}, {k}]", witness=report.witness
         )
-    # records come by size, then members: each size is one dimension, in face order
+    # faces come by size, then members: each size is one dimension, in face order
     values = A.rank_index.values
     faces_by_dim: list = []
     index = {}
-    for members, top in _face_records(A, None):
+    tree = _face_records(A, None)
+    for members, top in islice(zip(tree.members(), tree.join), 1, None):
         if len(members) > len(faces_by_dim):
             faces_by_dim.append([])
         fs = faces_by_dim[-1]

@@ -867,10 +867,10 @@ def test_oracle_selftest_checks_joins(capsys, monkeypatch):
     import scarf.finite
 
     def one_wrong_join(A, max_size):
-        # the last face takes the first face's join: wrong once a set has two faces
-        records = _face_records(A, max_size)
-        records[-1] = records[-1][0], records[0][1]
-        return records
+        # the last face takes the first nonempty face's join: wrong once a set has two faces
+        tree = _face_records(A, max_size)
+        tree.join[-1] = tree.join[1]
+        return tree
 
     for module in (scarf.cli, scarf.finite):
         monkeypatch.setattr(module, "_face_records", one_wrong_join)

@@ -5,10 +5,13 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from scarf.complexes import Face, LabeledComplex, grow_faces
 from scarf.errors import InputError
 from scarf.finite import FinitePointSet, _face_records, enumerate_complex
+from scarf.formats import face_texts
 from scarf.geometry import Point
 from test_resolution import generic_antichain
 
@@ -86,6 +89,11 @@ class TestBuildComplex:
         assert len(cx) == 2
 
 
+def face_records(tree):
+    """The tree's faces as (member indices, join) records, in face order, the seed's first."""
+    return list(zip(tree.members(), tree.join))
+
+
 def in_grow_order(records):
     """Whether records come by size, then by member indices, each face once."""
     keys = [(len(members), members) for members, _ in records]
@@ -122,9 +130,10 @@ def test_grow_faces_records_by_size_then_members():
     # star_at and the facet genericity scan read the records in this order
     # without sorting them
     for ranks, _, pos, under in random_growths():
-        records = grow_faces(ranks, ((), (0,) * len(ranks[0])), lambda top: not under(top))
+        records = face_records(grow_faces(ranks, ((), (0,) * len(ranks[0])),
+                                          lambda top: not under(top)))
         assert records[0] == ((), (0,) * len(ranks[0])) and in_grow_order(records)
-        records = grow_faces(ranks, ((pos,), ranks[pos]), lambda top: not under(top))
+        records = face_records(grow_faces(ranks, ((pos,), ranks[pos]), lambda top: not under(top)))
         assert records[0] == ((pos,), ranks[pos]) and in_grow_order(records)
 
 
@@ -162,12 +171,12 @@ def test_grow_faces_computes_each_join_once():
 
         others = ranks[:pos] + ranks[pos + 1:]
         for max_size in (None, 1, 2, 3, 4):
-            assert (grow_faces(ranks, ((), (0,) * len(ranks[0])), accept, max_size)[1:]
-                    == reference_grow_faces(ranks, seeds, accept, max_size))
+            tree = grow_faces(ranks, ((), (0,) * len(ranks[0])), accept, max_size)
+            assert face_records(tree)[1:] == reference_grow_faces(ranks, seeds, accept, max_size)
             # the star's max_size counts the center, the reference's does not
             expected = reference_grow_faces(others, [((), ranks[pos])], accept,
                                             max_size and max_size - 1)
-            assert (grow_faces(ranks, ((pos,), ranks[pos]), accept, max_size)
+            assert (face_records(grow_faces(ranks, ((pos,), ranks[pos]), accept, max_size))
                     == with_center(expected, pos))
     # a full 12-vertex simplex: 4 095 faces over 39 distinct joins, where
     # testing every face tried makes 4 083 accept calls
@@ -178,14 +187,52 @@ def test_grow_faces_computes_each_join_once():
         calls.append(top)
         return not index.strictly_under(top)
 
-    records = grow_faces(index.ranks, ((), (0, 0, 0)), counted)
-    assert len(records) == 4096  # the empty seed and 4 095 faces
-    assert len(calls) <= len({top for _, top in records}) * len(index.ranks)
+    tree = grow_faces(index.ranks, ((), (0, 0, 0)), counted)
+    assert len(tree.join) == 4096  # the empty seed and 4 095 faces
+    assert len(calls) <= len(set(tree.join)) * len(index.ranks)
     # the star at the seventh vertex: its 2 048 faces in the same bound
     calls.clear()
-    records = grow_faces(index.ranks, ((6,), index.ranks[6]), counted)
-    assert len(records) == 2048
-    assert len(calls) <= len({top for _, top in records}) * len(index.ranks)
+    tree = grow_faces(index.ranks, ((6,), index.ranks[6]), counted)
+    assert len(tree.join) == 2048
+    assert len(calls) <= len(set(tree.join)) * len(index.ranks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.sets(st.tuples(*[st.integers(0, 4)] * n),
+                                                   min_size=1, max_size=12)),
+       st.sampled_from(("complex", "first", "middle", "last")),
+       st.sampled_from((None, 1, 2, 3)), st.sampled_from((" ", ",\n        ")))
+def test_face_tree_rebuilds_records_and_vertex_texts(rows, grown, max_size, sep):
+    # a finite complex, cut at max_size, or a star at its first, a middle or
+    # its last vertex: the tree's rebuilt records are the reference's, and
+    # each face's vertex text, written from its parent's, is the join of
+    # its members' blocks with the center's in its sorted place
+    A = FinitePointSet(rows)
+    ranks, under = A.rank_index.ranks, A.rank_index.strictly_under
+
+    def accept(top):
+        return not under(top)
+
+    vertices = [i for i, r in enumerate(ranks) if not under(r)]
+    if grown == "complex":
+        empty = ((), (0,) * len(ranks[0]))
+        tree = grow_faces(ranks, empty, accept, max_size)
+        expected = [empty, *reference_grow_faces(ranks, [((i,), ranks[i]) for i in vertices],
+                                                 accept, max_size)]
+    else:
+        assume(grown != "middle" or len(vertices) > 2)
+        pos = vertices[{"first": 0, "middle": len(vertices) // 2, "last": -1}[grown]]
+        tree = grow_faces(ranks, ((pos,), ranks[pos]), accept)
+        others = ranks[:pos] + ranks[pos + 1:]
+        expected = with_center(reference_grow_faces(others, [((), ranks[pos])], accept), pos)
+    assert face_records(tree) == expected
+    faces = [(members, top) for members, top in expected if members]
+    sizes = [len(members) for members, _ in faces]
+    assert tree.f_vector() == [sizes.count(k) for k in range(1, max(sizes, default=0) + 1)]
+    blocks = [f"<{i}:{r}>" for i, r in enumerate(ranks)]
+    written = [(dim, top, text) for dim, tops, texts in face_texts(tree, blocks, sep)
+               for top, text in zip(tops, texts)]
+    assert written == [(len(m) - 1, top, sep.join(blocks[i] for i in m)) for m, top in faces]
 
 
 def test_grow_faces_memo_keeps_no_refused_joins():
@@ -205,9 +252,9 @@ def test_grow_faces_memo_keeps_no_refused_joins():
         finally:
             tracemalloc.stop()
 
-    records, used = peak(lambda: _face_records(A, None))
+    tree, used = peak(lambda: _face_records(A, None))
     expected, allowed = peak(lambda: reference_grow_faces(ranks, seeds, lambda top: not under(top)))
-    assert records == expected
+    assert face_records(tree)[1:] == expected
     assert used <= 1.5 * allowed
 
 

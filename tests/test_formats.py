@@ -128,7 +128,7 @@ def test_complex_doc_shape():
     assert doc["empty_face"] is True
     assert len(doc["faces"]) == 7  # empty face flagged, not listed
     assert all("multidegree" in f for f in doc["faces"])
-    assert json.loads(complex_doc(A, [], {})) == {
+    assert json.loads(complex_doc(A, _face_records(A, 0), {})) == {
         "kind": "complex", "dimension": -1, "f_vector": [], "empty_face": True, "faces": []}
 
 
@@ -206,7 +206,7 @@ def reference_star(star) -> dict:
         "faces": [{"vertices": [point_json(points[i]) for i in members],
                    "dim": len(members) - 1,
                    "multidegree": point_json(join(points[i] for i in members))}
-                  for members, _ in star.records],
+                  for members in star.records.members()],
         "report": reference_report(star.report),
     }
 

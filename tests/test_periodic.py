@@ -38,7 +38,7 @@ from scarf.periodic import (
     star_at,
     validate_periodic_set,
 )
-from test_complexes import reference_grow_faces, with_center
+from test_complexes import face_records, reference_grow_faces, with_center
 
 ZERO3 = zero_point(3)
 
@@ -68,7 +68,7 @@ def faces(result) -> tuple:
     if isinstance(result, QuotientResult):
         return tuple(Face(map(Point, vs)) for vs, _ in result.orbits)
     points = [Point(v) for v in result.vertices]
-    return tuple(Face(points[i] for i in members) for members, _ in result.records)
+    return tuple(Face(points[i] for i in members) for members in result.records.members())
 
 
 def perm_set(*vectors):
@@ -189,10 +189,10 @@ def test_star_faces_are_canonical():
             vertices = star.vertices
             assert list(vertices) == sorted(set(vertices))
             pos = vertices.index(center.coords)
-            keys = [(len(members), tuple(vertices[i] for i in members))
-                    for members, _ in star.records]
+            records = face_records(star.records)
+            keys = [(len(members), tuple(vertices[i] for i in members)) for members, _ in records]
             assert keys == sorted(set(keys))
-            for (members, top), f in zip(star.records, faces(star)):
+            for (members, top), f in zip(records, faces(star)):
                 assert list(members) == sorted(set(members)) and pos in members, members
                 assert f.vertices == tuple(Point(vertices[i]) for i in members)
                 assert f.multidegree == join(f.vertices) == Point(top)
@@ -222,7 +222,7 @@ def test_star_translation_invariance():
         for rep in A.reps:
             base = star_at(A, rep, 4)
             where = f"{make.__name__} at {rep!r}"
-            assert (len(base.neighbors), len(base.records)) == counts[rep.as_int_tuple()], where
+            assert (len(base.neighbors), len(base.records.join)) == counts[rep.as_int_tuple()], where
             assert all(A.contains(v) for v in base.neighbors), where
             for t in translates:
                 moved = star_at(A, rep + t, 4)
@@ -600,9 +600,9 @@ def test_star_grows_in_its_own_vertex_indices(A, dmax, place, data):
     pos = bisect_left(neighbors, center)
     assume(place != "middle" or 0 < pos < len(neighbors))
     grown = reference_grow_faces(neighbors, [((), center)], is_face_join)
-    assert _grow_star(center, candidates, is_face_join) == (
-        (*neighbors[:pos], center, *neighbors[pos:]), tuple(with_center(grown, pos)),
-        len(grown[-1][0]))
+    vertices, tree, dimension = _grow_star(center, candidates, is_face_join)
+    assert (vertices, face_records(tree), dimension) == (
+        (*neighbors[:pos], center, *neighbors[pos:]), with_center(grown, pos), len(grown[-1][0]))
 
 
 def reference_star_at(A, vertex, dmax):

@@ -190,7 +190,8 @@ def test_faces_by_dim_are_the_face_records(rows):
     A = FinitePointSet(rows)
     values = A.rank_index.values
     by_dim: list = []
-    for members, top in _face_records(A, None):
+    tree = _face_records(A, None)
+    for members, top in list(zip(tree.members(), tree.join))[1:]:
         if len(members) > len(by_dim):
             by_dim.append([])
         by_dim[-1].append((members, tuple(vals[t] for vals, t in zip(values, top))))
