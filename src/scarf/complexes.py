@@ -208,7 +208,7 @@ def grow_faces(coords: Sequence[tuple], seed: tuple, accept: Callable[[tuple], b
     add_parent, add_vertex, add_join = parent.append, vertex.append, joins.append
     # a group (first, last, end) of siblings: face i in range(first, last)
     # extends by src[i + 1:end], the indices its later siblings added.  The
-    # seed, alone, extends by every other index, put after it as if its siblings'
+    # seed is a group of its own, and every other index follows its place
     src = [-1, *(j for j in range(len(coords)) if j not in members)]
     groups = [(0, 1, len(src))]
     rows = {}  # top -> its row, or where its first face's kids went: (start, end) in the tree

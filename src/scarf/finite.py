@@ -182,9 +182,10 @@ def _generic_facet(A: FinitePointSet, tree: FaceTree):
     # Same 1-based coordinate convention as the pairwise form; faces scan
     # in the order grow_faces emits them, by size and then member indices,
     # and the witnesses are the first two points below the join that attain
-    # it on the axis.  Only the joins are read, the empty face's left out.
+    # it on the axis.  Only the joins are read, the empty face's left out,
+    # each where it first occurs: the witness depends on the join alone.
     index = A.rank_index
-    tops = tree.join[1:]
+    tops = [*dict.fromkeys(tree.join[1:])]
     weakly = [index.weakly_under(top) for top in tops]
     for k, below in enumerate(index.below):
         for top, le in zip(tops, weakly):

@@ -122,9 +122,10 @@ class StarResult(namedtuple("StarResult", "center vertices records report")):
     center is a Point.  vertices are the sorted int tuples of the star's
     vertices, the center among them.  records is the FaceTree of the faces,
     over indices into vertices, with int joins: face 0 is the center, and
-    the faces come by size, then by member indices;
-    records.members() gives each face's increasing indices, the center's
-    among them.  report is a CompletenessReport.
+    the faces come by size, then by member indices.  records.members()
+    gives each face's increasing indices, the center's among them.  The
+    tree holds lists, so a StarResult does not hash.  report is a
+    CompletenessReport.
     """
 
     __slots__ = ()
