@@ -336,7 +336,8 @@ def complex_text(A: FinitePointSet, tree: FaceTree, tail: list) -> str:
     joins = {top: "(" + ", ".join(map(getitem, values, top)) + ")"
              for top in dict.fromkeys(tree.join)}
     lines = [f"complex of dimension {len(f_vector) - 1}, f-vector {_point_str(f_vector)}"]
-    for dim, tops, texts in formats.face_texts(tree, [_point_str(p.coords) for p in A.points], " "):
+    blocks = [_point_str(p.coords) for p in A.points]
+    for dim, tops, texts in formats.face_texts(tree, blocks, " "):
         lines += [f"  dim {dim}: {vs}  join {joins[t]}" for t, vs in zip(tops, texts)]
     return "\n".join(lines + tail) + "\n"
 

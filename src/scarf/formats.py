@@ -189,7 +189,8 @@ def face_texts(tree: FaceTree, blocks: list, sep: str):
             texts = [blocks[j] for j in vertex[1:ends[1]]]
             yield 0, joins[1:ends[1]], texts
         for dim, (lo, start, end) in enumerate(zip(ends, ends[1:], ends[2:]), 1):
-            texts = [texts[p - lo] + glued[j] for p, j in zip(parent[start:end], vertex[start:end])]
+            texts = [texts[p - lo] + glued[j]
+                     for p, j in zip(parent[start:end], vertex[start:end])]
             yield dim, joins[start:end], texts
         return
     below = [b + sep for b in blocks[:center]]
@@ -205,7 +206,7 @@ def face_texts(tree: FaceTree, blocks: list, sep: str):
 
 
 def _faces(tree: FaceTree, blocks: list, values: list) -> list:
-    """The text of each face of the tree but the empty one, in face order, at its place in a document.
+    """The text of each face of the tree but the empty one, in order, at its place in a document.
 
     Each face is {"dim", "multidegree", "vertices"}: blocks[i] is the text
     of vertex i's coordinate list and values[k][top[k]] that of the join's
@@ -219,8 +220,8 @@ def _faces(tree: FaceTree, blocks: list, values: list) -> list:
     items = []
     for dim, joins, texts in face_texts(tree, blocks, sep):
         head = f'{{\n      "dim": {dim},\n      "multidegree": [\n        '
-        items += [f'{head}{degree[t]}\n      ],\n      "vertices": [\n        {vs}\n      ]\n    }}'
-                  for t, vs in zip(joins, texts)]
+        items += [f'{head}{degree[t]}\n      ],\n      "vertices": [\n        {vs}\n      ]\n'
+                  f'    }}' for t, vs in zip(joins, texts)]
     return items
 
 
