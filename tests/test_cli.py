@@ -52,6 +52,7 @@ KER123_3COSETS = {"basis": [[2, -1, 0], [3, 0, -1]], "cosets": [[0, 0, 0], [1, 0
 # an index-2 sublattice of ker(1,1,4), Smith diagonal (1, 2), with three cosets
 INDEX2_3COSETS = {"basis": [[2, -2, 0], [4, 0, -1]], "cosets": [[0, 0, 0], [1, 0, 0], [1, 1, 0]]}
 KER114 = {"basis": [[1, -1, 0], [4, 0, -1]]}
+KER1234 = {"basis": [[2, -1, 0, 0], [3, 0, -1, 0], [4, 0, 0, -1]]}
 BAD_LATTICE = {"basis": [[1, 0]]}
 
 
@@ -502,6 +503,9 @@ LATTICE_OUTPUT_SHA256 = (
     # one coset, so every center is a center of symmetry
     ("lattice-star", KER114, ["--auto-dmax"],
      "d2fdb3996d051a2c0714799a37064b43e62553536382ee2148f61a523e059040"),
+    # a 4-D walk, at a fixed depth below the star's dimension
+    ("lattice-neighbors", KER1234, ["--dmax", "4"],
+     "4d74a92d31f3a8e8659f53292149c8024b22b2f16ce1d350930197700ca4ca48"),
 )
 
 
