@@ -1,9 +1,14 @@
 """Lattices, cosets, and exact point enumeration.
 
 A lattice is given by integer basis columns of full column rank.  Cosets of
-the lattice are described through the Smith normal form of the basis: a
-point lies in a coset exactly when a fixed family of integer equalities and
-congruences holds.  On top of that sits one lazy enumerator of coset
+the lattice are described through the Smith normal form of the basis,
+U * basis * V = D, computed once per lattice.  It gives the one class map:
+the class of an integer vector v is the values U_i v for each i past the
+rank, then U_i v mod d_i for each d_i >= 2, and two vectors share a class
+exactly when their difference lies in the lattice.  The face memo of the
+star engine keys by it, and the orthant search reads its right-hand sides
+from it.  The canonical representative of a coset comes from the same
+form, through one precomputed reduction.  On top of that sits one lazy enumerator of coset
 points between integer bounds, as int tuples, so an emptiness test stops at
 the first point.  It runs one Fourier-Motzkin elimination plan per lattice
 and bound pattern, so a query only supplies integer right-hand sides.  Two
@@ -37,7 +42,8 @@ __all__ = [
 class Lattice:
     """Integer lattice spanned by basis columns of full column rank."""
 
-    __slots__ = ("columns", "dim", "rank", "_rows", "_snf", "_diag", "_positive", "_plans")
+    __slots__ = ("columns", "dim", "rank", "_rows", "_diag", "_equal_rows", "_congruences",
+                 "_reduce", "_shift_rows", "_positive", "_plans")
 
     def __init__(self, columns: Sequence[Sequence[int]]):
         cols = []
@@ -58,11 +64,17 @@ class Lattice:
         self.rank = len(cols)
         self._rows = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
         # U * basis * V = D; the rank is the number of nonzero diagonal entries
-        self._snf = smith_normal_form(self._rows)
-        D = self._snf[1]
+        U, D, V = smith_normal_form(self._rows)
         if sum(1 for i in range(min(n, self.rank)) if D[i][i]) != self.rank:
             raise InputError("basis columns must be linearly independent")
         self._diag = tuple(D[i][i] for i in range(self.rank))
+        # the class map: equality rows past the rank, congruence rows with d_i >= 2
+        self._equal_rows = tuple(tuple(U[i]) for i in range(self.rank, n))
+        self._congruences = tuple((tuple(U[i]), d) for i, d in enumerate(self._diag) if d >= 2)
+        # the reduction: q_i = floor(U_i v / d_i), then v - (basis * V) q
+        self._reduce = tuple((tuple(U[i]), d) for i, d in enumerate(self._diag))
+        self._shift_rows = tuple(tuple(sum(map(mul, row, col)) for col in zip(*V))
+                                 for row in self._rows)
         self._positive = None
         self._plans = {}
 
@@ -92,10 +104,21 @@ class Lattice:
 
     def _canonical(self, v: Sequence[int]) -> tuple[int, ...]:
         """canonical_rep on an integer vector of the right dimension."""
-        U, _, V = self._snf
-        w = matvec(U, v)
-        shift = matvec(self._rows, matvec(V, [w[i] // d for i, d in enumerate(self._diag)]))
-        return tuple(x - y for x, y in zip(v, shift))
+        q = [sum(map(mul, u, v)) // d for u, d in self._reduce]
+        return tuple(x - sum(map(mul, row, q)) for x, row in zip(v, self._shift_rows))
+
+    def _class(self, v: Sequence[int]) -> tuple[int, ...]:
+        """The class of an integer vector: one value per equality and congruence row.
+
+        With U * basis * V = D these are U_i v for each i past the rank, then
+        U_i v mod d_i for each d_i >= 2.  A lattice vector basis * t has
+        U basis t = D V^-1 t, zero past the rank and a multiple of d_i below
+        it, and D V^-1 is onto those values, so two vectors share a class
+        exactly when their difference lies in the lattice: exactly when
+        their canonical representatives agree.
+        """
+        return (*(sum(map(mul, row, v)) for row in self._equal_rows),
+                *(sum(map(mul, row, v)) % d for row, d in self._congruences))
 
     def _plan(self, pattern: tuple[tuple[bool, bool], ...]) -> EliminationPlan:
         """The elimination plan for x = basis * t under the bounds pattern names.
@@ -202,13 +225,13 @@ def _orthant_steps(lattice: Lattice, diffs: Sequence[tuple[int, ...]],
                    signs: tuple[int, ...]) -> dict:
     """For each coset d + L, d in diffs, its minimal nonzero points in the orthant, reflected.
 
-    With U * basis * V = D, x lies in the coset of d exactly when
-    (U x)_i = (U d)_i for each i past the rank and (U x)_i = (U d)_i
+    x lies in the coset of d exactly when its class, Lattice._class, is
+    d's: (U x)_i = (U d)_i for each i past the rank and (U x)_i = (U d)_i
     (mod d_i) for each d_i >= 2 below it.  In reflected coordinates
     y = sigma x that is a system A y = b_d over the naturals once each
-    congruence gains a slack pair, with b_d reduced into [0, d_i) on the
-    congruence rows.  Distinct cosets have distinct b_d, and only L itself
-    has b_d = 0.  So one counter search, with a column -b_d for each other
+    congruence gains a slack pair, with b_d, d's class, reduced into
+    [0, d_i) on the congruence rows.  Distinct cosets have distinct b_d,
+    and only L itself has b_d = 0.  So one counter search, with a column -b_d for each other
     coset, finds the minimal extended solutions of all of them: those with
     d's counter at 1, or with every counter at 0 for L.  Their y parts
     cover every minimal nonzero point of each coset, with possible extras,
@@ -217,19 +240,13 @@ def _orthant_steps(lattice: Lattice, diffs: Sequence[tuple[int, ...]],
     diffs are canonical representatives as int tuples.  Returns
     {d: sorted nonnegative y}, the points being sigma * y.
     """
-    U = lattice._snf[0]
-    diag, n = lattice._diag, lattice.dim
-    moduli = [i for i in range(lattice.rank) if diag[i] >= 2]
-    eqs = range(lattice.rank, n)
-    rows = [[u * s for u, s in zip(U[i], signs)] for i in (*eqs, *moduli)]
+    n, eqs, congruences = lattice.dim, lattice._equal_rows, lattice._congruences
+    rows = [[u * s for u, s in zip(row, signs)] for row in (*eqs, *(row for row, _ in congruences))]
     columns = [tuple(row[j] for row in rows) for j in range(n)]
-    for a, i in enumerate(moduli, start=len(eqs)):
-        for m in (-diag[i], diag[i]):
+    for a, (_, modulus) in enumerate(congruences, start=len(eqs)):
+        for m in (-modulus, modulus):
             columns.append(tuple(m if row == a else 0 for row in range(len(rows))))
-    rhs = {}
-    for d in diffs:
-        ud = matvec(U, d)
-        rhs[d] = tuple(ud[i] for i in eqs) + tuple(ud[i] % diag[i] for i in moduli)
+    rhs = {d: lattice._class(d) for d in diffs}
     counted = [d for d in rhs if any(rhs[d])]
     width = len(columns)
     columns += [tuple(-b for b in rhs[d]) for d in counted]

@@ -10,7 +10,9 @@ downstream; a library caller dividing coordinates must therefore divide
 with Fraction, since / on two ints gives a float.  All operations are pure
 functions on immutable values.  A finite set's order structure compresses
 to a RankIndex: integer ranks per axis and prefix bitsets, which answer
-"which points lie below this bound" with a few ANDs.
+"which points lie below this bound" with a few ANDs.  That AND is one
+function, and_prefixes, which the periodic candidate walk also calls on
+prefix rows it grows itself.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import re
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
+from functools import partial
 
 from .errors import InputError
 
@@ -185,6 +188,20 @@ def all_orthants(n: int) -> Iterator[Orthant]:
         yield Orthant(signs)
 
 
+def and_prefixes(rows: Sequence[Sequence[int]], top: Iterable[int]) -> int:
+    """The AND over the axes k of rows[k][top[k]]: one prefix bitset per axis.
+
+    rows[k] lists bitsets, Python ints with one bit per element, that grow
+    along the list: rows[k][v] holds the elements whose coordinate on axis
+    k lies below a threshold named by v.  The AND holds those below top on
+    every axis.
+    """
+    bits = -1
+    for row, t in zip(rows, top):
+        bits &= row[t]
+    return bits
+
+
 class RankIndex:
     """The coordinatewise order type of a finite list of points, in rank space.
 
@@ -193,10 +210,12 @@ class RankIndex:
     points is the coordinatewise max of their ranks.  below[k][r] is a
     bitset, a Python int with bit i set for point i, of the points whose
     rank on axis k is less than r, for r = 0 .. len(values[k]).  Both order
-    queries are then an AND of one bitset per axis.
+    queries are then and_prefixes over these rows.  strictly_under(top),
+    the points whose rank is below top's on every axis, is and_prefixes
+    bound to them.
     """
 
-    __slots__ = ("values", "ranks", "below")
+    __slots__ = ("values", "ranks", "below", "strictly_under")
 
     def __init__(self, rows: Sequence[tuple]):
         self.values, self.below, columns = [], [], []
@@ -214,20 +233,11 @@ class RankIndex:
             self.below.append(below)
             columns.append(column)
         self.ranks = list(zip(*columns))
-
-    def strictly_under(self, top: tuple) -> int:
-        """The points whose rank is below top's on every axis."""
-        bits = -1
-        for below, t in zip(self.below, top):
-            bits &= below[t]
-        return bits
+        self.strictly_under = partial(and_prefixes, self.below)
 
     def weakly_under(self, top: tuple) -> int:
         """The points whose rank is at most top's on every axis."""
-        bits = -1
-        for below, t in zip(self.below, top):
-            bits &= below[t + 1]
-        return bits
+        return and_prefixes(self.below, [t + 1 for t in top])
 
     def strict_ranks(self, p: Point) -> tuple[int, ...]:
         """Per axis, how many values lie below p's: strictly_under's top for any point p.

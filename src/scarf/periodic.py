@@ -31,12 +31,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from heapq import heapify, heappop, heappush
-from operator import add, le, mul
+from operator import add, mul
 
 from .complexes import f_vector_of, grow_faces
 from .diophantine import Lattice, _orthant_steps, coset_points, points_below
 from .errors import CertificationError, InputError
-from .geometry import Point, all_orthants, zero_point
+from .geometry import Point, all_orthants, and_prefixes, zero_point
 
 __all__ = [
     "PeriodicSet",
@@ -160,17 +160,29 @@ def exists_strictly_below(A: PeriodicSet, bound: Point):
 
 
 def _setup(A: PeriodicSet, vertices) -> tuple:
-    """The int reps, the face test and the int vertices, each checked to be a vertex."""
+    """The int reps, the face test and the int vertices, each checked to be a vertex.
+
+    The face test asks whether no set point lies strictly below a join T.
+    Translating by a lattice vector l maps the set onto itself, so it maps
+    the set points strictly below T onto those strictly below T + l, and
+    the answer depends only on T's class, Lattice._class.  The memo is keyed
+    by the join first, then by its class, so one walk answers every join of
+    a class; neither key names a center or a depth.
+    """
     lattice, creps = A.lattice, [rep.as_int_tuple() for rep in A.reps]
-    open_below, empty_below = [None] * A.dim, {}
+    open_below, by_top, by_class, class_of = [None] * A.dim, {}, {}, lattice._class
 
     def is_face_join(top: tuple) -> bool:
-        # no set point strictly below top; one point found decides.  The memo
-        # is keyed by top alone, which names no center or depth
-        if top not in empty_below:
-            empty_below[top] = next(coset_points(
-                lattice, creps, open_below, [t - 1 for t in top]), None) is None
-        return empty_below[top]
+        # no set point strictly below top; one point found decides
+        face = by_top.get(top)
+        if face is None:
+            key = class_of(top)
+            face = by_class.get(key)
+            if face is None:
+                face = by_class[key] = next(coset_points(
+                    lattice, creps, open_below, [t - 1 for t in top]), None) is None
+            by_top[top] = face
+        return face
 
     for vertex in vertices:
         if not A.contains(vertex):
@@ -181,35 +193,52 @@ def _setup(A: PeriodicSet, vertices) -> tuple:
     return creps, is_face_join, [vertex.as_int_tuple() for vertex in vertices]
 
 
-def _walk_orthant(moves: list, accepted: list, seen: set, pending: list, dmax: int) -> list:
+def _walk_orthant(moves: list, accepted: list, rows: list, seen: set, pending: list,
+                  dmax: int) -> list:
     """Carry one orthant's walk on at depth dmax; return the offsets it rejects there.
 
-    accepted, seen and pending are the walk's state, updated in place: the
-    offsets accepted so far, every offset pushed, and the heap entries
-    (weight, offset, coset) popped but not accepted, which pop again here.
-    moves[l] lists (k, steps) for the steps from coset l to coset k.
+    accepted, rows, seen and pending are the walk's state, updated in
+    place: the offsets accepted so far, their prefix rows, every offset
+    pushed, and the heap entries (weight, offset, coset) popped but not
+    accepted, which pop again here.  rows[i][v] is the bitset, bit j for
+    accepted[j], of the accepted offsets whose coordinate i is at most v;
+    the rows share one length and grow together, by copies of their last
+    bitsets, when an offset with a larger coordinate pops.
+    The rejected offsets of this call get rows of their own, bit j for
+    the j-th, so "some rejected offset below r" is a nonzero and_prefixes
+    and "the accepted offsets below r" its bit count.  moves[l] lists
+    (k, steps) for the steps from coset l to coset k.
     """
     heap = pending.copy()
     heapify(heap)
     pending.clear()
     rejected: list = []
+    size = len(rows[0])
+    refused = [[0] * size for _ in rows]
     while heap:
         entry = heappop(heap)
         w, r, l = entry
         if w:
-            if any(all(map(le, x, r)) for x in rejected):
+            top = max(r)
+            if top >= size:
+                for row in (*rows, *refused):
+                    row += [row[-1]] * (top + 1 - size)
+                size = top + 1
+            if rejected and and_prefixes(refused, r):
                 pending.append(entry)
                 continue
-            below = 0  # counted up to dmax + 1
-            for x in accepted:
-                if all(map(le, x, r)):
-                    below += 1
-                    if below > dmax:
-                        break
-            if below > dmax:
+            if and_prefixes(rows, r).bit_count() > dmax:
+                bit = 1 << len(rejected)
+                for out, v in zip(refused, r):
+                    for i in range(v, size):
+                        out[i] |= bit
                 rejected.append(r)
                 pending.append(entry)
                 continue
+            bit = 1 << len(accepted)
+            for row, v in zip(rows, r):
+                for i in range(v, size):
+                    row[i] |= bit
             accepted.append(r)
         for k, steps in moves[l]:
             for wh, h in steps:
@@ -245,6 +274,13 @@ def _candidate_vertices(A: PeriodicSet, creps: list, center: tuple, steps: dict)
     would decide too; the short rejected list decides faster.)  Only
     accepted points step on, and the accepted region is finite, which
     bounds the walk.
+
+    Both tests are counted on prefix bitsets, as a RankIndex counts: per
+    axis i and value v, the bitset of the accepted offsets whose
+    coordinate i is at most v, and likewise, with one bit per rejected
+    offset, for the rejected ones.  The offsets below r(s) are the AND of
+    one bitset per axis, so "some rejected offset below r(s)" is a nonzero
+    AND and the count of accepted ones a bit count.
 
     The rejected points are a frontier: if none is a neighbor of c, every
     neighbor is a candidate, at any dmax.  For a set point v not accepted,
@@ -297,14 +333,14 @@ def _candidate_vertices(A: PeriodicSet, creps: list, center: tuple, steps: dict)
             steps[orthants[last - o].signs] = {negated[d]: m for d, m in by_diff.items()}
         by_diff = steps[signs]
         walks.append(([[(k, by_diff[d]) for k, d in enumerate(row)] for row in diffs],
-                      [zero], {zero}, [(0, zero, center_idx)]))
+                      [zero], [[1] for _ in zero], {zero}, [(0, zero, center_idx)]))
 
     def advance(dmax: int):
         counts = [None] * len(orthants)
         candidates: set = set()
         frontier: set = set()
-        for o, (moves, accepted, seen, pending) in zip(walked, walks):
-            rejected = _walk_orthant(moves, accepted, seen, pending, dmax)
+        for o, (moves, accepted, rows, seen, pending) in zip(walked, walks):
+            rejected = _walk_orthant(moves, accepted, rows, seen, pending, dmax)
             for t in ((o, last - o) if mirrored else (o,)):
                 signs = orthants[t].signs
                 counts[t] = (str(orthants[t]), len(accepted))

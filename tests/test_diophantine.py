@@ -96,6 +96,31 @@ def test_canonical_rep():
     assert Lattice([(2, 4)]).canonical_rep(Point((3, -5))) == Point((1, -9))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_class_agrees_with_canonical_rep(data):
+    # two vectors share a class, the equality and congruence values of the
+    # Smith form, exactly when their canonical representatives agree; the
+    # random columns give congruence rows as well as equality rows
+    dim = data.draw(st.integers(2, 4))
+    rank = data.draw(st.integers(1, dim))
+    columns = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim),
+                                 min_size=rank, max_size=rank))
+    try:
+        L = Lattice(columns)
+    except InputError:
+        assume(False)
+    p = data.draw(st.tuples(*[st.integers(-6, 6)] * dim))
+    coeffs = data.draw(st.tuples(*[st.integers(-2, 2)] * rank))
+    nudge = data.draw(st.one_of(st.just((0,) * dim), st.tuples(*[st.integers(-1, 1)] * dim)))
+    q = tuple(x + e + sum(c * col[i] for c, col in zip(coeffs, columns))
+              for i, (x, e) in enumerate(zip(p, nudge)))
+    assert len(L._class(p)) == dim - rank + sum(d >= 2 for d in L.diagonal())
+    same = L._canonical(p) == L._canonical(q)
+    assert (L._class(p) == L._class(q)) == same == L.member(Point(p) - Point(q))
+    assert same or any(nudge)
+
+
 # ---------------------------------------------------------------------------
 # positivity
 

@@ -402,7 +402,14 @@ def reference_candidates(A, creps, center, dmax):
         inside = itertools.islice(coset_points(lattice, creps, lo, hi), dmax + 2)
         return len(list(inside)) <= dmax + 1
 
-    counts = []
+    def minimal_steps(l, k, orth):
+        # one search per coset difference and orthant, remembered across points
+        if (l, k, orth) not in steps:
+            diff = Point([a - b for a, b in zip(creps[k], creps[l])])
+            steps[l, k, orth] = minimal_orthant_points(lattice, [diff], orth)
+        return steps[l, k, orth]
+
+    counts, steps = [], {}
     candidates, least_rejected = set(), set()
     for orth in all_orthants(A.dim):
         accepted, rejected = {center}, set()
@@ -410,9 +417,8 @@ def reference_candidates(A, creps, center, dmax):
         while frontier:
             nxt = []
             for u, l in frontier:
-                for k, ck in enumerate(creps):
-                    diff = Point([a - b for a, b in zip(ck, creps[l])])
-                    for h in minimal_orthant_points(lattice, [diff], orth):
+                for k in range(len(creps)):
+                    for h in minimal_steps(l, k, orth):
                         s = tuple(map(add, u, h.as_int_tuple()))
                         if s in accepted or s in rejected:
                             continue
@@ -451,9 +457,26 @@ def small_periodic_sets(draw):
     return PeriodicSet(kernel(x), reps)
 
 
-@settings(max_examples=30, deadline=None)
-@given(small_periodic_sets(), st.integers(1, 6))
-def test_candidate_walk_matches_reference(A, dmax):
+@st.composite
+def finite_index_periodic_sets(draw):
+    """Finite-index sublattices of ker(x), x as in small_periodic_sets, with one to three cosets.
+
+    Shaped like the CLI's index-2 three-coset set: the kernel's two basis
+    columns, the second first shifted by a multiple of the first, each
+    scaled by 1 or 2 and at least one by 2, so the Smith form has a
+    diagonal entry of 2 or more: a congruence row in the class map.
+    """
+    b, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    first, second = kernel(draw(st.permutations((1, b, c)))).columns
+    t = draw(st.integers(-1, 1))
+    second = tuple(y + t * x for x, y in zip(first, second))
+    scales = draw(st.tuples(st.integers(1, 2), st.integers(1, 2)).filter(lambda m: max(m) > 1))
+    lattice = Lattice([tuple(m * x for x in col) for m, col in zip(scales, (first, second))])
+    reps = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=3))
+    return PeriodicSet(lattice, reps)
+
+
+def check_walk_against_reference(A, dmax):
     creps = [rep.as_int_tuple() for rep in A.reps]
     for center in creps:
         candidates, counts, rejected = _candidate_vertices(A, creps, center, {})(dmax)
@@ -465,16 +488,78 @@ def test_candidate_walk_matches_reference(A, dmax):
             assert len(points_in_box(A.lattice, A.reps, Point(center), Point(r))) > dmax + 1
 
 
+def check_resumed_walk(A, depths=range(1, 7)):
+    # a walk carried on through the depths is, at each depth, the walk
+    # started there: candidates, counts per orthant and rejected frontier.
+    # The fresh walks share one step table, which names no center or depth
+    creps = [rep.as_int_tuple() for rep in A.reps]
+    steps: dict = {}
+    for center in creps:
+        advance = _candidate_vertices(A, creps, center, {})
+        for dmax in depths:
+            assert advance(dmax) == _candidate_vertices(A, creps, center, steps)(dmax), \
+                (center, dmax)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_periodic_sets(), st.integers(1, 6))
+def test_candidate_walk_matches_reference(A, dmax):
+    check_walk_against_reference(A, dmax)
+
+
 @settings(max_examples=30, deadline=None)
 @given(small_periodic_sets())
 def test_resumed_walk_matches_fresh_walks(A):
-    # a walk carried on through depths 1..6 is, at each depth, the walk
-    # started there: candidates, counts per orthant and rejected frontier
-    creps = [rep.as_int_tuple() for rep in A.reps]
-    for center in creps:
-        advance = _candidate_vertices(A, creps, center, {})
-        for dmax in range(1, 7):
-            assert advance(dmax) == _candidate_vertices(A, creps, center, {})(dmax), (center, dmax)
+    check_resumed_walk(A)
+
+
+@settings(max_examples=20, deadline=None)
+@given(finite_index_periodic_sets(), st.integers(1, 6))
+def test_candidate_walk_matches_reference_on_sublattices(A, dmax):
+    check_walk_against_reference(A, dmax)
+
+
+@settings(max_examples=20, deadline=None)
+@given(finite_index_periodic_sets())
+def test_resumed_walk_matches_fresh_walks_on_sublattices(A):
+    check_resumed_walk(A)
+
+
+@pytest.mark.parametrize("basis, cosets, dmax", [
+    ([(2, -1, 0, 0), (3, 0, -1, 0), (4, 0, 0, -1)], None, 6),
+    ([(1, -1, 0, 0), (2, 0, -1, 0), (3, 0, 0, -1)], [(0, 0, 0, 0), (1, 0, 0, 0)], 4),
+    # index 2 in ker(1,1,1,1), three cosets
+    ([(2, -2, 0, 0), (1, 0, -1, 0), (1, 0, 0, -1)],
+     [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0)], 3),
+], ids=["ker(1,2,3,4)", "ker(1,1,2,3)+e1", "index2-3cosets"])
+def test_candidate_walk_matches_reference_in_4d(basis, cosets, dmax):
+    # four prefix rows per walk count the down-boxes as the reference's
+    # box queries do, fresh and resumed
+    A = validate_periodic_set(basis, cosets)
+    check_walk_against_reference(A, dmax)
+    check_resumed_walk(A, range(1, dmax + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_periodic_sets(), finite_index_periodic_sets()), st.data())
+def test_face_memo_answers_each_join_as_a_fresh_query(A, data):
+    # the memo keys by join, then by class: translating by l in L maps the
+    # set points strictly below T onto those strictly below T + l.  The
+    # joins of a 3x3x3 box, where several classes share each value of x.T,
+    # and their translates by lattice vectors l come in a drawn order, and
+    # each answer is a fresh coset_points query's
+    lattice = A.lattice
+    creps, is_face_join, _ = _setup(A, [])
+    corner = data.draw(st.tuples(*[st.integers(-4, 2)] * 3))
+    coefficients = st.tuples(*[st.integers(-3, 3)] * lattice.rank)
+    tops = []
+    for box in itertools.product(*(range(c, c + 3) for c in corner)):
+        coeffs = data.draw(coefficients)
+        shift = [sum(c * col[i] for c, col in zip(coeffs, lattice.columns)) for i in range(3)]
+        tops += [box, tuple(map(add, box, shift))]
+    for top in data.draw(st.permutations(tops)):
+        fresh = next(coset_points(lattice, creps, [None] * 3, [t - 1 for t in top]), None)
+        assert is_face_join(top) == (fresh is None), top
 
 
 @st.composite
