@@ -7,17 +7,17 @@ the class of an integer vector v is the values U_i v for each i past the
 rank, then U_i v mod d_i for each d_i >= 2, and two vectors share a class
 exactly when their difference lies in the lattice.  The face memo of the
 star engine keys by it, and the orthant search reads its right-hand sides
-from it.  The canonical representative of a coset comes from the same
-form, through one precomputed reduction.  On top of that sits one lazy enumerator of coset
-points between integer bounds, as int tuples, so an emptiness test stops at
-the first point.  It runs one Fourier-Motzkin elimination plan per lattice
-and bound pattern, so a query only supplies integer right-hand sides.  Two
-point queries wrap it: all coset points inside a box given by two opposite
-corners, and all coset points strictly below a bound.  The minimal nonzero
-points of an orthant come from a minimal-solutions search instead: one
-search per orthant answers every coset asked about, through one counter
-column per coset, and each coset's points are decided among its own
-candidates.
+from it.  The canonical representative of a coset comes from the same form,
+through one precomputed reduction.  On top of that sits one lazy enumerator
+of coset points between integer bounds, as int tuples, so an emptiness test
+stops at the first point.  It runs one Fourier-Motzkin elimination plan per
+lattice and bound pattern, so a query only supplies integer right-hand
+sides.  Two point queries wrap it: all coset points inside a box given by
+two opposite corners, and all coset points strictly below a bound.  The
+minimal nonzero points of an orthant come from a minimal-solutions search
+instead: one search per orthant answers every coset asked about, through
+one counter column per coset, and each coset's points are decided among its
+own candidates.
 """
 
 from __future__ import annotations
@@ -231,17 +231,19 @@ def _orthant_steps(lattice: Lattice, diffs: Sequence[tuple[int, ...]],
     y = sigma x that is a system A y = b_d over the naturals once each
     congruence gains a slack pair, with b_d, d's class, reduced into
     [0, d_i) on the congruence rows.  Distinct cosets have distinct b_d,
-    and only L itself has b_d = 0.  So one counter search, with a column -b_d for each other
-    coset, finds the minimal extended solutions of all of them: those with
-    d's counter at 1, or with every counter at 0 for L.  Their y parts
-    cover every minimal nonzero point of each coset, with possible extras,
-    and a point is kept when no other point of its coset lies below it.
+    and only L itself has b_d = 0.  So one counter search, with a column
+    -b_d for each other coset, finds the minimal extended solutions of all
+    of them: those with d's counter at 1, or with every counter at 0 for L.
+    Their y parts cover every minimal nonzero point of each coset, with
+    possible extras, and a point is kept when no other point of its coset
+    lies below it.
 
     diffs are canonical representatives as int tuples.  Returns
     {d: sorted nonnegative y}, the points being sigma * y.
     """
     n, eqs, congruences = lattice.dim, lattice._equal_rows, lattice._congruences
-    rows = [[u * s for u, s in zip(row, signs)] for row in (*eqs, *(row for row, _ in congruences))]
+    rows = [[u * s for u, s in zip(row, signs)]
+            for row in (*eqs, *(row for row, _ in congruences))]
     columns = [tuple(row[j] for row in rows) for j in range(n)]
     for a, (_, modulus) in enumerate(congruences, start=len(eqs)):
         for m in (-modulus, modulus):
