@@ -7,13 +7,18 @@ most dmax+1 set points; these are the only possible star vertices once dmax
 reaches the star dimension.  Each set point of such a box is reached by
 steps that stay inside the box, and points pop in order of their weight, so
 the box's other set points have all been decided when a point pops: its
-count is a scan of the points already accepted.  One minimal-solutions
-search per pair of opposite orthants gives the steps of every coset
-difference, since the steps of coset -d in the opposite orthant are the
-negated steps of coset d, and at a center of symmetry of the set only half
-of the orthants are walked.  Second, faces among the candidates are tested
-exactly against the full periodic set, so reported faces are always correct
-and the report says whether the vertex list is known to be complete.  One
+count is a bit count over the points already accepted, read from one prefix
+bitset per axis.  One minimal-solutions search per pair of opposite
+orthants gives the steps of every coset difference, since the steps of
+coset -d in the opposite orthant are the negated steps of coset d, and at a
+center of symmetry of the set only half of the orthants are walked.
+Second, faces among the candidates are tested exactly against the full
+periodic set, so reported faces are always correct and the report says
+whether the vertex list is known to be complete.  A face test asks for a
+set point strictly below a join T, and translating by a lattice vector l
+maps the set points strictly below T onto those strictly below T + l, so
+the answer depends only on T's class modulo the lattice: the memo keys by
+class, and one Fourier-Motzkin walk answers every join of a class.  One
 engine, _stars, runs both stages for every entry point, at one depth or
 over doubling depths: a call shares one face-test memo and one step table
 among its centers, each center has one walk, resumed as the depth grows,
@@ -22,8 +27,8 @@ same walks.  Both stages run on int tuples, and so do the results: a star
 is a sorted int vertex list with a tree of its faces and their int joins,
 and a quotient's orbits are int vertex tuples with their incidence counts.
 A star's faces grow from the center at its own index among the sorted
-vertices, through the one face-growing loop of the complexes module, so
-its faces come out in the star's vertex indices.
+vertices, through the one face-growing loop of the complexes module, so its
+faces come out in the star's vertex indices.
 """
 
 from __future__ import annotations
