@@ -2,13 +2,19 @@
 
 One job per invocation: a subcommand, one JSON input document, flags, and a
 single output document on stdout (JSON with --format structured, a readable
-summary otherwise).  Every job returns its output as text, written in
-either format straight from its result (face trees, neighbor rows,
-orbits, reports, a Layering or a Resolution), with no document between.
-Failures print an error document to stderr and exit with a class-specific
-code: 2 malformed input, 3 positivity violation, 4 genericity required but
-absent, 5 internal invariant failure, 6 no certificate within the depth
-limit of --auto-dmax.
+summary otherwise).  Every job computes its whole result first and then
+returns its output as chunks of text, written in either format straight
+from that result (face trees, neighbor rows, orbits, reports, a Layering
+or a Resolution), with no document between; main writes the chunks one at
+a time, so a long document is never held whole.  A chunk holds at most
+formats._CHUNK items of a list, or lines of a summary, and a short output
+is one chunk.  Failures print an error document to stderr and exit with a
+class-specific code: 2 malformed input, 3 positivity violation, 4
+genericity required but absent, 5 internal invariant failure, 6 no
+certificate within the depth limit of --auto-dmax.  A writer that raises
+after its first chunk is a bug: main then writes the error document to
+stderr and exits 5, and stdout holds the chunks written before it, a
+truncated document.
 
 Flags that would be ignored are refused instead (exit 2): finite-nb takes
 --max-dim or --vertex, not both, and the periodic subcommands take --dmax or
@@ -22,6 +28,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections.abc import Iterable, Iterator
+from itertools import chain, islice
 from operator import getitem
 
 from . import formats
@@ -141,7 +149,7 @@ def _oracle_tree(A: FinitePointSet) -> FaceTree:
     return tree
 
 
-def _run_oracle(job: argparse.Namespace) -> str:
+def _run_oracle(job: argparse.Namespace) -> Iterable[str]:
     text, radii = job.fmt == "text", job.r_candidate is not None or job.r_witness is not None
     if job.selftest is not None:
         if job.input is not None or radii:
@@ -171,7 +179,7 @@ def _run_oracle(job: argparse.Namespace) -> str:
         "r_candidate": job.r_candidate, "r_witness": job.r_witness, "source": "oracle"})
 
 
-def _selftest(trials: int, seed: int, text: bool) -> str:
+def _selftest(trials: int, seed: int, text: bool) -> list:
     import random
 
     if trials < 1:
@@ -191,17 +199,19 @@ def _selftest(trials: int, seed: int, text: bool) -> str:
                 f"{[list(p) for p in sorted(pts)]}"
             )
     if text:
-        return f"selftest: {trials} trials with seed {seed}: all agreed\n"
-    return formats.render_document({"kind": "selftest", "trials": trials, "seed": seed,
-                                    "agreed": True})
+        return [f"selftest: {trials} trials with seed {seed}: all agreed\n"]
+    return [formats.render_document({"kind": "selftest", "trials": trials, "seed": seed,
+                                     "agreed": True})]
 
 
-def run(job: argparse.Namespace) -> str:
-    """Execute one job, given as the parsed command line, and return its output text.
+def run(job: argparse.Namespace) -> Iterable[str]:
+    """Execute one job, given as the parsed command line, and return its output text in chunks.
 
     The text is the structured document or the readable summary, as --format
     asks, written in either format from the job's result: face trees,
-    neighbor rows, orbits, reports, a Layering or a Resolution.
+    neighbor rows, orbits, reports, a Layering or a Resolution.  The result
+    is computed before run returns; the chunks are written from it as they
+    are iterated, and "".join(run(job)) is the whole output.
     """
     text = job.fmt == "text"
     if job.subcommand == "finite-nb":
@@ -238,8 +248,8 @@ def run(job: argparse.Namespace) -> str:
         A = formats.parse_points_doc(formats.load_document(job.input))
         report = is_generic(A, mode=job.generic_mode)
         if text:
-            return "\n".join(_genericity_lines(report)) + "\n"
-        return formats.render_document(formats.genericity_doc(report))
+            return ["\n".join(_genericity_lines(report)) + "\n"]
+        return [formats.render_document(formats.genericity_doc(report))]
 
     if job.subcommand == "layers":
         A = formats.parse_points_doc(formats.load_document(job.input))
@@ -325,8 +335,16 @@ def _genericity_lines(report: GenericityReport) -> list:
     return lines
 
 
-def complex_text(A: FinitePointSet, tree: FaceTree, tail: list) -> str:
-    """The text form of formats.complex_doc(A, tree, extra), from the tree.
+def _lines(lines: Iterable[str]) -> Iterator[str]:
+    """The text of the lines, each ending in a newline, in chunks of formats._CHUNK lines."""
+    lines = iter(lines)
+    while batch := list(islice(lines, formats._CHUNK)):
+        batch.append("")
+        yield "\n".join(batch)
+
+
+def complex_text(A: FinitePointSet, tree: FaceTree, tail: list) -> Iterator[str]:
+    """The text form of formats.complex_doc(A, tree, extra), from the tree, in chunks.
 
     A line per face, then tail, the lines of what extra holds.  Each
     vertex's text and each distinct join's text is written once.
@@ -335,78 +353,100 @@ def complex_text(A: FinitePointSet, tree: FaceTree, tail: list) -> str:
     values = [[str(v) for v in axis] for axis in A.rank_index.values]
     joins = {top: "(" + ", ".join(map(getitem, values, top)) + ")"
              for top in dict.fromkeys(tree.join)}
-    lines = [f"complex of dimension {len(f_vector) - 1}, f-vector {_point_str(f_vector)}"]
     blocks = [_point_str(p.coords) for p in A.points]
-    for dim, tops, texts in formats.face_texts(tree, blocks, " "):
-        lines += [f"  dim {dim}: {vs}  join {joins[t]}" for t, vs in zip(tops, texts)]
-    return "\n".join(lines + tail) + "\n"
+    faces = (f"  dim {dim}: {vs}  join {joins[t]}"
+             for dim, tops, texts in formats.face_texts(tree, blocks, " ")
+             for t, vs in zip(tops, texts))
+    yield from _lines(chain(
+        [f"complex of dimension {len(f_vector) - 1}, f-vector {_point_str(f_vector)}"],
+        faces, tail))
 
 
-def neighbors_text(center: Point, rows: list, tail: list) -> str:
-    """The text form of formats.neighbors_doc(center, rows, fields), from the rows.
+def neighbors_text(center: Point, rows: list, tail: list) -> Iterator[str]:
+    """The text form of formats.neighbors_doc(center, rows, fields), from the rows, in chunks.
 
     The center and the neighbor count, a line per neighbor, then tail, the
     lines of what fields holds.
     """
-    lines = [f"center {_point_str(center.coords)}: {len(rows)} neighbors"]
-    lines += ["  " + _point_str(v) for v in rows]
-    return "\n".join(lines + tail) + "\n"
+    yield from _lines(chain([f"center {_point_str(center.coords)}: {len(rows)} neighbors"],
+                            ("  " + _point_str(v) for v in rows), tail))
 
 
-def quotient_text(q: QuotientResult) -> str:
-    """The text form of formats.quotient_doc(q), each vertex's text written once."""
+def quotient_text(q: QuotientResult) -> Iterator[str]:
+    """The text form of formats.quotient_doc(q), each vertex's text written once, in chunks."""
     vertices = dict.fromkeys(v for vs, _ in q.orbits for v in vs)
     block = {v: _point_str(v) for v in vertices}.__getitem__
-    lines = [f"orbit f-vector: {_point_str(q.f_vector)}"]
-    lines += [f"  dim {len(vs) - 1} x{c}: {' '.join(map(block, vs))}" for vs, c in q.orbits]
-    lines += _report_lines(q.report)
-    return "\n".join(lines) + "\n"
+    yield from _lines(chain(
+        [f"orbit f-vector: {_point_str(q.f_vector)}"],
+        (f"  dim {len(vs) - 1} x{c}: {' '.join(map(block, vs))}" for vs, c in q.orbits),
+        _report_lines(q.report)))
 
 
-def layering_text(layering: Layering, filtered, k: int) -> str:
-    """The text form of formats.layering_doc(layering, filtered, k), from its sets."""
+def layering_text(layering: Layering, filtered, k: int) -> Iterator[str]:
+    """The text form of formats.layering_doc(layering, filtered, k), from its sets, in chunks."""
     def row(points) -> str:
         return " ".join([_point_str(p.coords) for p in sorted(points, key=point_key)])
 
     lines = [f"layer {i}: {row(layer)}" for i, layer in enumerate(layering.layers)]
     lines.append(f"residual: {row(layering.residual) or '(empty)'}")
     lines.append(f"downset filter (k={k}): {row(filtered)}")
-    return "\n".join(lines) + "\n"
+    yield from _lines(lines)
 
 
-def resolution_text(res: Resolution) -> str:
-    """The text form of formats.resolution_doc(res), from the Resolution."""
-    lines = [
+def resolution_text(res: Resolution) -> Iterator[str]:
+    """The text form of formats.resolution_doc(res), from the Resolution, in chunks."""
+    head = [
         f"betti numbers: {_point_str(res.betti)}",
         "multigraded: " + "; ".join([f"dim {d} at {_point_str(md)} x{n}"
                                      for (d, md), n in res.multigraded_betti.items()]),
         "augmentation: " + "  ".join([monomial(p) for p in res.augmentation]),
     ]
-    for i, step in enumerate(res.differentials, start=1):
-        lines.append(f"differential {i}:")
-        lines += [f"  [{r},{c}] {'+' if s > 0 else '-'}{monomial(e)}"
-                  for (r, c), (s, e) in sorted(step.items())]
-    lines.append(f"euler characteristic: {res.euler_characteristic()}")
-    return "\n".join(lines) + "\n"
+
+    def differentials():
+        for i, step in enumerate(res.differentials, start=1):
+            yield f"differential {i}:"
+            yield from (f"  [{r},{c}] {'+' if s > 0 else '-'}{monomial(e)}"
+                        for (r, c), (s, e) in sorted(step.items()))
+
+    yield from _lines(chain(head, differentials(),
+                            [f"euler characteristic: {res.euler_characteristic()}"]))
+
+
+def _fail(job: argparse.Namespace, exc: Exception, written: bool) -> int:
+    """Write the error document of exc to stderr and return the exit code.
+
+    Anything but a ScarfError is an internal failure, and so is any error
+    once output has started: a writer that raises after its first chunk.
+    """
+    code = exc.exit_code if isinstance(exc, ScarfError) and not written else 5
+    doc = formats.error_doc(exc, code)
+    if job.fmt == "structured":
+        text = formats.render_document(doc)
+    else:
+        # the witness as the structured error lists it, then any last report
+        lines = [f"error [{doc['error']}]: {doc['message']}"]
+        lines += [f"  witness: {doc['witness']}"] if "witness" in doc else []
+        lines += _report_lines(exc.report) if "report" in doc else []
+        text = "\n".join(lines) + "\n"
+    sys.stderr.write(text)
+    return code
 
 
 def main(argv=None) -> int:
     job = _build_parser().parse_args(argv)
-    try:
-        text, stream, code = run(job), sys.stdout, 0
-    except Exception as exc:  # noqa: BLE001 - anything but a ScarfError is an internal failure
-        code = exc.exit_code if isinstance(exc, ScarfError) else 5
-        doc, stream = formats.error_doc(exc, code), sys.stderr
-        if job.fmt == "structured":
-            text = formats.render_document(doc)
-        else:
-            # the witness as the structured error lists it, then any last report
-            lines = [f"error [{doc['error']}]: {doc['message']}"]
-            lines += [f"  witness: {doc['witness']}"] if "witness" in doc else []
-            lines += _report_lines(exc.report) if "report" in doc else []
-            text = "\n".join(lines) + "\n"
-    stream.write(text)
-    return code
+    chunks, written = None, False
+    while True:
+        # only run and the writers are guarded: a failing write to stdout is not a job's error
+        try:
+            if chunks is None:
+                chunks = iter(run(job))
+            chunk = next(chunks)
+        except StopIteration:
+            return 0
+        except Exception as exc:  # noqa: BLE001 - anything but a ScarfError is an internal failure
+            return _fail(job, exc, written)
+        sys.stdout.write(chunk)
+        written = True
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from .geometry import Point, RankIndex, iter_bits, lowest_bit, point_key
 class FinitePointSet:
     """A finite set of pairwise distinct points of one common dimension."""
 
-    __slots__ = ("points", "_position", "_rank_index")
+    __slots__ = ("points", "_position", "_rank_index", "_downsets")
 
     def __init__(self, points: Iterable):
         pts = sorted({p if isinstance(p, Point) else Point(p) for p in points}, key=point_key)
@@ -44,6 +44,8 @@ class FinitePointSet:
         self.points = tuple(pts)
         self._position = {p: i for i, p in enumerate(pts)}
         self._rank_index = None
+        # posets' downset bitsets by orthant signs, each built once per set
+        self._downsets = {}
 
     @property
     def dim(self) -> int:

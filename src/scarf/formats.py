@@ -16,17 +16,22 @@ complex_doc and star_doc (from a FaceTree of faces and joins),
 neighbors_doc (from coordinate rows), quotient_doc (from orbits),
 resolution_doc (from a Resolution) and layering_doc (from a Layering)
 write each list's items as text, and one list writer places them among
-the short fields that render_document writes; that text equals
-render_document of the document it stands for.  One face writer,
-face_texts, serves complex_doc, star_doc and the CLI's text summary: each
-face's vertex text is its parent's plus one vertex's block, one size of
-faces at a time.
+the short fields that render_document writes; the text they yield equals
+render_document of the document it stands for.  They yield it in chunks,
+each holding at most _CHUNK items of any one list (an item of a list of
+lists is one item of an inner list), so no writer holds a long document
+whole: "".join(chunks) is the document.  One face writer, face_texts,
+serves complex_doc, star_doc and the CLI's text summary: each face's
+vertex text is its parent's plus one vertex's block, one size of faces at
+a time.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterator
+from itertools import islice
 from operator import getitem
 
 from .complexes import FaceTree
@@ -205,53 +210,96 @@ def face_texts(tree: FaceTree, blocks: list, sep: str):
         yield dim, joins[start:end], texts
 
 
-def _faces(tree: FaceTree, blocks: list, values: list) -> list:
+def _faces(tree: FaceTree, blocks: list, values: list):
     """The text of each face of the tree but the empty one, in order, at its place in a document.
 
     Each face is {"dim", "multidegree", "vertices"}: blocks[i] is the text
     of vertex i's coordinate list and values[k][top[k]] that of the join's
     k-th coordinate.  Each face is one string around those texts, without a
-    dict per face, and each distinct join's text is written once.
+    dict per face, and each distinct join's text is written once.  Yields
+    the faces one by one.
     """
     sep = ",\n        "
     degree = dict.fromkeys(tree.join)
     for top in degree:
         degree[top] = sep.join(map(getitem, values, top))
-    items = []
     for dim, joins, texts in face_texts(tree, blocks, sep):
         head = f'{{\n      "dim": {dim},\n      "multidegree": [\n        '
-        items += [f'{head}{degree[t]}\n      ],\n      "vertices": [\n        {vs}\n      ]\n'
-                  f'    }}' for t, vs in zip(joins, texts)]
-    return items
+        for t, vs in zip(joins, texts):
+            yield (f'{head}{degree[t]}\n      ],\n      "vertices": [\n        {vs}\n      ]\n'
+                   f'    }}')
 
 
-def _list_doc(fields: dict, **lists: list) -> str:
-    """render_document of {**fields, **lists}, given the text of each item of each list.
+# items of one list in one chunk of a long document.  A chunk's items are
+# alive together: 256 faces of 16 collinear points are 120 KB of text, and
+# 4 096 a chunk left the finite benchmark's peak RSS about 4 MB higher
+# (x86, Python 3.11)
+_CHUNK = 256
 
-    The items are written at depth 2, as render_document writes a list
-    under a top-level key.  render_document writes the fields, with each
-    list empty, and each nonempty list is placed where its [] stands.
+
+def _list_doc(fields: dict, **lists):
+    """render_document of {**fields, **lists} in chunks, given the text of each item of each list.
+
+    Each list is an iterable of its items' text, written at depth 2, as
+    render_document writes a list under a top-level key.  render_document
+    writes the fields, with each list empty, and each nonempty list is
+    placed where its [] stands.  A chunk ends after a full batch of _CHUNK
+    items of a list, if more follow, or at the end, so a chunk holds at
+    most _CHUNK items of any one list and a short document is one chunk.
     """
     text = render_document({**fields, **dict.fromkeys(lists, [])})
-    # one join writes the whole text, the text around each list riding on its
-    # first and last item, so the megabytes of items are copied only once
+    sep = ",\n    "
+    # the items not yet yielded, the text around each list riding on its
+    # first and last item, so each item is copied only into its chunk
     parts = [""]
     for key, items in sorted(lists.items()):
-        if items:
-            head, text = text.split(f'\n  "{key}": []')
-            parts[-1] += f'{head}\n  "{key}": [\n    {items[0]}'
-            parts += items[1:]
-            parts[-1] += "\n  ]"
+        items = iter(items)
+        batch = list(islice(items, _CHUNK))
+        if not batch:
+            continue
+        head, text = text.split(f'\n  "{key}": []')
+        batch[0] = f'{parts.pop()}{head}\n  "{key}": [\n    {batch[0]}'
+        while True:
+            parts += batch
+            batch = list(islice(items, _CHUNK))
+            if not batch:
+                break
+            yield sep.join(parts)
+            parts, batch[0] = [], sep + batch[0]
+        parts[-1] += "\n  ]"
     parts[-1] += text
-    return ",\n    ".join(parts)
+    yield sep.join(parts)
 
 
-def complex_doc(A: FinitePointSet, tree: FaceTree, extra: dict) -> str:
+def _nested(lists):
+    """A list of lists as the items _list_doc writes, given each inner list's items' text.
+
+    Each item of an inner list, written at depth 3, is one item of the
+    outer list: _list_doc's separator and two more spaces are the inner
+    separator, the inner list's brackets ride on its first and last item,
+    and an empty inner list is the item "[]".  So _list_doc chunks a list
+    of lists by its inner items.
+    """
+    for items in lists:
+        items = iter(items)
+        item = next(items, None)
+        if item is None:
+            yield "[]"
+            continue
+        item = "[\n      " + item
+        for nxt in items:
+            yield item
+            item = "  " + nxt
+        yield item + "\n    ]"
+
+
+def complex_doc(A: FinitePointSet, tree: FaceTree, extra: dict) -> Iterator[str]:
     """The text of the complex document of A's faces, given as a tree of rank joins.
 
-    Returns render_document of {"kind": "complex", "dimension", "f_vector",
-    "empty_face": true, "faces", **extra}, byte for byte, where each face is
-    {"dim", "multidegree", "vertices"} and the empty face is only flagged.
+    Yields, in chunks, render_document of {"kind": "complex", "dimension",
+    "f_vector", "empty_face": true, "faces", **extra}, byte for byte, where
+    each face is {"dim", "multidegree", "vertices"} and the empty face is
+    only flagged.
     The tree is what finite's face growth returns: the empty face, then the
     others by size, then by member indices.  A indexes its points in
     canonical order, so that is the canonical face order, and nothing is
@@ -265,7 +313,7 @@ def complex_doc(A: FinitePointSet, tree: FaceTree, extra: dict) -> str:
         "empty_face": True,
         **extra,
     }
-    return _list_doc(fields, faces=_faces(
+    yield from _list_doc(fields, faces=_faces(
         tree, [_vertex_block(p.coords, 4) for p in A.points],
         [[_coord_text(v) for v in axis] for axis in A.rank_index.values]))
 
@@ -289,19 +337,19 @@ def genericity_doc(report: GenericityReport) -> dict:
     return doc
 
 
-def layering_doc(layering: Layering, filtered, k: int) -> str:
+def layering_doc(layering: Layering, filtered, k: int) -> Iterator[str]:
     """The text of the layering document, written from the Layering.
 
-    Returns render_document of {"kind": "layering", "layers", "residual",
-    "k", "filtered"}, byte for byte, each set of points listed in
-    canonical order.
+    Yields, in chunks, render_document of {"kind": "layering", "layers",
+    "residual", "k", "filtered"}, byte for byte, each set of points listed
+    in canonical order.
     """
-    def rows(points, depth: int) -> list:
-        return [_vertex_block(p.coords, depth) for p in sorted(points, key=point_key)]
+    def rows(points, depth: int):
+        return (_vertex_block(p.coords, depth) for p in sorted(points, key=point_key))
 
-    return _list_doc({"kind": "layering", "k": k},
-                     layers=[_block(rows(layer, 3), 2) for layer in layering.layers],
-                     residual=rows(layering.residual, 2), filtered=rows(filtered, 2))
+    yield from _list_doc({"kind": "layering", "k": k},
+                         layers=_nested(rows(layer, 3) for layer in layering.layers),
+                         residual=rows(layering.residual, 2), filtered=rows(filtered, 2))
 
 
 def report_doc(report: CompletenessReport) -> dict:
@@ -313,37 +361,38 @@ def report_doc(report: CompletenessReport) -> dict:
     }
 
 
-def star_doc(star: StarResult) -> str:
+def star_doc(star: StarResult) -> Iterator[str]:
     """The text of the star document, written from the star's face tree.
 
-    Returns render_document of {"kind": "star", "center", "neighbors",
-    "faces", "report"}, byte for byte, each face as in complex_doc and the
-    neighbors as in neighbors_doc.
+    Yields, in chunks, render_document of {"kind": "star", "center",
+    "neighbors", "faces", "report"}, byte for byte, each face as in
+    complex_doc and the neighbors as in neighbors_doc.
     """
     center = star.center.coords
     # a join's coordinate on an axis is one of its vertices' coordinates there
     values = [{c: _coord_text(c) for c in axis} for axis in zip(*star.vertices)]
-    return _list_doc(
+    yield from _list_doc(
         {"kind": "star", "center": point_json(star.center), "report": report_doc(star.report)},
         faces=_faces(star.records, [_vertex_block(v, 4) for v in star.vertices], values),
-        neighbors=[_vertex_block(v, 2) for v in star.vertices if v != center])
+        neighbors=(_vertex_block(v, 2) for v in star.vertices if v != center))
 
 
-def neighbors_doc(center: Point, rows, fields: dict) -> str:
+def neighbors_doc(center: Point, rows, fields: dict) -> Iterator[str]:
     """The text of the neighbors document of center, given its neighbors' coordinates.
 
-    Returns render_document of {"kind": "neighbors", "center", "neighbors",
-    **fields}, byte for byte, with the neighbors in the order of rows.
+    Yields, in chunks, render_document of {"kind": "neighbors", "center",
+    "neighbors", **fields}, byte for byte, with the neighbors in the order
+    of rows.
     """
-    return _list_doc({"kind": "neighbors", "center": point_json(center), **fields},
-                     neighbors=[_vertex_block(v, 2) for v in rows])
+    yield from _list_doc({"kind": "neighbors", "center": point_json(center), **fields},
+                         neighbors=(_vertex_block(v, 2) for v in rows))
 
 
-def quotient_doc(q: QuotientResult) -> str:
+def quotient_doc(q: QuotientResult) -> Iterator[str]:
     """The text of the quotient document, written from the orbits.
 
-    Returns render_document of {"kind": "quotient", "f_vector", "orbits",
-    "report"}, byte for byte, where each orbit is {"dim", "face",
+    Yields, in chunks, render_document of {"kind": "quotient", "f_vector",
+    "orbits", "report"}, byte for byte, where each orbit is {"dim", "face",
     "incidences"} and "face" lists its vertices' coordinates.  Each
     distinct vertex's coordinate list is written once.
     """
@@ -351,19 +400,19 @@ def quotient_doc(q: QuotientResult) -> str:
     for v in blocks:
         blocks[v] = _vertex_block(v, 4)
     sep, block = ",\n        ", blocks.__getitem__
-    orbits = [
+    orbits = (
         f'{{\n      "dim": {len(vs) - 1},\n      "face": [\n        '
         f'{sep.join(map(block, vs))}\n      ],\n      "incidences": {c}\n    }}'
         for vs, c in q.orbits
-    ]
-    return _list_doc({"kind": "quotient", "f_vector": list(q.f_vector),
-                      "report": report_doc(q.report)}, orbits=orbits)
+    )
+    yield from _list_doc({"kind": "quotient", "f_vector": list(q.f_vector),
+                          "report": report_doc(q.report)}, orbits=orbits)
 
 
-def resolution_doc(res: Resolution) -> str:
+def resolution_doc(res: Resolution) -> Iterator[str]:
     """The text of the resolution document, written from the Resolution.
 
-    Returns render_document of {"kind": "resolution", "betti",
+    Yields, in chunks, render_document of {"kind": "resolution", "betti",
     "multigraded_betti", "augmentation", "faces_by_dim", "differentials",
     "euler_characteristic"}, byte for byte: a face lists its vertices'
     exponents, a differential entry is {"row", "col", "sign", "exponent"},
@@ -371,21 +420,21 @@ def resolution_doc(res: Resolution) -> str:
     is written once for all the faces that hold it.
     """
     block = [_vertex_block(p.coords, 4) for p in res.points.points].__getitem__
-    differentials = [_block([
+    differentials = ((
         f'{{\n        "col": {c},\n        "exponent": {_vertex_block(e, 4)},\n'
         f'        "row": {r},\n        "sign": {s}\n      }}'
-        for (r, c), (s, e) in sorted(step.items())], 2) for step in res.differentials]
-    multigraded = [
+        for (r, c), (s, e) in sorted(step.items())) for step in res.differentials)
+    multigraded = (
         f'{{\n      "count": {n},\n      "dim": {d},\n'
         f'      "multidegree": {_vertex_block(md, 3)}\n    }}'
-        for (d, md), n in res.multigraded_betti.items()]
-    return _list_doc(
+        for (d, md), n in res.multigraded_betti.items())
+    yield from _list_doc(
         {"kind": "resolution", "betti": list(res.betti),
          "euler_characteristic": res.euler_characteristic()},
-        augmentation=[_vertex_block(p, 2) for p in res.augmentation],
-        differentials=differentials,
-        faces_by_dim=[_block([_block([*map(block, members)], 3) for members, _ in fs], 2)
-                      for fs in res.faces_by_dim],
+        augmentation=(_vertex_block(p, 2) for p in res.augmentation),
+        differentials=_nested(differentials),
+        faces_by_dim=_nested((_block([*map(block, members)], 3) for members, _ in fs)
+                             for fs in res.faces_by_dim),
         multigraded_betti=multigraded)
 
 

@@ -290,29 +290,31 @@ class EliminationPlan:
         for support in self.checks:
             if sum(m * rhs[i] for i, m in support) < 0:
                 return
-        # a level's right-hand sides, computed when the walk first reaches it
-        bounds = [None] * self.nvars
-        last = self.nvars - 1
-
-        def walk(k, prefix):
-            if bounds[k] is None:
-                bounds[k] = tuple(
-                    tuple((cs, c, sum(m * rhs[i] for i, m in support)) for cs, c, support in side)
-                    for side in self.levels[k])
-            upper, lower = bounds[k]
-            if not upper or not lower:
-                raise InternalError("unbounded direction in an enumeration region")
-            hi = min((r - sum(map(mul, cs, prefix))) // c for cs, c, r in upper)
-            lo = -min((r - sum(map(mul, cs, prefix))) // c for cs, c, r in lower)
-            if k == last:
-                for v in range(lo, hi + 1):
-                    yield prefix + (v,)
-            else:
-                for v in range(lo, hi + 1):
-                    yield from walk(k + 1, prefix + (v,))
-
         if self.nvars:
-            yield from walk(0, ())
+            # a level's right-hand sides, computed when the walk first reaches it
+            yield from self._walk(rhs, [None] * self.nvars, 0, ())
+
+    def _walk(self, rhs: Sequence[int], bounds: list, k: int, prefix: tuple):
+        """The points of points(rhs) that extend prefix, whose length is k.
+
+        A method, not a closure that calls itself, so a walk leaves no
+        reference cycle behind for the collector.
+        """
+        if bounds[k] is None:
+            bounds[k] = tuple(
+                tuple((cs, c, sum(m * rhs[i] for i, m in support)) for cs, c, support in side)
+                for side in self.levels[k])
+        upper, lower = bounds[k]
+        if not upper or not lower:
+            raise InternalError("unbounded direction in an enumeration region")
+        hi = min((r - sum(map(mul, cs, prefix))) // c for cs, c, r in upper)
+        lo = -min((r - sum(map(mul, cs, prefix))) // c for cs, c, r in lower)
+        if k == self.nvars - 1:
+            for v in range(lo, hi + 1):
+                yield prefix + (v,)
+        else:
+            for v in range(lo, hi + 1):
+                yield from self._walk(rhs, bounds, k + 1, prefix + (v,))
 
 
 def fm_enumerate_integer(rows, nvars: int) -> Iterator[tuple[int, ...]]:

@@ -33,6 +33,7 @@ faces come out in the star's vertex indices.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left
 from collections import namedtuple
 from heapq import heapify, heappop, heappush
@@ -449,7 +450,23 @@ def quotient_complex(A: PeriodicSet, dmax: int) -> QuotientResult:
 
 
 def _fold(A: PeriodicSet, stars: list) -> QuotientResult:
-    """The quotient of the stars at the coset representatives, all at one depth."""
+    """The quotient of the stars at the coset representatives, all at one depth.
+
+    The fold builds tuples per face and keeps them until it returns, none
+    of them in a reference cycle, so the cyclic collector is paused while
+    it runs rather than rescanning them as they pile up.  The caller's
+    collector state is restored however the fold ends.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _fold_orbits(A, stars)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _fold_orbits(A: PeriodicSet, stars: list) -> QuotientResult:
     lattice = A.lattice
     orbit_map: dict = {}
     combined: dict[str, int] = {}

@@ -10,7 +10,8 @@ Supplying an orthant reinterprets "<=" as the orthant order (b - a lies in
 the orthant), which reverses the axes where the orthant is negative.
 Comparisons run in rank space on the set's own RankIndex: each downset is an
 AND of one bitset per axis, "rank at most r" on a positive axis and "rank at
-least r" on a reversed one, and its size is a bit count.
+least r" on a reversed one, and its size is a bit count.  A set keeps its
+downsets per orthant, so the layering and the filter of one job share them.
 """
 
 from __future__ import annotations
@@ -39,6 +40,15 @@ def _downsets(A: FinitePointSet, orthant: Orthant | None) -> list[int]:
     return out
 
 
+def _set_downsets(A: FinitePointSet, orthant: Orthant | None) -> list[int]:
+    """_downsets(A, orthant), built once per set and orthant sign pattern."""
+    signs = None if orthant is None else orthant.signs
+    down = A._downsets.get(signs)
+    if down is None:
+        down = A._downsets[signs] = _downsets(A, orthant)
+    return down
+
+
 class Layering(namedtuple("Layering", "layers residual")):
     """Staged minimal-element strata plus whatever depth k left untouched.
 
@@ -52,7 +62,7 @@ def dickson_layers(A: FinitePointSet, k: int, orthant: Orthant | None = None) ->
     """Layers 0..k of the staged minimal-element decomposition."""
     if k < 0:
         raise InputError(f"layer depth must be nonnegative, got {k}")
-    down = _downsets(A, orthant)
+    down = _set_downsets(A, orthant)
     remaining = list(range(len(down)))
     mask = (1 << len(down)) - 1
     layers = []
@@ -77,5 +87,5 @@ def filter_by_downset(A: FinitePointSet, k: int, orthant: Orthant | None = None)
     """
     if k < 0:
         raise InputError(f"downset bound must be nonnegative, got {k}")
-    down = _downsets(A, orthant)
+    down = _set_downsets(A, orthant)
     return frozenset(p for p, d in zip(A.points, down) if d.bit_count() <= k + 1)

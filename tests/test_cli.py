@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: documents in, documents out, exit codes."""
 
+import gc
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +28,9 @@ from scarf.cli import (
 )
 from scarf.errors import InputError
 from scarf.finite import FinitePointSet, _face_records, is_generic, neighbors
-from scarf.geometry import point_key
-from scarf.periodic import quotient_complex
+from scarf.formats import parse_lattice_doc
+from scarf.geometry import Point, point_key
+from scarf.periodic import quotient_complex, star_at
 from scarf.resolution import build_resolution
 from test_formats import (
     NO_SHRINK,
@@ -323,7 +326,27 @@ def test_layers_matches_library(docfile, capsys):
     assert code == 0
     A = parse_points_doc(doc_in)
     expected = layering_doc(dickson_layers(A, 1), filter_by_downset(A, 1), 1)
-    assert json.loads(out) == json.loads(expected)
+    assert json.loads(out) == json.loads("".join(expected))
+
+
+@pytest.mark.parametrize("fmt", ["structured", "text"])
+@pytest.mark.parametrize("orthant", [[], ["--orthant=+-+"]])
+def test_layers_builds_downsets_once(docfile, capsys, monkeypatch, fmt, orthant):
+    # the layering and the downset filter share one build of the downsets
+    from scarf import posets
+
+    calls = []
+    build = posets._downsets
+
+    def counting(A, o):
+        calls.append(o)
+        return build(A, o)
+
+    monkeypatch.setattr(posets, "_downsets", counting)
+    code, _, _ = run_cli(["layers", docfile(GENERIC_ANTICHAIN), "--k", "1", *orthant,
+                          "--format", fmt], capsys)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_layers_orthant_flag(docfile, capsys):
@@ -770,8 +793,8 @@ def test_complex_text_matches_the_parsed_document(rows, max_dim, extra):
     A = FinitePointSet(rows)
     records = _face_records(A, None if max_dim is None else max_dim + 1)
     tail, fields = attached(A, extra)
-    text = complex_text(A, records, tail)
-    expected = reference_text(json.loads(formats.complex_doc(A, records, fields)))
+    text = "".join(complex_text(A, records, tail))
+    expected = reference_text(json.loads("".join(formats.complex_doc(A, records, fields))))
     # not assert text == expected: pytest's diff of long strings takes
     # minutes, once per shrinking step
     same = text == expected
@@ -784,8 +807,8 @@ def test_neighbors_text_matches_the_parsed_document(rows, extra):
     center = A.points[-1]
     nbs = [p.coords for p in sorted(neighbors(A, center), key=point_key)]
     tail, fields = attached(A, extra)
-    text = neighbors_text(center, nbs, tail)
-    assert text == reference_text(json.loads(formats.neighbors_doc(center, nbs, fields)))
+    text = "".join(neighbors_text(center, nbs, tail))
+    assert text == reference_text(json.loads("".join(formats.neighbors_doc(center, nbs, fields))))
 
 
 # fixed depths only: a failing certified quotient shrinks for minutes, and
@@ -794,7 +817,8 @@ def test_neighbors_text_matches_the_parsed_document(rows, extra):
 @given(vertex_periodic_sets(), st.integers(1, 3))
 def test_quotient_text_matches_the_parsed_document(A, dmax):
     q = quotient_complex(A, dmax)
-    text, expected = quotient_text(q), reference_text(json.loads(formats.quotient_doc(q)))
+    text = "".join(quotient_text(q))
+    expected = reference_text(json.loads("".join(formats.quotient_doc(q))))
     same = text == expected
     assert same, f"first difference at offset {first_difference(text, expected)}"
 
@@ -802,7 +826,7 @@ def test_quotient_text_matches_the_parsed_document(A, dmax):
 @settings(deadline=None, phases=NO_SHRINK)
 @given(layering_cases())
 def test_layering_text_matches_the_reference(case):
-    text, expected = layering_text(*case), reference_text(reference_layering(*case))
+    text, expected = "".join(layering_text(*case)), reference_text(reference_layering(*case))
     same = text == expected
     assert same, f"first difference at offset {first_difference(text, expected)}"
 
@@ -811,9 +835,95 @@ def test_layering_text_matches_the_reference(case):
 @given(generic_antichains())
 def test_resolution_text_matches_the_reference(rows):
     res = build_resolution(rows)
-    text, expected = resolution_text(res), reference_text(reference_resolution(res))
+    text, expected = "".join(resolution_text(res)), reference_text(reference_resolution(res))
     same = text == expected
     assert same, f"first difference at offset {first_difference(text, expected)}"
+
+
+def face_writers(A, tree):
+    """Each format's chunks of the complex of A, as finite-nb writes it without extras."""
+    return {"structured": formats.complex_doc(A, tree, {}), "text": complex_text(A, tree, [])}
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64, 256])
+def test_writers_chunk_by_items(monkeypatch, chunk):
+    # 63 faces of 6 collinear points; a star's faces and neighbors
+    A = FinitePointSet([(i, 0) for i in range(6)])
+    tree = _face_records(A, None)
+    star = star_at(parse_lattice_doc(KER123_E1), Point((0, 0, 0)), 4)
+    whole = {fmt: "".join(chunks) for fmt, chunks in face_writers(A, tree).items()}
+    whole_star = "".join(formats.star_doc(star))
+    monkeypatch.setattr(formats, "_CHUNK", chunk)
+    chunks = {fmt: list(c) for fmt, c in face_writers(A, tree).items()}
+    # an item is a face of the document, or a line of the summary: 63 faces and a head line
+    assert len(chunks["structured"]) == -(-63 // chunk)
+    assert all(c.count('"dim"') <= chunk for c in chunks["structured"])
+    assert len(chunks["text"]) == -(-64 // chunk)
+    assert all(c.count("\n") <= chunk for c in chunks["text"])
+    assert {fmt: "".join(c) for fmt, c in chunks.items()} == whole
+    assert "".join(formats.star_doc(star)) == whole_star
+
+
+# CI's digests of finite-nb on 16 collinear points: 65 535 faces, 31.5 MB structured
+COLLINEAR16_SHA256 = {
+    "structured": "608d1f80a83f340deac3e32eb98c9f296f6e1ad11e2dd62aabf2cc99709f45a9",
+    "text": "bc885ee90fb76d8b068cae06acdf95adfec1ac79203ba098972612b771cc454a",
+}
+
+
+def test_face_writers_hold_less_than_the_document():
+    # written into a sink that keeps a running digest and a length, the
+    # writers' traced peak stays below the document's length: they hold a
+    # chunk of faces and one size's vertex texts, never the whole text
+    A = FinitePointSet([(i, 0) for i in range(16)])
+    tree = _face_records(A, None)
+    for fmt in ("structured", "text"):
+        digest, length = hashlib.sha256(), 0
+        tracemalloc.start()
+        try:
+            for chunk in face_writers(A, tree)[fmt]:
+                digest.update(chunk.encode())
+                length += len(chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest.hexdigest() == COLLINEAR16_SHA256[fmt]
+        assert peak < length, f"{fmt}: peak {peak} bytes for {length} bytes written"
+
+
+@pytest.mark.parametrize("fmt", ["structured", "text"])
+@pytest.mark.parametrize("written", [0, 1])
+@pytest.mark.parametrize("error", [RuntimeError("writer bug"), InputError("late input error")])
+def test_writer_failure_after_output_exits_5(docfile, capsys, monkeypatch, fmt, written, error):
+    # a writer that raises before its first chunk fails the job as its error
+    # says, with nothing on stdout; one that raises after it is a bug, exit
+    # 5, and stdout keeps the chunks written before it, a truncated document
+    from scarf import cli
+
+    monkeypatch.setattr(formats, "_CHUNK", 2)
+    A = formats.parse_points_doc(RATIONAL_COLLINEAR)
+    whole = list(face_writers(A, _face_records(A, None))[fmt])
+    assert len(whole) > 1
+    module, name = (formats, "complex_doc") if fmt == "structured" else (cli, "complex_text")
+    writer = getattr(module, name)
+
+    def failing(*args):
+        chunks = writer(*args)
+        for _ in range(written):
+            yield next(chunks)
+        raise error
+
+    monkeypatch.setattr(module, name, failing)
+    code, out, err = run_cli(["finite-nb", docfile(RATIONAL_COLLINEAR), "--format", fmt],
+                             capsys)
+    expected = 5 if written or not isinstance(error, InputError) else 2
+    assert code == expected
+    assert out == "".join(whole[:written])
+    if fmt == "structured":
+        assert json.loads(err) == {"kind": "error", "error": type(error).__name__,
+                                   "message": str(error), "exit_code": expected}
+    else:
+        assert err == f"error [{type(error).__name__}]: {error}\n"
 
 
 def test_text_output_writes_no_json(docfile, capsys, monkeypatch):
@@ -980,6 +1090,60 @@ def test_reads_stdin(capsys, monkeypatch):
     code, out, _ = run_cli(["finite-nb", "-", "--format", "structured"], capsys)
     assert code == 0
     assert json.loads(out)["f_vector"] == [3, 3, 1]
+
+
+def cyclic_garbage(job) -> list:
+    """What job() leaves for the cyclic collector, but the json encoder's own cycles.
+
+    json.dumps with an indent encodes through closures that refer to each
+    other, so each render_document call leaves one such cycle: the
+    collected objects that those json.encoder functions reach are left out.
+    """
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        job()
+        gc.collect()
+        garbage = gc.garbage[:]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    left = {id(o): o for o in garbage}
+    reach = [o for o in garbage
+             if callable(o) and getattr(o, "__module__", None) == "json.encoder"]
+    while reach:
+        o = left.pop(id(reach.pop()), None)
+        if o is not None:
+            reach += [r for r in gc.get_referents(o) if id(r) in left]
+    return list(left.values())
+
+
+def test_jobs_leave_no_cyclic_garbage(docfile, capsys):
+    # the quotient fold pauses the collector: a job of each subcommand, and
+    # an error job, leaves nothing that only a collection would free.  Each
+    # job runs once first, for what a first run loads and caches (argparse
+    # leaves a help formatter's cycle on the first parse in a process)
+    for c, doc, flags, exit_code in (
+            ("finite-nb", RATIONAL_COLLINEAR, [], 0),
+            ("finite-nb", TIED_RATIONAL, TIED_VERTEX, 0),
+            ("generic-check", NONGENERIC, [], 0),
+            ("layers", RATIONAL_GRID, ["--k", "2"], 0),
+            ("scarf-resolve", PERMUTATION_4D, [], 0),
+            ("lattice-neighbors", KER125_E1, ["--auto-dmax"], 0),
+            ("lattice-star", KER123_E1, ["--dmax", "4"], 0),
+            ("quotient", KER123_E1, ["--auto-dmax"], 0),
+            ("oracle", PLANE_3D, [], 0),
+            ("oracle", None, ["--selftest", "3"], 0),
+            ("scarf-resolve", NONGENERIC, [], 4)):
+        for fmt in ("structured", "text"):
+            argv = [c, *([] if doc is None else [docfile(doc)]), *flags, "--format", fmt]
+
+            def job():
+                assert main(argv) == exit_code
+
+            job()
+            assert cyclic_garbage(job) == [], argv
+            capsys.readouterr()
 
 
 def test_module_entry_point_matches_main(capsys):

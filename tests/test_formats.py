@@ -1,11 +1,13 @@
 """Document layer: exact parsing, deterministic rendering, round-trips."""
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from scarf import formats
 from scarf.errors import CertificationError, GenericityError, InputError
 from scarf.finite import FinitePointSet, _face_records, enumerate_complex, is_generic
 from scarf.formats import (
@@ -122,13 +124,13 @@ def test_lattice_doc_round_trip():
 
 def test_complex_doc_shape():
     A = FinitePointSet([(0, 0), (1, 0), (2, 0)])
-    doc = json.loads(complex_doc(A, _face_records(A, None), {}))
+    doc = json.loads("".join(complex_doc(A, _face_records(A, None), {})))
     assert doc["kind"] == "complex"
     assert doc["f_vector"] == [3, 3, 1]
     assert doc["empty_face"] is True
     assert len(doc["faces"]) == 7  # empty face flagged, not listed
     assert all("multidegree" in f for f in doc["faces"])
-    assert json.loads(complex_doc(A, _face_records(A, 0), {})) == {
+    assert json.loads("".join(complex_doc(A, _face_records(A, 0), {}))) == {
         "kind": "complex", "dimension": -1, "f_vector": [], "empty_face": True, "faces": []}
 
 
@@ -164,7 +166,8 @@ extras = st.sampled_from([
 def test_complex_doc_is_json_dumps_of_the_reference(rows, max_dim, extra):
     A = FinitePointSet(rows)
     records = _face_records(A, None if max_dim is None else max_dim + 1)
-    text, expected = complex_doc(A, records, extra), dumped(reference_complex(A, max_dim, extra))
+    text = "".join(complex_doc(A, records, extra))
+    expected = dumped(reference_complex(A, max_dim, extra))
     # not a plain ==: pytest's diff of two long texts would run at every shrink step
     same = text == expected
     assert same, f"first difference at offset {first_difference(text, expected)}"
@@ -176,7 +179,7 @@ def test_neighbors_doc_is_json_dumps_of_the_reference(rows, extra):
     nbs = [p.coords for p in rest]
     expected = {"kind": "neighbors", "center": point_json(center),
                 "neighbors": [point_json(p) for p in rest], **extra}
-    assert neighbors_doc(center, nbs, extra) == dumped(expected)
+    assert "".join(neighbors_doc(center, nbs, extra)) == dumped(expected)
 
 
 def first_difference(a: str, b: str) -> int:
@@ -223,7 +226,7 @@ def test_star_doc_is_json_dumps_of_the_reference(A, dmax, coeffs):
             continue  # not a vertex
         for center in (rep, rep + shift):
             star = star_at(A, center, dmax)
-            text, expected = star_doc(star), dumped(reference_star(star))
+            text, expected = "".join(star_doc(star)), dumped(reference_star(star))
             # not assert text == expected: pytest's diff of megabyte strings
             # takes minutes, once per shrinking step
             same = text == expected
@@ -246,7 +249,7 @@ def reference_quotient(q) -> dict:
 def test_quotient_doc_is_json_dumps_of_the_reference(A, dmax):
     # dmax None is the certified quotient
     q = certified_quotient(A) if dmax is None else quotient_complex(A, dmax)
-    text, expected = quotient_doc(q), dumped(reference_quotient(q))
+    text, expected = "".join(quotient_doc(q)), dumped(reference_quotient(q))
     same = text == expected
     assert same, f"first difference at offset {first_difference(text, expected)}"
 
@@ -274,7 +277,7 @@ def reference_resolution(res) -> dict:
 @given(generic_antichains())
 def test_resolution_doc_is_json_dumps_of_the_reference(rows):
     res = build_resolution(rows)
-    text, expected = resolution_doc(res), dumped(reference_resolution(res))
+    text, expected = "".join(resolution_doc(res)), dumped(reference_resolution(res))
     same = text == expected
     assert same, f"first difference at offset {first_difference(text, expected)}"
 
@@ -302,7 +305,7 @@ def layering_cases(draw):
 @settings(deadline=None, phases=NO_SHRINK)
 @given(layering_cases())
 def test_layering_doc_is_json_dumps_of_the_reference(case):
-    text, expected = layering_doc(*case), dumped(reference_layering(*case))
+    text, expected = "".join(layering_doc(*case)), dumped(reference_layering(*case))
     same = text == expected
     assert same, f"first difference at offset {first_difference(text, expected)}"
 
@@ -318,7 +321,7 @@ def test_genericity_doc_witness():
 
 
 def test_resolution_doc_shape():
-    text = resolution_doc(build_resolution([(2, 0), (1, 1), (0, 2)]))
+    text = "".join(resolution_doc(build_resolution([(2, 0), (1, 1), (0, 2)])))
     doc = json.loads(text)
     assert doc["betti"] == [3, 2]
     assert doc["euler_characteristic"] == 1
@@ -348,8 +351,9 @@ def test_error_doc():
 def fixture_docs():
     """One document of every kind the CLI writes, built from small fixtures."""
     dense = FinitePointSet([(i, 0) for i in range(5)] + [("1/2", "7/3")])
-    cx = json.loads(complex_doc(dense, _face_records(dense, None),
-                                {"genericity": genericity_doc(is_generic(dense, mode="both"))}))
+    cx = json.loads("".join(complex_doc(
+        dense, _face_records(dense, None),
+        {"genericity": genericity_doc(is_generic(dense, mode="both"))})))
     ker111_e1 = validate_periodic_set([(1, -1, 0), (0, 1, -1)], cosets=[(0, 0, 0), (1, 0, 0)])
     star = star_at(ker111_e1, Point((0, 0, 0)), 2)
     grid = FinitePointSet([(a, b) for a in range(4) for b in range(3)])
@@ -357,15 +361,15 @@ def fixture_docs():
     witness = (Point((2, 1)), Point((2, 2)), 1)
     return {
         "complex": cx,
-        "star": json.loads(star_doc(star)),
-        "neighbors": json.loads(neighbors_doc(star.center, [v for v in star.vertices
-                                                             if v != star.center.coords],
-                                              {"report": report_doc(star.report)})),
-        "quotient": json.loads(quotient_doc(quotient_complex(ker111_e1, 2))),
-        "resolution": json.loads(resolution_doc(build_resolution([(3, 0, 1), (1, 2, 0),
-                                                                  (0, 1, 3)]))),
-        "layering": json.loads(layering_doc(dickson_layers(grid, 2, orthant),
-                                            filter_by_downset(grid, 2, orthant), 2)),
+        "star": json.loads("".join(star_doc(star))),
+        "neighbors": json.loads("".join(neighbors_doc(
+            star.center, [v for v in star.vertices if v != star.center.coords],
+            {"report": report_doc(star.report)}))),
+        "quotient": json.loads("".join(quotient_doc(quotient_complex(ker111_e1, 2)))),
+        "resolution": json.loads("".join(resolution_doc(build_resolution(
+            [(3, 0, 1), (1, 2, 0), (0, 1, 3)])))),
+        "layering": json.loads("".join(layering_doc(dickson_layers(grid, 2, orthant),
+                                                    filter_by_downset(grid, 2, orthant), 2))),
         "genericity": genericity_doc(is_generic(FinitePointSet([(2, 1), (1, 2), (2, 2)]))),
         "error": error_doc(GenericityError("not generic: \"x\"\n", witness=witness), 4),
     }
@@ -375,6 +379,31 @@ def fixture_docs():
 def test_render_matches_json_dumps_on_every_document_kind(kind):
     doc = fixture_docs()[kind]
     assert render_document(doc) == dumped(doc)
+
+
+# the lists of a document: of ints, or of lists of ints
+doc_lists = st.dictionaries(
+    st.sampled_from(["a", "faces", "layers", "z"]),
+    st.lists(st.integers(-9, 9), max_size=9)
+    | st.lists(st.lists(st.integers(-9, 9), max_size=3), min_size=1, max_size=5))
+
+
+@given(doc_lists, st.integers(1, 4))
+def test_list_doc_is_render_document_at_every_chunk_size(lists, chunk):
+    fields = {"kind": "x", "f_vector": [1, 2]}
+    items = {key: formats._nested(map(str, inner) for inner in value)
+             if value and isinstance(value[0], list) else map(str, value)
+             for key, value in lists.items()}
+    with mock.patch.object(formats, "_CHUNK", chunk):
+        chunks = list(formats._list_doc(fields, **items))
+    assert "".join(chunks) == dumped({**fields, **lists})
+    assert all(type(c) is str and c for c in chunks)
+    # a chunk ends only after a full batch of one list that more items follow,
+    # an empty inner list being one item
+    counts = [sum(max(len(inner), 1) for inner in value)
+              if value and isinstance(value[0], list) else len(value)
+              for value in lists.values()]
+    assert len(chunks) == 1 + sum(max(0, -(-n // chunk) - 1) for n in counts)
 
 
 json_scalars = (st.none() | st.booleans() | st.integers(min_value=-2**80, max_value=2**80)

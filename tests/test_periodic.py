@@ -1,5 +1,6 @@
 """Stars, neighbors, and translation quotients of periodic point sets."""
 
+import gc
 import itertools
 import re
 from bisect import bisect_left
@@ -886,3 +887,26 @@ def test_quotient_two_cosets_splits_vertex_orbits():
     assert q.f_vector[0] == 2  # one vertex orbit per coset
     for (_, incidences), f in zip(q.orbits, faces(q)):
         assert incidences == f.dim + 1
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_fold_leaves_the_collector_as_it_found_it(monkeypatch, enabled):
+    # the fold pauses the cyclic collector, and a fold that raises restores it
+    A = validate_periodic_set([(1, -1, 0), (0, 1, -1)], cosets=[(0, 0, 0), (1, 0, 0)])
+    seen = []
+
+    def failing(*args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("fold failed")
+
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert quotient_complex(A, 2).f_vector
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(scarf.periodic, "_fold_orbits", failing)
+        with pytest.raises(RuntimeError, match="fold failed"):
+            quotient_complex(A, 2)
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
