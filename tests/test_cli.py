@@ -874,7 +874,7 @@ COLLINEAR16_SHA256 = {
 def test_face_writers_hold_less_than_the_document():
     # written into a sink that keeps a running digest and a length, the
     # writers' traced peak stays below the document's length: they hold a
-    # chunk of faces and one size's vertex texts, never the whole text
+    # chunk of faces and two sizes' vertex texts, never the whole text
     A = FinitePointSet([(i, 0) for i in range(16)])
     tree = _face_records(A, None)
     for fmt in ("structured", "text"):

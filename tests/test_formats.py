@@ -1,5 +1,6 @@
 """Document layer: exact parsing, deterministic rendering, round-trips."""
 
+import inspect
 import json
 from unittest import mock
 
@@ -379,6 +380,17 @@ def fixture_docs():
 def test_render_matches_json_dumps_on_every_document_kind(kind):
     doc = fixture_docs()[kind]
     assert render_document(doc) == dumped(doc)
+
+
+def test_long_document_writers_are_generator_functions():
+    # perfbench/spans.py times a generator function across its next() calls,
+    # but a plain function that returns a generator for its call alone
+    from scarf import cli
+
+    for writer in (complex_doc, star_doc, quotient_doc, resolution_doc, layering_doc,
+                   neighbors_doc, cli.complex_text, cli.neighbors_text, cli.quotient_text,
+                   cli.layering_text, cli.resolution_text):
+        assert inspect.isgeneratorfunction(writer), writer.__name__
 
 
 # the lists of a document: of ints, or of lists of ints
