@@ -259,13 +259,11 @@ def _list_doc(fields: dict, **lists):
             continue
         head, text = text.split(f'\n  "{key}": []')
         batch[0] = f'{parts.pop()}{head}\n  "{key}": [\n    {batch[0]}'
-        while True:
-            parts += batch
-            batch = list(islice(items, _CHUNK))
-            if not batch:
-                break
+        parts += batch
+        while batch := list(islice(items, _CHUNK)):
             yield sep.join(parts)
-            parts, batch[0] = [], sep + batch[0]
+            batch[0] = sep + batch[0]
+            parts = batch
         parts[-1] += "\n  ]"
     parts[-1] += text
     yield sep.join(parts)
