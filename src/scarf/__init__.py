@@ -6,8 +6,7 @@ truncation-free periodic enumeration, and monomial resolutions.  A thin CLI
 (`scarf`) exposes the same operations on JSON documents.
 """
 
-from .complexes import Face, LabeledComplex
-from .diophantine import Lattice, minimal_orthant_points, points_below, points_in_box
+from .diophantine import Lattice, minimal_orthant_points, points_in_box
 from .errors import (
     CertificationError,
     GenericityError,
@@ -24,9 +23,8 @@ from .finite import (
     face_witness,
     is_generic,
     neighbors,
-    strict_dominator,
 )
-from .geometry import Orthant, Point, all_orthants, join
+from .geometry import Orthant, Point, all_orthants
 from .intsolve import minimal_natural_solutions, smith_normal_form
 from .periodic import (
     CompletenessReport,
@@ -35,7 +33,6 @@ from .periodic import (
     StarResult,
     certified_quotient,
     certified_star,
-    exists_strictly_below,
     quotient_complex,
     star_at,
     validate_periodic_set,
@@ -49,13 +46,11 @@ __all__ = [
     "CertificationError",
     "ChainCheck",
     "CompletenessReport",
-    "Face",
     "FinitePointSet",
     "GenericityError",
     "GenericityReport",
     "InputError",
     "InternalError",
-    "LabeledComplex",
     "Lattice",
     "Layering",
     "Orthant",
@@ -73,20 +68,16 @@ __all__ = [
     "certified_star",
     "dickson_layers",
     "enumerate_complex",
-    "exists_strictly_below",
     "face_witness",
     "filter_by_downset",
     "is_generic",
-    "join",
     "minimal_natural_solutions",
     "minimal_orthant_points",
     "neighbors",
-    "points_below",
     "points_in_box",
     "quotient_complex",
     "smith_normal_form",
     "star_at",
-    "strict_dominator",
     "validate_periodic_set",
     "verify_chain",
 ]

@@ -11,7 +11,9 @@ formats._CHUNK items of a list, or lines of a summary, and a short output
 is one chunk.  Failures print an error document to stderr and exit with a
 class-specific code: 2 malformed input, 3 positivity violation, 4
 genericity required but absent, 5 internal invariant failure, 6 no
-certificate within the depth limit of --auto-dmax.  A writer that raises
+certificate within the depth limit of --auto-dmax.  A reader that closes
+stdout early ends the job quietly, with nothing on stderr and exit 141, the
+status a shell shows for a process that SIGPIPE ended.  A writer that raises
 after its first chunk is a bug: main then writes the error document to
 stderr and exits 5, and stdout holds the chunks written before it, a
 truncated document.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice
@@ -35,7 +38,7 @@ from operator import getitem
 from . import formats
 from .complexes import FaceTree
 from .errors import InputError, InternalError, ScarfError
-from .finite import FinitePointSet, GenericityReport, _face_records, is_generic, neighbors
+from .finite import FinitePointSet, GenericityReport, enumerate_complex, is_generic, neighbors
 from .geometry import Orthant, Point, point_key, zero_point
 from .periodic import (CompletenessReport, QuotientResult, certified_quotient, certified_star,
                        quotient_complex, star_at)
@@ -129,26 +132,6 @@ def _parse_vertex(job: argparse.Namespace, dim: int) -> Point:
     return v
 
 
-def _oracle_tree(A: FinitePointSet) -> FaceTree:
-    """The subset oracle's faces of A as the tree _face_records(A, None) returns.
-
-    faces() comes by size, then in canonical vertex order, as A indexes its
-    points, so each face's parent is the face without its last vertex.
-    """
-    # the oracles load with the one subcommand that runs them, not with the CLI
-    from .oracles import oracle_finite_nb
-
-    position, index = {p: i for i, p in enumerate(A.points)}, A.rank_index
-    tree, face = FaceTree([-1], [-1], [(0,) * A.dim]), {(): 0}
-    for f in oracle_finite_nb(A).faces()[1:]:
-        members = tuple(position[v] for v in f.vertices)
-        face[members] = len(tree.parent)
-        tree.parent.append(face[members[:-1]])
-        tree.vertex.append(members[-1])
-        tree.join.append(index.strict_ranks(f.multidegree))
-    return tree
-
-
 def _run_oracle(job: argparse.Namespace) -> Iterable[str]:
     text, radii = job.fmt == "text", job.r_candidate is not None or job.r_witness is not None
     if job.selftest is not None:
@@ -159,18 +142,19 @@ def _run_oracle(job: argparse.Namespace) -> Iterable[str]:
         raise InputError("--seed applies to --selftest only")
     if job.input is None:
         raise InputError("the oracle needs an input document (or --selftest)")
+    # the oracles load with the one subcommand that runs them, not with the CLI
+    from .oracles import oracle_face_tree, oracle_lattice_neighbors
+
     doc = formats.load_document(job.input)
     if "points" in doc:
         if radii:
             raise InputError("--r-candidate and --r-witness apply to lattice documents only")
         A = formats.parse_points_doc(doc)
         write, extra = (complex_text, []) if text else (formats.complex_doc, {"source": "oracle"})
-        return write(A, _oracle_tree(A), extra)
+        return write(A, oracle_face_tree(A), extra)
     A = formats.parse_lattice_doc(doc)
     if job.r_candidate is None or job.r_witness is None:
         raise InputError("lattice oracle needs --r-candidate and --r-witness")
-    from .oracles import oracle_lattice_neighbors
-
     rows = [p.coords for p in oracle_lattice_neighbors(A, job.r_candidate, job.r_witness)]
     if text:
         return neighbors_text(zero_point(A.dim), rows, [
@@ -181,6 +165,8 @@ def _run_oracle(job: argparse.Namespace) -> Iterable[str]:
 
 def _selftest(trials: int, seed: int, text: bool) -> list:
     import random
+
+    from .oracles import oracle_face_tree
 
     if trials < 1:
         raise InputError(f"--selftest needs at least 1 trial, got {trials}")
@@ -193,7 +179,7 @@ def _selftest(trials: int, seed: int, text: bool) -> list:
             pts.add(tuple(rng.randint(0, 9) for _ in range(n)))
         A = FinitePointSet(pts)
         # the face trees: faces, their order and their joins
-        if _face_records(A, None) != _oracle_tree(A):
+        if enumerate_complex(A) != oracle_face_tree(A):
             raise InternalError(
                 f"selftest trial {t} (seed {seed}): enumerator and oracle disagree on "
                 f"{[list(p) for p in sorted(pts)]}"
@@ -221,24 +207,23 @@ def run(job: argparse.Namespace) -> Iterable[str]:
         if job.max_dim is not None and job.max_dim < 0:
             raise InputError(f"--max-dim must be nonnegative, got {job.max_dim}")
         v = None if job.vertex is None else _parse_vertex(job, A.dim)
-        max_size = None if job.max_dim is None else job.max_dim + 1
         tree = None
         # what the writer adds after the faces or neighbors: lines, or fields
         extra = [] if text else {}
         if job.generic_mode is not None:
             if v is None and job.generic_mode != "definition":
                 # the facet check reads every face: grow them once for both
-                tree = _face_records(A, None)
+                tree = enumerate_complex(A)
             report = is_generic(A, mode=job.generic_mode, records=tree)
             extra = _genericity_lines(report) if text else {
                 "genericity": formats.genericity_doc(report)}
         if v is None:
             if tree is None:
-                tree = _face_records(A, max_size)
-            elif max_size is not None:
-                # faces come by size, from the empty face: those up to max_size are a prefix
+                tree = enumerate_complex(A, job.max_dim)
+            elif job.max_dim is not None:
+                # faces come by size, from the empty face: those up to max_dim are a prefix
                 ends = tree.level_ends()
-                end = ends[min(max_size, len(ends) - 1)]
+                end = ends[min(job.max_dim + 1, len(ends) - 1)]
                 tree = FaceTree(*(column[:end] for column in tree))
             return (complex_text if text else formats.complex_doc)(A, tree, extra)
         rows = [p.coords for p in sorted(neighbors(A, v), key=point_key)]
@@ -435,18 +420,26 @@ def _fail(job: argparse.Namespace, exc: Exception, written: bool) -> int:
 def main(argv=None) -> int:
     job = _build_parser().parse_args(argv)
     chunks, written = None, False
-    while True:
-        # only run and the writers are guarded: a failing write to stdout is not a job's error
-        try:
-            if chunks is None:
-                chunks = iter(run(job))
-            chunk = next(chunks)
-        except StopIteration:
-            return 0
-        except Exception as exc:  # noqa: BLE001 - anything but a ScarfError is an internal failure
-            return _fail(job, exc, written)
-        sys.stdout.write(chunk)
-        written = True
+    try:
+        while True:
+            # only run and the writers are guarded: a failing write to stdout is not a job's error
+            try:
+                if chunks is None:
+                    chunks = iter(run(job))
+                chunk = next(chunks)
+            except StopIteration:
+                break
+            except Exception as exc:  # noqa: BLE001 - anything but a ScarfError is an internal failure
+                return _fail(job, exc, written)
+            sys.stdout.write(chunk)
+            written = True
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: end quietly, as SIGPIPE would end a C program,
+        # with stdout on devnull so that the flush at exit fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return 0
 
 
 if __name__ == "__main__":

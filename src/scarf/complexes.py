@@ -1,8 +1,6 @@
 """Finite abstract simplicial complexes whose faces carry join labels.
 
-Every face stores its multidegree, the coordinatewise join of its vertices;
-the empty face is always present and carries no multidegree.  grow_faces is
-the one face-growing loop, shared by finite complexes, resolutions and
+grow_faces is the one face-growing loop, shared by finite complexes, resolutions and
 periodic stars.  It works on plain coordinate tuples (rank tuples for a
 finite set, int coordinates for a star) and grows one seed: the empty face
 of a finite set, or a star's center at its own index among the star's
@@ -15,6 +13,11 @@ callers that build their own faces from them.  Faces with the same top
 share its joins: a join depends only on the top and the candidate, and
 accept only on the join, so one call computes and tests each accepted join
 once and remembers only accepted joins, at most one per face.
+
+Face and LabeledComplex are the subset oracle's types: a face as its sorted
+Points with their join, the multidegree (None for the empty face, which a
+LabeledComplex always holds), and a downward closed set of such faces.  No
+main path builds them.
 """
 
 from __future__ import annotations
@@ -40,14 +43,6 @@ class Face:
                 raise InputError("mixed vertex dimensions in one face")
         self.vertices = tuple(vs)
         self.multidegree = join(vs) if vs else None
-
-    @classmethod
-    def sorted_with_join(cls, vertices: tuple, multidegree: Point) -> "Face":
-        """A face from distinct vertices already in canonical order and their known join."""
-        face = cls.__new__(cls)
-        face.vertices = vertices
-        face.multidegree = multidegree
-        return face
 
     @property
     def dim(self) -> int:

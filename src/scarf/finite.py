@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from itertools import islice
 
-from .complexes import Face, FaceTree, LabeledComplex, grow_faces
+from .complexes import FaceTree, grow_faces
 from .errors import InputError
 from .geometry import Point, RankIndex, iter_bits, lowest_bit, point_key
 
@@ -115,35 +114,21 @@ def neighbors(A: FinitePointSet, a: Point) -> frozenset:
     )
 
 
-def _face_records(A: FinitePointSet, max_size: int | None) -> FaceTree:
-    """The tree of A's faces with at most max_size vertices, over point indices and rank joins.
+def enumerate_complex(A: FinitePointSet, max_dim: int | None = None) -> FaceTree:
+    """The tree of A's faces up to max_dim, over point indices and rank joins.
 
     Faces grow from the empty face, face 0, whose zero ranks lie below
     every point, by appending vertices in canonical order; a candidate is
     tested only once its prefix is known to be a face, which is complete
-    because the complex is downward closed.
+    because the complex is downward closed.  A join's values are its ranks
+    read through A.rank_index.values.
     """
+    if max_dim is not None and max_dim < -1:
+        raise InputError(f"max_dim must be >= -1, got {max_dim}")
     index = A.rank_index
     under = index.strictly_under
-    return grow_faces(index.ranks, ((), (0,) * A.dim), lambda top: not under(top), max_size)
-
-
-def enumerate_complex(A: FinitePointSet, max_dim: int | None = None) -> LabeledComplex:
-    """Enumerate the neighbor complex of A up to max_dim."""
-    if max_dim is None:
-        max_dim = len(A) - 1
-    if max_dim < -1:
-        raise InputError(f"max_dim must be >= -1, got {max_dim}")
-    pts, values = A.points, A.rank_index.values
-    faces = [Face(())]
-    labels: dict = {}  # one multidegree Point per distinct rank join
-    tree = _face_records(A, max_dim + 1)
-    for members, top in islice(zip(tree.members(), tree.join), 1, None):
-        multidegree = labels.get(top)
-        if multidegree is None:
-            multidegree = labels[top] = Point(vals[t] for vals, t in zip(values, top))
-        faces.append(Face.sorted_with_join(tuple(pts[i] for i in members), multidegree))
-    return LabeledComplex(faces)
+    return grow_faces(index.ranks, ((), (0,) * A.dim), lambda top: not under(top),
+                      None if max_dim is None else max_dim + 1)
 
 
 class GenericityReport(namedtuple("GenericityReport", "generic mode witness pairwise facet",
@@ -203,7 +188,7 @@ def is_generic(A: FinitePointSet, mode: str = "definition",
     """Genericity check in pairwise ("definition"), facet ("remark") or "both" mode.
 
     The facet form reads every face's join; records, when given, is A's
-    face tree from _face_records(A, None), so a caller that grew it already
+    face tree from enumerate_complex(A), so a caller that grew it already
     does not grow it again.
     """
     if mode not in ("definition", "remark", "both"):
@@ -213,7 +198,7 @@ def is_generic(A: FinitePointSet, mode: str = "definition",
         pair_ok, pair_wit = _generic_pairwise(A)
     if mode in ("remark", "both"):
         if records is None:
-            records = _face_records(A, None)
+            records = enumerate_complex(A)
         facet_ok, facet_wit = _generic_facet(A, records)
     if mode == "definition":
         return GenericityReport(pair_ok, mode, pair_wit, pairwise=pair_ok)

@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .complexes import Face, LabeledComplex
+from .complexes import Face, FaceTree, LabeledComplex
 from .diophantine import points_below
 from .errors import InputError, InternalError, RadiusError
 from .finite import FinitePointSet
@@ -23,6 +23,7 @@ from .periodic import PeriodicSet
 
 __all__ = [
     "oracle_finite_nb",
+    "oracle_face_tree",
     "oracle_lattice_neighbors",
     "oracle_box_points",
     "oracle_minimal_orthant",
@@ -53,6 +54,27 @@ def oracle_finite_nb(A: FinitePointSet) -> LabeledComplex:
             if not dominated:
                 faces.append(Face(Point(c) for c in combo))
     return LabeledComplex(faces)
+
+
+def oracle_face_tree(A: FinitePointSet) -> FaceTree:
+    """The subset oracle's faces of A as the tree enumerate_complex(A) returns.
+
+    faces() comes by size, then in canonical vertex order, as A indexes its
+    points, so each face's parent is the face without its last vertex.  A
+    join's ranks are its values' places among the sorted distinct values of
+    A on each axis, counted here rather than read from A's rank index.
+    """
+    position = {p: i for i, p in enumerate(A.points)}
+    rank = [{v: r for r, v in enumerate(sorted(set(axis)))}
+            for axis in zip(*(p.coords for p in A.points))]
+    tree, face = FaceTree([-1], [-1], [(0,) * A.dim]), {(): 0}
+    for f in oracle_finite_nb(A).faces()[1:]:
+        members = tuple(position[v] for v in f.vertices)
+        face[members] = len(tree.parent)
+        tree.parent.append(face[members[:-1]])
+        tree.vertex.append(members[-1])
+        tree.join.append(tuple(map(dict.__getitem__, rank, f.multidegree.coords)))
+    return tree
 
 
 class _CosetSolver:
@@ -136,6 +158,42 @@ def oracle_box_points(A: PeriodicSet, lo, hi):
     return sorted(_scan_box(solver, _int_reps(A), tuple(lo), tuple(hi)))
 
 
+def _witness_check(solver, reps, lattice, rep_points, r_witness):
+    """The memoized test "no set point lies strictly below top", by scanning the witness box.
+
+    Each answer is checked against the exact strictly-below set: a point of
+    it outside the box raises RadiusError, and any other disagreement with
+    the scan is an internal failure.  The origin is checked first, and a
+    strictly dominated origin, being no vertex, raises InputError.
+    """
+    n = solver.dim
+    pool = _scan_box(solver, reps, (-r_witness,) * n, (r_witness,) * n)
+    checked: dict = {}
+
+    def below_is_empty(top) -> bool:
+        if top not in checked:
+            exact = points_below(lattice, rep_points, Point(top))
+            for p in exact:
+                if any(abs(c) > r_witness for c in p.as_int_tuple()):
+                    raise RadiusError(
+                        f"witness radius {r_witness} too small: {p} lies strictly "
+                        f"below {Point(top)} outside the witness box"
+                    )
+            scanned = sorted(
+                y for y in pool if all(y[i] < top[i] for i in range(n))
+            )
+            if scanned != sorted(p.as_int_tuple() for p in exact):
+                raise InternalError(
+                    f"witness scan and exact enumeration disagree below {Point(top)}"
+                )
+            checked[top] = not scanned
+        return checked[top]
+
+    if not below_is_empty((0,) * n):
+        raise InputError("the origin is strictly dominated and is not a vertex")
+    return below_is_empty
+
+
 def oracle_lattice_neighbors(A: PeriodicSet, r_candidate: int, r_witness: int):
     """Neighbors of the origin among points with sup-norm <= r_candidate.
 
@@ -156,30 +214,7 @@ def oracle_lattice_neighbors(A: PeriodicSet, r_candidate: int, r_witness: int):
     zero = (0,) * n
     if not any(solver.member(tuple(-c for c in rep)) for rep in reps):
         raise InputError("the origin is not a point of the set")
-    pool = _scan_box(solver, reps, (-r_witness,) * n, (r_witness,) * n)
-    checked: dict = {}
-
-    def below_is_empty(top) -> bool:
-        if top not in checked:
-            exact = points_below(A.lattice, A.reps, Point(top))
-            for p in exact:
-                if any(abs(c) > r_witness for c in p.as_int_tuple()):
-                    raise RadiusError(
-                        f"witness radius {r_witness} too small: {p} lies strictly "
-                        f"below {Point(top)} outside the witness box"
-                    )
-            scanned = sorted(
-                y for y in pool if all(y[i] < top[i] for i in range(n))
-            )
-            if scanned != sorted(p.as_int_tuple() for p in exact):
-                raise InternalError(
-                    f"witness scan and exact enumeration disagree below {Point(top)}"
-                )
-            checked[top] = not scanned
-        return checked[top]
-
-    if not below_is_empty(zero):
-        raise InputError("the origin is strictly dominated and is not a vertex")
+    below_is_empty = _witness_check(solver, reps, A.lattice, A.reps, r_witness)
     neighbors = [
         Point(b) for b in _scan_box(solver, reps, (-r_candidate,) * n, (r_candidate,) * n)
         if b != zero and below_is_empty(tuple(max(x, 0) for x in b))
@@ -212,27 +247,7 @@ def oracle_minimal_orthant(A: PeriodicSet, signs, radius: int):
 
 def _oracle_star_zero(solver, reps, n, r_candidate, r_witness, lattice, rep_points):
     zero = (0,) * n
-    pool = _scan_box(solver, reps, (-r_witness,) * n, (r_witness,) * n)
-    witness_memo: dict = {}
-
-    def face_ok(top) -> bool:
-        if top not in witness_memo:
-            exact = points_below(lattice, rep_points, Point(top))
-            for p in exact:
-                if any(abs(c) > r_witness for c in p.as_int_tuple()):
-                    raise RadiusError(
-                        f"witness radius {r_witness} too small below {Point(top)}"
-                    )
-            scanned = [y for y in pool if all(y[i] < top[i] for i in range(n))]
-            if sorted(scanned) != sorted(p.as_int_tuple() for p in exact):
-                raise InternalError(
-                    f"witness scan and exact enumeration disagree below {Point(top)}"
-                )
-            witness_memo[top] = not scanned
-        return witness_memo[top]
-
-    if not face_ok(zero):
-        raise InputError("the origin is strictly dominated and is not a vertex")
+    face_ok = _witness_check(solver, reps, lattice, rep_points, r_witness)
     candidates = [
         x for x in _scan_box(solver, reps, (-r_candidate,) * n, (r_candidate,) * n)
         if x != zero

@@ -15,7 +15,7 @@ from itertools import islice
 from operator import add, getitem, sub
 
 from .errors import GenericityError, InputError
-from .finite import FinitePointSet, _face_records, face_witness, is_generic
+from .finite import FinitePointSet, enumerate_complex, face_witness, is_generic
 
 __all__ = ["Resolution", "ChainCheck", "build_resolution", "verify_chain"]
 
@@ -104,7 +104,7 @@ def build_resolution(A: FinitePointSet) -> Resolution:
     values = A.rank_index.values
     faces_by_dim: list = []
     index = {}
-    tree = _face_records(A, None)
+    tree = enumerate_complex(A)
     for members, top in islice(zip(tree.members(), tree.join), 1, None):
         if len(members) > len(faces_by_dim):
             faces_by_dim.append([])

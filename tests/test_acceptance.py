@@ -26,7 +26,7 @@ from scarf.finite import (
 )
 from scarf.geometry import Orthant, Point, point_key, zero_point
 from scarf.intsolve import smith_normal_form
-from scarf.oracles import oracle_finite_nb, oracle_lattice_neighbors
+from scarf.oracles import oracle_face_tree, oracle_lattice_neighbors
 from scarf.periodic import PeriodicSet, certified_star
 from scarf.posets import dickson_layers, filter_by_downset
 from scarf.resolution import build_resolution, verify_chain
@@ -60,8 +60,8 @@ def test_criterion_1_collinear_truncations():
     for m in range(2, 9):
         A = collinear(m)
         cx = enumerate_complex(A)
-        ok = ok and len(cx) == 2 ** (m + 1)
-        ok = ok and cx.f_vector()[0] == m + 1 and cx.dimension == m
+        ok = ok and len(cx.parent) == 2 ** (m + 1)
+        ok = ok and cx.f_vector()[0] == m + 1 and len(cx.f_vector()) - 1 == m
         for a in A.points:
             ok = ok and neighbors(A, a) == frozenset(p for p in A.points if p != a)
     elapsed = time.perf_counter() - start
@@ -92,8 +92,8 @@ def test_criterion_3_finite_oracle_equivalence():
         card = rng.randint(1, 7)
         pts = {tuple(rng.randint(0, 9) for _ in range(n)) for _ in range(card)}
         A = FinitePointSet(sorted(pts))
-        ok = ok and enumerate_complex(A) == oracle_finite_nb(A)
-    verdict("criterion 3", ok, f"{trials} random sets, set-exact")
+        ok = ok and enumerate_complex(A) == oracle_face_tree(A)
+    verdict("criterion 3", ok, f"{trials} random sets, tree-exact")
 
 
 def test_criterion_4_layer_properties():

@@ -27,7 +27,7 @@ from scarf.cli import (
     resolution_text,
 )
 from scarf.errors import InputError
-from scarf.finite import FinitePointSet, _face_records, is_generic, neighbors
+from scarf.finite import FinitePointSet, enumerate_complex, is_generic, neighbors
 from scarf.formats import parse_lattice_doc
 from scarf.geometry import Point, point_key
 from scarf.periodic import quotient_complex, star_at
@@ -268,11 +268,10 @@ def test_finite_nb_facet_genericity_grows_faces_once(docfile, capsys, monkeypatc
 
     calls = []
 
-    def counting(A, max_size):
-        calls.append(max_size)
-        return face_records(A, max_size)
+    def counting(A, max_dim=None):
+        calls.append(max_dim)
+        return enumerate_complex(A, max_dim)
 
-    face_records = finite._face_records
     flags = [] if max_dim is None else ["--max-dim", str(max_dim)]
     path = docfile(doc)
     code, plain, _ = run_cli(["finite-nb", path, *flags, "--format", "structured"], capsys)
@@ -280,8 +279,8 @@ def test_finite_nb_facet_genericity_grows_faces_once(docfile, capsys, monkeypatc
     code, report, _ = run_cli(["generic-check", path, "--generic-mode", mode,
                                "--format", "structured"], capsys)
     assert code == 0
-    monkeypatch.setattr(cli, "_face_records", counting)
-    monkeypatch.setattr(finite, "_face_records", counting)
+    monkeypatch.setattr(cli, "enumerate_complex", counting)
+    monkeypatch.setattr(finite, "enumerate_complex", counting)
     code, out, _ = run_cli(["finite-nb", path, *flags, "--generic-mode", mode,
                             "--format", "structured"], capsys)
     assert code == 0
@@ -791,7 +790,7 @@ def attached(A, extra):
        st.sampled_from([None, "source", "definition", "remark", "both"]))
 def test_complex_text_matches_the_parsed_document(rows, max_dim, extra):
     A = FinitePointSet(rows)
-    records = _face_records(A, None if max_dim is None else max_dim + 1)
+    records = enumerate_complex(A, max_dim)
     tail, fields = attached(A, extra)
     text = "".join(complex_text(A, records, tail))
     expected = reference_text(json.loads("".join(formats.complex_doc(A, records, fields))))
@@ -849,7 +848,7 @@ def face_writers(A, tree):
 def test_writers_chunk_by_items(monkeypatch, chunk):
     # 63 faces of 6 collinear points; a star's faces and neighbors
     A = FinitePointSet([(i, 0) for i in range(6)])
-    tree = _face_records(A, None)
+    tree = enumerate_complex(A)
     star = star_at(parse_lattice_doc(KER123_E1), Point((0, 0, 0)), 4)
     whole = {fmt: "".join(chunks) for fmt, chunks in face_writers(A, tree).items()}
     whole_star = "".join(formats.star_doc(star))
@@ -876,7 +875,7 @@ def test_face_writers_hold_less_than_the_document():
     # writers' traced peak stays below the document's length: they hold a
     # chunk of faces and two sizes' vertex texts, never the whole text
     A = FinitePointSet([(i, 0) for i in range(16)])
-    tree = _face_records(A, None)
+    tree = enumerate_complex(A)
     for fmt in ("structured", "text"):
         digest, length = hashlib.sha256(), 0
         tracemalloc.start()
@@ -902,7 +901,7 @@ def test_writer_failure_after_output_exits_5(docfile, capsys, monkeypatch, fmt, 
 
     monkeypatch.setattr(formats, "_CHUNK", 2)
     A = formats.parse_points_doc(RATIONAL_COLLINEAR)
-    whole = list(face_writers(A, _face_records(A, None))[fmt])
+    whole = list(face_writers(A, enumerate_complex(A))[fmt])
     assert len(whole) > 1
     module, name = (formats, "complex_doc") if fmt == "structured" else (cli, "complex_text")
     writer = getattr(module, name)
@@ -980,14 +979,14 @@ def test_oracle_selftest_checks_joins(capsys, monkeypatch):
     import scarf.cli
     import scarf.finite
 
-    def one_wrong_join(A, max_size):
+    def one_wrong_join(A, max_dim=None):
         # the last face takes the first nonempty face's join: wrong once a set has two faces
-        tree = _face_records(A, max_size)
+        tree = enumerate_complex(A, max_dim)
         tree.join[-1] = tree.join[1]
         return tree
 
     for module in (scarf.cli, scarf.finite):
-        monkeypatch.setattr(module, "_face_records", one_wrong_join)
+        monkeypatch.setattr(module, "enumerate_complex", one_wrong_join)
     code, _, err = run_cli(["oracle", "--selftest", "5", "--format", "structured"], capsys)
     assert code == 5
     assert "enumerator and oracle disagree" in json.loads(err)["message"]
@@ -1158,6 +1157,27 @@ def test_module_entry_point_matches_main(capsys):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("sys.stdin", io.StringIO(text))
         assert run_cli(argv, capsys)[:2] == (0, proc.stdout)
+
+
+@pytest.mark.parametrize("points, code", [(10, 141), (3, 0)])
+def test_closed_stdout_ends_the_job_quietly(docfile, points, code):
+    # a reader that stops early, as `| head -c 100` does, closes the pipe
+    # under a 347 kB document: exit 141, the status a shell shows for a
+    # process that SIGPIPE ended, and no traceback.  A document that fits in
+    # the pipe is written whole before the reader closes it: exit 0
+    src = os.path.dirname(os.path.dirname(scarf.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    path = docfile({"points": [[i, 0] for i in range(points)]})
+    with subprocess.Popen([sys.executable, "-m", "scarf.cli", "finite-nb", path,
+                           "--format", "structured"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        if code == 0:
+            proc.wait(timeout=60)
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (code, b"")
+    assert head.startswith(b'{\n  "dimension": ')
 
 
 def test_parser_reuse_leaks_no_defaults(docfile, capsys):

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from scarf.complexes import Face, LabeledComplex, grow_faces
 from scarf.errors import InputError
-from scarf.finite import FinitePointSet, _face_records, enumerate_complex
+from scarf.finite import FinitePointSet, enumerate_complex
 from scarf.formats import face_texts
 from scarf.geometry import Point
+from test_finite import point_faces
 from test_resolution import generic_antichain
 
 
@@ -75,9 +76,10 @@ class TestBuildComplex:
 
     def test_downward_closure(self):
         # three pairwise incomparable points: the neighbor complex is the full triangle
-        cx = enumerate_complex(FinitePointSet([(0, 0, 1), (1, 1, 0), (2, 0, 0)]))
-        assert cx.f_vector() == (3, 3, 1)
-        assert F((0, 0, 1), (2, 0, 0)) in cx
+        A = FinitePointSet([(0, 0, 1), (1, 1, 0), (2, 0, 0)])
+        cx = enumerate_complex(A)
+        assert cx.f_vector() == [3, 3, 1]
+        assert F((0, 0, 1), (2, 0, 0)).vertices in point_faces(A, cx)
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(InputError):
@@ -252,7 +254,7 @@ def test_grow_faces_memo_keeps_no_refused_joins():
         finally:
             tracemalloc.stop()
 
-    tree, used = peak(lambda: _face_records(A, None))
+    tree, used = peak(lambda: enumerate_complex(A))
     expected, allowed = peak(lambda: reference_grow_faces(ranks, seeds, lambda top: not under(top)))
     assert face_records(tree)[1:] == expected
     assert used <= 1.5 * allowed
@@ -261,12 +263,13 @@ def test_grow_faces_memo_keeps_no_refused_joins():
 def test_complex_equality_and_membership_on_fixtures():
     # equal faces built from distinct point objects and spellings are the same face
     rows = [(0, 0, 1), (1, 1, 0), (2, 0, 0)]
-    cx = enumerate_complex(FinitePointSet(rows))
-    again = enumerate_complex(FinitePointSet([tuple(str(c) for c in r) for r in rows]))
-    assert cx == again and hash(cx) == hash(again)
-    assert LabeledComplex(F(*r) for r in [rows[:1], rows[1:2], rows[2:], rows[:2]]) != cx
-    for f in cx.faces():
-        assert f in again and Face(Point(v.coords) for v in f) in cx
-    assert F(("2/2", 1, 0), (0, 0, "3/3")) in cx
-    assert F((1, 1, 0), (9, 9, 9)) not in cx
+    A, B = FinitePointSet(rows), FinitePointSet([tuple(str(c) for c in r) for r in rows])
+    cx, again = point_faces(A, enumerate_complex(A)), point_faces(B, enumerate_complex(B))
+    assert enumerate_complex(A) == enumerate_complex(B)
+    assert cx == again and hash(tuple(cx)) == hash(tuple(again))
+    assert [F(*r).vertices for r in [(), rows[:1], rows[1:2], rows[2:], rows[:2]]] != cx
+    for f in cx:
+        assert f in again and tuple(Point(v.coords) for v in f) in cx
+    assert F(("2/2", 1, 0), (0, 0, "3/3")).vertices in cx
+    assert F((1, 1, 0), (9, 9, 9)).vertices not in cx
     assert len(cx) == 8

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import getitem
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,17 @@ from scarf.geometry import Point, join
 def collinear(m):
     """The points (0,0), (1,0), ..., (m,0)."""
     return FinitePointSet([(i, 0) for i in range(m + 1)])
+
+
+def point_faces(A, tree):
+    """Each face of A's face tree as its tuple of A's points, in face order, the empty face's first."""
+    return [tuple(A.points[i] for i in members) for members in tree.members()]
+
+
+def join_values(A, tree):
+    """Each face's join as the Point of its ranks' values on A's axes, in face order."""
+    values = A.rank_index.values
+    return [Point(map(getitem, values, top)) for top in tree.join]
 
 
 def rational_fan(m):
@@ -85,47 +97,55 @@ class TestNeighbors:
 class TestEnumerate:
     def test_collinear_full_simplex(self):
         cx = enumerate_complex(collinear(2))
-        assert cx.f_vector() == (3, 3, 1)
+        assert cx.f_vector() == [3, 3, 1]
 
     def test_fan_truncation_facets(self):
         A, a = rational_fan(3)
         cx = enumerate_complex(A)
-        assert Face([a[0], a[1], a[2]]) in cx
-        assert Face([a[0], a[2], a[3]]) in cx
-        assert Face([a[1], a[3]]) not in cx
-        assert cx.dimension == 2
+        faces = point_faces(A, cx)
+        assert Face([a[0], a[1], a[2]]).vertices in faces
+        assert Face([a[0], a[2], a[3]]).vertices in faces
+        assert Face([a[1], a[3]]).vertices not in faces
+        assert len(cx.f_vector()) - 1 == 2
 
     def test_dominated_point_only_origin_vertex(self):
-        cx = enumerate_complex(FinitePointSet([(0, 0), (1, 1)]))
-        assert cx.f_vector() == (1,)
-        assert [f.vertices for f in cx.faces() if f.dim == 0] == [(Point((0, 0)),)]
+        A = FinitePointSet([(0, 0), (1, 1)])
+        cx = enumerate_complex(A)
+        assert cx.f_vector() == [1]
+        assert [f for f in point_faces(A, cx) if len(f) == 1] == [(Point((0, 0)),)]
 
     def test_max_dim_truncation(self):
-        cx = enumerate_complex(collinear(4), max_dim=2)
-        full = enumerate_complex(collinear(4))
-        assert cx.dimension == 2
-        assert set(cx.faces()) == {f for f in full.faces() if f.dim <= 2}
+        A = collinear(4)
+        cx = enumerate_complex(A, max_dim=2)
+        full = enumerate_complex(A)
+        assert len(cx.f_vector()) - 1 == 2
+        assert set(point_faces(A, cx)) == {f for f in point_faces(A, full) if len(f) <= 3}
 
     def test_max_dim_zero(self):
         cx = enumerate_complex(collinear(3), max_dim=0)
-        assert cx.f_vector() == (4,)
+        assert cx.f_vector() == [4]
+
+    def test_max_dim_below_minus_one_rejected(self):
+        assert enumerate_complex(collinear(3), max_dim=-1).f_vector() == []
+        with pytest.raises(InputError):
+            enumerate_complex(collinear(3), max_dim=-2)
 
     def test_downward_closure(self):
         A, _ = rational_fan(5)
-        cx = enumerate_complex(A)
-        for f in cx.faces():
-            for v in f.vertices:
-                assert Face(u for u in f if u != v) in cx
+        faces = set(point_faces(A, enumerate_complex(A)))
+        for f in faces:
+            for v in f:
+                assert tuple(u for u in f if u != v) in faces
 
     def test_translation_invariance(self):
         A, _ = rational_fan(4)
         t = Point(("1/3", -2, 5))
         shifted = FinitePointSet([p + t for p in A.points])
         cx, cxt = enumerate_complex(A), enumerate_complex(shifted)
-        assert {f.translated(t) for f in cx.faces()} == set(cxt.faces())
-        for f in cx.faces():
-            if f.vertices:
-                assert f.translated(t).multidegree == f.multidegree + t
+        assert {tuple(v + t for v in f) for f in point_faces(A, cx)} == set(point_faces(shifted, cxt))
+        for f, md, mdt in zip(point_faces(A, cx), join_values(A, cx), join_values(shifted, cxt)):
+            if f:
+                assert mdt == md + t
 
     def test_monotone_reparametrization_invariance(self):
         rng = random.Random(2)
@@ -133,24 +153,24 @@ class TestEnumerate:
         A = FinitePointSet(pts)
         remap = {v: v * v * 3 + 1 for v in range(10)}  # strictly increasing on 0..9
         B = FinitePointSet([(remap[int(p[0])], int(p[1]), int(p[2])) for p in pts])
-        key_a = {tuple(tuple(v.coords) for v in f.vertices) for f in enumerate_complex(A).faces()}
+        key_a = {tuple(tuple(v.coords) for v in f) for f in point_faces(A, enumerate_complex(A))}
 
         def unmap(f):
             inv = {remap[v]: v for v in remap}
-            return tuple(tuple([Fraction(inv[int(v[0])]), v[1], v[2]]) for v in f.vertices)
+            return tuple(tuple([Fraction(inv[int(v[0])]), v[1], v[2]]) for v in f)
 
-        key_b = {unmap(f) for f in enumerate_complex(B).faces()}
+        key_b = {unmap(f) for f in point_faces(B, enumerate_complex(B))}
         assert key_a == key_b
 
     def test_dimension_bound_witness(self):
         # every face's weak downset in A has at most dim+1 points
         A, _ = rational_fan(6)
         cx = enumerate_complex(A)
-        d = cx.dimension
-        for f in cx.faces():
-            if not f.vertices:
+        d = len(cx.f_vector()) - 1
+        for f, md in zip(point_faces(A, cx), join_values(A, cx)):
+            if not f:
                 continue
-            below = [a for a in A.points if all(x <= y for x, y in zip(a, f.multidegree))]
+            below = [a for a in A.points if all(x <= y for x, y in zip(a, md))]
             assert len(below) <= d + 1
 
 
@@ -195,10 +215,10 @@ class TestOrderInvariance:
         B = FinitePointSet([phi(p) for p in A.points])
         cx, cxb = enumerate_complex(A), enumerate_complex(B)
         # the maps keep the lexicographic order, so faces correspond in order
-        assert [Face(phi(v) for v in f.vertices) for f in cx.faces()] == list(cxb.faces())
-        for f, g in zip(cx.faces(), cxb.faces()):
-            if f.vertices:
-                assert g.multidegree == phi(f.multidegree)
+        assert [tuple(map(phi, f)) for f in point_faces(A, cx)] == point_faces(B, cxb)
+        for f, md, mdb in zip(point_faces(A, cx), join_values(A, cx), join_values(B, cxb)):
+            if f:
+                assert mdb == phi(md)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(3, 14).flatmap(lambda m: st.tuples(*[st.permutations(range(m))] * 3)))
@@ -206,8 +226,8 @@ class TestOrderInvariance:
         # distinct values on every axis make the set generic, and the
         # neighbor complex of a generic set in three variables is planar
         cx = enumerate_complex(FinitePointSet(zip(*axes)))
-        fv = cx.f_vector() + (0, 0)
-        assert cx.dimension < 3
+        fv = cx.f_vector() + [0, 0]
+        assert len(cx.f_vector()) - 1 < 3
         if fv[0] >= 3:
             assert fv[1] <= 3 * fv[0] - 6
 
@@ -252,7 +272,7 @@ class TestGenericity:
             if not is_generic(A).generic:
                 continue
             found += 1
-            assert enumerate_complex(A).dimension < 3
+            assert len(enumerate_complex(A).f_vector()) - 1 < 3
 
 
 class TestStrictDominator:
@@ -337,7 +357,7 @@ class TestRankQueriesAgainstBruteForce:
         rng = random.Random(104)
         for _ in range(100):
             A = tied_rational_set(rng)
-            got = [f.vertices for f in enumerate_complex(A).faces() if f.vertices]
+            got = point_faces(A, enumerate_complex(A))[1:]
             assert got == brute_faces(A)
 
     def test_genericity_modes_against_definitions(self):

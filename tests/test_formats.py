@@ -9,8 +9,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from scarf import formats
+from scarf.complexes import LabeledComplex
 from scarf.errors import CertificationError, GenericityError, InputError
-from scarf.finite import FinitePointSet, _face_records, enumerate_complex, is_generic
+from scarf.finite import FinitePointSet, enumerate_complex, is_generic
 from scarf.formats import (
     complex_doc,
     error_doc,
@@ -29,6 +30,7 @@ from scarf.formats import (
     star_doc,
 )
 from scarf.geometry import Orthant, Point, join, point_key
+from scarf.oracles import oracle_finite_nb
 from scarf.periodic import (
     CompletenessReport,
     certified_quotient,
@@ -125,19 +127,21 @@ def test_lattice_doc_round_trip():
 
 def test_complex_doc_shape():
     A = FinitePointSet([(0, 0), (1, 0), (2, 0)])
-    doc = json.loads("".join(complex_doc(A, _face_records(A, None), {})))
+    doc = json.loads("".join(complex_doc(A, enumerate_complex(A), {})))
     assert doc["kind"] == "complex"
     assert doc["f_vector"] == [3, 3, 1]
     assert doc["empty_face"] is True
     assert len(doc["faces"]) == 7  # empty face flagged, not listed
     assert all("multidegree" in f for f in doc["faces"])
-    assert json.loads("".join(complex_doc(A, _face_records(A, 0), {}))) == {
+    assert json.loads("".join(complex_doc(A, enumerate_complex(A, -1), {}))) == {
         "kind": "complex", "dimension": -1, "f_vector": [], "empty_face": True, "faces": []}
 
 
 def reference_complex(A, max_dim, extra) -> dict:
-    """The complex document built face by face from the library's LabeledComplex."""
-    cx = enumerate_complex(A, max_dim)
+    """The complex document built face by face from the subset oracle's faces up to max_dim."""
+    cx = oracle_finite_nb(A)
+    if max_dim is not None:
+        cx = LabeledComplex(f for f in cx.faces() if f.dim <= max_dim)
     return {
         "kind": "complex",
         "dimension": cx.dimension,
@@ -166,8 +170,7 @@ extras = st.sampled_from([
 @given(point_sets, st.none() | st.integers(0, 3), extras)
 def test_complex_doc_is_json_dumps_of_the_reference(rows, max_dim, extra):
     A = FinitePointSet(rows)
-    records = _face_records(A, None if max_dim is None else max_dim + 1)
-    text = "".join(complex_doc(A, records, extra))
+    text = "".join(complex_doc(A, enumerate_complex(A, max_dim), extra))
     expected = dumped(reference_complex(A, max_dim, extra))
     # not a plain ==: pytest's diff of two long texts would run at every shrink step
     same = text == expected
@@ -353,7 +356,7 @@ def fixture_docs():
     """One document of every kind the CLI writes, built from small fixtures."""
     dense = FinitePointSet([(i, 0) for i in range(5)] + [("1/2", "7/3")])
     cx = json.loads("".join(complex_doc(
-        dense, _face_records(dense, None),
+        dense, enumerate_complex(dense),
         {"genericity": genericity_doc(is_generic(dense, mode="both"))})))
     ker111_e1 = validate_periodic_set([(1, -1, 0), (0, 1, -1)], cosets=[(0, 0, 0), (1, 0, 0)])
     star = star_at(ker111_e1, Point((0, 0, 0)), 2)

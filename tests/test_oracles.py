@@ -12,6 +12,7 @@ from scarf.geometry import Orthant, Point
 from scarf.oracles import (
     _CosetSolver,
     oracle_box_points,
+    oracle_face_tree,
     oracle_finite_nb,
     oracle_lattice_neighbors,
     oracle_minimal_orthant,
@@ -55,7 +56,7 @@ def test_oracle_finite_agrees_with_enumeration():
         card = rng.randint(1, 7)
         pts = {tuple(rng.randint(0, 9) for _ in range(n)) for _ in range(card)}
         A = FinitePointSet(sorted(pts))
-        assert oracle_finite_nb(A) == enumerate_complex(A)
+        assert enumerate_complex(A) == oracle_face_tree(A)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +179,15 @@ def test_oracle_minimal_orthant_matches_main_path():
 def test_oracle_orbit_radii_validation():
     with pytest.raises(InputError):
         oracle_star_orbit_counts(ker111_set(), 4, 4)
+
+
+def test_oracle_orbit_counts_refuse_truncation():
+    # the star oracle shares the neighbor oracle's witness check and its message
+    A = ker111_set((-9, -1, -1))
+    with pytest.raises(RadiusError) as info:
+        oracle_star_orbit_counts(A, 2, 3)
+    assert "witness radius 3 too small" in str(info.value)
+    assert str(info.value).endswith("outside the witness box")
 
 
 def test_oracle_orbit_rejects_dominated_origin():

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scarf.errors import GenericityError, InputError
-from scarf.finite import FinitePointSet, _face_records, is_generic
+from scarf.finite import FinitePointSet, enumerate_complex, is_generic
 from scarf.geometry import Point
 from scarf.resolution import build_resolution, verify_chain
 
@@ -190,7 +190,7 @@ def test_faces_by_dim_are_the_face_records(rows):
     A = FinitePointSet(rows)
     values = A.rank_index.values
     by_dim: list = []
-    tree = _face_records(A, None)
+    tree = enumerate_complex(A)
     for members, top in list(zip(tree.members(), tree.join))[1:]:
         if len(members) > len(by_dim):
             by_dim.append([])
