@@ -340,7 +340,7 @@ def complex_text(A: FinitePointSet, tree: FaceTree, tail: list) -> Iterator[str]
              for top in dict.fromkeys(tree.join)}
     blocks = [_point_str(p.coords) for p in A.points]
     faces = (f"  dim {dim}: {vs}  join {joins[t]}"
-             for dim, tops, texts in formats.face_texts(tree, blocks, " ")
+             for dim, tops, texts in tree.by_size(blocks, " ")
              for t, vs in zip(tops, texts))
     yield from _lines(chain(
         [f"complex of dimension {len(f_vector) - 1}, f-vector {_point_str(f_vector)}"],

@@ -7,12 +7,14 @@ of a finite set, or a star's center at its own index among the star's
 sorted vertices.  The complexes are downward closed, so every face but the
 seed is its parent plus one vertex, and grow_faces returns a FaceTree:
 each face's parent, the vertex index it added and its join, in three
-parallel lists, with no tuple per face.  Sizes, f-vectors and the face
-writer read the tree; FaceTree.members rebuilds member tuples for the
-callers that build their own faces from them.  Faces with the same top
-share its joins: a join depends only on the top and the candidate, and
-accept only on the join, so one call computes and tests each accepted join
-once and remembers only accepted joins, at most one per face.
+parallel lists, with no tuple per face.  Sizes and f-vectors read the
+tree, and FaceTree.by_size is the one walk that turns it back into faces,
+one size at a time: the face writers' vertex texts, and the member tuples
+that resolutions, the quotient fold and FaceTree.members read.  Faces
+with the same top share its joins: a join depends only on the top and the
+candidate, and accept only on the join, so one call computes and tests
+each accepted join once and remembers only accepted joins, at most one
+per face.
 
 Face and LabeledComplex are the subset oracle's types: a face as its sorted
 Points with their join, the multidegree (None for the empty face, which a
@@ -22,7 +24,7 @@ main path builds them.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
@@ -127,7 +129,7 @@ class FaceTree(namedtuple("FaceTree", "parent vertex join")):
     before it and parents never decrease.  The faces of a star hold its
     center, vertex[0]: a face's members are its parent's plus its vertex,
     which goes before the center when it is smaller.  No face has a tuple
-    of its own; members() rebuilds them for the callers that need them.
+    of its own; by_size builds them, or any text per face, a size at a time.
     """
 
     __slots__ = ()
@@ -149,16 +151,50 @@ class FaceTree(namedtuple("FaceTree", "parent vertex join")):
         counts = [end - start for start, end in zip([0] + ends, ends)]
         return counts[1:] if self.vertex[0] < 0 else counts
 
+    def by_size(self, blocks: Sequence, sep: str | tuple):
+        """Each face's item, sep.join(blocks[i] for i in members), one size of faces at a time.
+
+        Yields (dim, joins, items) for each size of the tree's faces, the
+        empty face left out: the faces' dimension, and their joins and items
+        in face order.  Blocks and sep are strs, or 1-tuples of member
+        indices with sep () for the member tuples themselves.  A face's item
+        is its parent's plus one block, and only one size's items are kept
+        at a time.  In a star the center's block keeps its sorted place: a
+        face that added only vertices below the center keeps the item of
+        those, each followed by sep, and puts the center's block after it.
+        """
+        parent, vertex, joins = self
+        ends = self.level_ends()
+        glued = [sep + b for b in blocks]
+        center = vertex[0]
+        if center < 0:  # grown from the empty face, whose kids are single vertices
+            if len(ends) > 1:
+                items = [blocks[j] for j in vertex[1:ends[1]]]
+                yield 0, joins[1:ends[1]], items
+            for dim, (lo, start, end) in enumerate(zip(ends, ends[1:], ends[2:]), 1):
+                items = [items[p - lo] + glued[j]
+                         for p, j in zip(parent[start:end], vertex[start:end])]
+                yield dim, joins[start:end], items
+            return
+        below = [b + sep for b in blocks[:center]]
+        mid = blocks[center]
+        lows, items = [sep[:0]], [mid]
+        yield 0, joins[:1], items
+        for dim, (lo, start, end) in enumerate(zip([0] + ends, ends, ends[1:]), 1):
+            kids = parent[start:end], vertex[start:end]
+            # added indices increase along a face's growth, so a kid below the
+            # center has a parent that added only vertices below it
+            lows = [lows[p - lo] + below[j] if j < center else None for p, j in zip(*kids)]
+            items = [items[p - lo] + glued[j] if low is None else low + mid
+                     for low, p, j in zip(lows, *kids)]
+            yield dim, joins[start:end], items
+
     def members(self) -> list[tuple[int, ...]]:
         """Each face's increasing member indices, in face order."""
-        center = self.vertex[0]
-        faces = [() if center < 0 else (center,)]
-        append = faces.append
-        for p, j in zip(self.parent[1:], self.vertex[1:]):
-            members = faces[p]
-            # added indices increase along a face's growth, so only the center can lie above j
-            append(members[:-1] + (j, center) if j < center else members + (j,))
-        return faces
+        blocks = [(i,) for i in range(max(self.vertex) + 1)]
+        # by_size leaves out the empty face, which a finite tree starts with
+        return [()] * (self.vertex[0] < 0) + [
+            members for _, _, items in self.by_size(blocks, ()) for members in items]
 
 
 def grow_faces(coords: Sequence[tuple], seed: tuple, accept: Callable[[tuple], bool],
@@ -243,17 +279,3 @@ def grow_faces(coords: Sequence[tuple], seed: tuple, accept: Callable[[tuple], b
         src, groups = vertex, grown
     return tree
 
-
-def f_vector_of(faces: Sequence[tuple]) -> list[int]:
-    """The number of faces of each size, given faces as (members, ...) listed by size.
-
-    Quotient orbits come by size, and every size up to the largest occurs,
-    so a size's count is the length of its run: one bisection per size,
-    whatever the number of faces.
-    """
-    counts, start, size = [], 0, lambda face: len(face[0])
-    while start < len(faces):
-        end = bisect_right(faces, size(faces[start]), start, key=size)
-        counts.append(end - start)
-        start = end
-    return counts

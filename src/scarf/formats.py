@@ -20,10 +20,10 @@ the short fields that render_document writes; the text they yield equals
 render_document of the document it stands for.  They yield it in chunks,
 each holding at most _CHUNK items of any one list (an item of a list of
 lists is one item of an inner list), so no writer holds a long document
-whole: "".join(chunks) is the document.  One face writer, face_texts,
-serves complex_doc, star_doc and the CLI's text summary: each face's
-vertex text is its parent's plus one vertex's block, one size of faces at
-a time.
+whole: "".join(chunks) is the document.  complex_doc and star_doc write
+each face's vertex text through FaceTree.by_size, as the CLI's text
+summary does: its parent's text plus one vertex's block, one size of
+faces at a time.
 """
 
 from __future__ import annotations
@@ -174,42 +174,6 @@ def _vertex_block(coords, depth: int) -> str:
     return _block([*map(_coord_text, coords)], depth)
 
 
-def face_texts(tree: FaceTree, blocks: list, sep: str):
-    """The text of each face's vertices, sep.join(blocks[i] for i in members), size by size.
-
-    Yields (dim, joins, texts) for each size of the tree's faces, the empty
-    face left out: the faces' dimension, and their joins and vertex texts in
-    face order.  A face's text is its parent's plus one block, and only one
-    size's texts are kept at a time.  In a star the center's block keeps
-    its sorted place: a face that added only vertices below the center
-    keeps the text of those, each followed by sep, and puts the center's
-    block after it.
-    """
-    parent, vertex, joins = tree
-    ends = tree.level_ends()
-    glued = [sep + b for b in blocks]
-    center = vertex[0]
-    if center < 0:  # grown from the empty face, whose kids are single vertices
-        if len(ends) > 1:
-            texts = [blocks[j] for j in vertex[1:ends[1]]]
-            yield 0, joins[1:ends[1]], texts
-        for dim, (lo, start, end) in enumerate(zip(ends, ends[1:], ends[2:]), 1):
-            texts = [texts[p - lo] + glued[j]
-                     for p, j in zip(parent[start:end], vertex[start:end])]
-            yield dim, joins[start:end], texts
-        return
-    below = [b + sep for b in blocks[:center]]
-    mid = blocks[center]
-    lows, texts = [""], [mid]
-    yield 0, joins[:1], texts
-    for dim, (lo, start, end) in enumerate(zip([0] + ends, ends, ends[1:]), 1):
-        kids = parent[start:end], vertex[start:end]
-        lows = [lows[p - lo] + below[j] if j < center else None for p, j in zip(*kids)]
-        texts = [texts[p - lo] + glued[j] if low is None else low + mid
-                 for low, p, j in zip(lows, *kids)]
-        yield dim, joins[start:end], texts
-
-
 def _faces(tree: FaceTree, blocks: list, values: list):
     """The text of each face of the tree but the empty one, in order, at its place in a document.
 
@@ -223,7 +187,7 @@ def _faces(tree: FaceTree, blocks: list, values: list):
     degree = dict.fromkeys(tree.join)
     for top in degree:
         degree[top] = sep.join(map(getitem, values, top))
-    for dim, joins, texts in face_texts(tree, blocks, sep):
+    for dim, joins, texts in tree.by_size(blocks, sep):
         head = f'{{\n      "dim": {dim},\n      "multidegree": [\n        '
         for t, vs in zip(joins, texts):
             yield (f'{head}{degree[t]}\n      ],\n      "vertices": [\n        {vs}\n      ]\n'

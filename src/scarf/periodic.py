@@ -37,9 +37,10 @@ import gc
 from bisect import bisect_left
 from collections import namedtuple
 from heapq import heapify, heappop, heappush
+from itertools import zip_longest
 from operator import add, mul
 
-from .complexes import f_vector_of, grow_faces
+from .complexes import grow_faces
 from .diophantine import Lattice, _orthant_steps, coset_points, points_below
 from .errors import CertificationError, InputError
 from .geometry import Point, all_orthants, and_prefixes, zero_point
@@ -128,10 +129,10 @@ class StarResult(namedtuple("StarResult", "center vertices records report")):
     center is a Point.  vertices are the sorted int tuples of the star's
     vertices, the center among them.  records is the FaceTree of the faces,
     over indices into vertices, with int joins: face 0 is the center, and
-    the faces come by size, then by member indices.  records.members()
-    gives each face's increasing indices, the center's among them.  The
-    tree holds lists, so a StarResult does not hash.  report is a
-    CompletenessReport.
+    the faces come by size, then by member indices.  records.by_size
+    gives each face's increasing indices, the center's among them, one
+    size at a time, and records.members() all at once.  The tree holds
+    lists, so a StarResult does not hash.  report is a CompletenessReport.
     """
 
     __slots__ = ()
@@ -452,10 +453,13 @@ def quotient_complex(A: PeriodicSet, dmax: int) -> QuotientResult:
 def _fold(A: PeriodicSet, stars: list) -> QuotientResult:
     """The quotient of the stars at the coset representatives, all at one depth.
 
-    The fold builds tuples per face and keeps them until it returns, none
-    of them in a reference cycle, so the cyclic collector is paused while
-    it runs rather than rescanning them as they pile up.  The caller's
-    collector state is restored however the fold ends.
+    The fold reads every star's faces one size at a time, through
+    FaceTree.by_size.  An orbit's faces all have its size, so a size's
+    orbits are counted and sorted alone, and its member tuples go before
+    the next size's are built.  It keeps a vertex tuple per orbit until it
+    returns, none of them in a reference cycle, so the cyclic collector is
+    paused while it runs rather than rescanning them as they pile up.  The
+    caller's collector state is restored however the fold ends.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -468,30 +472,35 @@ def _fold(A: PeriodicSet, stars: list) -> QuotientResult:
 
 def _fold_orbits(A: PeriodicSet, stars: list) -> QuotientResult:
     lattice = A.lattice
-    orbit_map: dict = {}
     combined: dict[str, int] = {}
     for star in stars:
         for name, cnt in star.report.candidate_counts:
             combined[name] = combined.get(name, 0) + cnt
-        vertices = star.vertices
-        moved: dict = {}
-        for members in star.records.members():
-            # translating by a lattice vector preserves the vertex order, so
-            # moving the least vertex to its canonical representative gives
-            # a well-defined orbit key: the translate's sorted vertices
-            shifted = moved.get(members[0])
-            if shifted is None:
-                v0 = vertices[members[0]]
-                shift = [a - b for a, b in zip(lattice._canonical(v0), v0)]
-                shifted = moved[members[0]] = [tuple(map(add, v, shift)) for v in vertices]
-            key = tuple(map(shifted.__getitem__, members))
-            orbit_map[key] = orbit_map.get(key, 0) + 1
-    orbits = tuple(sorted(orbit_map.items(), key=lambda orbit: (len(orbit[0]), orbit[0])))
-    fvec = tuple(f_vector_of(orbits))
+    moved = [{} for _ in stars]
+    walks = [star.records.by_size([(i,) for i in range(len(star.vertices))], ())
+             for star in stars]
+    orbits, fvec = [], []
+    for level in zip_longest(*walks, fillvalue=(None, None, ())):
+        orbit_map: dict = {}
+        for star, shifts, (_, _, faces) in zip(stars, moved, level):
+            vertices = star.vertices
+            for members in faces:
+                # translating by a lattice vector preserves the vertex order, so
+                # moving the least vertex to its canonical representative gives
+                # a well-defined orbit key: the translate's sorted vertices
+                shifted = shifts.get(members[0])
+                if shifted is None:
+                    v0 = vertices[members[0]]
+                    shift = [a - b for a, b in zip(lattice._canonical(v0), v0)]
+                    shifted = shifts[members[0]] = [tuple(map(add, v, shift)) for v in vertices]
+                key = tuple(map(shifted.__getitem__, members))
+                orbit_map[key] = orbit_map.get(key, 0) + 1
+        fvec.append(len(orbit_map))
+        orbits += sorted(orbit_map.items())
     report = CompletenessReport(
         stars[0].report.dmax_used, max(star.dimension for star in stars),
         all(star.report.certified for star in stars), tuple(sorted(combined.items())))
-    return QuotientResult(orbits=orbits, f_vector=fvec, report=report)
+    return QuotientResult(orbits=tuple(orbits), f_vector=tuple(fvec), report=report)
 
 
 def certified_quotient(A: PeriodicSet, dmax_limit: int = 256) -> QuotientResult:

@@ -11,7 +11,6 @@ exactly minimality of the resolution the complex supports.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import islice
 from operator import add, getitem, sub
 
 from .errors import GenericityError, InputError
@@ -26,7 +25,8 @@ class Resolution(namedtuple("Resolution", "points faces_by_dim augmentation diff
 
     points is the FinitePointSet and faces_by_dim[d] its d-dimensional
     faces as records (member indices into points.points, multidegree), by
-    member indices.  differentials[i-1] maps i-dimensional faces to
+    member indices: one entry per size of faces that FaceTree.by_size
+    yields.  differentials[i-1] maps i-dimensional faces to
     (i-1)-dimensional ones, keyed by (row_index, column_index) with value
     (sign, exponent vector); a single-vertex input therefore has no
     differentials at all.  The augmentation lists each vertex's own
@@ -100,17 +100,15 @@ def build_resolution(A: FinitePointSet) -> Resolution:
         raise GenericityError(
             f"input is not generic: witness [{a}, {b}, {k}]", witness=report.witness
         )
-    # faces come by size, then members: each size is one dimension, in face order
+    # each size of the complex's faces is one dimension, in face order
     values = A.rank_index.values
     faces_by_dim: list = []
     index = {}
-    tree = enumerate_complex(A)
-    for members, top in islice(zip(tree.members(), tree.join), 1, None):
-        if len(members) > len(faces_by_dim):
-            faces_by_dim.append([])
-        fs = faces_by_dim[-1]
-        index[members] = len(fs)
-        fs.append((members, tuple(map(getitem, values, top))))
+    blocks = [(i,) for i in range(len(A.points))]
+    for _, tops, faces in enumerate_complex(A).by_size(blocks, ()):
+        index.update(zip(faces, range(len(faces))))
+        faces_by_dim.append(tuple((members, tuple(map(getitem, values, top)))
+                                  for members, top in zip(faces, tops)))
     diffs = []
     for lower, upper in zip(faces_by_dim, faces_by_dim[1:]):
         entries: dict = {}
@@ -121,7 +119,7 @@ def build_resolution(A: FinitePointSet) -> Resolution:
         diffs.append(entries)
     return Resolution(
         points=A,
-        faces_by_dim=tuple(map(tuple, faces_by_dim)),
+        faces_by_dim=tuple(faces_by_dim),
         augmentation=tuple(md for _, md in faces_by_dim[0]),
         differentials=tuple(diffs),
     )

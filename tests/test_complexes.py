@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from scarf.complexes import Face, LabeledComplex, grow_faces
 from scarf.errors import InputError
 from scarf.finite import FinitePointSet, enumerate_complex
-from scarf.formats import face_texts
 from scarf.geometry import Point
 from test_finite import point_faces
 from test_resolution import generic_antichain
@@ -232,7 +231,7 @@ def test_face_tree_rebuilds_records_and_vertex_texts(rows, grown, max_size, sep)
     sizes = [len(members) for members, _ in faces]
     assert tree.f_vector() == [sizes.count(k) for k in range(1, max(sizes, default=0) + 1)]
     blocks = [f"<{i}:{r}>" for i, r in enumerate(ranks)]
-    written = [(dim, top, text) for dim, tops, texts in face_texts(tree, blocks, sep)
+    written = [(dim, top, text) for dim, tops, texts in tree.by_size(blocks, sep)
                for top, text in zip(tops, texts)]
     assert written == [(len(m) - 1, top, sep.join(blocks[i] for i in m)) for m, top in faces]
 

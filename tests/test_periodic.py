@@ -386,14 +386,15 @@ def in_box(c, v, p):
     return all(min(a, b) <= x <= max(a, b) for a, b, x in zip(c, v, p))
 
 
-def reference_candidates(A, creps, center, dmax):
+def reference_candidates(A, creps, center, dmax, steps):
     """Breadth-first walk over minimal coset steps, one down-box query per point.
 
     An independent statement of what _candidate_vertices computes: a point
     is accepted when box(center, point) holds at most dmax+1 set points, and
     only accepted points step on.  Its rejected points are the least of the
     points refused in some orthant: no other refused point of that orthant
-    lies in their box.
+    lies in their box.  steps remembers the minimal steps by coset pair and
+    orthant, which name no center, so one dict may serve every center of A.
     """
     lattice = A.lattice
     center_idx = creps.index(lattice._canonical(center))
@@ -410,7 +411,7 @@ def reference_candidates(A, creps, center, dmax):
             steps[l, k, orth] = minimal_orthant_points(lattice, [diff], orth)
         return steps[l, k, orth]
 
-    counts, steps = [], {}
+    counts = []
     candidates, least_rejected = set(), set()
     for orth in all_orthants(A.dim):
         accepted, rejected = {center}, set()
@@ -478,10 +479,14 @@ def finite_index_periodic_sets(draw):
 
 
 def check_walk_against_reference(A, dmax):
+    # the walks share one step table, as _stars' centers do, and the
+    # reference keeps one memo of its own; neither names a center
     creps = [rep.as_int_tuple() for rep in A.reps]
+    steps, reference_steps = {}, {}
     for center in creps:
-        candidates, counts, rejected = _candidate_vertices(A, creps, center, {})(dmax)
-        assert (candidates, counts, rejected) == reference_candidates(A, creps, center, dmax)
+        candidates, counts, rejected = _candidate_vertices(A, creps, center, steps)(dmax)
+        assert (candidates, counts, rejected) == reference_candidates(A, creps, center, dmax,
+                                                                      reference_steps)
         for v in candidates:
             assert len(points_in_box(A.lattice, A.reps, Point(center), Point(v))) <= dmax + 1
         for r in rejected:
@@ -492,11 +497,13 @@ def check_walk_against_reference(A, dmax):
 def check_resumed_walk(A, depths=range(1, 7)):
     # a walk carried on through the depths is, at each depth, the walk
     # started there: candidates, counts per orthant and rejected frontier.
-    # The fresh walks share one step table, which names no center or depth
+    # The fresh walks share one step table, which names no center or depth,
+    # and the resumed walks another
     creps = [rep.as_int_tuple() for rep in A.reps]
     steps: dict = {}
+    resumed_steps: dict = {}
     for center in creps:
-        advance = _candidate_vertices(A, creps, center, {})
+        advance = _candidate_vertices(A, creps, center, resumed_steps)
         for dmax in depths:
             assert advance(dmax) == _candidate_vertices(A, creps, center, steps)(dmax), \
                 (center, dmax)
@@ -603,7 +610,7 @@ def test_symmetric_center_walks_half_the_orthants(query, dmax):
         walked = log_orthant_walks(mp)
         got = _candidate_vertices(A, creps, center, {})(dmax)
     assert len(walked) == 4
-    assert got == reference_candidates(A, creps, center, dmax)
+    assert got == reference_candidates(A, creps, center, dmax, {})
 
 
 def test_asymmetric_center_walks_every_orthant(monkeypatch):
@@ -871,6 +878,44 @@ def test_quotient_matches_oracle_orbit_tally():
         d = len(shape) - 1
         tally[d] = tally.get(d, 0) + 1
     assert tuple(tally[d] for d in sorted(tally)) == q.f_vector
+
+
+def independent_fold(A, dmax):
+    """The quotient from the coset stars' member tuples, in one dict over every face.
+
+    A face's key is its translate whose least vertex is that vertex's
+    canonical_rep, and the orbits are sorted by size, then key; the report
+    adds up the stars' candidate counts per orthant.
+    """
+    stars = [star_at(A, rep, dmax) for rep in A.reps]
+    orbits, counts = {}, Counter()
+    for star in stars:
+        counts.update(dict(star.report.candidate_counts))
+        for members in star.records.members():
+            vs = [star.vertices[i] for i in members]
+            rep = A.lattice.canonical_rep(Point(vs[0])).as_int_tuple()
+            key = tuple(tuple(x + r - y for x, r, y in zip(v, rep, vs[0])) for v in vs)
+            orbits[key] = orbits.get(key, 0) + 1
+    sizes = Counter(map(len, orbits))
+    report = CompletenessReport(dmax, max(star.dimension for star in stars),
+                                all(star.report.certified for star in stars),
+                                tuple(sorted(counts.items())))
+    by_size_then_key = sorted(orbits.items(), key=lambda orbit: (len(orbit[0]), orbit[0]))
+    return QuotientResult(tuple(by_size_then_key),
+                          tuple(sizes[k] for k in range(1, max(sizes) + 1)), report)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_periodic_sets(), st.integers(1, 4))
+def test_quotient_matches_an_independent_fold(A, dmax):
+    # the fold walks the stars one size at a time; one dict over all faces,
+    # keyed through canonical_rep, gives the same orbits, counts and report
+    assume(all(exists_strictly_below(A, rep) is None for rep in A.reps))
+    got, expected = quotient_complex(A, dmax), independent_fold(A, dmax)
+    # not assert got == expected: pytest's diff of thousands of orbits would
+    # run once per shrinking step
+    same = got == expected
+    assert same, [field for field, a, b in zip(got._fields, got, expected) if a != b]
 
 
 def test_certified_quotient():
