@@ -224,7 +224,7 @@ def run(job: argparse.Namespace) -> Iterable[str]:
                 # faces come by size, from the empty face: those up to max_dim are a prefix
                 ends = tree.level_ends()
                 end = ends[min(job.max_dim + 1, len(ends) - 1)]
-                tree = FaceTree(*(column[:end] for column in tree))
+                tree = FaceTree(*(column[:end] for column in tree[:3]), tree.tops)
             return (complex_text if text else formats.complex_doc)(A, tree, extra)
         rows = [p.coords for p in sorted(neighbors(A, v), key=point_key)]
         return (neighbors_text if text else formats.neighbors_doc)(v, rows, extra)
@@ -332,16 +332,15 @@ def complex_text(A: FinitePointSet, tree: FaceTree, tail: list) -> Iterator[str]
     """The text form of formats.complex_doc(A, tree, extra), from the tree, in chunks.
 
     A line per face, then tail, the lines of what extra holds.  Each
-    vertex's text and each distinct join's text is written once.
+    vertex's text and each join's text, from tree.tops, is written once.
     """
     f_vector = tree.f_vector()
     values = [[str(v) for v in axis] for axis in A.rank_index.values]
-    joins = {top: "(" + ", ".join(map(getitem, values, top)) + ")"
-             for top in dict.fromkeys(tree.join)}
+    joins = ["(" + ", ".join(map(getitem, values, top)) + ")" for top in tree.tops]
     blocks = [_point_str(p.coords) for p in A.points]
     faces = (f"  dim {dim}: {vs}  join {joins[t]}"
-             for dim, tops, texts in tree.by_size(blocks, " ")
-             for t, vs in zip(tops, texts))
+             for dim, ids, texts in tree.by_size(blocks, " ")
+             for t, vs in zip(ids, texts))
     yield from _lines(chain(
         [f"complex of dimension {len(f_vector) - 1}, f-vector {_point_str(f_vector)}"],
         faces, tail))

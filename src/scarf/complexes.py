@@ -6,12 +6,12 @@ finite set, int coordinates for a star) and grows one seed: the empty face
 of a finite set, or a star's center at its own index among the star's
 sorted vertices.  The complexes are downward closed, so every face but the
 seed is its parent plus one vertex, and grow_faces returns a FaceTree:
-each face's parent, the vertex index it added and its join, in three
-parallel lists, with no tuple per face.  Sizes and f-vectors read the
-tree, and FaceTree.by_size is the one walk that turns it back into faces,
-one size at a time: the face writers' vertex texts, and the member tuples
-that resolutions, the quotient fold and FaceTree.members read.  Faces
-with the same top share its joins: a join depends only on the top and the
+each face's parent, the vertex index it added and its join's id, in three
+parallel lists, with no tuple per face, and a table of the distinct joins.
+FaceTree.by_size is the one walk that turns it back into faces, one size
+at a time: the face writers' vertex texts, and the member tuples that
+resolutions, the quotient fold and FaceTree.members read.  Faces with the
+same join share its memo: a join depends only on the top and the
 candidate, and accept only on the join, so one call computes and tests
 each accepted join once and remembers only accepted joins, at most one
 per face.
@@ -119,17 +119,19 @@ class LabeledComplex:
         return tuple(counts)
 
 
-class FaceTree(namedtuple("FaceTree", "parent vertex join")):
+class FaceTree(namedtuple("FaceTree", "parent vertex join tops")):
     """Faces grown from one seed, each stored as its parent plus one vertex.
 
-    Three parallel lists: face i is face parent[i] with vertex index
-    vertex[i] added, and join[i] is its join.  Face 0 is the seed, with
-    parent -1 and, as vertex, its one member, or -1 for the empty face.
-    Faces come by size and then by member indices, so a face's parent comes
-    before it and parents never decrease.  The faces of a star hold its
-    center, vertex[0]: a face's members are its parent's plus its vertex,
-    which goes before the center when it is smaller.  No face has a tuple
-    of its own; by_size builds them, or any text per face, a size at a time.
+    Face i is face parent[i] with vertex index vertex[i] added, and
+    tops[join[i]] is its join: tops lists the distinct joins in order of
+    first use, the seed's first, so readers work once per join, not once
+    per face.  Face 0 is the seed, with parent -1 and, as vertex, its one
+    member, or -1 for the empty face.  Faces come by size and then by
+    member indices, so a face's parent comes before it and parents never
+    decrease.  The faces of a star hold its center, vertex[0]: a face's
+    members are its parent's plus its vertex, which goes before the center
+    when it is smaller.  No face has a tuple of its own; by_size builds
+    them, or any text per face, a size at a time.
     """
 
     __slots__ = ()
@@ -155,15 +157,15 @@ class FaceTree(namedtuple("FaceTree", "parent vertex join")):
         """Each face's item, sep.join(blocks[i] for i in members), one size of faces at a time.
 
         Yields (dim, joins, items) for each size of the tree's faces, the
-        empty face left out: the faces' dimension, and their joins and items
-        in face order.  Blocks and sep are strs, or 1-tuples of member
+        empty face left out: the faces' dimension, join ids and items in
+        face order.  Blocks and sep are strs, or 1-tuples of member
         indices with sep () for the member tuples themselves.  A face's item
         is its parent's plus one block, and only one size's items are kept
         at a time.  In a star the center's block keeps its sorted place: a
         face that added only vertices below the center keeps the item of
         those, each followed by sep, and puts the center's block after it.
         """
-        parent, vertex, joins = self
+        parent, vertex, joins, _ = self
         ends = self.level_ends()
         glued = [sep + b for b in blocks]
         center = vertex[0]
@@ -209,7 +211,7 @@ def grow_faces(coords: Sequence[tuple], seed: tuple, accept: Callable[[tuple], b
     among the star's vertices, with the center's coordinates.  The tree's
     face 0 is the seed, and after it come every face grown from it whose
     join passes accept, by size and then by member indices, in coords' own
-    indices.
+    indices.  A join takes the next id when its first face is appended.
 
     The seed extends by every index that is not one of its members.  After
     that, a face extends only by the indices its later siblings added
@@ -219,63 +221,51 @@ def grow_faces(coords: Sequence[tuple], seed: tuple, accept: Callable[[tuple], b
     with j < k, then F + j and F + k are sibling faces.  Growth stops once
     faces have max_size members.  Only faces with a later sibling extend,
     so the last kid of a group, and a kid without siblings, cost nothing
-    beyond their entries in the three lists.
+    beyond their entries in the three face lists.
 
-    Faces with the same top share their joins, which is exact because
-    accept must be a pure function of the join.  The first face met with a
-    top probes nothing and keeps only where its kids went.  A second face
-    with that top turns those kids into the top's row, candidate index ->
-    accepted join, and it and every later face with the top look their
-    candidates up there first.  Only accepted joins are kept, at most one
-    per face, and a refused join is tested again when another face with
-    its top meets it.
+    Faces with the same join share its memo, candidate index -> accepted
+    join id, which is exact because accept must be a pure function of the
+    join.  Only accepted joins are kept, at most one per face, and a
+    refused join is tested again when another face with its top meets it.
     """
     members, top = seed
-    tree = FaceTree([-1], [members[0] if members else -1], [top])
+    tree = FaceTree([-1], [members[0] if members else -1], [0], [top])
     size = len(members)
     if size == max_size:
         return tree
-    parent, vertex, joins = tree
-    add_parent, add_vertex, add_join = parent.append, vertex.append, joins.append
+    parent, vertex, join, tops = tree
+    add_parent, add_vertex, add_join = parent.append, vertex.append, join.append
+    ids = {top: 0}
+    memos = [{}]  # per join id: candidate index -> the accepted join's id
     # a group (first, last, end) of siblings: face i in range(first, last)
     # extends by src[i + 1:end], the indices its later siblings added.  The
     # seed is a group of its own, and every other index follows its place
     src = [-1, *(j for j in range(len(coords)) if j not in members)]
     groups = [(0, 1, len(src))]
-    rows = {}  # top -> its row, or where its first face's kids went: (start, end) in the tree
     while groups and size != max_size:
         size += 1
         grown = []
         for first, last, end in groups:
             for i in range(first, last):
-                top = joins[i]
+                memo = memos[join[i]]
+                top = tops[join[i]]
                 start = len(vertex)
-                row = rows.get(top)
-                if row is None:
-                    for j in src[i + 1:end]:
+                for j in src[i + 1:end]:
+                    k = memo.get(j)
+                    if k is None:
                         t = tuple(map(max, top, coords[j]))
-                        if accept(t):
-                            add_parent(i)
-                            add_vertex(j)
-                            add_join(t)
-                    if len(vertex) > start:
-                        rows[top] = (start, len(vertex))
-                else:
-                    if type(row) is tuple:  # the second face with this top
-                        kids, stop = row
-                        row = rows[top] = dict(zip(vertex[kids:stop], joins[kids:stop]))
-                    for j in src[i + 1:end]:
-                        t = row.get(j)
-                        if t is None:
-                            t = tuple(map(max, top, coords[j]))
-                            if not accept(t):
-                                continue
-                            row[j] = t
-                        add_parent(i)
-                        add_vertex(j)
-                        add_join(t)
+                        if not accept(t):
+                            continue
+                        k = ids.get(t)
+                        if k is None:
+                            k = ids[t] = len(tops)
+                            tops.append(t)
+                            memos.append({})
+                        memo[j] = k
+                    add_parent(i)
+                    add_vertex(j)
+                    add_join(k)
                 if len(vertex) - start > 1:  # the last kid has no later sibling
                     grown.append((start, len(vertex) - 1, len(vertex)))
         src, groups = vertex, grown
     return tree
-

@@ -115,13 +115,13 @@ def neighbors(A: FinitePointSet, a: Point) -> frozenset:
 
 
 def enumerate_complex(A: FinitePointSet, max_dim: int | None = None) -> FaceTree:
-    """The tree of A's faces up to max_dim, over point indices and rank joins.
+    """The tree of A's faces up to max_dim, over point indices, with a table of rank joins.
 
     Faces grow from the empty face, face 0, whose zero ranks lie below
     every point, by appending vertices in canonical order; a candidate is
     tested only once its prefix is known to be a face, which is complete
-    because the complex is downward closed.  A join's values are its ranks
-    read through A.rank_index.values.
+    because the complex is downward closed.  tops holds the distinct joins
+    as ranks, the empty face's first, read through A.rank_index.values.
     """
     if max_dim is not None and max_dim < -1:
         raise InputError(f"max_dim must be >= -1, got {max_dim}")
@@ -169,10 +169,12 @@ def _generic_facet(A: FinitePointSet, tree: FaceTree):
     # Same 1-based coordinate convention as the pairwise form; faces scan
     # in the order grow_faces emits them, by size and then member indices,
     # and the witnesses are the first two points below the join that attain
-    # it on the axis.  Only the joins are read, the empty face's left out,
-    # each where it first occurs: the witness depends on the join alone.
+    # it on the axis.  Only the join table is read, in order of first use:
+    # the witness depends on the join alone.  The seed's zero ranks are
+    # left out, even when a vertex has that join: two distinct points
+    # cannot both have rank 0 on every axis, so they are never a witness.
     index = A.rank_index
-    tops = [*dict.fromkeys(tree.join[1:])]
+    tops = tree.tops[1:]
     weakly = [index.weakly_under(top) for top in tops]
     for k, below in enumerate(index.below):
         for top, le in zip(tops, weakly):
@@ -187,7 +189,7 @@ def is_generic(A: FinitePointSet, mode: str = "definition",
                records: FaceTree | None = None) -> GenericityReport:
     """Genericity check in pairwise ("definition"), facet ("remark") or "both" mode.
 
-    The facet form reads every face's join; records, when given, is A's
+    The facet form reads the tree's join table; records, when given, is A's
     face tree from enumerate_complex(A), so a caller that grew it already
     does not grow it again.
     """

@@ -12,7 +12,7 @@ contract, json.dumps(doc, sort_keys=True, indent=2) + "\n", is what
 render_document is.
 
 Documents with lists are written from results, not built first:
-complex_doc and star_doc (from a FaceTree of faces and joins),
+complex_doc and star_doc (from a FaceTree of faces and its join table),
 neighbors_doc (from coordinate rows), quotient_doc (from orbits),
 resolution_doc (from a Resolution) and layering_doc (from a Layering)
 write each list's items as text, and one list writer places them among
@@ -23,7 +23,7 @@ lists is one item of an inner list), so no writer holds a long document
 whole: "".join(chunks) is the document.  complex_doc and star_doc write
 each face's vertex text through FaceTree.by_size, as the CLI's text
 summary does: its parent's text plus one vertex's block, one size of
-faces at a time.
+faces at a time, and each join's text once, from the tree's join table.
 """
 
 from __future__ import annotations
@@ -180,13 +180,11 @@ def _faces(tree: FaceTree, blocks: list, values: list):
     Each face is {"dim", "multidegree", "vertices"}: blocks[i] is the text
     of vertex i's coordinate list and values[k][top[k]] that of the join's
     k-th coordinate.  Each face is one string around those texts, without a
-    dict per face, and each distinct join's text is written once.  Yields
-    the faces one by one.
+    dict per face, and each join's text, from tree.tops, is written once.
+    Yields the faces one by one.
     """
     sep = ",\n        "
-    degree = dict.fromkeys(tree.join)
-    for top in degree:
-        degree[top] = sep.join(map(getitem, values, top))
+    degree = [sep.join(map(getitem, values, top)) for top in tree.tops]
     for dim, joins, texts in tree.by_size(blocks, sep):
         head = f'{{\n      "dim": {dim},\n      "multidegree": [\n        '
         for t, vs in zip(joins, texts):

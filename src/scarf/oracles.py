@@ -62,19 +62,21 @@ def oracle_face_tree(A: FinitePointSet) -> FaceTree:
     faces() comes by size, then in canonical vertex order, as A indexes its
     points, so each face's parent is the face without its last vertex.  A
     join's ranks are its values' places among the sorted distinct values of
-    A on each axis, counted here rather than read from A's rank index.
+    A on each axis, counted here rather than read from A's rank index, and
+    joins are numbered in order of first use.
     """
     position = {p: i for i, p in enumerate(A.points)}
     rank = [{v: r for r, v in enumerate(sorted(set(axis)))}
             for axis in zip(*(p.coords for p in A.points))]
-    tree, face = FaceTree([-1], [-1], [(0,) * A.dim]), {(): 0}
+    parent, vertex, join, face, ids = [-1], [-1], [0], {(): 0}, {(0,) * A.dim: 0}
     for f in oracle_finite_nb(A).faces()[1:]:
         members = tuple(position[v] for v in f.vertices)
-        face[members] = len(tree.parent)
-        tree.parent.append(face[members[:-1]])
-        tree.vertex.append(members[-1])
-        tree.join.append(tuple(map(dict.__getitem__, rank, f.multidegree.coords)))
-    return tree
+        face[members] = len(parent)
+        parent.append(face[members[:-1]])
+        vertex.append(members[-1])
+        top = tuple(map(dict.__getitem__, rank, f.multidegree.coords))
+        join.append(ids.setdefault(top, len(ids)))
+    return FaceTree(parent, vertex, join, list(ids))
 
 
 class _CosetSolver:

@@ -24,11 +24,11 @@ over doubling depths: a call shares one face-test memo and one step table
 among its centers, each center has one walk, resumed as the depth grows,
 and one face growth, and a search that does not certify reports from those
 same walks.  Both stages run on int tuples, and so do the results: a star
-is a sorted int vertex list with a tree of its faces and their int joins,
-and a quotient's orbits are int vertex tuples with their incidence counts.
-A star's faces grow from the center at its own index among the sorted
-vertices, through the one face-growing loop of the complexes module, so its
-faces come out in the star's vertex indices.
+is a sorted int vertex list with a tree of its faces and a table of their
+int joins, and a quotient's orbits are int vertex tuples with their
+incidence counts.  A star's faces grow from the center at its own index
+among the sorted vertices, through the one face-growing loop of the
+complexes module, so its faces come out in the star's vertex indices.
 """
 
 from __future__ import annotations
@@ -128,11 +128,13 @@ class StarResult(namedtuple("StarResult", "center vertices records report")):
 
     center is a Point.  vertices are the sorted int tuples of the star's
     vertices, the center among them.  records is the FaceTree of the faces,
-    over indices into vertices, with int joins: face 0 is the center, and
-    the faces come by size, then by member indices.  records.by_size
-    gives each face's increasing indices, the center's among them, one
-    size at a time, and records.members() all at once.  The tree holds
-    lists, so a StarResult does not hash.  report is a CompletenessReport.
+    over indices into vertices: face 0 is the center, and the faces come by
+    size, then by member indices.  records.tops lists the distinct joins as
+    int tuples, the center's first, and records.join holds each face's
+    index into it.  records.by_size gives each face's increasing indices,
+    the center's among them, one size at a time, and records.members() all
+    at once.  The tree holds lists, so a StarResult does not hash.  report
+    is a CompletenessReport.
     """
 
     __slots__ = ()

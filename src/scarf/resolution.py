@@ -100,15 +100,16 @@ def build_resolution(A: FinitePointSet) -> Resolution:
         raise GenericityError(
             f"input is not generic: witness [{a}, {b}, {k}]", witness=report.witness
         )
-    # each size of the complex's faces is one dimension, in face order
-    values = A.rank_index.values
+    # each size of the complex's faces is one dimension, in face order, and
+    # each distinct join's multidegree is made once
+    values, tree = A.rank_index.values, enumerate_complex(A)
+    degree = [tuple(map(getitem, values, top)) for top in tree.tops]
     faces_by_dim: list = []
     index = {}
     blocks = [(i,) for i in range(len(A.points))]
-    for _, tops, faces in enumerate_complex(A).by_size(blocks, ()):
+    for _, joins, faces in tree.by_size(blocks, ()):
         index.update(zip(faces, range(len(faces))))
-        faces_by_dim.append(tuple((members, tuple(map(getitem, values, top)))
-                                  for members, top in zip(faces, tops)))
+        faces_by_dim.append(tuple(zip(faces, map(degree.__getitem__, joins))))
     diffs = []
     for lower, upper in zip(faces_by_dim, faces_by_dim[1:]):
         entries: dict = {}

@@ -35,7 +35,7 @@ def point_faces(A, tree):
 def join_values(A, tree):
     """Each face's join as the Point of its ranks' values on A's axes, in face order."""
     values = A.rank_index.values
-    return [Point(map(getitem, values, top)) for top in tree.join]
+    return [Point(map(getitem, values, tree.tops[t])) for t in tree.join]
 
 
 def rational_fan(m):

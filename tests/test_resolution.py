@@ -191,7 +191,7 @@ def test_faces_by_dim_are_the_face_records(rows):
     values = A.rank_index.values
     by_dim: list = []
     tree = enumerate_complex(A)
-    for members, top in list(zip(tree.members(), tree.join))[1:]:
+    for members, top in list(zip(tree.members(), map(tree.tops.__getitem__, tree.join)))[1:]:
         if len(members) > len(by_dim):
             by_dim.append([])
         by_dim[-1].append((members, tuple(vals[t] for vals, t in zip(values, top))))
