@@ -11,7 +11,10 @@ formats._CHUNK items of a list, or lines of a summary, and a short output
 is one chunk.  Failures print an error document to stderr and exit with a
 class-specific code: 2 malformed input, 3 positivity violation, 4
 genericity required but absent, 5 internal invariant failure, 6 no
-certificate within the depth limit of --auto-dmax.  A reader that closes
+certificate within the depth limit of --auto-dmax, or none at any depth:
+an axis is 0 in every basis column and the center is least on it (for
+quotient, some coset's always is), so the star has faces of every
+dimension, and the error document has no report.  A reader that closes
 stdout early ends the job quietly, with nothing on stderr and exit 141, the
 status a shell shows for a process that SIGPIPE ended.  A writer that raises
 after its first chunk is a bug: main then writes the error document to
@@ -99,7 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = add(name, help_)
         p.add_argument("input", help="JSON file with basis columns and optional cosets")
         p.add_argument("--dmax", type=int, default=None, help="fixed search depth")
-        p.add_argument("--auto-dmax", action="store_true", help="double the depth until certified")
+        p.add_argument("--auto-dmax", action="store_true",
+                       help="double the depth until certified; exit 6 at the limit, or at "
+                            "once when an axis shows the star has faces of every dimension")
         if name != "quotient":
             p.add_argument("--vertex", default=None,
                            help='center point such as "1,0,-1" (default origin)')

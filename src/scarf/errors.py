@@ -2,7 +2,8 @@
 
 Exit codes used by the CLI: 2 malformed input, 3 positivity violation,
 4 genericity required but absent, 5 internal invariant failure, 6 search
-depth limit reached before a star or quotient certified itself complete.
+depth limit reached before a star or quotient certified itself complete,
+or no depth can certify it.
 """
 
 
@@ -43,10 +44,11 @@ class GenericityError(ScarfError):
 
 
 class CertificationError(ScarfError):
-    """Depth doubling reached its limit before the result certified itself.
+    """Depth doubling reached its limit before the result certified itself, or no depth can.
 
-    A resource limit, not a bug: report is the CompletenessReport of the
-    last depth tried, or None when no depth was tried.
+    Not a bug: report is the CompletenessReport of the last depth tried, or
+    None when no depth was tried, as when the star was shown to have faces
+    of every dimension before the search began.
     """
 
     exit_code = 6

@@ -423,6 +423,31 @@ def _certified(result, what: str, dmax_limit: int):
     return result
 
 
+def _unbounded(A: PeriodicSet, centers, what: str) -> None:
+    """CertificationError, with no report, when a center's star has faces of every dimension.
+
+    When coordinate k is 0 in every basis column, it is constant on each
+    coset, and no set point lies below the least of those constants there.
+    At a set point c that attains it, the join of c, c + u, ..., c + t*u,
+    for a lattice vector u, has c's coordinate k, so no set point lies
+    strictly below it: they make a face for every t, and no depth
+    certifies the star.  The test is sufficient only; a star it passes may
+    still have faces of every dimension and reach the depth limit.
+    """
+    u = list(A.lattice.columns[0])
+    for k, row in enumerate(A.lattice._rows):
+        if not any(row):
+            least = min(rep.coords[k] for rep in A.reps)
+            for c in centers:
+                # a point outside the set is left to _stars, which refuses it as input
+                if A.contains(c) and c.coords[k] == least:
+                    raise CertificationError(
+                        f"{what} certifies at no depth: the star at c = {c} has faces of every "
+                        f"dimension, since axis {k + 1} is 0 in every basis column and no set "
+                        f"point lies lower on it than c; with the lattice vector u = {u}, "
+                        f"{{c, c + u, ..., c + t*u}} is a face for every t")
+
+
 def star_at(A: PeriodicSet, vertex: Point, dmax: int) -> StarResult:
     """All faces containing the given set point, up to the search depth."""
     return _stars(A, [vertex], [dmax])[0]
@@ -433,12 +458,15 @@ def certified_star(A: PeriodicSet, vertex=None, dmax_limit: int = 256) -> StarRe
 
     certified still means observed < dmax, but the rounds only walk: the
     rejected frontier says when the faces can grow, and they grow once.
+    A star that _unbounded shows to have faces of every dimension raises
+    CertificationError at once, with no report.
     """
     if vertex is None:
         vertex = zero_point(A.dim)
+    what = f"star at {vertex}"
+    _unbounded(A, [vertex], what)
     depths = [2 << k for k in range(max(dmax_limit, 1).bit_length() - 1)]
-    return _certified(_stars(A, [vertex], depths)[0] if depths else None,
-                      f"star at {vertex}", dmax_limit)
+    return _certified(_stars(A, [vertex], depths)[0] if depths else None, what, dmax_limit)
 
 
 def quotient_complex(A: PeriodicSet, dmax: int) -> QuotientResult:
@@ -510,7 +538,11 @@ def certified_quotient(A: PeriodicSet, dmax_limit: int = 256) -> QuotientResult:
 
     certified still means observed < dmax in every coset's star.  As in
     certified_star, the rounds only walk and each star's faces grow once.
+    When some axis is 0 in every basis column, the star at a coset
+    representative has faces of every dimension, by _unbounded, and
+    CertificationError is raised at once, with no report.
     """
+    _unbounded(A, A.reps, "quotient")
     depths = [2 << k for k in range(max(dmax_limit, 1).bit_length() - 1)]
     return _certified(_fold(A, _stars(A, A.reps, depths)) if depths else None,
                       "quotient", dmax_limit)

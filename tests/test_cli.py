@@ -471,6 +471,72 @@ def test_lattice_star_depth_limit_exit_6(docfile, capsys, monkeypatch):
     assert doc["report"]["dmax_used"] == 2
 
 
+# axis 3 is 0 in the only basis column: constant on each coset
+RANK1 = {"basis": [[1, -1, 0]]}
+RANK1_2COSETS = {"basis": [[1, -1, 0]], "cosets": [[0, 0, 0], [0, 0, 1]]}
+
+
+def run_limited(argv):
+    """The CLI in a child process under its own 1 GB address-space limit and a 10 s timeout.
+
+    Returns (exit code, stdout, stderr).  An infinite-dimensional star
+    that reached the depth search would exhaust the limit or the time.
+    """
+    import resource
+
+    def limit():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    src = os.path.dirname(os.path.dirname(scarf.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "scarf.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=10, preexec_fn=limit)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("fmt", ["structured", "text"])
+@pytest.mark.parametrize("subcommand", ["lattice-neighbors", "lattice-star", "quotient"])
+def test_zero_row_star_exits_6_before_any_walk(docfile, subcommand, fmt):
+    # every {0, u, ..., t*u} is a face: no depth certifies, and the search
+    # used to run out of memory (exit 5) instead
+    code, out, err = run_limited([subcommand, docfile(RANK1), "--auto-dmax", "--format", fmt])
+    assert (code, out) == (6, "")
+    if fmt == "structured":
+        doc = json.loads(err)
+        assert (doc["error"], doc["exit_code"]) == ("CertificationError", 6)
+        assert "report" not in doc
+        message = doc["message"]
+    else:
+        assert err.startswith("error [CertificationError]: ") and err.count("\n") == 1
+        message = err
+    assert "axis 3 is 0 in every basis column" in message
+    assert "u = [1, -1, 0]" in message
+
+
+def test_zero_row_check_keeps_higher_cosets_and_fixed_depths(docfile):
+    two = docfile(RANK1_2COSETS, "two.json")
+    # the coset at level 1 has the level-0 coset below it: its star is finite
+    code, out, _ = run_limited(["lattice-neighbors", two, "--auto-dmax", "--vertex", "0,0,1",
+                                "--format", "structured"])
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["neighbors"]) == 5 and doc["report"]["certified"] is True
+    code, out, err = run_limited(["lattice-neighbors", two, "--auto-dmax", "--vertex", "0,0,0",
+                                  "--format", "structured"])
+    assert (code, out, json.loads(err)["exit_code"]) == (6, "", 6)
+    # a fixed depth reports what it finds there, uncertified
+    one = docfile(RANK1, "one.json")
+    code, out, _ = run_limited(["quotient", one, "--dmax", "2", "--format", "structured"])
+    assert code == 0
+    assert json.loads(out)["f_vector"] == [1, 2, 4, 3, 1]
+    code, out, _ = run_limited(["lattice-star", one, "--dmax", "4", "--format", "structured"])
+    assert code == 0
+    assert len(json.loads(out)["neighbors"]) == 8
+
+
 def test_lattice_neighbors_fixture(docfile, capsys):
     code, out, _ = run_cli(
         ["lattice-neighbors", docfile(KER111), "--dmax", "6", "--format", "structured"],

@@ -198,6 +198,42 @@ def test_grow_faces_computes_each_join_once():
     assert len(calls) <= len(set(map(tree.tops.__getitem__, tree.join))) * len(index.ranks)
 
 
+def check_join_table(tree, coords, accept, whole=True):
+    """The tree's join table: distinct joins, numbered in order of first use along join.
+
+    A whole tree's table is also the closure of accepted joins: start at
+    the seed's top, and from each accepted join T step to every
+    max(T, coords[j]) that accept passes.
+    """
+    tops = tree.tops
+    assert len(set(tops)) == len(tops)
+    assert list(dict.fromkeys(tree.join)) == list(range(len(tops)))
+    if whole:
+        closure, todo = {tops[0]}, [tops[0]]
+        while todo:
+            top = todo.pop()
+            for c in coords:
+                t = tuple(map(max, top, c))
+                if t not in closure and accept(t):
+                    closure.add(t)
+                    todo.append(t)
+        assert closure == set(tops)
+
+
+def test_join_table_is_the_closure_of_accepted_joins():
+    # a downward closed family grows every face whose join the closure
+    # reaches, so the table holds each accepted join once, and no other
+    for ranks, _, pos, under in random_growths():
+        def accept(top):
+            return not under(top)
+
+        for seed in (((), (0,) * len(ranks[0])), ((pos,), ranks[pos])):
+            check_join_table(grow_faces(ranks, seed, accept), ranks, accept)
+            for max_size in (1, 2, 3):
+                check_join_table(grow_faces(ranks, seed, accept, max_size), ranks, accept,
+                                 whole=False)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 4).flatmap(lambda n: st.sets(st.tuples(*[st.integers(0, 4)] * n),
                                                    min_size=1, max_size=12)),

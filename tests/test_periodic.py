@@ -39,7 +39,7 @@ from scarf.periodic import (
     star_at,
     validate_periodic_set,
 )
-from test_complexes import face_records, reference_grow_faces, with_center
+from test_complexes import check_join_table, face_records, reference_grow_faces, with_center
 
 ZERO3 = zero_point(3)
 
@@ -333,6 +333,32 @@ def test_depth_limit_raises_certification_error():
             with pytest.raises(CertificationError) as info:
                 search(ker111(), dmax_limit=limit)
             assert info.value.report is None
+
+
+def test_zero_row_star_raises_before_any_walk(monkeypatch):
+    # axis 3 is 0 in the one basis column, so it is constant on each coset,
+    # and at the lower coset every {c, c + u, ..., c + t*u} is a face
+    A = validate_periodic_set([(1, -1, 0)], cosets=[(0, 0, 0), (0, 0, 1)])
+    c, u = (2, -2, 0), (1, -1, 0)
+    for t in range(1, 9):
+        top = Point(tuple(map(max, c, (x + t * y for x, y in zip(c, u)))))
+        assert exists_strictly_below(A, top) is None
+    events = record_rounds(monkeypatch)
+    # a low limit, so that a search past a missed check ends at depth 4
+    for search in (lambda: certified_star(A, Point(c), dmax_limit=4),
+                   lambda: certified_quotient(A, dmax_limit=4)):
+        with pytest.raises(CertificationError) as info:
+            search()
+        assert info.value.report is None
+        assert "axis 3 is 0 in every basis column" in str(info.value)
+        assert "u = [1, -1, 0]" in str(info.value)
+    assert events == []
+    # the upper coset has the lower one below it, and its star certifies
+    star = certified_star(A, Point((0, 0, 1)))
+    assert star.report.certified and len(star.neighbors) == 5
+    # a point outside the set is refused as input, as before
+    with pytest.raises(InputError):
+        certified_star(A, Point((0, 0, -1)))
 
 
 def record_rounds(monkeypatch, grow=_grow_star):
@@ -916,6 +942,18 @@ def test_quotient_matches_an_independent_fold(A, dmax):
     # run once per shrinking step
     same = got == expected
     assert same, [field for field, a, b in zip(got._fields, got, expected) if a != b]
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_periodic_sets(), st.integers(1, 4))
+def test_star_join_table_is_the_closure_of_accepted_joins(A, dmax):
+    # the stars of a fixed depth, each over its own vertices, tested by a
+    # face test of its own
+    assume(all(exists_strictly_below(A, rep) is None for rep in A.reps))
+    _, is_face_join, _ = _setup(A, [])
+    for rep in A.reps:
+        star = star_at(A, rep, dmax)
+        check_join_table(star.records, star.vertices, is_face_join)
 
 
 def test_certified_quotient():
