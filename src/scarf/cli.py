@@ -16,10 +16,10 @@ an axis is 0 in every basis column and the center is least on it (for
 quotient, some coset's always is), so the star has faces of every
 dimension, and the error document has no report.  A reader that closes
 stdout early ends the job quietly, with nothing on stderr and exit 141, the
-status a shell shows for a process that SIGPIPE ended.  A writer that raises
-after its first chunk is a bug: main then writes the error document to
-stderr and exits 5, and stdout holds the chunks written before it, a
-truncated document.
+status a shell shows for a process that SIGPIPE ended; an interrupt, with
+exit 130 (SIGINT's).  A writer that raises after its first chunk is a bug:
+main then writes the error document to stderr and exits 5, and stdout holds
+the chunks written before it, a truncated document.
 
 Flags that would be ignored are refused instead (exit 2): finite-nb takes
 --max-dim or --vertex, not both, and the periodic subcommands take --dmax or
@@ -443,6 +443,8 @@ def main(argv=None) -> int:
         # with stdout on devnull so that the flush at exit fails no more
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except KeyboardInterrupt:
+        return 130
     return 0
 
 

@@ -231,8 +231,6 @@ def grow_faces(coords: Sequence[tuple], seed: tuple, accept: Callable[[tuple], b
     members, top = seed
     tree = FaceTree([-1], [members[0] if members else -1], [0], [top])
     size = len(members)
-    if size == max_size:
-        return tree
     parent, vertex, join, tops = tree
     add_parent, add_vertex, add_join = parent.append, vertex.append, join.append
     ids = {top: 0}

@@ -3,12 +3,13 @@
 Everything here is plain Python ints: Smith normal form with unimodular
 transforms, Bareiss determinants, a breadth-first minimal-solutions search
 for linear Diophantine systems over the naturals (Contejean-Devie branching
-rule with domination pruning, with counter columns so that one search
-answers several right-hand sides), and one Fourier-Motzkin projection,
-`fm_systems`.  The projection serves integer point enumeration, through
-elimination plans built once per coefficient matrix, and the search for a
-nonzero direction in a cone.  Rational rows given to `fm_enumerate_integer`
-are scaled to integers exactly.  No floats anywhere.
+rule, whose levels of equal coordinate sum need one dominance test per new
+child, and counter columns so that one search answers several right-hand
+sides), and one Fourier-Motzkin projection, `fm_systems`.  The projection
+serves integer point enumeration, through elimination plans built once per
+coefficient matrix, and the search for a nonzero direction in a cone.
+Rational rows given to `fm_enumerate_integer` are scaled to integers
+exactly.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -388,8 +389,9 @@ def _cd_search(columns, counters=0):
     """Componentwise-minimal nonzero solutions of sum_i x_i * columns[i] = 0, x in N^k.
 
     Breadth-first from the unit vectors; a node x grows in direction i only
-    when <Ax, Ae_i> < 0, which preserves completeness; nodes dominating a
-    known solution are pruned.
+    when <Ax, Ae_i> < 0, which preserves completeness; a child dominating a
+    known solution is pruned.  A round's nodes share one coordinate sum, so
+    a solution below a non-solution node was known when it was made a child.
 
     The last `counters` columns are counters: in every node at most one of
     them is nonzero, and it is at most 1.  No solution with that property
@@ -413,13 +415,10 @@ def _cd_search(columns, counters=0):
         unit = tuple(1 if j == i else 0 for j in range(k))
         frontier[unit] = tuple(columns[i])
     while frontier:
-        sols = sorted(x for x, v in frontier.items() if v == zero_val)
-        minimals.extend(sols)
+        minimals.extend(x for x, v in frontier.items() if v == zero_val)
         nxt = {}
         for x, v in frontier.items():
             if v == zero_val:
-                continue
-            if _dominates_any(x, minimals):
                 continue
             # a node with a counter set grows in the other columns only
             for i in range(free if any(x[free:]) else k):

@@ -956,13 +956,8 @@ def test_face_writers_hold_less_than_the_document():
         assert peak < length, f"{fmt}: peak {peak} bytes for {length} bytes written"
 
 
-@pytest.mark.parametrize("fmt", ["structured", "text"])
-@pytest.mark.parametrize("written", [0, 1])
-@pytest.mark.parametrize("error", [RuntimeError("writer bug"), InputError("late input error")])
-def test_writer_failure_after_output_exits_5(docfile, capsys, monkeypatch, fmt, written, error):
-    # a writer that raises before its first chunk fails the job as its error
-    # says, with nothing on stdout; one that raises after it is a bug, exit
-    # 5, and stdout keeps the chunks written before it, a truncated document
+def fail_writer_after(monkeypatch, fmt, written, error):
+    """Make finite-nb's writer in fmt raise error after `written` chunks; return its unpatched chunks."""
     from scarf import cli
 
     monkeypatch.setattr(formats, "_CHUNK", 2)
@@ -979,6 +974,17 @@ def test_writer_failure_after_output_exits_5(docfile, capsys, monkeypatch, fmt, 
         raise error
 
     monkeypatch.setattr(module, name, failing)
+    return whole
+
+
+@pytest.mark.parametrize("fmt", ["structured", "text"])
+@pytest.mark.parametrize("written", [0, 1])
+@pytest.mark.parametrize("error", [RuntimeError("writer bug"), InputError("late input error")])
+def test_writer_failure_after_output_exits_5(docfile, capsys, monkeypatch, fmt, written, error):
+    # a writer that raises before its first chunk fails the job as its error
+    # says, with nothing on stdout; one that raises after it is a bug, exit
+    # 5, and stdout keeps the chunks written before it, a truncated document
+    whole = fail_writer_after(monkeypatch, fmt, written, error)
     code, out, err = run_cli(["finite-nb", docfile(RATIONAL_COLLINEAR), "--format", fmt],
                              capsys)
     expected = 5 if written or not isinstance(error, InputError) else 2
@@ -989,6 +995,35 @@ def test_writer_failure_after_output_exits_5(docfile, capsys, monkeypatch, fmt, 
                                    "message": str(error), "exit_code": expected}
     else:
         assert err == f"error [{type(error).__name__}]: {error}\n"
+
+
+def run_interrupted(argv, capsys):
+    """run_cli, failing the test where an interrupt that escapes main would end the session."""
+    try:
+        return run_cli(argv, capsys)
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")
+
+
+def test_interrupted_run_exits_130_quietly(docfile, capsys, monkeypatch):
+    # an interrupt while the job computes: exit 130, the status a shell shows
+    # for SIGINT, with nothing on stdout or stderr and no traceback
+    from scarf import cli
+
+    def interrupted(job):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run", interrupted)
+    assert run_interrupted(["finite-nb", docfile(RATIONAL_COLLINEAR)], capsys) == (130, "", "")
+
+
+@pytest.mark.parametrize("fmt", ["structured", "text"])
+def test_interrupted_writer_exits_130_after_its_first_chunk(docfile, capsys, monkeypatch, fmt):
+    # an interrupt while the output streams: exit 130 and an empty stderr,
+    # and stdout keeps the chunk written before it
+    whole = fail_writer_after(monkeypatch, fmt, 1, KeyboardInterrupt())
+    assert run_interrupted(["finite-nb", docfile(RATIONAL_COLLINEAR), "--format", fmt],
+                           capsys) == (130, whole[0], "")
 
 
 def test_text_output_writes_no_json(docfile, capsys, monkeypatch):

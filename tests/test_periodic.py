@@ -361,6 +361,43 @@ def test_zero_row_star_raises_before_any_walk(monkeypatch):
         certified_star(A, Point((0, 0, -1)))
 
 
+@st.composite
+def zero_row_periodic_sets(draw):
+    """(A, k): ker(x) in Z^(n-1) with a zero row inserted at axis k of Z^n, n = 3 or 4.
+
+    x is positive with a coordinate 1, as in kernel, and one to three
+    cosets have entries in [-2, 2].
+    """
+    n = draw(st.integers(3, 4))
+    x = draw(st.permutations((1, *draw(st.lists(st.integers(1, 4), min_size=n - 2,
+                                                max_size=n - 2)))))
+    k = draw(st.integers(0, n - 1))
+    columns = [(*col[:k], 0, *col[k:]) for col in kernel(x).columns]
+    reps = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=3))
+    return PeriodicSet(Lattice(columns), reps), k
+
+
+@settings(max_examples=30, deadline=None)
+@given(zero_row_periodic_sets())
+def test_zero_row_refusal_comes_from_setup(drawn):
+    # at a representative least on the zero axis the star, and so the
+    # quotient, is refused before any walk starts: a regression fails at
+    # its first walk and never grows a star
+    A, k = drawn
+    center = min(A.reps, key=lambda rep: rep.coords[k])
+
+    def no_walk(*args):
+        raise AssertionError("a candidate walk started")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scarf.periodic, "_candidate_vertices", no_walk)
+        with pytest.raises(CertificationError) as info:
+            certified_star(A, center)
+        assert info.value.report is None
+        with pytest.raises(CertificationError):
+            certified_quotient(A)
+
+
 def record_rounds(monkeypatch, grow=_grow_star):
     """Log the depth of each advance of a candidate walk and "grow" for each star grown; grow stands in."""
     events = []
@@ -465,12 +502,12 @@ def reference_candidates(A, creps, center, dmax, steps):
 
 
 def kernel(x):
-    """The lattice ker(x) in Z^3, for x with a coordinate 1."""
+    """The lattice ker(x) in Z^len(x), for x with a coordinate 1."""
     one = x.index(1)
     columns = []
-    for j in range(3):
+    for j in range(len(x)):
         if j != one:
-            col = [0, 0, 0]
+            col = [0] * len(x)
             col[one], col[j] = -x[j], 1
             columns.append(tuple(col))
     return Lattice(columns)
